@@ -339,19 +339,32 @@ def _run_task(item):
 
 
 class DiskCache:
-    """Append-only JSONL cache of completed pure computations."""
+    """Append-only JSONL cache of completed pure computations.
+
+    Every entry is written as one line ending in a newline.  A final line
+    without its newline is the torn tail of a killed write: it is cut off
+    before the file is reopened for append.  Any other line that does not
+    parse raises `IncompatibleCheckpoint`.
+    """
 
     def __init__(self, path: Optional[str]):
         self.path = path
         self.data: dict[str, dict] = {}
         if path and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+            with open(path, "rb+") as fh:
+                blob = fh.read()
+                complete = blob.rfind(b"\n") + 1
+                if complete < len(blob):
+                    fh.truncate(complete)
+            for lineno, line in enumerate(blob[:complete].splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
                     entry = json.loads(line)
                     self.data[entry["key"]] = entry["out"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise IncompatibleCheckpoint(
+                        f"{path}: line {lineno} is not a cache entry") from exc
         self._fh = open(path, "a") if path else None
 
     def get(self, key: str):

@@ -2,9 +2,11 @@
 
 The subdivision is represented by its star at the origin: all full
 dimensional Delaunay cells having 0 as a vertex, together with translation
-class representatives and facet adjacencies.  Every constructed cell is
-verified against the empty-sphere condition, so the algorithms used to find
-cells only need to terminate, not to be trusted.
+class representatives and facet adjacencies.  The star is found one
+translation class at a time.  Every class representative is verified
+against the empty-sphere condition, so the algorithms used to find cells
+only need to terminate, not to be trusted; the other cells of the star are
+translates of a representative and inherit its certificate.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ class DelaunayStar:
     @property
     def dim(self) -> int:
         return self.form.d
-
-    def class_cells(self):
-        return tuple(self.cells[i] for i in self.classes)
 
     def class_keys(self):
         return tuple(self.cells[i].vertices for i in self.classes)
@@ -144,7 +143,8 @@ def _parametric_contact(q: SymMat, base_vertex, center, sqradius, direction):
             hits = [w]
         elif lam == best_lam:
             hits.append(w)
-    assert best_lam is not None and best_lam >= 0
+    if best_lam is None or best_lam < 0:
+        raise AssertionError("no lattice contact ahead of the moving sphere")
     new_center = tuple(c + best_lam * h for c, h in zip(center, direction))
     new_r2 = _sphere_value(q, new_center, base_vertex)
     return best_lam, new_center, new_r2, sorted(hits)
@@ -237,57 +237,63 @@ def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell
         raise NotAFacet("cell vertices on both sides of the hyperplane")
     _, new_center, new_r2, _ = _parametric_contact(q, f0, cell.center, cell.sqradius, h)
     best, mins = closest_vectors(q, new_center)
-    assert best == new_r2 and set(fverts) <= set(mins)
+    if best != new_r2 or not set(fverts) <= set(mins):
+        raise AssertionError("adjacent cell failed the empty-sphere check")
     return Cell(tuple(sorted(mins)), new_center, new_r2)
 
 
 def delaunay_star(q: SymMat) -> DelaunayStar:
-    """Breadth-first closure of an initial cell under facet adjacency,
-    keeping the cells with 0 as a vertex; deterministic ordering."""
+    """Star of the origin, found one translation class at a time.
+
+    A breadth-first search runs over normalized class representatives.
+    Each (class, facet) pair is crossed once with `adjacent_cell`: if the
+    neighbour normalizes to `nb + shift`, the facet `F + shift` of that
+    class leads back across the same facet, so its link is recorded too.
+    The star's cells are the translates `rep - v` over the vertices `v` of
+    every representative; they inherit the representative's empty-sphere
+    certificate, since translation preserves it.  Deterministic ordering.
+    """
     _require_pd(q)
     d = q.d
-    zero = tuple([0] * d)
-    first = initial_cell(q)
-    seen = {first.vertices: first}
+    first, _ = initial_cell(q).normalized()
+    reps = {first.vertices: first}
+    facets = {}
+    links = {}                   # (class key, facet) -> (class key, shift)
     queue = deque([first])
     while queue:
-        cell = queue.popleft()
-        for facet in cell_facets(cell, d):
-            if zero not in facet:
+        rep = queue.popleft()
+        key = rep.vertices
+        facets[key] = cell_facets(rep, d)
+        for facet in facets[key]:
+            if (key, facet) in links:
                 continue
-            nb = adjacent_cell(q, cell, facet)
-            if nb.vertices not in seen:
-                seen[nb.vertices] = nb
-                queue.append(nb)
-    keys = sorted(seen)
-    cells = tuple(seen[k] for k in keys)
-    index = {k: i for i, k in enumerate(keys)}
+            norm, shift = adjacent_cell(q, rep, facet).normalized()
+            links[key, facet] = (norm.vertices, tuple(-s for s in shift))
+            back = tuple(tuple(x + s for x, s in zip(v, shift)) for v in facet)
+            links[norm.vertices, back] = (key, shift)
+            if norm.vertices not in reps:
+                reps[norm.vertices] = norm
+                queue.append(norm)
+
+    by_key = {}
+    for rep in reps.values():
+        for v in rep.vertices:
+            cell = rep.translate(tuple(-x for x in v))
+            by_key[cell.vertices] = cell
+    keys = sorted(by_key)
+    cells = tuple(by_key[k] for k in keys)
     centers = set(c.center for c in cells)
     if len(centers) != len(cells):
         raise AssertionError("duplicate circumcenters in the star")
 
-    class_of = {}
-    for cell in cells:
-        norm, _ = cell.normalized()
-        class_of.setdefault(norm.vertices, norm)
-    class_keys = sorted(class_of)
+    index = {k: i for i, k in enumerate(keys)}
+    class_keys = sorted(reps)
     class_pos = {k: i for i, k in enumerate(class_keys)}
-    classes = []
-    for k in class_keys:
-        if k not in index:
-            raise AssertionError("class representative missing from the star")
-        classes.append(index[k])
-
-    adjacency = []
-    for k in class_keys:
-        rep = seen[k]
-        entries = []
-        for facet in cell_facets(rep, d):
-            nb = adjacent_cell(q, rep, facet)
-            nnorm, shift = nb.normalized()
-            entries.append((facet, class_pos[nnorm.vertices], tuple(-s for s in shift)))
-        adjacency.append(tuple(entries))
-    return DelaunayStar(q, cells, tuple(classes), tuple(adjacency))
+    adjacency = tuple(
+        tuple((facet, class_pos[links[k, facet][0]], links[k, facet][1])
+              for facet in facets[k])
+        for k in class_keys)
+    return DelaunayStar(q, cells, tuple(index[k] for k in class_keys), adjacency)
 
 
 def is_triangulation(star: DelaunayStar) -> bool:

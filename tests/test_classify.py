@@ -7,6 +7,7 @@ from lcone.classify import (
     ClassDB,
     Classifier,
     DimensionUnsupported,
+    DiskCache,
     IncompatibleCheckpoint,
     IncompleteDatabase,
     classify_all,
@@ -248,6 +249,45 @@ class TestPersistence:
                 a = open(os.path.join(ref, name), "rb").read()
                 b = open(os.path.join(out, name), "rb").read()
                 assert a == b, f"{name} differs after resume"
+
+    def test_resume_after_torn_tail_is_byte_identical(self, tmp_path):
+        ref = str(tmp_path / "ref")
+        run_classification(3, ref)
+
+        out = str(tmp_path / "torn")
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(3, out, abort_after=4)
+        frontier = os.path.join(out, "frontier.jsonl")
+        with open(frontier, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        # a kill in the middle of the last write leaves half a line
+        with open(frontier, "wb") as fh:
+            fh.write(b"".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+        run_classification(3, out, resume=True)
+
+        for name in sorted(os.listdir(ref)):
+            if name.startswith("dim_") or name == "manifest.json":
+                a = open(os.path.join(ref, name), "rb").read()
+                b = open(os.path.join(out, name), "rb").read()
+                assert a == b, f"{name} differs after resume"
+
+    def test_torn_tail_is_cut_before_append(self, tmp_path):
+        path = str(tmp_path / "frontier.jsonl")
+        cache = DiskCache(path)
+        cache.put("a", {"x": 1})
+        cache.close()
+        with open(path, "a") as fh:
+            fh.write('{"key":"b","out":{"x":2}}')
+        cache = DiskCache(path)
+        cache.put("c", {"x": 3})
+        cache.close()
+        assert DiskCache(path).data == {"a": {"x": 1}, "c": {"x": 3}}
+
+    def test_corrupt_middle_line_is_incompatible(self, tmp_path):
+        path = tmp_path / "frontier.jsonl"
+        path.write_text('{"key":"a","out":{}}\n{broken\n{"key":"c","out":{}}\n')
+        with pytest.raises(IncompatibleCheckpoint, match="line 2"):
+            DiskCache(str(path))
 
     def test_resume_dimension_mismatch(self, tmp_path):
         out = str(tmp_path / "db")

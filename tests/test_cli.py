@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lcone.classify import run_classification
 from lcone.cli import main
 
 
@@ -122,6 +123,17 @@ class TestClassifyCmd:
         assert main(["classify", "-d", "2", "-o", out_dir]) == 0
         capsys.readouterr()
         assert main(["classify", "-d", "3", "-o", out_dir, "--resume"]) == 3
+
+    def test_resume_corrupt_checkpoint_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "db"
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(2, str(out_dir), abort_after=2)
+        frontier = out_dir / "frontier.jsonl"
+        lines = frontier.read_text().splitlines(keepends=True)
+        assert len(lines) == 2
+        frontier.write_text("{broken\n" + lines[1])
+        assert main(["classify", "-d", "2", "-o", str(out_dir), "--resume"]) == 3
+        assert "line 1" in capsys.readouterr().err
 
     def test_digest_flag(self, tmp_path, capsys):
         out_dir = str(tmp_path / "dbmd5")

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 
 import pytest
+
+import lcone.delaunay
 
 from lcone.delaunay import (
     Cell,
@@ -13,6 +19,7 @@ from lcone.delaunay import (
     is_triangulation,
     neighbor_triangulation,
 )
+from lcone.classify import principal_form
 from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, det, inverse
 from lcone.lattice import closest_vectors
 
@@ -164,6 +171,111 @@ class TestDelaunayStar:
             for cell in fine.cells:
                 hit = any(set(cell.vertices) <= set(c2.vertices) for c2 in coarse.cells)
                 assert hit
+
+
+def star_by_cells(q):
+    """Reference star: breadth-first search over every cell through 0, and
+    one more `adjacent_cell` call per class facet for the adjacency."""
+    d = q.d
+    zero = tuple([0] * d)
+    first = initial_cell(q)
+    seen = {first.vertices: first}
+    queue = deque([first])
+    while queue:
+        cell = queue.popleft()
+        for facet in cell_facets(cell, d):
+            if zero not in facet:
+                continue
+            nb = adjacent_cell(q, cell, facet)
+            if nb.vertices not in seen:
+                seen[nb.vertices] = nb
+                queue.append(nb)
+    keys = sorted(seen)
+    cells = tuple(seen[k] for k in keys)
+    index = {k: i for i, k in enumerate(keys)}
+    class_keys = sorted(set(cell.normalized()[0].vertices for cell in cells))
+    class_pos = {k: i for i, k in enumerate(class_keys)}
+    adjacency = []
+    for k in class_keys:
+        rep = seen[k]
+        entries = []
+        for facet in cell_facets(rep, d):
+            nnorm, shift = adjacent_cell(q, rep, facet).normalized()
+            entries.append((facet, class_pos[nnorm.vertices], tuple(-s for s in shift)))
+        adjacency.append(tuple(entries))
+    return cells, tuple(index[k] for k in class_keys), tuple(adjacency)
+
+
+def _random_forms(seed, count):
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        d = rng.choice([2, 3])
+        rows = [[0] * d for _ in range(d)]
+        for i in range(d):
+            rows[i][i] = rng.randint(2, 6)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        q = SymMat(rows)
+        if q.is_positive_definite():
+            forms.append(q)
+    return forms
+
+
+# principal_form(4) minus the rank-one term of e_0 - e_1: a face form whose
+# star has non-simplex cells.
+FACE4 = principal_form(4) - SymMat.outer((1, -1, 0, 0))
+
+
+class TestStarByClasses:
+    @pytest.mark.parametrize("q", [principal_form(2), principal_form(3), principal_form(4),
+                                   SymMat.identity(3), FACE4] + _random_forms(7, 4))
+    def test_matches_cell_search(self, q):
+        star = delaunay_star(q)
+        assert (star.cells, star.classes, star.adjacency) == star_by_cells(q)
+
+    def test_face_form_has_non_simplex_cells(self):
+        assert not is_triangulation(delaunay_star(FACE4))
+
+    def test_crosses_each_class_facet_pair_once(self, monkeypatch):
+        calls = []
+        original = lcone.delaunay.adjacent_cell
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lcone.delaunay, "adjacent_cell", counted)
+        star = delaunay_star(principal_form(4))
+        class_facets = sum(len(entries) for entries in star.adjacency)
+        assert class_facets == 120
+        assert len(calls) <= class_facets // 2
+
+    def test_empty_sphere_check_survives_optimize(self):
+        # `assert False` passes only if -O stripped asserts; the empty-sphere
+        # check must still reject the wrong minimum from closest_vectors.
+        script = (
+            "import lcone.delaunay as D\n"
+            "from lcone.delaunay import Cell, adjacent_cell\n"
+            "from lcone.exact import Rat, SymMat\n"
+            "assert False, 'asserts are on'\n"
+            "orig = D.closest_vectors\n"
+            "def wrong(q, c):\n"
+            "    best, mins = orig(q, c)\n"
+            "    return best + 1, mins\n"
+            "D.closest_vectors = wrong\n"
+            "cell = Cell(((0, 0), (0, 1), (1, 0)), (Rat(1, 3), Rat(1, 3)), Rat(2, 3))\n"
+            "try:\n"
+            "    adjacent_cell(SymMat([[2, 1], [1, 2]]), cell, [(1, 0), (0, 1)])\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: adjacent cell failed the empty-sphere check")
 
 
 class TestNeighborTriangulation:
