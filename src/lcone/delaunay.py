@@ -22,10 +22,9 @@ from .exact import (
     Rat,
     SymMat,
     nullspace,
-    rank_of_rows,
     solve,
 )
-from .lattice import closest_vectors, enumerate_close, short_vectors
+from .lattice import characteristic_set, closest_vectors, enumerate_close
 
 
 class NotAFacet(Exception):
@@ -107,37 +106,46 @@ def _sphere_value(q: SymMat, center, point):
     return q.quad([c - x for c, x in zip(center, point)])
 
 
-def _parametric_contact(q: SymMat, base_vertex, center, sqradius, direction):
+def _parametric_contact(q: SymMat, base_vertex, center, sqradius, direction, probes=()):
     """First lattice contact when the sphere center moves along `direction`.
 
     The sphere through the current vertex set stays through it (direction is
     Q-orthogonal to its affine hull) and the first lattice points reached on
     the positive side of the motion are returned, together with the contact
     center and squared radius.  The current sphere must be empty.
+
+    Each lattice point w on the positive side is reached at a parameter
+    `reach(w)`, and every point reached sooner lies inside the sphere at that
+    parameter.  So the sphere at the soonest reach among a basis step from
+    `base_vertex` and `probes` is enumerated: probes near the contact keep
+    it small, and they do not change the result.
     """
     hq = q.mul_vec(direction)
     hq0 = sum(a * b for a, b in zip(hq, base_vertex))
+    qc = q.mul_vec(center)
+    offset = q.quad(center) - sqradius
 
     def denom(w):
         return sum(a * b for a, b in zip(hq, w)) - hq0
 
-    # Bootstrap candidate on the positive side: reflect a basis step.
+    def reach(w):
+        """Parameter at which the moving sphere reaches w (denom(w) > 0)."""
+        excess = q.quad(w) - 2 * sum(a * b for a, b in zip(qc, w)) + offset
+        return Rat(excess) / (2 * denom(w))
+
     step = next(k for k in range(q.d) if hq[k] != 0)
     probe = list(base_vertex)
     probe[step] += 1 if hq[step] > 0 else -1
-    probe = tuple(probe)
-    f_probe = _sphere_value(q, center, probe) - sqradius
-    lam_probe = Rat(f_probe) / (2 * denom(probe))
+    lam_probe = min(reach(w) for w in (tuple(probe), *probes) if denom(w) > 0)
     c_probe = tuple(c + lam_probe * h for c, h in zip(center, direction))
     r_probe = _sphere_value(q, c_probe, base_vertex)
 
     best_lam = None
     hits = []
     for w, _ in enumerate_close(q, c_probe, r_probe):
-        dw = denom(w)
-        if dw <= 0:
+        if denom(w) <= 0:
             continue
-        lam = (Rat(_sphere_value(q, center, w)) - sqradius) / (2 * dw)
+        lam = reach(w)
         if best_lam is None or lam < best_lam:
             best_lam = lam
             hits = [w]
@@ -155,16 +163,16 @@ def initial_cell(q: SymMat) -> Cell:
 
     Grows an empty sphere through an affinely independent vertex set one
     dimension at a time: among the two Q-orthogonal motions of the center,
-    the first lattice contact with the smaller circumradius is taken.  The
-    final vertex set is saturated to the full closest-vector set, and the
-    empty-sphere postcondition is verified.
+    the first lattice contact with the smaller circumradius is taken; the
+    sums of a vertex and a vector of the characteristic set are its probes.
+    The final vertex set is saturated to the full closest-vector set, and
+    the empty-sphere postcondition is verified.
     """
     _require_pd(q)
     d = q.d
-    n0 = min(q.entry(i, i) for i in range(d))
-    sv = short_vectors(q, n0)
-    min_norm = min(q.quad(v) for v in sv.vectors)
-    v1 = min(v for v in sv.vectors if q.quad(v) == min_norm)
+    short = characteristic_set(q).vectors
+    min_norm = min(q.quad(v) for v in short)
+    v1 = min(v for v in short if q.quad(v) == min_norm)
     zero = tuple([0] * d)
     verts = [zero, v1]
     center = tuple(Rat(x, 2) for x in v1)
@@ -172,9 +180,10 @@ def initial_cell(q: SymMat) -> Cell:
     while len(verts) < d + 1:
         rows = [q.mul_vec([a - b for a, b in zip(w, verts[0])]) for w in verts[1:]]
         direction = nullspace(rows)[0]
+        probes = {tuple(a + b for a, b in zip(w, v)) for w in verts for v in short}
         sides = []
         for h in (direction, tuple(-x for x in direction)):
-            lam, c2, rr2, hits = _parametric_contact(q, verts[0], center, r2, h)
+            lam, c2, rr2, hits = _parametric_contact(q, verts[0], center, r2, h, probes)
             sides.append((rr2, hits[0], c2))
         sides.sort()
         rr2, w_new, c2 = sides[0]
@@ -220,9 +229,9 @@ def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell
     rows = [q.mul_vec([a - b for a, b in zip(w, f0)]) for w in fverts[1:]]
     if not rows:
         rows = [[0] * q.d]
+    # Q is nonsingular, so the rows have the rank of the vertex differences.
     directions = nullspace(rows)
-    span_rank = rank_of_rows([[a - b for a, b in zip(w, f0)] for w in fverts[1:]]) if len(fverts) > 1 else 0
-    if span_rank != q.d - 1 or len(directions) != 1:
+    if len(directions) != 1:
         raise NotAFacet("facet does not span a hyperplane")
     h = directions[0]
     hq = q.mul_vec(h)
@@ -235,7 +244,10 @@ def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell
         h = tuple(-x for x in h)
     elif not all(x < 0 for x in dens):
         raise NotAFacet("cell vertices on both sides of the hyperplane")
-    _, new_center, new_r2, _ = _parametric_contact(q, f0, cell.center, cell.sqradius, h)
+    # The contact is often a reflection f + g - o of an opposite vertex o.
+    probes = {tuple(a + b - c for a, b, c in zip(f, g, o))
+              for f in fverts for g in fverts for o in others}
+    _, new_center, new_r2, _ = _parametric_contact(q, f0, cell.center, cell.sqradius, h, probes)
     best, mins = closest_vectors(q, new_center)
     if best != new_r2 or not set(fverts) <= set(mins):
         raise AssertionError("adjacent cell failed the empty-sphere check")

@@ -127,11 +127,21 @@ def short_vectors(q: SymMat, n) -> VectorSet:
 
 
 def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:
-    """Minimum of Q[c - v] over v in Z^d together with all minimizers."""
+    """Minimum of Q[c - v] over v in Z^d together with all minimizers.
+
+    The enumeration ball is bounded by the closer of two lattice points: c
+    rounded coordinate-wise, and c rounded one coordinate at a time down the
+    LDL^T factorization as `enumerate_close` descends (Babai's nearest
+    plane), which stays close on skewed forms.
+    """
+    lower, _ = _ldlt_pd(q)
     d = q.d
-    _ldlt_pd(q)
-    guess = tuple(_round_rat(x) for x in c)
-    bound = q.quad([a - b for a, b in zip(guess, c)])
+    near = [0] * d
+    for i in reversed(range(d)):
+        s = sum(lower.entries[j][i] * (near[j] - c[j]) for j in range(i + 1, d))
+        near[i] = _round_rat(Rat(c[i]) - s)
+    bound = min(q.quad([a - b for a, b in zip(guess, c)])
+                for guess in (near, [_round_rat(x) for x in c]))
     hits = enumerate_close(q, c, bound)
     best = min(val for _, val in hits)
     argmins = tuple(v for v, val in hits if val == best)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lcone.exact import NotPositiveDefinite, Rat, SymMat, lattice_span_full
-from lcone.lattice import characteristic_set, closest_vectors, short_vectors
+from lcone.lattice import characteristic_set, closest_vectors, enumerate_close, short_vectors
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -89,6 +89,19 @@ class TestClosestVectors:
             b2, m2 = closest_vectors(A2, (c[0] + w[0], c[1] + w[1]))
             assert b1 == b2
             assert set(m2) == {(v[0] + w[0], v[1] + w[1]) for v in m1}
+
+
+    def test_skewed_form_matches_rounded_bound(self):
+        # On a skewed form the ball through c rounded coordinate-wise is
+        # wide; enumerating it gives the same minimum and minimizers.
+        q = SymMat([[3, 2, -2, -1], [2, 13, -8, -4], [-2, -8, 6, 3], [-1, -4, 3, 3]])
+        rng = random.Random(7)
+        for _ in range(20):
+            c = tuple(Rat(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(4))
+            wide = q.quad([round(x) - x for x in c])
+            hits = enumerate_close(q, c, wide)
+            least = min(val for _, val in hits)
+            assert closest_vectors(q, c) == (least, tuple(v for v, val in hits if val == least))
 
 
 class TestCharacteristicSet:
