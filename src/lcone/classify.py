@@ -759,10 +759,10 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     """End-to-end classification with on-disk checkpointing.
 
     Without `resume`, any previous state in `out_dir` is discarded.  With
-    `resume`, the checkpoint must match the dimension and software version;
-    completed heavy computations are replayed from the cache, so an
-    interrupted run continues where it stopped and yields a byte-identical
-    database.
+    `resume`, the checkpoint must match the dimension, the software version
+    and, while the run is unfinished, the digest; completed heavy
+    computations are replayed from the cache, so an interrupted run
+    continues where it stopped and yields a byte-identical database.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -774,6 +774,9 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
             if manifest.get("d") != d or manifest.get("version") != __version__:
                 raise IncompatibleCheckpoint(
                     "checkpoint dimension or version does not match")
+            if manifest.get("status") == "running" and manifest.get("digest") != digest:
+                raise IncompatibleCheckpoint(
+                    f"checkpoint digest {manifest.get('digest')} does not match {digest}")
     else:
         for name in list(os.listdir(out_dir)):
             if name == "frontier.jsonl" or name == "manifest.json" or (
@@ -782,8 +785,8 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     write_marker = not os.path.exists(manifest_path)
     if write_marker or not resume:
         with open(manifest_path, "w") as fh:
-            json.dump({"d": d, "version": __version__, "status": "running"}, fh,
-                      sort_keys=True, indent=1)
+            json.dump({"d": d, "version": __version__, "status": "running",
+                       "digest": digest}, fh, sort_keys=True, indent=1)
             fh.write("\n")
     cache = DiskCache(frontier_path)
     try:

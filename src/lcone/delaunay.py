@@ -7,6 +7,10 @@ translation class at a time.  Every class representative is verified
 against the empty-sphere condition, so the algorithms used to find cells
 only need to terminate, not to be trusted; the other cells of the star are
 translates of a representative and inherit its certificate.
+
+Crossing a wall of a triangulation's secondary cone is a bistellar flip of
+the circuits that the wall's regulator cuts out (`neighbor_triangulation`);
+every class the flip adds is certified by the same empty-sphere check.
 """
 
 from __future__ import annotations
@@ -287,8 +291,21 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
                 reps[norm.vertices] = norm
                 queue.append(norm)
 
+    class_keys = sorted(reps)
+    class_pos = {k: i for i, k in enumerate(class_keys)}
+    adjacency = tuple(
+        tuple((facet, class_pos[links[k, facet][0]], links[k, facet][1])
+              for facet in facets[k])
+        for k in class_keys)
+    return _star_from_classes(q, [reps[k] for k in class_keys], adjacency)
+
+
+def _star_from_classes(q: SymMat, reps: Sequence[Cell], adjacency: tuple) -> DelaunayStar:
+    """The star with the given class representatives (normalized, in key
+    order) and adjacency: its cells are the translates `rep - v` over the
+    vertices `v` of every representative, in sorted order."""
     by_key = {}
-    for rep in reps.values():
+    for rep in reps:
         for v in rep.vertices:
             cell = rep.translate(tuple(-x for x in v))
             by_key[cell.vertices] = cell
@@ -297,15 +314,8 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
     centers = set(c.center for c in cells)
     if len(centers) != len(cells):
         raise AssertionError("duplicate circumcenters in the star")
-
     index = {k: i for i, k in enumerate(keys)}
-    class_keys = sorted(reps)
-    class_pos = {k: i for i, k in enumerate(class_keys)}
-    adjacency = tuple(
-        tuple((facet, class_pos[links[k, facet][0]], links[k, facet][1])
-              for facet in facets[k])
-        for k in class_keys)
-    return DelaunayStar(q, cells, tuple(index[k] for k in class_keys), adjacency)
+    return DelaunayStar(q, cells, tuple(index[rep.vertices] for rep in reps), adjacency)
 
 
 def is_triangulation(star: DelaunayStar) -> bool:
@@ -314,40 +324,87 @@ def is_triangulation(star: DelaunayStar) -> bool:
     return all(len(c.vertices) == d + 1 for c in star.cells)
 
 
+def _normalized(vertices) -> tuple:
+    """Sorted vertex tuple translated so that its smallest vertex is 0."""
+    base = min(vertices)
+    return tuple(sorted(tuple(x - b for x, b in zip(v, base)) for v in vertices))
+
+
 def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat) -> DelaunayStar:
-    """Cross the wall of the secondary cone through `wallpoint`.
+    """Cross the wall of the secondary cone through `wallpoint` by a
+    bistellar flip of the tight circuits.
 
     `wallpoint` must be positive definite and lie in the relative interior of
     exactly one facet of the closure of the secondary cone of `star`;
-    `center` must be interior.  Evaluates the star at
-    wallpoint + eps (wallpoint - center) with eps halving until the result is
-    a positive definite triangulation whose closed secondary cone contains
-    the wallpoint, which certifies that exactly one wall was crossed.
+    `center` must be interior.  Every (class, facet, neighbour) pair whose
+    regulator vanishes on the wallpoint gives a circuit Z = rep + {w} with
+    affine dependency lambda_w = 1, lambda_v = -alpha_v.  The flip replaces
+    the simplices Z - {z} with lambda_z > 0, which must be classes of the
+    star, by those with lambda_z < 0; the adjacency is rebuilt by matching
+    facets.  The returned star is evaluated at wallpoint + eps (wallpoint -
+    center), eps halving until that form lies in the open secondary cone of
+    the new triangulation, so it is the Delaunay star of that form: every
+    class the flip adds is certified by an exact empty-sphere check there,
+    and the kept classes by the positive regulators of their facets.
     """
-    from .scone import star_wall_forms
+    from .scone import pair_regulators
 
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
-    walls = star_wall_forms(star)
-    tight = [n for n in walls if n.pair(wallpoint) == 0]
-    if len(tight) != 1:
-        raise NotOnSingleFacet(f"wallpoint is tight on {len(tight)} walls, need exactly 1")
-    if any(n.pair(wallpoint) < 0 for n in walls):
+    pairs = pair_regulators(star.class_keys(), star.adjacency)
+    values = [reg.matrix.pair(wallpoint) for _, _, reg in pairs]
+    tight = [pair for pair, val in zip(pairs, values) if val == 0]
+    walls = {reg.matrix.lower() for _, _, reg in tight}
+    if len(walls) != 1:
+        raise NotOnSingleFacet(f"wallpoint is tight on {len(walls)} walls, need exactly 1")
+    if any(val < 0 for val in values):
         raise NotOnSingleFacet("wallpoint is outside the closed cone")
 
+    removed, added = set(), set()
+    for key, w, reg in tight:
+        circuit = key + (w,)
+        for z, lam in zip(circuit, [-a for a in reg.alphas] + [1]):
+            if lam != 0:
+                simplex = _normalized([p for p in circuit if p != z])
+                (removed if lam > 0 else added).add(simplex)
+    old_keys = set(star.class_keys())
+    if not removed <= old_keys:
+        raise AssertionError("the flip removes a simplex that is not in the star")
+    keys = sorted(old_keys - removed | added)
+
+    d = star.dim
+    facets = {k: [k[:i] + k[i + 1:] for i in range(d + 1)] for k in keys}
+    sides = {}                   # normalized facet -> [(class pos, facet, base)]
+    for pos, k in enumerate(keys):
+        for facet in facets[k]:
+            sides.setdefault(_normalized(facet), []).append((pos, facet, facet[0]))
+    links = {}
+    for pair in sides.values():
+        if len(pair) != 2:
+            raise AssertionError(f"a facet of the flipped star lies in {len(pair)} cells")
+        for (pos, facet, base), (npos, _, nbase) in (pair, pair[::-1]):
+            links[pos, facet] = (npos, tuple(a - b for a, b in zip(base, nbase)))
+    adjacency = tuple(tuple((f, *links[pos, f]) for f in facets[k])
+                      for pos, k in enumerate(keys))
+
+    new_walls = {reg.matrix.lower(): reg.matrix
+                 for _, _, reg in pair_regulators(keys, adjacency)}.values()
+    if any(n.pair(wallpoint) < 0 for n in new_walls):
+        raise AssertionError("the flipped cone does not contain the wallpoint")
     eps = Rat(1)
     diff = wallpoint - center
     for _ in range(64):
         cand = wallpoint + diff.scale(eps)
         eps = eps / 2
-        if not cand.is_positive_definite():
-            continue
-        nb = delaunay_star(cand)
-        if not is_triangulation(nb):
-            continue
-        nb_walls = star_wall_forms(nb)
-        if all(n.pair(wallpoint) >= 0 for n in nb_walls):
-            if nb.class_keys() == star.class_keys():
-                raise AssertionError("wall crossing returned the same triangulation")
-            return nb
-    raise AssertionError("wall crossing did not converge")
+        if cand.is_positive_definite() and all(n.pair(cand) > 0 for n in new_walls):
+            break
+    else:
+        raise AssertionError("wall crossing did not converge")
+
+    reps = [Cell(k, *circumcenter(cand, k)) for k in keys]
+    for rep in reps:
+        if rep.vertices in added:
+            best, mins = closest_vectors(cand, rep.center)
+            if best != rep.sqradius or tuple(sorted(mins)) != rep.vertices:
+                raise AssertionError("flipped cell failed the empty-sphere check")
+    return _star_from_classes(cand, reps, adjacency)

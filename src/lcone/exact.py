@@ -55,26 +55,6 @@ def _norm(x):
     return x
 
 
-def as_rat(x) -> Rat:
-    return Rat(x)
-
-
-def rat_from_pair(num: int, den: int) -> Rat:
-    return Rat(num, den)
-
-
-def floor_rat(x) -> int:
-    if isinstance(x, int):
-        return x
-    return x.numerator // x.denominator
-
-
-def ceil_rat(x) -> int:
-    if isinstance(x, int):
-        return x
-    return -((-x.numerator) // x.denominator)
-
-
 def floor_sqrt_rat(x) -> int:
     """floor(sqrt(x)) for a nonnegative rational x, exactly."""
     if x < 0:

@@ -65,10 +65,15 @@ def functional_to_sym(d: int, a: Sequence) -> SymMat:
 
 @dataclass(frozen=True)
 class Regulator:
-    """Integral normal of one local Delaunay wall condition."""
+    """Integral normal of one local Delaunay wall condition.
+
+    `alphas` are the affine coordinates of the extra point in the simplex:
+    w = sum a_v v with sum a_v = 1, one per point of `source[0]`.
+    """
 
     matrix: SymMat
     source: tuple
+    alphas: tuple
 
     @property
     def is_degenerate(self) -> bool:
@@ -90,7 +95,7 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
     rows = [[p[i] for p in pts] for i in range(d)]
     rows.append([1] * (d + 1))
     try:
-        alphas = solve(Mat(rows), list(w) + [1])
+        alphas = tuple(solve(Mat(rows), list(w) + [1]))
     except Exception as exc:
         raise AffinelyDependent("affinely dependent point set") from exc
     n = SymMat.outer(w)
@@ -98,32 +103,45 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
         if a:
             n = n - SymMat.outer(p).scale(a)
     if all(x == 0 for x in n.lower()):
-        return Regulator(SymMat.zero(d), (tuple(pts), w))
-    return Regulator(symmat_clear_denominators(n), (tuple(pts), w))
+        return Regulator(SymMat.zero(d), (tuple(pts), w), alphas)
+    return Regulator(symmat_clear_denominators(n), (tuple(pts), w), alphas)
+
+
+def pair_regulators(keys: Sequence[tuple], adjacency: Sequence[tuple]) -> list:
+    """(class key, extra vertex, regulator) for every pair of adjacent
+    simplices of a triangulation given by its class representatives' vertex
+    tuples and its adjacency (as in `DelaunayStar`); the extra vertex is the
+    neighbour's vertex off the facet.  Each pair is taken from one side
+    only: from the other side it spans the same circuit and has the same
+    regulator.  Degenerate regulators are left out."""
+    out = []
+    done = set()
+    for pos, (key, entries) in enumerate(zip(keys, adjacency)):
+        if len(key) != len(key[0]) + 1:
+            raise NotATriangulation("star contains a non-simplex cell")
+        for facet, nclass, shift in entries:
+            if (pos, facet) in done:
+                continue
+            done.add((nclass, tuple(tuple(x - s for x, s in zip(v, shift)) for v in facet)))
+            on_facet = set(facet)
+            extra = [w for w in (tuple(x + s for x, s in zip(v, shift)) for v in keys[nclass])
+                     if w not in on_facet]
+            if len(extra) != 1:
+                raise NotATriangulation("adjacent cell is not a simplex")
+            reg = regulator(key, extra[0])
+            if not reg.is_degenerate:
+                out.append((key, extra[0], reg))
+    return out
 
 
 def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
     """Deduplicated regulator matrices over all adjacent simplex pairs of a
     triangulation, one per wall class, each positive on the generating form."""
-    d = star.dim
-    q = star.form
     seen = {}
-    for pos, entries in enumerate(star.adjacency):
-        rep = star.cells[star.classes[pos]]
-        if len(rep.vertices) != d + 1:
-            raise NotATriangulation("star contains a non-simplex cell")
-        for facet, nclass, shift in entries:
-            nb = star.cells[star.classes[nclass]].translate(shift)
-            extra = [v for v in nb.vertices if v not in set(facet)]
-            if len(extra) != 1:
-                raise NotATriangulation("adjacent cell is not a simplex")
-            reg = regulator(rep.vertices, extra[0])
-            if reg.is_degenerate:
-                continue
-            val = reg.matrix.pair(q)
-            if val <= 0:
-                raise AssertionError("regulator is not positive on its own form")
-            seen[reg.matrix.lower()] = reg.matrix
+    for _, _, reg in pair_regulators(star.class_keys(), star.adjacency):
+        if reg.matrix.pair(star.form) <= 0:
+            raise AssertionError("regulator is not positive on its own form")
+        seen[reg.matrix.lower()] = reg.matrix
     return [seen[k] for k in sorted(seen)]
 
 
@@ -149,20 +167,23 @@ class ConeDesc:
         return tuple(r.lower() for r in self.rays)
 
     def validate(self):
-        m = sym_dim(self.d)
-        assert self.dim_ambient == m
+        """Check the invariants; explicit raises, so they survive python -O."""
+        if self.dim_ambient != sym_dim(self.d):
+            raise AssertionError("ambient dimension does not match d")
         for r in self.rays:
             if not r.is_positive_semidefinite():
                 raise NonPSDRay(f"ray {r} is not positive semidefinite")
-            for e in self.equalities:
-                assert e.pair(r) == 0
-            for n in self.inequalities:
-                assert n.pair(r) >= 0
-        assert rank_of_rows([r.lower() for r in self.rays]) == self.dim
+            if any(e.pair(r) != 0 for e in self.equalities):
+                raise AssertionError(f"ray {r} violates an equality")
+            if any(n.pair(r) < 0 for n in self.inequalities):
+                raise AssertionError(f"ray {r} violates an inequality")
+        if rank_of_rows([r.lower() for r in self.rays]) != self.dim:
+            raise AssertionError("rank of the rays does not match the dimension")
         total = SymMat.zero(self.d)
         for r in self.rays:
             total = total + r
-        assert total == self.central
+        if total != self.central:
+            raise AssertionError("central form is not the sum of the rays")
 
 
 def cone_from_rays(d: int, rays: Sequence[SymMat],

@@ -289,6 +289,30 @@ class TestPersistence:
         with pytest.raises(IncompatibleCheckpoint, match="line 2"):
             DiskCache(str(path))
 
+    def test_resume_with_other_digest_is_incompatible(self, tmp_path):
+        out = tmp_path / "db"
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(3, str(out), digest="md5", abort_after=10)
+        with pytest.raises(IncompatibleCheckpoint, match="digest md5 does not match sha256"):
+            run_classification(3, str(out), resume=True)
+        run_classification(3, str(out), digest="md5", resume=True)
+        records = [json.loads(line) for name in os.listdir(out) if name.startswith("dim_")
+                   for line in (out / name).read_text().splitlines()]
+        lengths = {len(rec[key]) for rec in records for key in ("hash", "dv_hash")}
+        assert lengths == {32}
+
+    def test_resume_without_recorded_digest_is_incompatible(self, tmp_path):
+        out = tmp_path / "db"
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(2, str(out), abort_after=2)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == {"d": 2, "digest": "sha256", "status": "running",
+                            "version": manifest["version"]}
+        del manifest["digest"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(IncompatibleCheckpoint, match="digest None"):
+            run_classification(2, str(out), resume=True)
+
     def test_resume_dimension_mismatch(self, tmp_path):
         out = str(tmp_path / "db")
         run_classification(2, out)

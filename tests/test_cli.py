@@ -135,6 +135,13 @@ class TestClassifyCmd:
         assert main(["classify", "-d", "2", "-o", str(out_dir), "--resume"]) == 3
         assert "line 1" in capsys.readouterr().err
 
+    def test_resume_with_other_digest_exit_3(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "db")
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(2, out_dir, digest="md5", abort_after=2)
+        assert main(["classify", "-d", "2", "-o", out_dir, "--resume"]) == 3
+        assert "digest md5 does not match sha256" in capsys.readouterr().err
+
     def test_digest_flag(self, tmp_path, capsys):
         out_dir = str(tmp_path / "dbmd5")
         assert main(["classify", "-d", "1", "-o", out_dir, "--digest", "md5"]) == 0

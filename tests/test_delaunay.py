@@ -13,6 +13,7 @@ import lcone.lattice
 from lcone.delaunay import (
     Cell,
     NotAFacet,
+    NotOnSingleFacet,
     adjacent_cell,
     cell_facets,
     circumcenter,
@@ -21,9 +22,10 @@ from lcone.delaunay import (
     is_triangulation,
     neighbor_triangulation,
 )
-from lcone.classify import principal_form
+from lcone.classify import principal_form, seed_triangulation
 from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, det, inverse
 from lcone.lattice import closest_vectors
+from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
 
 A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
@@ -156,7 +158,7 @@ class TestDelaunayStar:
 
     def test_refinement_of_sum(self):
         # cells of Del(Q + Q') are contained in cells of Del(Q) and Del(Q')
-        from lcone.classify import principal_form
+        from lcone.classify import principal_form, seed_triangulation
         from lcone.scone import secondary_cone
 
         q = principal_form(2)
@@ -316,30 +318,133 @@ class TestStarByClasses:
         assert proc.stdout.startswith("raised: adjacent cell failed the empty-sphere check")
 
 
+def neighbor_by_eps(star, wallpoint, center):
+    """Reference wall crossing: the Delaunay star at wallpoint + eps
+    (wallpoint - center), eps halving until it is a triangulation whose
+    closed secondary cone contains the wallpoint."""
+    eps = Rat(1)
+    diff = wallpoint - center
+    for _ in range(64):
+        cand = wallpoint + diff.scale(eps)
+        eps = eps / 2
+        if not cand.is_positive_definite():
+            continue
+        nb = delaunay_star(cand)
+        if is_triangulation(nb) and all(n.pair(wallpoint) >= 0 for n in star_wall_forms(nb)):
+            return nb
+    raise AssertionError("wall crossing did not converge")
+
+
+def pd_walls(star):
+    """The secondary cone of a triangulation and its walls that meet the
+    positive definite forms."""
+    cone = secondary_cone(star)
+    return cone, [f for f in cone_facets(cone) if contains_pd(f)]
+
+
+def crossings(star, limit):
+    """(star, wallpoint, center) for the first `limit` crossings of a
+    breadth-first walk over the secondary fan from `star`."""
+    out = []
+    queue = deque([star])
+    while queue and len(out) < limit:
+        star = queue.popleft()
+        cone, walls = pd_walls(star)
+        for facet in walls[:limit - len(out)]:
+            out.append((star, facet.central, cone.central))
+            queue.append(neighbor_triangulation(star, facet.central, cone.central))
+    return out
+
+
 class TestNeighborTriangulation:
     def test_d2_mirror(self):
-        from lcone.scone import secondary_cone
-
         star = delaunay_star(A2)
-        cone = secondary_cone(star)
-        # wall with PD relative interior: sum of the facet's rays
-        from lcone.scone import cone_facets, contains_pd
-
-        crossed = 0
-        for facet in cone_facets(cone):
-            if not contains_pd(facet):
-                continue
+        cone, walls = pd_walls(star)
+        assert len(walls) == 3
+        for facet in walls:
             nb = neighbor_triangulation(star, facet.central, cone.central)
             assert is_triangulation(nb)
             assert nb.class_keys() != star.class_keys()
-            crossed += 1
-        assert crossed == 3
+            assert nb == neighbor_by_eps(star, facet.central, cone.central)
+
+    def test_d3_matches_eps_route(self):
+        walk = crossings(seed_triangulation(3), 40)
+        assert len(walk) == 40
+        for star, wallpoint, center in walk:
+            assert neighbor_triangulation(star, wallpoint, center) == \
+                neighbor_by_eps(star, wallpoint, center)
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1)])
+    def test_d4_matches_eps_route(self, signs):
+        flip = Mat([[s if i == j else 0 for j in range(4)] for i, s in enumerate(signs)])
+        star = seed_triangulation(4, principal_form(4).congruence(flip))
+        cone, walls = pd_walls(star)
+        for facet in walls[:3]:
+            assert neighbor_triangulation(star, facet.central, cone.central) == \
+                neighbor_by_eps(star, facet.central, cone.central)
+
+    def test_d4_builds_no_star(self, monkeypatch):
+        star = seed_triangulation(4)
+        cone, walls = pd_walls(star)
+        calls = []
+        for name in ("delaunay_star", "adjacent_cell"):
+            original = getattr(lcone.delaunay, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(lcone.delaunay, name, counted)
+        nb = neighbor_triangulation(star, walls[0].central, cone.central)
+        assert is_triangulation(nb) and nb.class_keys() != star.class_keys()
+        assert calls == []
+
+    def test_empty_sphere_check_survives_optimize(self):
+        # As for adjacent_cell: a wrong minimum from closest_vectors must be
+        # caught under -O when a class is added by the flip.
+        script = (
+            "import lcone.delaunay as D\n"
+            "from lcone.exact import SymMat\n"
+            "from lcone.scone import cone_facets, secondary_cone\n"
+            "assert False, 'asserts are on'\n"
+            "star = D.delaunay_star(SymMat([[2, 1], [1, 2]]))\n"
+            "cone = secondary_cone(star)\n"
+            "orig = D.closest_vectors\n"
+            "def wrong(q, c):\n"
+            "    best, mins = orig(q, c)\n"
+            "    return best + 1, mins\n"
+            "D.closest_vectors = wrong\n"
+            "try:\n"
+            "    D.neighbor_triangulation(star, cone_facets(cone)[0].central, cone.central)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: flipped cell failed the empty-sphere check")
 
     def test_wallpoint_must_be_on_wall(self):
-        from lcone.delaunay import NotOnSingleFacet
-        from lcone.scone import secondary_cone
-
         star = delaunay_star(A2)
         cone = secondary_cone(star)
-        with pytest.raises(NotOnSingleFacet):
+        with pytest.raises(NotOnSingleFacet, match="tight on 0 walls"):
             neighbor_triangulation(star, cone.central, cone.central)
+
+    def test_wallpoint_outside_closed_cone(self):
+        # On the hyperplane of one wall, but past the facet's boundary: the
+        # ray's coefficient is negative, so another wall is negative on it.
+        star = seed_triangulation(3)
+        cone = secondary_cone(star)
+        facet = cone_facets(cone)[0]
+        wallpoint = facet.central - facet.rays[0].scale(Rat(11, 10))
+        assert wallpoint.is_positive_definite()
+        with pytest.raises(NotOnSingleFacet, match="outside the closed cone"):
+            neighbor_triangulation(star, wallpoint, cone.central)
+
+    def test_wallpoint_not_pd(self):
+        star = delaunay_star(A2)
+        cone = secondary_cone(star)
+        with pytest.raises(NotPositiveDefinite):
+            neighbor_triangulation(star, cone.rays[0], cone.central)

@@ -1,0 +1,24 @@
+"""Every demo script runs to completion."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, path], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

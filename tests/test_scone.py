@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -146,3 +149,23 @@ class TestConeOps:
             loose = [r for r in cone.rays
                      if r.rank() == 1 and r.lower() not in ff_rays]
             assert cone.dim == fdim + len(loose)
+
+    def test_validate_survives_optimize(self):
+        # `assert False` passes only if -O stripped asserts; validate must
+        # still reject a central form that is not the sum of the rays.
+        script = (
+            "from lcone.scone import cone_from_dict\n"
+            "assert False, 'asserts are on'\n"
+            "cone = cone_from_dict({'d': 1, 'dim': 1, 'rays': [[1]], 'central': [2],\n"
+            "                       'ineqs': [], 'eqs': []})\n"
+            "try:\n"
+            "    cone.validate()\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: central form is not the sum of the rays")
