@@ -706,14 +706,30 @@ def _record_json(rec: ClassRecord) -> str:
     return json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _write_atomic(path: str, text: str):
+    """Write through a temporary file in the same directory and `os.replace`,
+    so the path holds the old content or the new one, never a part."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _write_manifest(out_dir: str, manifest: dict):
+    _write_atomic(os.path.join(out_dir, "manifest.json"),
+                  json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+
+
 def write_db(db: ClassDB, out_dir: str, extras: Optional[dict] = None):
+    """Write one `dim_<k>.jsonl` per cone dimension, then `manifest.json`
+    with the record counts; each file is replaced atomically, the manifest
+    last, so a complete manifest always describes the files beside it."""
     os.makedirs(out_dir, exist_ok=True)
     counts = {}
     for k in sorted(db.by_dim, reverse=True):
         recs = sorted(db.by_dim[k], key=_record_sort_key)
-        with open(os.path.join(out_dir, f"dim_{k}.jsonl"), "w") as fh:
-            for rec in recs:
-                fh.write(_record_json(rec) + "\n")
+        _write_atomic(os.path.join(out_dir, f"dim_{k}.jsonl"),
+                      "".join(_record_json(rec) + "\n" for rec in recs))
         counts[str(k)] = len(recs)
     manifest = {
         "d": db.d,
@@ -724,17 +740,21 @@ def write_db(db: ClassDB, out_dir: str, extras: Optional[dict] = None):
     }
     if extras:
         manifest.update(extras)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_manifest(out_dir, manifest)
 
 
-def load_db(out_dir: str) -> ClassDB:
+def read_manifest(out_dir: str) -> dict:
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         raise IncompleteDatabase(f"no manifest in {out_dir}")
     with open(path) as fh:
-        manifest = json.load(fh)
+        return json.load(fh)
+
+
+def load_db(out_dir: str) -> ClassDB:
+    """Read a database written by `write_db`.  Raises IncompleteDatabase when
+    the manifest is missing or its record counts differ from the files."""
+    manifest = read_manifest(out_dir)
     db = ClassDB(manifest["d"])
     db.complete = manifest.get("status") == "complete"
     for name in sorted(os.listdir(out_dir)):
@@ -748,6 +768,10 @@ def load_db(out_dir: str) -> ClassDB:
                 if line:
                     recs.append(ClassRecord.from_dict(json.loads(line)))
         db.by_dim[k] = recs
+    counts = {str(k): len(recs) for k, recs in db.by_dim.items()}
+    if counts != manifest.get("counts", {}):
+        raise IncompleteDatabase(
+            f"record counts {counts} in {out_dir} do not match the manifest")
     return db
 
 
@@ -769,8 +793,7 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     frontier_path = os.path.join(out_dir, "frontier.jsonl")
     if resume:
         if os.path.exists(manifest_path):
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
+            manifest = read_manifest(out_dir)
             if manifest.get("d") != d or manifest.get("version") != __version__:
                 raise IncompatibleCheckpoint(
                     "checkpoint dimension or version does not match")
@@ -784,10 +807,8 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
                 os.remove(os.path.join(out_dir, name))
     write_marker = not os.path.exists(manifest_path)
     if write_marker or not resume:
-        with open(manifest_path, "w") as fh:
-            json.dump({"d": d, "version": __version__, "status": "running",
-                       "digest": digest}, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_manifest(out_dir, {"d": d, "version": __version__, "status": "running",
+                                  "digest": digest})
     cache = DiskCache(frontier_path)
     try:
         clf = Classifier(d, workers=workers, digest=digest, cache=cache,

@@ -23,6 +23,7 @@ from .classify import (
     dimension_table,
     load_db,
     mass_check,
+    read_manifest,
     run_classification,
 )
 from .delaunay import delaunay_star, is_triangulation
@@ -105,14 +106,9 @@ def cmd_classify(args) -> int:
     except IncompatibleCheckpoint as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    from .classify import distinctness_check
-    from .scone import sym_dim
-
-    mass = mass_check(db)
-    distinct, _ = distinctness_check(db)
-    primitive = len(db.by_dim.get(sym_dim(args.dimension), []))
-    print(f"total: {db.total()}, primitive: {primitive}, mass: {mass.total}, "
-          f"distinct: {'true' if distinct else 'false'}")
+    manifest = read_manifest(out)
+    print(f"total: {manifest['total']}, primitive: {manifest['primitive']}, "
+          f"mass: {manifest['mass']}, distinct: {'true' if manifest['distinct'] else 'false'}")
     for k, n in sorted(dimension_table(db).items(), reverse=True):
         print(f"dim {k}: {n}")
     print(f"database: {out}")

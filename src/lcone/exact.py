@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 try:
     from gmpy2 import mpq as Rat
@@ -314,30 +314,45 @@ def _is_psd(rows) -> bool:
     return True
 
 
-def solve(a: Mat, b: Sequence) -> tuple:
-    """Solve A x = b exactly for square nonsingular A."""
+def solve(a: Mat, b):
+    """Solve A x = b exactly for square nonsingular A.
+
+    ``b`` is one right-hand side (a vector; returns the tuple x) or a block
+    of them (a Mat with A.rows rows; returns the Mat X with A X = B).  The
+    whole block is reduced by one Gauss-Jordan pass over [A | B].  Raises
+    SingularMatrix when A is singular.
+    """
     n = a.rows
     if a.cols != n:
         raise ValueError("matrix not square")
-    m = [[Rat(x) for x in row] + [Rat(bv)] for row, bv in zip(a.entries, b)]
+    block = isinstance(b, Mat)
+    rhs = b.entries if block else [(x,) for x in b]
+    if len(rhs) != n:
+        raise ValueError("shape mismatch")
+    m = [[Rat(x) for x in row + r] for row, r in zip(a.entries, rhs)]
+    width = len(m[0]) if m else n
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             raise SingularMatrix("singular system")
         m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
+        prow = m[col]
+        pv = prow[col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return tuple(_norm(m[i][n] / m[i][i]) for i in range(n))
+            row = m[r]
+            if r != col and row[col] != 0:
+                f = row[col] / pv
+                for c in range(col, width):
+                    if prow[c]:
+                        row[c] -= f * prow[c]
+    x = [[_norm(m[i][c] / m[i][i]) for c in range(n, width)] for i in range(n)]
+    return Mat(x) if block else tuple(row[0] for row in x)
 
 
 def inverse(a: Mat) -> Mat:
-    n = a.rows
-    cols = [solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return Mat.from_cols(cols)
+    """Exact inverse of a square nonsingular matrix: `solve` with the
+    identity block, one Gauss-Jordan pass."""
+    return solve(a, Mat.identity(a.rows))
 
 
 def rank(a: Mat) -> int:
@@ -420,43 +435,73 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+class Echelon(NamedTuple):
+    """Reduced row echelon form of a matrix, see `echelon`."""
+
+    rows: tuple         # nonzero reduced rows (pivot entry 1), by pivot column
+    pivots: tuple       # their pivot columns, increasing
+    independent: tuple  # indices of the input rows that raised the rank
+    cols: int
+
+    def nullspace(self) -> list[tuple]:
+        """Basis of the right null space: one integer vector per free
+        column (denominators cleared, gcd-normalized), in column order."""
+        pivots = set(self.pivots)
+        basis = []
+        for fc in range(self.cols):
+            if fc in pivots:
+                continue
+            v = [0] * self.cols
+            v[fc] = 1
+            for row, pc in zip(self.rows, self.pivots):
+                v[pc] = -row[fc]
+            basis.append(clear_denominators(v))
+        return basis
+
+
+def echelon(rows: Sequence[Sequence]) -> Echelon:
+    """One exact elimination pass over the rows, taken one at a time.
+
+    Each row is reduced against the rows kept so far; a nonzero remainder is
+    normalized to pivot 1 and cleared from the kept rows.  The result holds
+    the reduced row echelon form with its pivot columns, and the indices of
+    the first linearly independent rows in input order.
+    """
+    if not rows:
+        raise ValueError("need the ambient dimension; pass at least one row")
+    cols = len(rows[0])
+    kept: dict[int, list] = {}
+    independent = []
+    for idx, row in enumerate(rows):
+        v = list(row)
+        for pc, b in kept.items():
+            f = v[pc]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, b)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is None:
+            continue
+        p = Rat(v[pc])
+        v = [x / p if x else 0 for x in v]
+        for c, b in kept.items():
+            f = b[pc]
+            if f:
+                kept[c] = [x - f * y if y else x for x, y in zip(b, v)]
+        kept[pc] = v
+        independent.append(idx)
+        if len(kept) == cols:
+            break
+    pivots = tuple(sorted(kept))
+    return Echelon(tuple(tuple(kept[c]) for c in pivots), pivots, tuple(independent), cols)
+
+
 def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
     """Basis of the right null space of the matrix with the given rows.
 
     Returns integer vectors (denominators cleared, gcd-normalized), in a
     deterministic order derived from the reduced echelon form.
     """
-    if not rows:
-        raise ValueError("need the ambient dimension; pass at least one row")
-    cols = len(rows[0])
-    m = [[Rat(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Rat(0)] * cols
-        v[fc] = Rat(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -m[prow][fc]
-        basis.append(clear_denominators(v))
-    return basis
+    return echelon(rows).nullspace()
 
 
 def clear_denominators(v: Sequence) -> tuple:

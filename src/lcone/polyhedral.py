@@ -3,7 +3,10 @@ halfspace and ray representations, Dirichlet-Voronoi polytopes, face
 lattices, subordination schemes and volumes.
 
 All cones are handled through the incremental double description method over
-the integers; polytopes are treated through their homogenization cones.
+the integers; polytopes are treated through their homogenization cones.  A
+cone given by rays is described inside its linear hull in the hull's pivot
+coordinates, which one `exact.echelon` pass over the rays provides together
+with the hull's equalities; no Gram system is solved per ray.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .exact import (
     Rat,
     SymMat,
     clear_denominators,
+    echelon,
     gcd_normalize,
     inverse,
     nullspace,
@@ -50,31 +54,19 @@ def _integer_rows(rows) -> list[tuple]:
     return [clear_denominators(r) for r in rows]
 
 
-def _independent_rows(rows: Sequence[Sequence], target: int) -> list[int]:
-    """Indices of the first `target` linearly independent rows."""
-    chosen: list[int] = []
-    acc: list[list] = []
-    for idx, row in enumerate(rows):
-        cand = acc + [list(row)]
-        if rank_of_rows(cand) > len(acc):
-            chosen.append(idx)
-            acc = cand
-            if len(chosen) == target:
-                return chosen
-    raise NotPointed("inequality system does not have full rank")
-
-
 def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
     """Extreme rays of {y : a y >= 0 for a in ineqs} in R^dim.
 
-    Requires the system to have rank ``dim`` (pointed cone).  All arithmetic
-    is over the integers; rays come back gcd-normalized and sorted.
+    Requires the system to have rank ``dim`` (pointed cone).  The first
+    ``dim`` independent inequalities, found by one `echelon` pass, seed the
+    method with the columns of their inverse; all later arithmetic is over
+    the integers.  Rays come back gcd-normalized and sorted.
     """
     if dim == 0:
         return []
-    if rank_of_rows(ineqs) < dim:
+    init = list(echelon(ineqs).independent) if ineqs else []
+    if len(init) < dim:
         raise NotPointed("lineality space detected")
-    init = _independent_rows(ineqs, dim)
     a0 = Mat([ineqs[i] for i in init])
     inv = inverse(a0)
     rays = [clear_denominators(inv.col(j)) for j in range(dim)]
@@ -158,45 +150,46 @@ def dual_description(h: HRep) -> list[tuple]:
     return _dd_cone(ineqs, m)
 
 
-def rays_to_hrep(rays: Sequence[Sequence], dim: int) -> HRep:
-    """Irredundant halfspace description of the cone generated by the rays.
+def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
+    """Irredundant halfspace description of the cone generated by integer rays.
 
-    The equalities cut out the linear hull; the inequalities are the facet
-    normals within that hull, projected onto it for determinism.
+    One `echelon` pass over the rays gives the equalities that cut out their
+    linear hull and its pivot columns I.  Restriction to the coordinates I is
+    injective on the hull, so the rays r_I are the inequalities of the polar
+    cone there, and the double description method turns them into the facet
+    normals g.  Each g is lifted to the unique functional in the hull that
+    agrees with x -> g . x_I on it: g placed at I, projected along the
+    equalities E by one solve with E E^T.  Normals are gcd-normalized and
+    nonnegative on the rays.  Raises NotPointed when the rays generate a
+    cone that contains a line.
     """
     rays = [tuple(r) for r in rays]
     if not rays:
         eqs = tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
         return HRep(dim, eqs, ())
-    eq_basis = nullspace(rays)
-    equalities = tuple(gcd_normalize(e) for e in eq_basis)
-    # Span basis from the rays themselves.
-    idx = []
-    acc: list[list] = []
-    for i, r in enumerate(rays):
-        cand = acc + [list(r)]
-        if rank_of_rows(cand) > len(acc):
-            idx.append(i)
-            acc = cand
-    s = len(idx)
-    bmat = Mat.from_cols([rays[i] for i in idx])
-    btb = bmat.transpose() @ bmat
-    ycoords = []
-    for r in rays:
-        w = solve(btb, bmat.transpose().mul_vec(r))
-        ycoords.append(w)
-    polar_ineqs = _integer_rows(ycoords)
-    normals_y = _dd_cone(polar_ineqs, s)
+    ech = echelon(rays)
+    equalities = tuple(gcd_normalize(e) for e in ech.nullspace())
+    pivots = ech.pivots
+    s = len(pivots)
+    normals = _dd_cone([tuple(r[i] for i in pivots) for r in rays], s)
     # A pointed cone that spans its hull has a full-dimensional polar there.
-    if s and rank_of_rows(normals_y) < s:
+    if s and rank_of_rows(normals) < s:
         raise NotPointed("ray set generates a non-pointed cone")
-    ineqs = []
-    for g in normals_y:
-        w = solve(btb, g)
-        a = clear_denominators(bmat.mul_vec(w))
-        ineqs.append(gcd_normalize(a, orient=False))
-    # Orient each inequality to be nonnegative on the cone (already true by
-    # construction: <a, ray_i> = <g, y_i> >= 0).
+    lifted = []
+    for g in normals:
+        a = [0] * dim
+        for i, x in zip(pivots, g):
+            a[i] = x
+        lifted.append(a)
+    if equalities and lifted:
+        # a - E^T t with (E E^T) t = E a lies in the hull and agrees with a on it.
+        e = Mat(equalities)
+        et = e.transpose()
+        t = solve(e @ et, Mat.from_cols([e.mul_vec(a) for a in lifted]))
+        shifts = (et @ t).transpose().entries
+        lifted = [clear_denominators([x - y for x, y in zip(a, shift)])
+                  for a, shift in zip(lifted, shifts)]
+    ineqs = [gcd_normalize(a, orient=False) for a in lifted]
     return HRep(dim, equalities, tuple(sorted(set(ineqs))))
 
 

@@ -145,6 +145,17 @@ def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
     return [seen[k] for k in sorted(seen)]
 
 
+def central_form(rays: Sequence[SymMat]) -> SymMat:
+    """Sum of the (gcd-normalized) generating rays."""
+    rays = list(rays)
+    if not rays:
+        raise EmptyRaySet("no rays")
+    total = rays[0]
+    for r in rays[1:]:
+        total = total + r
+    return total
+
+
 @dataclass(frozen=True)
 class ConeDesc:
     """Polyhedral cone in symmetric-matrix space.
@@ -179,10 +190,7 @@ class ConeDesc:
                 raise AssertionError(f"ray {r} violates an inequality")
         if rank_of_rows([r.lower() for r in self.rays]) != self.dim:
             raise AssertionError("rank of the rays does not match the dimension")
-        total = SymMat.zero(self.d)
-        for r in self.rays:
-            total = total + r
-        if total != self.central:
+        if central_form(self.rays) != self.central:
             raise AssertionError("central form is not the sum of the rays")
 
 
@@ -198,17 +206,14 @@ def cone_from_rays(d: int, rays: Sequence[SymMat],
     vecs = [r.lower() for r in rays]
     h = rays_to_hrep(vecs, m)
     ineqs = tuple(functional_to_sym(d, a) for a in h.inequalities)
-    dim = rank_of_rows(vecs)
+    dim = m - len(h.equalities)
     if equalities is None:
         equalities = tuple(functional_to_sym(d, e) for e in h.equalities)
     else:
         eq_rows = [sym_to_functional(e) for e in equalities]
         if eq_rows and rank_of_rows(eq_rows) != m - dim:
             raise AssertionError("accumulated equalities do not cut out the hull")
-    central = rays[0]
-    for r in rays[1:]:
-        central = central + r
-    cone = ConeDesc(d, m, tuple(equalities), ineqs, tuple(rays), dim, central)
+    cone = ConeDesc(d, m, tuple(equalities), ineqs, tuple(rays), dim, central_form(rays))
     cone.validate()
     return cone
 
@@ -233,25 +238,11 @@ def secondary_cone(star: DelaunayStar, must_be_triangulation: bool = True) -> Co
         if on and rank_of_rows(on) == m - 1:
             keep.append(n)
     rays_sorted = sorted(rays, key=lambda r: r.lower())
-    central = rays_sorted[0]
-    for r in rays_sorted[1:]:
-        central = central + r
-    cone = ConeDesc(d, m, (), tuple(keep), tuple(rays_sorted), m, central)
+    cone = ConeDesc(d, m, (), tuple(keep), tuple(rays_sorted), m, central_form(rays_sorted))
     cone.validate()
     if cone.dim != m:
         raise AssertionError("secondary cone of a triangulation must be full-dimensional")
     return cone
-
-
-def central_form(rays: Sequence[SymMat]) -> SymMat:
-    """Sum of the (gcd-normalized) generating rays."""
-    rays = list(rays)
-    if not rays:
-        raise EmptyRaySet("no rays")
-    total = rays[0]
-    for r in rays[1:]:
-        total = total + r
-    return total
 
 
 def cone_facets(cone: ConeDesc) -> list[ConeDesc]:

@@ -21,6 +21,7 @@ from lcone.classify import (
     run_classification,
     seed_triangulation,
     subordination_collision_scan,
+    write_db,
     zonotopal_census,
 )
 from lcone.delaunay import is_triangulation
@@ -233,6 +234,32 @@ class TestPersistence:
         assert manifest["d"] == 2
         assert manifest["mass"] == "1/24"
         assert not (tmp_path / "db2" / "frontier.jsonl").exists()
+
+    def test_write_is_atomic_and_counted(self, tmp_path):
+        out = tmp_path / "db3"
+        db = run_classification(3, str(out))
+        names = sorted(os.listdir(out))
+        assert not [n for n in names if n.endswith(".tmp")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counts"] == {str(k): len(v) for k, v in db.by_dim.items()}
+        # Writing the loaded database again gives the same bytes.
+        extras = {k: v for k, v in manifest.items()
+                  if k not in ("d", "version", "status", "counts", "total")}
+        again = tmp_path / "again"
+        write_db(load_db(str(out)), str(again), extras)
+        assert sorted(os.listdir(again)) == names
+        for name in names:
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+    def test_missing_record_is_refused(self, tmp_path):
+        out = tmp_path / "db3"
+        run_classification(3, str(out))
+        name = next(n for n in sorted(os.listdir(out))
+                    if n.startswith("dim_") and len((out / n).read_text().splitlines()) > 1)
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(lines[1:]))
+        with pytest.raises(IncompleteDatabase, match="do not match the manifest"):
+            load_db(str(out))
 
     def test_resume_after_abort_is_byte_identical(self, tmp_path):
         ref = str(tmp_path / "ref")

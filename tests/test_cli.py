@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import lcone.classify
 from lcone.classify import run_classification
 from lcone.cli import main
 
@@ -89,6 +90,20 @@ class TestClassifyCmd:
         assert main(["classify", "-d", "2", "-o", out_dir]) == 0
         out = capsys.readouterr().out
         assert "total: 2, primitive: 1, mass: 1/24, distinct: true" in out
+
+    def test_verification_read_from_manifest(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        check = lcone.classify.distinctness_check
+
+        def counting(db):
+            calls.append(db)
+            return check(db)
+
+        monkeypatch.setattr(lcone.classify, "distinctness_check", counting)
+        assert main(["classify", "-d", "2", "-o", str(tmp_path / "db")]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "total: 2, primitive: 1, mass: 1/24, distinct: true", "dim 3: 1", "dim 2: 1"]
 
     def test_d3_and_masscheck(self, tmp_path, capsys):
         out_dir = str(tmp_path / "db3")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,18 @@ from lcone.exact import (
     SymMat,
     ZeroInput,
     ZeroPivotNotPD,
+    clear_denominators,
     det,
+    echelon,
     format_form,
     gcd_normalize,
+    inverse,
     lattice_span_full,
     ldlt,
     nullspace,
     parse_form,
     rank,
+    rank_of_rows,
     solve,
 )
 
@@ -80,6 +86,103 @@ class TestSolve:
             return
         b = a.mul_vec(x)
         assert solve(a, b) == tuple(x)
+
+
+def _random_matrix(rng, n, rational):
+    def entry():
+        x = rng.randint(-6, 6)
+        return Rat(x, rng.randint(1, 5)) if rational else x
+    return Mat([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def inverse_by_columns(a):
+    """One `solve` per column of the identity: the reference for `inverse`."""
+    n = a.rows
+    return Mat.from_cols([solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)])
+
+
+class TestInverse:
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_matches_column_solves(self, rational):
+        rng = random.Random(7 + rational)
+        done = 0
+        while done < 40:
+            a = _random_matrix(rng, rng.randint(1, 7), rational)
+            if det(a) == 0:
+                continue
+            inv = inverse(a)
+            assert inv == inverse_by_columns(a)
+            assert a @ inv == Mat.identity(a.rows)
+            done += 1
+
+    def test_block_solve_matches_vector_solves(self):
+        rng = random.Random(3)
+        a = _random_matrix(rng, 5, True)
+        b = Mat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(5)])
+        x = solve(a, b)
+        assert x == Mat.from_cols([solve(a, b.col(j)) for j in range(3)])
+
+    def test_singular(self):
+        with pytest.raises(SingularMatrix):
+            inverse(Mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+        with pytest.raises(SingularMatrix):
+            inverse(Mat([[Rat(1, 2), 1], [1, 2]]))
+
+
+def nullspace_by_columns(rows):
+    """Column-by-column Gauss-Jordan null space: the reference for `nullspace`."""
+    cols = len(rows[0])
+    m = [[Rat(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Rat(0)] * cols
+        v[fc] = Rat(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -m[prow][fc]
+        basis.append(clear_denominators(v))
+    return basis
+
+
+def independent_rows_by_rank(rows):
+    """First linearly independent rows, one rank computation per row."""
+    chosen, acc = [], []
+    for idx, row in enumerate(rows):
+        if rank_of_rows(acc + [row]) > len(acc):
+            chosen.append(idx)
+            acc.append(row)
+    return chosen
+
+
+class TestEchelon:
+    def test_matches_references(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            cols = rng.randint(1, 8)
+            rows = [[rng.choice((0, 0, 1, -1, 2, Rat(1, 3))) for _ in range(cols)]
+                    for _ in range(rng.randint(1, 9))]
+            if rng.random() < 0.5:  # add dependent rows
+                rows.append([x + 2 * y for x, y in zip(rows[0], rows[-1])])
+            ech = echelon(rows)
+            assert ech.nullspace() == nullspace_by_columns(rows)
+            assert list(ech.independent) == independent_rows_by_rank(rows)
+            assert len(ech.pivots) == rank_of_rows(rows)
+            assert all(row[p] == 1 for row, p in zip(ech.rows, ech.pivots))
 
 
 class TestRankDet:

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from lcone.exact import Rat, SymMat
+import lcone.scone
+from lcone.classify import principal_form, seed_triangulation
+from lcone.exact import Mat, Rat, SymMat, clear_denominators, gcd_normalize, nullspace, \
+    rank_of_rows, solve
 from lcone.polyhedral import (
     HRep,
     NotPointed,
@@ -19,6 +22,8 @@ from lcone.polyhedral import (
     serialize_subordination,
     subordination_scheme,
 )
+from lcone.polyhedral import _dd_cone
+from lcone.scone import cone_facets, secondary_cone
 
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
@@ -69,6 +74,92 @@ class TestDualDescription:
             h = rays_to_hrep(canon, dim)
             back = dual_description(h)
             assert back == canon
+            done += 1
+
+
+def rays_to_hrep_by_gram(rays, dim):
+    """The reference for `rays_to_hrep`: coordinates in a span basis B of
+    the rays by one solve of B^T B y = B^T r per ray, and each facet normal
+    g lifted to B (B^T B)^-1 g."""
+    rays = [tuple(r) for r in rays]
+    if not rays:
+        eqs = tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
+        return HRep(dim, eqs, ())
+    equalities = tuple(gcd_normalize(e) for e in nullspace(rays))
+    acc = []
+    for r in rays:
+        if rank_of_rows(acc + [list(r)]) > len(acc):
+            acc.append(list(r))
+    s = len(acc)
+    bmat = Mat.from_cols(acc)
+    btb = bmat.transpose() @ bmat
+    ycoords = [clear_denominators(solve(btb, bmat.transpose().mul_vec(r))) for r in rays]
+    normals_y = _dd_cone(ycoords, s)
+    if s and rank_of_rows(normals_y) < s:
+        raise NotPointed("ray set generates a non-pointed cone")
+    ineqs = [gcd_normalize(clear_denominators(bmat.mul_vec(solve(btb, g))), orient=False)
+             for g in normals_y]
+    return HRep(dim, equalities, tuple(sorted(set(ineqs))))
+
+
+def _facet_inputs(monkeypatch, star):
+    """The (rays, dim) arguments `cone_facets` passes to `rays_to_hrep`."""
+    calls = []
+
+    def recording(rays, dim):
+        calls.append(([tuple(r) for r in rays], dim))
+        return rays_to_hrep(rays, dim)
+
+    cone = secondary_cone(star)
+    monkeypatch.setattr(lcone.scone, "rays_to_hrep", recording)
+    cone_facets(cone)
+    monkeypatch.undo()
+    assert len(calls) == len(cone.inequalities)
+    return calls
+
+
+def _sign_image(q, signs):
+    flip = Mat([[s if i == j else 0 for j in range(q.d)] for i, s in enumerate(signs)])
+    return q.congruence(flip)
+
+
+class TestRaysToHrep:
+    @pytest.mark.parametrize("star", [
+        lambda: seed_triangulation(3),
+        lambda: seed_triangulation(4),
+        lambda: seed_triangulation(4, _sign_image(principal_form(4), (1, -1, 1, -1))),
+    ], ids=["seed3", "seed4", "seed4-signs"])
+    def test_matches_gram_on_cone_facets(self, monkeypatch, star):
+        rng = random.Random(4)
+        for rays, dim in _facet_inputs(monkeypatch, star()):
+            h = rays_to_hrep(rays, dim)
+            assert len(h.equalities) == 1
+            assert h == rays_to_hrep_by_gram(rays, dim)
+            shuffled = rays[:]
+            rng.shuffle(shuffled)
+            assert rays_to_hrep(shuffled, dim) == h
+
+    def test_matches_gram_on_random_lower_dimensional_cones(self):
+        rng = random.Random(17)
+        done = 0
+        while done < 40:
+            k = rng.randint(1, 3)
+            s = rng.randint(1, 6)
+            dim = s + k
+            # An injective image of a cone in the nonnegative orthant is pointed.
+            embed = Mat([[rng.randint(-3, 3) for _ in range(s)] for _ in range(dim)])
+            if rank_of_rows(embed.entries) < s:
+                continue
+            rays = [embed.mul_vec([rng.randint(0, 3) for _ in range(s)])
+                    for _ in range(rng.randint(s, s + 5))]
+            rays = [r for r in rays if any(r)]
+            if rank_of_rows(rays) < s:
+                continue
+            h = rays_to_hrep(rays, dim)
+            assert len(h.equalities) == k
+            assert h == rays_to_hrep_by_gram(rays, dim)
+            rng.shuffle(rays)
+            assert rays_to_hrep(rays, dim) == h
             done += 1
 
 
