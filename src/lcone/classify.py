@@ -25,15 +25,22 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .delaunay import delaunay_star, is_triangulation, neighbor_triangulation
-from .equiv import _form_canonical, cone_equivalent, digest_of
+from .equiv import (
+    ColoredGraph,
+    _form_canonical,
+    canonical_labeling,
+    cone_equivalent,
+    digest_of,
+)
 from .exact import Rat, SymMat
 from .lattice import characteristic_set
 from .polyhedral import (
+    LatPolytope,
+    _scheme_of_lattice,
     dv_polytope,
     face_lattice,
     incidence_graph,
     serialize_subordination,
-    subordination_scheme,
 )
 from .scone import (
     ConeDesc,
@@ -212,6 +219,22 @@ def _check_ray_ranks(cone: ConeDesc):
             raise AssertionError(f"ray of rank {k} violates the rank restriction {allowed}")
 
 
+def _dv_form(poly: LatPolytope) -> tuple:
+    """Canonical form of the vertex-facet incidence graph of a polytope; the
+    DV hash is its digest."""
+    n, colors, edges = incidence_graph(poly)
+    form, _, _, _ = canonical_labeling(ColoredGraph(n, colors, edges))
+    return form
+
+
+def _dv_summary(poly: LatPolytope, digest: str) -> tuple[str, tuple, str]:
+    """DV hash, f-vector and serialized subordination scheme of a polytope,
+    the last two from one face lattice."""
+    by_dim, f_vector = face_lattice(poly)
+    scheme = serialize_subordination(_scheme_of_lattice(by_dim, poly.dim))
+    return digest_of(_dv_form(poly), digest), f_vector, scheme
+
+
 def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
     """All per-class invariants of a cone: certificate of the central form,
     stabilizer order, DV polytope data of the central form, censuses."""
@@ -221,13 +244,7 @@ def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
     can_size = len(characteristic_set(cone.central).vectors)
     ranks = tuple(sorted(rank_profile(cone).items()))
     poly = dv_polytope(cone.central)
-    n, colors, edges = incidence_graph(poly)
-    from .equiv import ColoredGraph, canonical_labeling
-
-    form, _, _, _ = canonical_labeling(ColoredGraph(n, colors, edges))
-    dv_hash = digest_of(form, digest)
-    _, fv = face_lattice(poly)
-    sub = serialize_subordination(subordination_scheme(poly))
+    dv_hash, fv, sub = _dv_summary(poly, digest)
     zono = fundamental_face(cone) is None
     return ClassRecord(
         cone=cone,
@@ -552,14 +569,7 @@ def distinctness_check(db: ClassDB):
     for h, recs in groups.items():
         if len(recs) < 2:
             continue
-        from .equiv import ColoredGraph, canonical_labeling
-
-        forms = []
-        for rec in recs:
-            poly = dv_polytope(rec.cone.central)
-            n, colors, edges = incidence_graph(poly)
-            form, _, _, _ = canonical_labeling(ColoredGraph(n, colors, edges))
-            forms.append(form)
+        forms = [_dv_form(dv_polytope(rec.cone.central)) for rec in recs]
         for i in range(len(recs)):
             for j in range(i + 1, len(recs)):
                 report.append({

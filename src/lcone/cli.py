@@ -20,6 +20,7 @@ from .classify import (
     DimensionUnsupported,
     IncompatibleCheckpoint,
     IncompleteDatabase,
+    _dv_summary,
     dimension_table,
     load_db,
     mass_check,
@@ -28,13 +29,7 @@ from .classify import (
 )
 from .delaunay import delaunay_star, is_triangulation
 from .exact import NotPositiveDefinite, parse_form
-from .polyhedral import (
-    dv_polytope,
-    face_lattice,
-    incidence_graph,
-    serialize_subordination,
-    subordination_scheme,
-)
+from .polyhedral import dv_polytope
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,16 +72,11 @@ def cmd_dvcell(args) -> int:
     except NotPositiveDefinite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _, fv = face_lattice(poly)
+    dv_hash, fv, scheme = _dv_summary(poly, args.digest)
     print(f"facets: {poly.n_facets}, vertices: {poly.n_vertices}, "
           f"f: ({','.join(str(x) for x in fv)})")
-    scheme = serialize_subordination(subordination_scheme(poly))
     print(f"subordination: {scheme if scheme else '-'}")
-    from .equiv import ColoredGraph, canonical_labeling, digest_of
-
-    n, colors, edges = incidence_graph(poly)
-    form, _, _, _ = canonical_labeling(ColoredGraph(n, colors, edges))
-    print(f"incidence hash: {digest_of(form, args.digest)}")
+    print(f"incidence hash: {dv_hash}")
     return 0
 
 

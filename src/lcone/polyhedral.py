@@ -7,6 +7,11 @@ the integers; polytopes are treated through their homogenization cones.  A
 cone given by rays is described inside its linear hull in the hull's pivot
 coordinates, which one `exact.echelon` pass over the rays provides together
 with the hull's equalities; no Gram system is solved per ray.
+
+The Dirichlet-Voronoi polytope needs no double description: by Voronoi's
+duality it is read off the Delaunay star, its vertices the circumcenters of
+the cells at 0 and its facets the Delaunay edges at 0.  Face lattices are
+closed under intersection and graded combinatorially, without arithmetic.
 """
 
 from __future__ import annotations
@@ -279,30 +284,51 @@ def polytope_from_vertices(vertices: Sequence[Sequence], dim: int) -> LatPolytop
 
 
 def dv_polytope(q: SymMat) -> LatPolytope:
-    """Dirichlet-Voronoi polytope of a positive definite form, exactly.
+    """Dirichlet-Voronoi polytope of a positive definite form, exactly, read
+    off its Delaunay star by Voronoi's duality.
 
-    Facet candidates are the nonzero vectors v with Q[v] <= 4 mu where mu is
-    the largest squared circumradius of the Delaunay cells; every facet
-    vector satisfies this since its midpoint lies in the polytope.  The
-    result is cross-checked against the Delaunay star: the vertices must be
-    exactly the circumcenters of the cells having the origin as a vertex.
+    The vertices are the circumcenters of the Delaunay cells at 0.  Every
+    nonzero vertex v of those cells gives the halfspace -2 Q v . x + Q[v] >= 0
+    (x is no farther from 0 than from v), and a center lies on its boundary
+    exactly when v is a vertex of the center's cell: the cell's sphere is
+    empty and passes through 0.  The halfspace supports a facet exactly when
+    [0, v] is a Delaunay edge, that is, when the cells having 0 and v as
+    vertices have no other common vertex.  Their intersection is the
+    smallest face of the subdivision containing 0 and v, and the DV face it
+    is dual to is a facet exactly when that face is an edge; this screens
+    out non-edges such as the diagonals of square cells.  Facets are ordered
+    and the incidences stored as in `polytope_from_halfspaces`.  Raises
+    AssertionError unless every vertex lies on at least d facets.
     """
     from .delaunay import delaunay_star
-    from .lattice import short_vectors
 
-    star = delaunay_star(q)
-    mu = max(cell.sqradius for cell in star.cells)
-    cands = short_vectors(q, 4 * mu)
-    halfspaces = []
-    for v in cands.vectors:
-        a = tuple(-2 * x for x in q.mul_vec(v))
-        b = q.quad(v)
-        halfspaces.append((a, b))
-    poly = polytope_from_halfspaces(halfspaces, q.d)
-    centers = sorted(set(tuple(c.center) for c in star.cells))
-    if list(poly.vertices) != centers:
-        raise AssertionError("DV vertices do not match Delaunay circumcenters")
-    return poly
+    d = q.d
+    zero = (0,) * d
+    cells = sorted(delaunay_star(q).cells, key=lambda c: c.center)
+    containing = {}              # v -> bitmask over cells having v as vertex
+    common = {}                  # v -> vertices common to those cells
+    for i, cell in enumerate(cells):
+        vset = frozenset(cell.vertices)
+        for v in cell.vertices:
+            if v != zero:
+                containing[v] = containing.get(v, 0) | 1 << i
+                common[v] = common[v] & vset if v in common else vset
+    facets = sorted(
+        (clear_denominators(tuple(-2 * x for x in q.mul_vec(v)) + (q.quad(v),)), v)
+        for v in containing if len(common[v]) == 2)
+    index = {v: j for j, (_, v) in enumerate(facets)}
+    vertex_masks = []
+    for cell in cells:
+        m = 0
+        for v in cell.vertices:
+            if v in index:
+                m |= 1 << index[v]
+        if m.bit_count() < d:
+            raise AssertionError(f"DV vertex {cell.center} lies on fewer than {d} facets")
+        vertex_masks.append(m)
+    return LatPolytope(d, tuple(tuple(Rat(x) for x in c.center) for c in cells),
+                       tuple((h[:-1], h[-1]) for h, _ in facets),
+                       tuple(vertex_masks), tuple(containing[v] for _, v in facets))
 
 
 def incidence_graph(p: LatPolytope):
@@ -325,12 +351,15 @@ def face_lattice(p: LatPolytope):
     """All faces as vertex index sets grouped by dimension, plus f-vector.
 
     Faces are generated by closing the facet incidence sets under
-    intersection; the dimension of a face is the affine rank of its
-    vertices.  The full polytope is included, the empty face is not.
+    intersection.  The face lattice of a polytope is graded, so the
+    dimension of a face is the length of the longest chain of faces below
+    it: 0 for a vertex, else one more than the largest dimension among its
+    proper nonempty intersections with the facets, which include its own
+    facets.  No arithmetic is needed.  The full polytope is included, the
+    empty face is not.
     """
     d = p.dim
-    nv = p.n_vertices
-    full = (1 << nv) - 1
+    full = (1 << p.n_vertices) - 1
     facet_sets = set(p.facet_masks)
     faces = set(facet_sets)
     frontier = set(facet_sets)
@@ -344,14 +373,15 @@ def face_lattice(p: LatPolytope):
         faces |= new
         frontier = new
     by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
-    for mask in faces:
-        vs = [p.vertices[i] for i in range(nv) if mask >> i & 1]
-        if len(vs) == 1:
-            by_dim[0].append(mask)
-            continue
-        v0 = vs[0]
-        r = rank_of_rows([[x - y for x, y in zip(v, v0)] for v in vs[1:]])
-        by_dim[r].append(mask)
+    dim_of = {}
+    for mask in sorted(faces, key=int.bit_count):
+        k = 0
+        for g in facet_sets:
+            h = mask & g
+            if h and h != mask and dim_of[h] >= k:
+                k = dim_of[h] + 1
+        dim_of[mask] = k
+        by_dim[k].append(mask)
     by_dim[d] = [full]
     for k in by_dim:
         by_dim[k].sort()
@@ -370,11 +400,15 @@ def subordination_scheme(p: LatPolytope) -> dict[int, dict[int, int]]:
     (k-1)-face lies in the same number of k-faces, so the upward histograms
     carry no information beyond the f-vector.
     """
-    d = p.dim
+    if p.dim < 3:
+        return {}
+    return _scheme_of_lattice(face_lattice(p)[0], p.dim)
+
+
+def _scheme_of_lattice(by_dim: dict, d: int) -> dict[int, dict[int, int]]:
+    """`subordination_scheme` of a polytope of dimension d from its faces by
+    dimension, as `face_lattice` returns them."""
     scheme: dict[int, dict[int, int]] = {}
-    if d < 3:
-        return scheme
-    by_dim, _ = face_lattice(p)
     for k in range(2, d):
         hist: dict[int, int] = {}
         for high in by_dim[k]:

@@ -222,7 +222,8 @@ def secondary_cone(star: DelaunayStar, must_be_triangulation: bool = True) -> Co
     """Secondary cone of a Delaunay triangulation.
 
     Collects the wall forms, converts to extreme rays by double description,
-    and keeps exactly the facet-supporting inequalities.
+    and keeps exactly the facet-supporting inequalities: those whose set of
+    tight rays is maximal among the walls' and nonempty.
     """
     if must_be_triangulation and not is_triangulation(star):
         raise NotATriangulation("star is not a triangulation")
@@ -232,11 +233,12 @@ def secondary_cone(star: DelaunayStar, must_be_triangulation: bool = True) -> Co
     hrep = HRep(m, (), tuple(sym_to_functional(n) for n in walls))
     ray_vecs = dual_description(hrep)
     rays = [SymMat.from_lower(d, v) for v in ray_vecs]
-    keep = []
-    for n in walls:
-        on = [r.lower() for r in rays if n.pair(r) == 0]
-        if on and rank_of_rows(on) == m - 1:
-            keep.append(n)
+    # The cone is full-dimensional and pointed, and the walls are distinct
+    # normalized forms: a wall supports a facet exactly when its tight rays
+    # are nonempty and strictly contained in no other wall's tight rays.
+    tight = [sum(1 << i for i, r in enumerate(rays) if n.pair(r) == 0) for n in walls]
+    keep = [n for n, t in zip(walls, tight)
+            if t and not any(t != u and t & ~u == 0 for u in tight)]
     rays_sorted = sorted(rays, key=lambda r: r.lower())
     cone = ConeDesc(d, m, (), tuple(keep), tuple(rays_sorted), m, central_form(rays_sorted))
     cone.validate()

@@ -1,7 +1,10 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcone.classify import (
     ClassDB,
@@ -355,3 +358,70 @@ class TestPersistence:
             if name.startswith("dim_") or name == "manifest.json":
                 assert open(os.path.join(a, name), "rb").read() == \
                     open(os.path.join(b, name), "rb").read()
+
+
+D3_TASKS = 11   # prim, desc and enrich tasks of a d = 3 classification
+
+
+def _db_bytes(out_dir):
+    return {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in sorted(os.listdir(out_dir))
+            if name.startswith("dim_") or name == "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def clean_d3(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("clean") / "d3")
+    run_classification(3, out)
+    return _db_bytes(out)
+
+
+class TestFaultInjection:
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_kills_at_any_task_and_byte_resume_identically(self, clean_d3, data):
+        # Up to two kills: the first run and then its resume stop at a drawn
+        # task boundary, and each leaves a drawn proper prefix of its last
+        # checkpoint line, as a kill during that write would.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "db")
+            frontier = os.path.join(out, "frontier.jsonl")
+            for kill in range(2):
+                abort = data.draw(st.integers(1, D3_TASKS), label="abort")
+                try:
+                    run_classification(3, out, resume=kill > 0, abort_after=abort)
+                    break
+                except KeyboardInterrupt:
+                    pass
+                with open(frontier, "rb") as fh:
+                    lines = fh.read().splitlines(keepends=True)
+                assert kill > 0 or len(lines) == abort
+                cut = data.draw(st.integers(0, len(lines[-1]) - 1), label="cut")
+                with open(frontier, "wb") as fh:
+                    fh.write(b"".join(lines[:-1]) + lines[-1][:cut])
+            else:
+                run_classification(3, out, resume=True)
+            assert _db_bytes(out) == clean_d3
+
+
+def test_enrich_cone_builds_one_face_lattice(monkeypatch):
+    import lcone.polyhedral
+    from lcone.classify import enrich_cone
+    from lcone.polyhedral import dv_polytope, face_lattice, serialize_subordination, \
+        subordination_scheme
+    from lcone.scone import secondary_cone
+
+    cone = secondary_cone(seed_triangulation(3))
+    poly = dv_polytope(cone.central)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return face_lattice(p)
+
+    for module in (lcone.polyhedral, lcone.classify):
+        monkeypatch.setattr(module, "face_lattice", counting)
+    rec = enrich_cone(cone)
+    assert len(calls) == 1
+    assert rec.f_vector == face_lattice(poly)[1]
+    assert rec.subordination == serialize_subordination(subordination_scheme(poly))

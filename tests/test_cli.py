@@ -83,6 +83,27 @@ class TestDvcellCmd:
         out = capsys.readouterr().out
         assert "facets: 6, vertices: 6" in out
 
+    def test_truncated_octahedron_one_face_lattice(self, tmp_path, capsys, monkeypatch):
+        import lcone.polyhedral
+
+        calls = []
+        lattice = lcone.polyhedral.face_lattice
+
+        def counting(p):
+            calls.append(p)
+            return lattice(p)
+
+        for module in (lcone.polyhedral, lcone.classify):
+            monkeypatch.setattr(module, "face_lattice", counting)
+        p = tmp_path / "p3.form"
+        p.write_text("3 3 -1 3 -1 -1 3\n")
+        assert main(["dvcell", str(p)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "facets: 14, vertices: 24, f: (24,36,14)",
+            "subordination: 2=[4:6,6:8]",
+            "incidence hash: 6c8c694770d76b4c31ac5f9393535cd944c6c4202ac3cd499b176c2bb98ad17e"]
+
 
 class TestClassifyCmd:
     def test_d2(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,69 @@ from lcone.polyhedral import _dd_cone
 from lcone.scone import cone_facets, secondary_cone
 
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+D4 = SymMat([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+# Two d = 4 primitive central forms and three face forms of principal_form(4),
+# each skewed by two elementary operations (lower triangles).
+SKEWED_D4 = [SymMat.from_lower(4, lo) for lo in (
+    (5, -4, 10, -2, -2, 6, 0, 7, -7, 14),
+    (6, 0, 10, -2, 0, 6, -5, -5, 5, 10),
+    (3, 0, 3, -4, -1, 9, -1, 2, -1, 5),
+    (3, 2, 13, -2, -8, 6, -1, -4, 3, 3),
+    (2, 0, 3, 1, -3, 12, -1, -1, -4, 4),
+)]
+
+
+def _random_forms(count, seed):
+    """Seeded positive definite forms of dimension 1 to 3: A^T A + I."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        d = rng.randint(1, 3)
+        a = Mat([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+        forms.append(SymMat((a.transpose() @ a).entries) + SymMat.identity(d))
+    return forms
+
+
+DV_FORMS = ([principal_form(d) for d in (2, 3, 4)]
+            + [SymMat.identity(d) for d in (1, 2, 3, 4)]
+            + [FCC, SymMat([[2, 1], [1, 2]]), D4] + _random_forms(8, 5) + SKEWED_D4)
+
+
+def dv_polytope_by_halfspaces(q):
+    """The reference for `dv_polytope`: every nonzero v with Q[v] <= 4 mu (mu
+    the largest squared circumradius of the Delaunay cells) gives a
+    halfspace, and a double description run over all of them keeps the
+    facets; the vertices must be the circumcenters of the star."""
+    from lcone.delaunay import delaunay_star
+    from lcone.lattice import short_vectors
+
+    star = delaunay_star(q)
+    mu = max(cell.sqradius for cell in star.cells)
+    halfspaces = [(tuple(-2 * x for x in q.mul_vec(v)), q.quad(v))
+                  for v in short_vectors(q, 4 * mu).vectors]
+    poly = polytope_from_halfspaces(halfspaces, q.d)
+    assert list(poly.vertices) == sorted(set(tuple(c.center) for c in star.cells))
+    return poly
+
+
+def face_lattice_by_rank(p):
+    """The reference for `face_lattice`: the same closure under
+    intersection, each face graded by the affine rank of its vertices."""
+    d = p.dim
+    faces = set(p.facet_masks)
+    frontier = set(faces)
+    while frontier:
+        new = {f & g for f in frontier for g in p.facet_masks} - faces - {0}
+        faces |= new
+        frontier = new
+    by_dim = {k: [] for k in range(d + 1)}
+    for mask in faces:
+        vs = [v for i, v in enumerate(p.vertices) if mask >> i & 1]
+        by_dim[rank_of_rows([[x - y for x, y in zip(v, vs[0])] for v in vs[1:]])].append(mask)
+    by_dim[d] = [(1 << p.n_vertices) - 1]
+    for k in by_dim:
+        by_dim[k].sort()
+    return by_dim, tuple(len(by_dim[k]) for k in range(d))
 
 
 class TestDualDescription:
@@ -282,3 +348,82 @@ class TestFaceLatticeAndSchemes:
         p = dv_polytope(SymMat.identity(3))
         n, colors, edges = incidence_graph(p)
         assert n == 14 and len(edges) == 24
+
+
+class TestDVFromStar:
+    @pytest.mark.parametrize("q", DV_FORMS, ids=lambda q: str(q.lower()))
+    def test_matches_halfspace_oracle(self, q):
+        p = dv_polytope(q)
+        assert p == dv_polytope_by_halfspaces(q)   # masks included
+        assert face_lattice(p) == face_lattice_by_rank(p)
+
+    def test_skewed_forms_have_non_simplex_cells(self):
+        from lcone.delaunay import delaunay_star, is_triangulation
+
+        assert sum(not is_triangulation(delaunay_star(q)) for q in SKEWED_D4) == 3
+
+    def test_one_star_and_no_short_vectors(self, monkeypatch):
+        import lcone.delaunay
+        import lcone.lattice
+
+        calls = {"star": 0, "short": 0}
+        star, short = lcone.delaunay.delaunay_star, lcone.lattice.short_vectors
+
+        def counting_star(q):
+            calls["star"] += 1
+            return star(q)
+
+        def counting_short(*args, **kwargs):
+            calls["short"] += 1
+            return short(*args, **kwargs)
+
+        monkeypatch.setattr(lcone.delaunay, "delaunay_star", counting_star)
+        monkeypatch.setattr(lcone.lattice, "short_vectors", counting_short)
+        dv_polytope(SKEWED_D4[2])
+        assert calls == {"star": 1, "short": 0}
+
+    def test_vertex_on_too_few_facets_raises_under_O(self):
+        # `assert False` passes only if -O stripped asserts.  The unit square
+        # cell of Z^2 loses its vertex (1, 0), so [0, (1, 0)] is no longer an
+        # edge and the center (1/2, -1/2) lies on one facet only.
+        script = (
+            "import dataclasses\n"
+            "import lcone.delaunay\n"
+            "from lcone.exact import SymMat\n"
+            "from lcone.polyhedral import dv_polytope\n"
+            "assert False, 'asserts are on'\n"
+            "real = lcone.delaunay.delaunay_star\n"
+            "def corrupt(q):\n"
+            "    star = real(q)\n"
+            "    cells = tuple(dataclasses.replace(\n"
+            "        c, vertices=tuple(v for v in c.vertices if v != (1, 0)))\n"
+            "        if (1, 1) in c.vertices else c for c in star.cells)\n"
+            "    return dataclasses.replace(star, cells=cells)\n"
+            "lcone.delaunay.delaunay_star = corrupt\n"
+            "try:\n"
+            "    dv_polytope(SymMat.identity(2))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: DV vertex")
+        assert proc.stdout.rstrip().endswith("lies on fewer than 2 facets")
+
+
+class TestFaceLatticeGrading:
+    @pytest.mark.parametrize("p", [
+        lambda: polytope_from_vertices(list(itertools.product((0, 1), repeat=3)), 3),
+        lambda: dv_polytope(SymMat([[2, 1], [1, 2]])),
+        lambda: dv_polytope(D4),
+        lambda: polytope_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+        lambda: polytope_from_vertices(
+            [v for v in itertools.product((-1, 0, 1), repeat=3)
+             if sum(map(abs, v)) == 1] + [(1, 1, 1)], 3),
+    ], ids=["cube", "hexagon", "24-cell", "simplex", "octahedron-cap"])
+    def test_matches_rank_oracle(self, p):
+        poly = p()
+        assert face_lattice(poly) == face_lattice_by_rank(poly)

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from lcone.delaunay import delaunay_star
-from lcone.exact import SymMat
+from lcone.classify import seed_triangulation
+from lcone.delaunay import delaunay_star, neighbor_triangulation
+from lcone.exact import SymMat, rank_of_rows
 from lcone.scone import (
     EmptyRaySet,
     NotATriangulation,
@@ -18,6 +19,8 @@ from lcone.scone import (
     rank_profile,
     regulator,
     secondary_cone,
+    star_wall_forms,
+    sym_dim,
     sym_to_functional,
 )
 
@@ -96,6 +99,48 @@ class TestSecondaryCone:
             assert len(coarse.cells) < len(star.cells)
             for cell in star.cells:
                 assert any(set(cell.vertices) <= set(c2.vertices) for c2 in coarse.cells)
+
+
+def facet_walls_by_rank(star, cone):
+    """The reference for the facets `secondary_cone` keeps: the walls whose
+    tight rays have rank m - 1, in the order of `star_wall_forms`."""
+    m = sym_dim(star.dim)
+    keep = []
+    for n in star_wall_forms(star):
+        on = [r.lower() for r in cone.rays if n.pair(r) == 0]
+        if on and rank_of_rows(on) == m - 1:
+            keep.append(n)
+    return tuple(keep)
+
+
+def _walk(star, crossings):
+    """The stars of a walk that crosses the first positive definite wall of
+    each cone in turn."""
+    stars = [star]
+    for _ in range(crossings):
+        cone = secondary_cone(star)
+        wall = next(f for f in cone_facets(cone) if contains_pd(f))
+        star = neighbor_triangulation(star, wall.central, cone.central)
+        stars.append(star)
+    return stars
+
+
+class TestFacetWalls:
+    @pytest.mark.parametrize("stars", [
+        lambda: [delaunay_star(A2)],
+        lambda: _walk(seed_triangulation(3), 3),
+        lambda: _walk(seed_triangulation(4), 3),
+    ], ids=["a2", "d3-walk", "d4-walk"])
+    def test_matches_rank_oracle(self, stars):
+        for star in stars():
+            cone = secondary_cone(star)
+            assert cone.inequalities == facet_walls_by_rank(star, cone)
+
+    def test_d4_walk_has_redundant_walls(self):
+        # After the first crossing 9 of the 19 walls support no facet.
+        star = _walk(seed_triangulation(4), 1)[-1]
+        assert len(secondary_cone(star).inequalities) == 10
+        assert len(star_wall_forms(star)) == 19
 
 
 class TestConeOps:
