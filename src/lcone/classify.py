@@ -44,6 +44,7 @@ from .polyhedral import (
 )
 from .scone import (
     ConeDesc,
+    _ray_rank,
     cone_facets,
     cone_from_dict,
     cone_from_rays,
@@ -214,7 +215,7 @@ ALLOWED_RAY_RANKS = {1, 4}
 def _check_ray_ranks(cone: ConeDesc):
     allowed = ALLOWED_RAY_RANKS | {cone.d}
     for r in cone.rays:
-        k = r.rank()
+        k = _ray_rank(r)
         if k not in allowed:
             raise AssertionError(f"ray of rank {k} violates the rank restriction {allowed}")
 
@@ -239,10 +240,8 @@ def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
     """All per-class invariants of a cone: certificate of the central form,
     stabilizer order, DV polytope data of the central form, censuses."""
     _check_ray_ranks(cone)
-    cert_hash, _, witness, _, stab = _form_canonical(cone.central, digest)
-    central_det = int(cone.central.det())
-    can_size = len(characteristic_set(cone.central).vectors)
-    ranks = tuple(sorted(rank_profile(cone).items()))
+    (central_det, _, _, ranks, can_size), cert_hash = _candidate_key(cone, digest)
+    _, _, witness, _, stab = _form_canonical(cone.central, digest)
     poly = dv_polytope(cone.central)
     dv_hash, fv, sub = _dv_summary(poly, digest)
     zono = fundamental_face(cone) is None
@@ -400,9 +399,12 @@ class DiskCache:
             self._fh = None
 
 
-def _cone_cache_key(kind: str, cone: ConeDesc) -> str:
+def _cone_cache_key(kind: str, cone: ConeDesc, digest: str) -> str:
+    """Cache key of a task on a cone.  An `enrich` record holds hashes made
+    with the digest, so its key names the digest too."""
     blob = json.dumps(cone_to_dict(cone), sort_keys=True, separators=(",", ":"))
-    return f"{kind}:{hashlib.sha256(blob.encode()).hexdigest()}"
+    tag = f"{kind}/{digest}" if kind == "enrich" else kind
+    return f"{tag}:{hashlib.sha256(blob.encode()).hexdigest()}"
 
 
 class Classifier:
@@ -438,7 +440,7 @@ class Classifier:
         items = []
         results: dict[str, dict] = {}
         for cone in cones:
-            key = _cone_cache_key(kind, cone)
+            key = _cone_cache_key(kind, cone, self.digest)
             hit = self.cache.get(key)
             if hit is not None:
                 results[key] = hit
@@ -462,7 +464,7 @@ class Classifier:
                     self.cache.put(key, out)
                     results[key] = out
                     self._tick()
-        return [results[_cone_cache_key(kind, cone)] for cone in cones]
+        return [results[_cone_cache_key(kind, cone, self.digest)] for cone in cones]
 
     def primitive_cones(self) -> list[ConeDesc]:
         """All full-dimensional cones up to equivalence, by wall crossing."""
@@ -688,7 +690,7 @@ def contraction_refine(db: ClassDB, digest: str = "sha256"):
         rank1_mask = 0
         high_mask = 0
         for i, r in enumerate(cone.rays):
-            if r.rank() == 1:
+            if _ray_rank(r) == 1:
                 rank1_mask |= 1 << i
             else:
                 high_mask |= 1 << i

@@ -24,6 +24,7 @@ from .exact import (
     Mat,
     NotPositiveDefinite,
     Rat,
+    SingularMatrix,
     SymMat,
     nullspace,
     solve,
@@ -95,7 +96,7 @@ def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, obj
         rhs.append(q.quad(p) - q.quad(p0))
     try:
         center = solve(Mat(rows), rhs)
-    except Exception as exc:
+    except SingularMatrix as exc:
         raise AffinelyDependent("points are affinely dependent") from exc
     r2 = q.quad([c - x for c, x in zip(center, p0)])
     return center, r2

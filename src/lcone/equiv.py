@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exact import Mat, NotPositiveDefinite, SymMat, inverse
+from .exact import Mat, NotPositiveDefinite, SingularMatrix, SymMat, inverse
 from .lattice import characteristic_set
 from .scone import ConeDesc
 
@@ -291,7 +291,7 @@ def _linear_map_from_vector_match(target: Sequence, source: Sequence, d: int) ->
     rhs = tmat @ smat.transpose()
     try:
         gi = inverse(gram)
-    except Exception:
+    except SingularMatrix:
         return None
     u = rhs @ gi
     if not u.is_integral():

@@ -4,10 +4,17 @@ Everything in this package runs over the rationals with arbitrary-precision
 integers; there is no floating point anywhere.  Dimensions are tiny (at most
 15 ambient coordinates), so matrices are stored densely.
 
-``Rat`` is the rational scalar type: ``gmpy2.mpq`` when available (much
-faster), otherwise ``fractions.Fraction``.  Both expose ``numerator`` /
-``denominator`` and interoperate with plain ``int``, which is what the rest
-of the code relies on.
+``Rat`` is the rational scalar type: ``gmpy2.mpq`` when it is installed,
+otherwise ``fractions.Fraction``; the speed difference between the two has
+not been measured.  Both expose ``numerator`` / ``denominator`` and
+interoperate with plain ``int``, which is what the rest of the code relies
+on.
+
+There are four elimination loops.  `echelon` is the one rational Gaussian
+elimination: `solve`, `inverse`, `rank`, `rank_of_rows` and `nullspace` read
+it.  `ldlt` is the symmetric factorization behind lattice enumeration and
+both definiteness tests.  `_det_bareiss` (fraction-free, behind `det`) and
+`hermite_diagonal` work over the integers.
 """
 
 from __future__ import annotations
@@ -251,7 +258,14 @@ class SymMat:
         return all(x > 0 for x in diag)
 
     def is_positive_semidefinite(self) -> bool:
-        return _is_psd(self.entries)
+        """Read off `ldlt`, like `is_positive_definite`: a PSD form never
+        meets a zero pivot with a nonzero column below it, and otherwise Q
+        is congruent to D."""
+        try:
+            _, diag = ldlt(self)
+        except ZeroPivotNotPD:
+            return False
+        return all(x >= 0 for x in diag)
 
     def __eq__(self, other):
         return isinstance(other, SymMat) and self.entries == other.entries
@@ -294,33 +308,15 @@ def ldlt(q: SymMat) -> tuple[Mat, tuple]:
     return Mat(lower), tuple(diag)
 
 
-def _is_psd(rows) -> bool:
-    """Positive semidefiniteness by symmetric elimination with zero handling."""
-    a = [[Rat(x) for x in row] for row in rows]
-    n = len(a)
-    for k in range(n):
-        p = a[k][k]
-        if p < 0:
-            return False
-        if p == 0:
-            if any(a[i][k] != 0 for i in range(k + 1, n)):
-                return False
-            continue
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return True
-
-
 def solve(a: Mat, b):
     """Solve A x = b exactly for square nonsingular A.
 
     ``b`` is one right-hand side (a vector; returns the tuple x) or a block
     of them (a Mat with A.rows rows; returns the Mat X with A X = B).  The
-    whole block is reduced by one Gauss-Jordan pass over [A | B].  Raises
-    SingularMatrix when A is singular.
+    whole block is reduced by one `echelon` pass over the rows [A | B]: A is
+    nonsingular exactly when the first n pivots are the columns of A, and X
+    is then the B part of the first n reduced rows.  Raises SingularMatrix
+    when A is singular.
     """
     n = a.rows
     if a.cols != n:
@@ -329,62 +325,38 @@ def solve(a: Mat, b):
     rhs = b.entries if block else [(x,) for x in b]
     if len(rhs) != n:
         raise ValueError("shape mismatch")
-    m = [[Rat(x) for x in row + r] for row, r in zip(a.entries, rhs)]
-    width = len(m[0]) if m else n
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
-        pv = prow[col]
-        for r in range(n):
-            row = m[r]
-            if r != col and row[col] != 0:
-                f = row[col] / pv
-                for c in range(col, width):
-                    if prow[c]:
-                        row[c] -= f * prow[c]
-    x = [[_norm(m[i][c] / m[i][i]) for c in range(n, width)] for i in range(n)]
+    if n == 0:
+        return Mat([]) if block else ()
+    ech = echelon([row + tuple(r) for row, r in zip(a.entries, rhs)])
+    if ech.pivots[:n] != tuple(range(n)):
+        raise SingularMatrix("singular system")
+    x = [[_norm(y) for y in row[n:]] for row in ech.rows[:n]]
     return Mat(x) if block else tuple(row[0] for row in x)
 
 
 def inverse(a: Mat) -> Mat:
     """Exact inverse of a square nonsingular matrix: `solve` with the
-    identity block, one Gauss-Jordan pass."""
+    identity block, one `echelon` pass.  Raises SingularMatrix."""
     return solve(a, Mat.identity(a.rows))
 
 
 def rank(a: Mat) -> int:
-    """Exact rank over the rationals."""
-    m = [[Rat(x) for x in row] for row in a.entries]
-    rows, cols = a.rows, a.cols
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        for i in range(r + 1, rows):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, cols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Exact rank over the rationals: the pivot count of one `echelon` pass."""
+    return rank_of_rows(a.entries)
 
 
 def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return rank(Mat(rows))
+    """Exact rank of the matrix with the given rows (0 without rows), by
+    `echelon`."""
+    return len(echelon(rows).pivots) if rows else 0
 
 
 def det(a: Mat):
-    """Exact determinant (fraction-free for integer input)."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    A rational matrix is first scaled row by row to a primitive integer one
+    (`clear_denominators`); the determinant is divided by the row scales.
+    """
     n = a.rows
     if a.cols != n:
         raise ValueError("matrix not square")
@@ -392,24 +364,16 @@ def det(a: Mat):
         return 1
     if a.is_integral():
         return _det_bareiss([list(r) for r in a.entries])
-    m = [[Rat(x) for x in row] for row in a.entries]
-    sign = 1
-    result = Rat(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
+    m = []
+    scale = Rat(1)
+    for row in a.entries:
+        ints = clear_denominators(row)
+        j = next((j for j, x in enumerate(ints) if x), None)
+        if j is None:
             return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pv = m[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, n):
-                    m[i][j] -= f * m[col][j]
-    return _norm(sign * result)
+        scale = scale * ints[j] / row[j]
+        m.append(list(ints))
+    return _norm(_det_bareiss(m) / scale)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:

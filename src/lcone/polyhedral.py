@@ -261,26 +261,44 @@ def polytope_from_halfspaces(halfspaces: Sequence[tuple], dim: int) -> LatPolyto
         if rank_of_rows([[x - y for x, y in zip(v, v0)] for v in inc[1:]] or [[0] * dim]) == dim - 1:
             facets.append((tuple(a), b))
             facet_masks.append(mask)
-    vertex_masks = []
-    for i in range(len(verts)):
+    return LatPolytope(dim, tuple(verts), tuple(facets),
+                       _vertex_masks(facet_masks, len(verts)), tuple(facet_masks))
+
+
+def _vertex_masks(facet_masks: Sequence[int], n_vertices: int) -> tuple:
+    """Per vertex, the bitmask of the facets through it, from the per-facet
+    bitmasks over the vertices."""
+    out = []
+    for i in range(n_vertices):
         m = 0
         for j, fm in enumerate(facet_masks):
             if fm >> i & 1:
                 m |= 1 << j
-        vertex_masks.append(m)
-    return LatPolytope(dim, tuple(verts), tuple(facets),
-                       tuple(vertex_masks), tuple(facet_masks))
+        out.append(m)
+    return tuple(out)
 
 
 def polytope_from_vertices(vertices: Sequence[Sequence], dim: int) -> LatPolytope:
-    """Facet description of a full-dimensional polytope from its vertices."""
-    vset = sorted(set(tuple(v) for v in vertices))
-    rays = [tuple(v) + (1,) for v in vset]
-    h = rays_to_hrep(_integer_rows(rays), dim + 1)
+    """Facet description of a full-dimensional polytope from its vertices.
+
+    The facets are the irredundant inequalities of the homogenization cone
+    that `rays_to_hrep` returns, (g[:-1], g[-1]) in its order.  An input
+    point is kept as a vertex unless another input point lies on every facet
+    through it, which drops the points that are not vertices.
+    """
+    points = sorted(set(tuple(v) for v in vertices))
+    h = rays_to_hrep(_integer_rows([p + (1,) for p in points]), dim + 1)
     if h.equalities:
         raise ValueError("polytope is not full-dimensional")
-    halfspaces = [(g[:-1], g[-1]) for g in h.inequalities]
-    return polytope_from_halfspaces(halfspaces, dim)
+    facets = tuple((g[:-1], g[-1]) for g in h.inequalities)
+    on = [[_dot(a, p) + b == 0 for p in points] for a, b in facets]
+    point_masks = _vertex_masks([sum(1 << i for i, x in enumerate(row) if x) for row in on],
+                                len(points))
+    keep = [i for i, m in enumerate(point_masks)
+            if not any(k != i and m & ~o == 0 for k, o in enumerate(point_masks))]
+    facet_masks = tuple(sum(1 << n for n, i in enumerate(keep) if row[i]) for row in on)
+    return LatPolytope(dim, tuple(tuple(Rat(x) for x in points[i]) for i in keep), facets,
+                       _vertex_masks(facet_masks, len(keep)), facet_masks)
 
 
 def dv_polytope(q: SymMat) -> LatPolytope:

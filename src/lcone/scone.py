@@ -18,6 +18,7 @@ from .exact import (
     AffinelyDependent,
     Mat,
     Rat,
+    SingularMatrix,
     SymMat,
     rank_of_rows,
     solve,
@@ -96,7 +97,7 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
     rows.append([1] * (d + 1))
     try:
         alphas = tuple(solve(Mat(rows), list(w) + [1]))
-    except Exception as exc:
+    except SingularMatrix as exc:
         raise AffinelyDependent("affinely dependent point set") from exc
     n = SymMat.outer(w)
     for a, p in zip(alphas, pts):
@@ -279,7 +280,7 @@ def contains_pd(cone: ConeDesc) -> bool:
 def fundamental_face(cone: ConeDesc) -> Optional[ConeDesc]:
     """Smallest face containing all rays of rank > 1, or None when every ray
     has rank 1 (the zonotopal case)."""
-    high = [r for r in cone.rays if r.rank() > 1]
+    high = [r for r in cone.rays if _ray_rank(r) > 1]
     if not high:
         return None
     active = tuple(n for n in cone.inequalities

@@ -425,3 +425,55 @@ def test_enrich_cone_builds_one_face_lattice(monkeypatch):
     assert len(calls) == 1
     assert rec.f_vector == face_lattice(poly)[1]
     assert rec.subordination == serialize_subordination(subordination_scheme(poly))
+
+
+def test_enrich_cone_ranks_each_ray_once(monkeypatch):
+    from lcone.classify import _candidate_key, enrich_cone
+    from lcone.scone import _ray_rank, secondary_cone
+
+    cone = secondary_cone(seed_triangulation(3))
+    want = enrich_cone(cone).to_dict()
+    _ray_rank.cache_clear()
+    _candidate_key.cache_clear()
+    calls = []
+    rank = SymMat.rank
+    monkeypatch.setattr(SymMat, "rank", lambda self: calls.append(self) or rank(self))
+    assert enrich_cone(cone).to_dict() == want
+    assert sorted(calls, key=SymMat.lower) == sorted(cone.rays, key=SymMat.lower)
+
+
+class _CountingCache(DiskCache):
+    """A DiskCache that records the task kind of every hit and every put."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.hits, self.puts = [], []
+
+    def get(self, key):
+        out = super().get(key)
+        if out is not None:
+            self.hits.append(key.split(":")[0])
+        return out
+
+    def put(self, key, out):
+        self.puts.append(key.split(":")[0])
+        super().put(key, out)
+
+
+def test_enrich_cache_key_names_the_digest(tmp_path):
+    path = str(tmp_path / "frontier.jsonl")
+    runs = {}
+    for digest in ("md5", "sha256", "md5"):
+        cache = _CountingCache(path)
+        db = Classifier(3, digest=digest, cache=cache).classify()
+        cache.close()
+        runs.setdefault(digest, []).append((cache, db))
+    (md5, _), (again, _) = runs["md5"]
+    (sha, db), = runs["sha256"]
+    n = db.total()
+    assert len(md5.puts) == D3_TASKS and md5.hits == []
+    assert sha.puts == ["enrich/sha256"] * n
+    assert sorted(set(sha.hits)) == ["desc", "prim"] and len(sha.hits) == D3_TASKS - n
+    assert again.puts == [] and len(again.hits) == D3_TASKS
+    assert [r.to_dict() for r in db.records()] == \
+        [r.to_dict() for r in classify_all(3).records()]

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from lcone.exact import (
     SymMat,
     ZeroInput,
     ZeroPivotNotPD,
+    _norm,
     clear_denominators,
     det,
     echelon,
@@ -181,8 +185,293 @@ class TestEchelon:
             ech = echelon(rows)
             assert ech.nullspace() == nullspace_by_columns(rows)
             assert list(ech.independent) == independent_rows_by_rank(rows)
-            assert len(ech.pivots) == rank_of_rows(rows)
+            assert len(ech.pivots) == rank_by_elimination(Mat(rows))
             assert all(row[p] == 1 for row, p in zip(ech.rows, ech.pivots))
+
+
+# The elimination loops that `echelon`, `ldlt` and Bareiss replaced, kept as
+# references for `solve`, `rank`, `is_positive_semidefinite` and `det`.
+
+
+def solve_by_gauss_jordan(a, b):
+    """Gauss-Jordan over [A | B] with row swaps: the reference for `solve`."""
+    n = a.rows
+    block = isinstance(b, Mat)
+    rhs = b.entries if block else [(x,) for x in b]
+    m = [[Rat(x) for x in row + r] for row, r in zip(a.entries, rhs)]
+    width = len(m[0]) if m else n
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrix("singular system")
+        m[col], m[piv] = m[piv], m[col]
+        prow = m[col]
+        pv = prow[col]
+        for r in range(n):
+            row = m[r]
+            if r != col and row[col] != 0:
+                f = row[col] / pv
+                for c in range(col, width):
+                    if prow[c]:
+                        row[c] -= f * prow[c]
+    x = [[_norm(m[i][c] / m[i][i]) for c in range(n, width)] for i in range(n)]
+    return Mat(x) if block else tuple(row[0] for row in x)
+
+
+def rank_by_elimination(a):
+    """Row echelon form by Gaussian elimination: the reference for `rank`."""
+    m = [[Rat(x) for x in row] for row in a.entries]
+    rows, cols = a.rows, a.cols
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][col]
+        for i in range(r + 1, rows):
+            if m[i][col] != 0:
+                f = m[i][col] / pv
+                for j in range(col, cols):
+                    m[i][j] -= f * m[r][j]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def psd_by_elimination(rows):
+    """Symmetric elimination that stops at a negative pivot or at a zero
+    pivot over a nonzero column: the reference for `is_positive_semidefinite`."""
+    a = [[Rat(x) for x in row] for row in rows]
+    n = len(a)
+    for k in range(n):
+        p = a[k][k]
+        if p < 0:
+            return False
+        if p == 0:
+            if any(a[i][k] != 0 for i in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return True
+
+
+def det_by_elimination(a):
+    """Product of the pivots of rational Gaussian elimination, with the sign
+    of the row swaps: the reference for `det`."""
+    n = a.rows
+    m = [[Rat(x) for x in row] for row in a.entries]
+    sign = 1
+    result = Rat(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pv = m[col][col]
+        result *= pv
+        for i in range(col + 1, n):
+            if m[i][col] != 0:
+                f = m[i][col] / pv
+                for j in range(col, n):
+                    m[i][j] -= f * m[col][j]
+    return _norm(sign * result)
+
+
+def _seeded_squares(seed, count=160):
+    """Seeded square matrices of order 1 to 8, integer and rational, each
+    nonsingular, singular (a row combining two others) or with a zero row."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(1, 8)
+        rows = [list(r) for r in _random_matrix(rng, n, k % 2 == 1).entries]
+        kind = k % 3
+        if kind == 1:
+            i, j, l = (rng.randrange(n) for _ in range(3))
+            rows[i] = [rng.choice((1, -2, Rat(1, 2))) * x + 3 * y
+                       for x, y in zip(rows[j], rows[l])] if n > 1 else [0]
+        elif kind == 2:
+            rows[rng.randrange(n)] = [0] * n
+        out.append(Mat(rows))
+    return out
+
+
+def _seeded_symmetric(seed, count=160):
+    """Seeded symmetric matrices of order 1 to 8: Gram matrices B^T B with
+    repeated or zero columns of B (PSD with zero pivots), and random
+    symmetric ones (mostly indefinite), integer and rational."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(1, 8)
+        rational = k % 2 == 1
+        if k % 4 < 2:
+            cols = [[rng.randint(-3, 3) for _ in range(rng.randint(1, n))]]
+            for _ in range(n - 1):
+                pick = rng.random()
+                if pick < 0.25:
+                    cols.append([0] * len(cols[0]))
+                elif pick < 0.5:
+                    cols.append(list(rng.choice(cols)))
+                else:
+                    cols.append([rng.randint(-3, 3) for _ in range(len(cols[0]))])
+            b = Mat.from_cols(cols)
+            g = b.transpose() @ b
+            scale = Rat(1, rng.randint(2, 5)) if rational else 1
+            out.append(SymMat([[scale * x for x in row] for row in g.entries]))
+        else:
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    x = rng.choice((0, 0, 1, -1, 2, 3))
+                    if rational and x:
+                        x = Rat(x, rng.randint(1, 4))
+                    rows[i][j] = rows[j][i] = x
+            out.append(SymMat(rows))
+    return out
+
+
+def _same(x, y):
+    """Equal values of equal types, so serialized results cannot differ."""
+    return x == y and repr(x) == repr(y)
+
+
+class TestFoldedKernels:
+    def test_solve_matches_gauss_jordan(self):
+        rng = random.Random(21)
+        singular = 0
+        for a in _seeded_squares(21):
+            n = a.rows
+            vec = [rng.choice((rng.randint(-5, 5), Rat(rng.randint(-5, 5), 3))) for _ in range(n)]
+            width = rng.randint(1, 3)
+            blk = Mat([[rng.randint(-4, 4) for _ in range(width)] for _ in range(n)])
+            for b in (vec, blk, Mat.identity(n)):
+                try:
+                    want = solve_by_gauss_jordan(a, b)
+                except SingularMatrix:
+                    singular += 1
+                    with pytest.raises(SingularMatrix):
+                        solve(a, b)
+                    continue
+                assert _same(solve(a, b), want)
+        assert 100 < singular < 300
+
+    def test_inverse_matches_gauss_jordan(self):
+        for a in _seeded_squares(22):
+            try:
+                want = solve_by_gauss_jordan(a, Mat.identity(a.rows))
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    inverse(a)
+                continue
+            assert _same(inverse(a), want)
+
+    def test_rank_matches_elimination(self):
+        rng = random.Random(23)
+        mats = _seeded_squares(23)
+        for _ in range(120):   # non-square, with zero and repeated rows
+            cols = rng.randint(1, 8)
+            rows = [[rng.choice((0, 0, 1, -1, 2, Rat(1, 3))) for _ in range(cols)]
+                    for _ in range(rng.randint(1, 8))]
+            rows.append(list(rng.choice(rows)))
+            rows.insert(rng.randrange(len(rows)), [0] * cols)
+            mats.append(Mat(rows))
+        for a in mats:
+            assert rank(a) == rank_by_elimination(a)
+            assert rank_of_rows([list(r) for r in a.entries]) == rank_by_elimination(a)
+        assert rank_of_rows([]) == 0
+
+    def test_det_matches_elimination(self):
+        zero = 0
+        for a in _seeded_squares(24):
+            want = det_by_elimination(a)
+            zero += want == 0
+            assert _same(det(a), want)
+        assert 50 < zero < 110
+
+    def test_psd_matches_elimination(self):
+        verdicts = {True: 0, False: 0}
+        zero_pivots = raised = 0
+        for q in _seeded_symmetric(25):
+            want = psd_by_elimination(q.entries)
+            verdicts[want] += 1
+            assert q.is_positive_semidefinite() == want
+            try:
+                _, diag = ldlt(q)
+            except ZeroPivotNotPD:
+                assert not want          # a PSD form never raises
+                raised += 1
+                continue
+            zero_pivots += want and 0 in diag
+        assert min(verdicts.values()) > 40
+        assert zero_pivots > 20 and raised > 5
+
+    def test_singular_raises_under_O(self):
+        # `assert False` passes only if -O stripped asserts.
+        script = (
+            "from lcone.exact import Mat, SingularMatrix, inverse, solve\n"
+            "assert False, 'asserts are on'\n"
+            "a = Mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])\n"
+            "for f in (lambda: solve(a, (1, 2, 3)), lambda: inverse(a)):\n"
+            "    try:\n"
+            "        print('returned', f())\n"
+            "    except SingularMatrix:\n"
+            "        print('raised')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["raised", "raised"]
+
+
+class TestKernelFailurePropagates:
+    """Callers turn only `SingularMatrix` into their own failure; any other
+    error inside the kernel propagates."""
+
+    @staticmethod
+    def _broken(*args):
+        raise TypeError("broken kernel")
+
+    def test_circumcenter(self, monkeypatch):
+        import lcone.delaunay
+        from lcone.exact import AffinelyDependent
+
+        pts = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(AffinelyDependent):
+            lcone.delaunay.circumcenter(SymMat.identity(2), [(0, 0), (1, 0), (2, 0)])
+        monkeypatch.setattr(lcone.delaunay, "solve", self._broken)
+        with pytest.raises(TypeError, match="broken kernel"):
+            lcone.delaunay.circumcenter(SymMat.identity(2), pts)
+
+    def test_regulator(self, monkeypatch):
+        import lcone.scone
+        from lcone.exact import AffinelyDependent
+
+        with pytest.raises(AffinelyDependent):
+            lcone.scone.regulator([(0, 0), (1, 0), (2, 0)], (1, 1))
+        monkeypatch.setattr(lcone.scone, "solve", self._broken)
+        with pytest.raises(TypeError, match="broken kernel"):
+            lcone.scone.regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
+
+    def test_linear_map_from_vector_match(self, monkeypatch):
+        import lcone.equiv
+
+        match = lcone.equiv._linear_map_from_vector_match
+        assert match([(1, 0), (2, 0)], [(1, 0), (2, 0)], 2) is None   # no span
+        assert match([(0, 1), (1, 0)], [(1, 0), (0, 1)], 2) == Mat([[0, 1], [1, 0]])
+        monkeypatch.setattr(lcone.equiv, "inverse", self._broken)
+        with pytest.raises(TypeError, match="broken kernel"):
+            match([(0, 1), (1, 0)], [(1, 0), (0, 1)], 2)
 
 
 class TestRankDet:

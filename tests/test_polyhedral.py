@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import lcone.polyhedral
 import lcone.scone
 from lcone.classify import principal_form, seed_triangulation
 from lcone.exact import Mat, Rat, SymMat, clear_denominators, gcd_normalize, nullspace, \
@@ -350,6 +351,75 @@ class TestFaceLatticeAndSchemes:
         assert n == 14 and len(edges) == 24
 
 
+def polytope_from_vertices_by_halfspaces(vertices, dim):
+    """The reference for `polytope_from_vertices`: the facets of the
+    homogenization cone, then a second double description from them that
+    recovers the vertices and keeps the halfspaces of affine rank dim - 1."""
+    vset = sorted(set(tuple(v) for v in vertices))
+    h = rays_to_hrep([clear_denominators(v + (1,)) for v in vset], dim + 1)
+    if h.equalities:
+        raise ValueError("polytope is not full-dimensional")
+    return polytope_from_halfspaces([(g[:-1], g[-1]) for g in h.inequalities], dim)
+
+
+def _non_simplex_cells():
+    from lcone.delaunay import delaunay_star
+
+    return [c.vertices for q in SKEWED_D4 for c in delaunay_star(q).cells
+            if len(c.vertices) > q.d + 1]
+
+
+OCTAHEDRON_CAP = [v for v in itertools.product((-1, 0, 1), repeat=3)
+                  if sum(map(abs, v)) == 1] + [(1, 1, 1)]
+
+
+class TestPolytopeFromVertices:
+    @pytest.mark.parametrize("points,dim", [
+        (list(itertools.product((0, 1), repeat=3)), 3),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+        (OCTAHEDRON_CAP, 3),
+        (list(itertools.product((0, 1, 2), repeat=2)), 2),
+        (list(itertools.product((0, 1, 2), repeat=3)), 3),
+        ([(Rat(1, 2), 0), (0, Rat(1, 3)), (-1, -1), (0, 0)], 2),
+    ], ids=["cube", "simplex", "octahedron-cap", "grid-3x3", "grid-3x3x3", "rational"])
+    def test_matches_halfspace_oracle(self, points, dim):
+        p = polytope_from_vertices(points, dim)
+        want = polytope_from_vertices_by_halfspaces(points, dim)
+        assert p == want                            # masks included
+        assert repr(p.vertices) == repr(want.vertices)
+
+    def test_matches_halfspace_oracle_on_d4_cells(self):
+        cells = _non_simplex_cells()
+        assert len(cells) == 126
+        for vertices in cells:
+            assert polytope_from_vertices(vertices, 4) == \
+                polytope_from_vertices_by_halfspaces(vertices, 4)
+
+    def test_non_vertices_are_dropped(self):
+        p = polytope_from_vertices(list(itertools.product((0, 1, 2), repeat=2)), 2)
+        assert p.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
+        assert p.n_facets == 4
+
+    def test_no_second_double_description(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("polytope_from_halfspaces called")
+
+        calls = []
+
+        def counting_dd(ineqs, dim):
+            calls.append(dim)
+            return _dd_cone(ineqs, dim)
+
+        monkeypatch.setattr(lcone.polyhedral, "polytope_from_halfspaces", refuse)
+        monkeypatch.setattr(lcone.polyhedral, "_dd_cone", counting_dd)
+        polytope_from_vertices(OCTAHEDRON_CAP, 3)
+        assert calls == [4]
+
+    def test_lower_dimensional_raises(self):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            polytope_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3)
+
+
 class TestDVFromStar:
     @pytest.mark.parametrize("q", DV_FORMS, ids=lambda q: str(q.lower()))
     def test_matches_halfspace_oracle(self, q):
@@ -420,9 +490,7 @@ class TestFaceLatticeGrading:
         lambda: dv_polytope(SymMat([[2, 1], [1, 2]])),
         lambda: dv_polytope(D4),
         lambda: polytope_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
-        lambda: polytope_from_vertices(
-            [v for v in itertools.product((-1, 0, 1), repeat=3)
-             if sum(map(abs, v)) == 1] + [(1, 1, 1)], 3),
+        lambda: polytope_from_vertices(OCTAHEDRON_CAP, 3),
     ], ids=["cube", "hexagon", "24-cell", "simplex", "octahedron-cap"])
     def test_matches_rank_oracle(self, p):
         poly = p()
