@@ -36,6 +36,7 @@ from .exact import Rat, SymMat
 from .lattice import characteristic_set
 from .polyhedral import (
     LatPolytope,
+    _intersection_closure,
     _scheme_of_lattice,
     dv_polytope,
     face_lattice,
@@ -648,18 +649,7 @@ def _faces_within(cone: ConeDesc, allowed: int, facet_masks: list[int]) -> list[
     containing it.  The cone itself qualifies when all its rays are allowed.
     """
     full = (1 << len(cone.rays)) - 1
-    base = sorted(set(fm & allowed for fm in facet_masks))
-    cands = set(base)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in base:
-                h = f & g
-                if h not in cands:
-                    new.add(h)
-        cands |= new
-        frontier = new
+    cands = _intersection_closure(fm & allowed for fm in facet_masks)
     faces = []
     if allowed == full:
         faces.append(full)

@@ -2,11 +2,16 @@
 
 The subdivision is represented by its star at the origin: all full
 dimensional Delaunay cells having 0 as a vertex, together with translation
-class representatives and facet adjacencies.  The star is found one
-translation class at a time.  Every class representative is verified
-against the empty-sphere condition, so the algorithms used to find cells
-only need to terminate, not to be trusted; the other cells of the star are
-translates of a representative and inherit its certificate.
+class representatives.  The star is found one translation class at a time.
+Every class representative is verified against the empty-sphere condition,
+so the algorithms used to find cells only need to terminate, not to be
+trusted; the other cells of the star are translates of a representative and
+inherit its certificate.
+
+No adjacency is stored.  Every facet of a face-to-face tiling lies in
+exactly two cells, so the class facets that are translates of each other,
+that is, that have the same `_normalized` form, come in pairs: the two
+sides of a normalized facet are two adjacent cells up to translation.
 
 Crossing a wall of a triangulation's secondary cone is a bistellar flip of
 the circuits that the wall's regulator cuts out (`neighbor_triangulation`);
@@ -15,7 +20,7 @@ every class the flip adds is certified by the same empty-sphere check.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,12 +70,16 @@ class Cell:
 
 @dataclass(frozen=True)
 class DelaunayStar:
-    """Star of the origin in the Delaunay subdivision of a form."""
+    """Star of the origin in the Delaunay subdivision of a form.
+
+    The class representatives are normalized (smallest vertex 0), so their
+    vertex tuples, the class keys, determine the subdivision; adjacent
+    classes are found by pairing normalized facets (see the module
+    docstring)."""
 
     form: SymMat
     cells: tuple                 # all cells with 0 as a vertex, sorted
     classes: tuple               # indices into cells: translation class reps
-    adjacency: tuple             # per class: tuple of (facet, class index, shift)
 
     @property
     def dim(self) -> int:
@@ -200,6 +209,12 @@ def initial_cell(q: SymMat) -> Cell:
     return Cell(tuple(sorted(mins)), center, r2)
 
 
+def _normalized(vertices) -> tuple:
+    """Sorted vertex tuple translated so that its smallest vertex is 0."""
+    base = min(vertices)
+    return tuple(sorted(tuple(x - b for x, b in zip(v, base)) for v in vertices))
+
+
 def cell_facets(cell: Cell, d: int) -> list[tuple]:
     """Vertex sets of the (d-1)-faces of a cell, each sorted, in sorted order.
 
@@ -262,49 +277,46 @@ def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell
 def delaunay_star(q: SymMat) -> DelaunayStar:
     """Star of the origin, found one translation class at a time.
 
-    A breadth-first search runs over normalized class representatives.
-    Each (class, facet) pair is crossed once with `adjacent_cell`: if the
-    neighbour normalizes to `nb + shift`, the facet `F + shift` of that
-    class leads back across the same facet, so its link is recorded too.
+    A breadth-first search runs over normalized class representatives.  The
+    facets of each class are filed under their `_normalized` form as soon
+    as the class is found.  A facet is crossed with `adjacent_cell` only
+    while its normalized form has one side: the other side is then a class
+    not yet found, so the search makes one crossing per class after the
+    first.  At the end every normalized facet must have exactly two sides.
     The star's cells are the translates `rep - v` over the vertices `v` of
     every representative; they inherit the representative's empty-sphere
     certificate, since translation preserves it.  Deterministic ordering.
     """
     _require_pd(q)
     d = q.d
-    first, _ = initial_cell(q).normalized()
-    reps = {first.vertices: first}
-    facets = {}
-    links = {}                   # (class key, facet) -> (class key, shift)
-    queue = deque([first])
+    reps = {}
+    sides = Counter()            # normalized facet -> number of class facets
+    queue = deque()
+
+    def found(rep):
+        reps[rep.vertices] = rep
+        facets = cell_facets(rep, d)
+        sides.update(_normalized(facet) for facet in facets)
+        queue.append((rep, facets))
+
+    found(initial_cell(q).normalized()[0])
     while queue:
-        rep = queue.popleft()
-        key = rep.vertices
-        facets[key] = cell_facets(rep, d)
-        for facet in facets[key]:
-            if (key, facet) in links:
-                continue
-            norm, shift = adjacent_cell(q, rep, facet).normalized()
-            links[key, facet] = (norm.vertices, tuple(-s for s in shift))
-            back = tuple(tuple(x + s for x, s in zip(v, shift)) for v in facet)
-            links[norm.vertices, back] = (key, shift)
-            if norm.vertices not in reps:
-                reps[norm.vertices] = norm
-                queue.append(norm)
-
-    class_keys = sorted(reps)
-    class_pos = {k: i for i, k in enumerate(class_keys)}
-    adjacency = tuple(
-        tuple((facet, class_pos[links[k, facet][0]], links[k, facet][1])
-              for facet in facets[k])
-        for k in class_keys)
-    return _star_from_classes(q, [reps[k] for k in class_keys], adjacency)
+        rep, facets = queue.popleft()
+        for facet in facets:
+            if sides[_normalized(facet)] == 1:
+                norm, _ = adjacent_cell(q, rep, facet).normalized()
+                if norm.vertices in reps:
+                    raise AssertionError("a facet crossing reached a known class")
+                found(norm)
+    if any(n != 2 for n in sides.values()):
+        raise AssertionError("a facet of the star does not lie in exactly two cells")
+    return _star_from_classes(q, [reps[k] for k in sorted(reps)])
 
 
-def _star_from_classes(q: SymMat, reps: Sequence[Cell], adjacency: tuple) -> DelaunayStar:
+def _star_from_classes(q: SymMat, reps: Sequence[Cell]) -> DelaunayStar:
     """The star with the given class representatives (normalized, in key
-    order) and adjacency: its cells are the translates `rep - v` over the
-    vertices `v` of every representative, in sorted order."""
+    order): its cells are the translates `rep - v` over the vertices `v` of
+    every representative, in sorted order."""
     by_key = {}
     for rep in reps:
         for v in rep.vertices:
@@ -316,7 +328,7 @@ def _star_from_classes(q: SymMat, reps: Sequence[Cell], adjacency: tuple) -> Del
     if len(centers) != len(cells):
         raise AssertionError("duplicate circumcenters in the star")
     index = {k: i for i, k in enumerate(keys)}
-    return DelaunayStar(q, cells, tuple(index[rep.vertices] for rep in reps), adjacency)
+    return DelaunayStar(q, cells, tuple(index[rep.vertices] for rep in reps))
 
 
 def is_triangulation(star: DelaunayStar) -> bool:
@@ -325,34 +337,28 @@ def is_triangulation(star: DelaunayStar) -> bool:
     return all(len(c.vertices) == d + 1 for c in star.cells)
 
 
-def _normalized(vertices) -> tuple:
-    """Sorted vertex tuple translated so that its smallest vertex is 0."""
-    base = min(vertices)
-    return tuple(sorted(tuple(x - b for x, b in zip(v, base)) for v in vertices))
-
-
 def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat) -> DelaunayStar:
     """Cross the wall of the secondary cone through `wallpoint` by a
     bistellar flip of the tight circuits.
 
     `wallpoint` must be positive definite and lie in the relative interior of
     exactly one facet of the closure of the secondary cone of `star`;
-    `center` must be interior.  Every (class, facet, neighbour) pair whose
+    `center` must be interior.  Every pair of adjacent simplices whose
     regulator vanishes on the wallpoint gives a circuit Z = rep + {w} with
     affine dependency lambda_w = 1, lambda_v = -alpha_v.  The flip replaces
     the simplices Z - {z} with lambda_z > 0, which must be classes of the
-    star, by those with lambda_z < 0; the adjacency is rebuilt by matching
-    facets.  The returned star is evaluated at wallpoint + eps (wallpoint -
-    center), eps halving until that form lies in the open secondary cone of
-    the new triangulation, so it is the Delaunay star of that form: every
-    class the flip adds is certified by an exact empty-sphere check there,
-    and the kept classes by the positive regulators of their facets.
+    star, by those with lambda_z < 0.  The returned star is evaluated at
+    wallpoint + eps (wallpoint - center), eps halving until that form lies
+    in the open secondary cone of the new triangulation, so it is the
+    Delaunay star of that form: every class the flip adds is certified by an
+    exact empty-sphere check there, and the kept classes by the positive
+    regulators of their facets.
     """
     from .scone import pair_regulators
 
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
-    pairs = pair_regulators(star.class_keys(), star.adjacency)
+    pairs = pair_regulators(star.class_keys())
     values = [reg.matrix.pair(wallpoint) for _, _, reg in pairs]
     tight = [pair for pair, val in zip(pairs, values) if val == 0]
     walls = {reg.matrix.lower() for _, _, reg in tight}
@@ -373,23 +379,8 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
         raise AssertionError("the flip removes a simplex that is not in the star")
     keys = sorted(old_keys - removed | added)
 
-    d = star.dim
-    facets = {k: [k[:i] + k[i + 1:] for i in range(d + 1)] for k in keys}
-    sides = {}                   # normalized facet -> [(class pos, facet, base)]
-    for pos, k in enumerate(keys):
-        for facet in facets[k]:
-            sides.setdefault(_normalized(facet), []).append((pos, facet, facet[0]))
-    links = {}
-    for pair in sides.values():
-        if len(pair) != 2:
-            raise AssertionError(f"a facet of the flipped star lies in {len(pair)} cells")
-        for (pos, facet, base), (npos, _, nbase) in (pair, pair[::-1]):
-            links[pos, facet] = (npos, tuple(a - b for a, b in zip(base, nbase)))
-    adjacency = tuple(tuple((f, *links[pos, f]) for f in facets[k])
-                      for pos, k in enumerate(keys))
-
     new_walls = {reg.matrix.lower(): reg.matrix
-                 for _, _, reg in pair_regulators(keys, adjacency)}.values()
+                 for _, _, reg in pair_regulators(keys)}.values()
     if any(n.pair(wallpoint) < 0 for n in new_walls):
         raise AssertionError("the flipped cone does not contain the wallpoint")
     eps = Rat(1)
@@ -408,4 +399,4 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
             best, mins = closest_vectors(cand, rep.center)
             if best != rep.sqradius or tuple(sorted(mins)) != rep.vertices:
                 raise AssertionError("flipped cell failed the empty-sphere check")
-    return _star_from_classes(cand, reps, adjacency)
+    return _star_from_classes(cand, reps)

@@ -345,21 +345,17 @@ def stabilizer_order(cone: ConeDesc, algorithm: str = "sha256") -> int:
     return order
 
 
-def cone_equivalent(c1: ConeDesc, c2: ConeDesc, *, check_rays: bool = True,
+def cone_equivalent(c1: ConeDesc, c2: ConeDesc, *,
                     algorithm: str = "sha256") -> Optional[UnimodularMap]:
     """GL_d(Z) equivalence of secondary cones through their central forms.
 
-    On success the witness U (with U^T central1 U = central2) is optionally
-    checked to map the ray set of c1 onto that of c2.
+    On success the witness U (with U^T central1 U = central2) is checked to
+    map the ray set of c1 onto that of c2.
     """
     u = form_equivalence(c1.central, c2.central, algorithm)
     if u is None:
         return None
-    if check_rays:
-        mapped = set()
-        for r in c1.rays:
-            img = r.congruence(u.matrix)
-            mapped.add(img.lower())
-        if mapped != set(r.lower() for r in c2.rays):
-            raise AssertionError("central-form witness does not map the ray sets")
+    mapped = set(r.congruence(u.matrix).lower() for r in c1.rays)
+    if mapped != set(r.lower() for r in c2.rays):
+        raise AssertionError("central-form witness does not map the ray sets")
     return u

@@ -4,11 +4,7 @@ Everything in this package runs over the rationals with arbitrary-precision
 integers; there is no floating point anywhere.  Dimensions are tiny (at most
 15 ambient coordinates), so matrices are stored densely.
 
-``Rat`` is the rational scalar type: ``gmpy2.mpq`` when it is installed,
-otherwise ``fractions.Fraction``; the speed difference between the two has
-not been measured.  Both expose ``numerator`` / ``denominator`` and
-interoperate with plain ``int``, which is what the rest of the code relies
-on.
+``Rat`` is the rational scalar type, ``fractions.Fraction``.
 
 There are four elimination loops.  `echelon` is the one rational Gaussian
 elimination: `solve`, `inverse`, `rank`, `rank_of_rows` and `nullspace` read
@@ -19,14 +15,10 @@ both definiteness tests.  `_det_bareiss` (fraction-free, behind `det`) and
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
 
 
 class ExactError(Exception):
@@ -509,13 +501,10 @@ def gcd_normalize(obj, *, orient: bool = True):
     return vec
 
 
-def symmat_clear_denominators(s: SymMat, *, orient: bool = False) -> SymMat:
+def symmat_clear_denominators(s: SymMat) -> SymMat:
     """Scale a rational SymMat by a positive rational to a primitive integral
-    one.  Orientation (overall sign) is preserved unless ``orient``."""
-    lo = clear_denominators(s.lower())
-    if orient:
-        lo = gcd_normalize(lo)
-    return SymMat.from_lower(s.d, lo)
+    one, so its orientation (overall sign) is preserved."""
+    return SymMat.from_lower(s.d, clear_denominators(s.lower()))
 
 
 def hermite_diagonal(vectors: Sequence[Sequence[int]], d: int) -> list[int]:

@@ -16,6 +16,7 @@ from .exact import (
     NotPositiveDefinite,
     Rat,
     SymMat,
+    ZeroPivotNotPD,
     floor_sqrt_rat,
     lattice_span_full,
     ldlt,
@@ -37,7 +38,7 @@ class VectorSet:
 def _ldlt_pd(q: SymMat):
     try:
         lower, diag = ldlt(q)
-    except Exception as exc:
+    except ZeroPivotNotPD as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     if any(x <= 0 for x in diag):
         raise NotPositiveDefinite("form is not positive definite")

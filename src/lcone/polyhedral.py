@@ -365,6 +365,18 @@ def incidence_graph(p: LatPolytope):
     return nv + nf, node_colors, edges
 
 
+def _intersection_closure(masks) -> set:
+    """The bitmasks `masks` together with all intersections of two or more
+    of them (the empty mask 0 included, when it arises)."""
+    masks = set(masks)
+    closed = set(masks)
+    frontier = masks
+    while frontier:
+        frontier = {f & g for f in frontier for g in masks} - closed
+        closed |= frontier
+    return closed
+
+
 def face_lattice(p: LatPolytope):
     """All faces as vertex index sets grouped by dimension, plus f-vector.
 
@@ -379,17 +391,7 @@ def face_lattice(p: LatPolytope):
     d = p.dim
     full = (1 << p.n_vertices) - 1
     facet_sets = set(p.facet_masks)
-    faces = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h and h not in faces:
-                    new.add(h)
-        faces |= new
-        frontier = new
+    faces = _intersection_closure(facet_sets) - {0}
     by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
     dim_of = {}
     for mask in sorted(faces, key=int.bit_count):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .delaunay import DelaunayStar, is_triangulation
+from .delaunay import DelaunayStar, _normalized
 from .exact import (
     AffinelyDependent,
     Mat,
@@ -108,30 +108,34 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
     return Regulator(symmat_clear_denominators(n), (tuple(pts), w), alphas)
 
 
-def pair_regulators(keys: Sequence[tuple], adjacency: Sequence[tuple]) -> list:
+def pair_regulators(keys: Sequence[tuple]) -> list:
     """(class key, extra vertex, regulator) for every pair of adjacent
-    simplices of a triangulation given by its class representatives' vertex
-    tuples and its adjacency (as in `DelaunayStar`); the extra vertex is the
-    neighbour's vertex off the facet.  Each pair is taken from one side
-    only: from the other side it spans the same circuit and has the same
-    regulator.  Degenerate regulators are left out."""
-    out = []
-    done = set()
-    for pos, (key, entries) in enumerate(zip(keys, adjacency)):
+    simplices of a triangulation given by its class keys (the normalized
+    class representatives' vertex tuples, as `DelaunayStar.class_keys`).
+
+    Every facet lies in exactly two simplices, so the class facets with the
+    same normalized form come in pairs.  If the facet F of `key` and the
+    facet G of `nkey` pair up, the neighbour of `key` across F is
+    `nkey + (F[0] - G[0])`, and its vertex off F is the translate of the
+    vertex of `nkey` off G.  Each pair is taken from its first side only:
+    from the other side it spans a translate of the same circuit and has
+    the same regulator.  Degenerate regulators are left out."""
+    sides = {}                   # normalized facet -> [(key, facet, vertex off it)]
+    for key in keys:
         if len(key) != len(key[0]) + 1:
             raise NotATriangulation("star contains a non-simplex cell")
-        for facet, nclass, shift in entries:
-            if (pos, facet) in done:
-                continue
-            done.add((nclass, tuple(tuple(x - s for x, s in zip(v, shift)) for v in facet)))
-            on_facet = set(facet)
-            extra = [w for w in (tuple(x + s for x, s in zip(v, shift)) for v in keys[nclass])
-                     if w not in on_facet]
-            if len(extra) != 1:
-                raise NotATriangulation("adjacent cell is not a simplex")
-            reg = regulator(key, extra[0])
-            if not reg.is_degenerate:
-                out.append((key, extra[0], reg))
+        for i, v in enumerate(key):
+            facet = key[:i] + key[i + 1:]
+            sides.setdefault(_normalized(facet), []).append((key, facet, v))
+    out = []
+    for pair in sides.values():
+        if len(pair) != 2:
+            raise AssertionError(f"a facet of the triangulation lies in {len(pair)} cells")
+        (key, facet, _), (_, nfacet, nv) = pair
+        extra = tuple(x + a - b for x, a, b in zip(nv, facet[0], nfacet[0]))
+        reg = regulator(key, extra)
+        if not reg.is_degenerate:
+            out.append((key, extra, reg))
     return out
 
 
@@ -139,7 +143,7 @@ def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
     """Deduplicated regulator matrices over all adjacent simplex pairs of a
     triangulation, one per wall class, each positive on the generating form."""
     seen = {}
-    for _, _, reg in pair_regulators(star.class_keys(), star.adjacency):
+    for _, _, reg in pair_regulators(star.class_keys()):
         if reg.matrix.pair(star.form) <= 0:
             raise AssertionError("regulator is not positive on its own form")
         seen[reg.matrix.lower()] = reg.matrix
@@ -219,15 +223,14 @@ def cone_from_rays(d: int, rays: Sequence[SymMat],
     return cone
 
 
-def secondary_cone(star: DelaunayStar, must_be_triangulation: bool = True) -> ConeDesc:
+def secondary_cone(star: DelaunayStar) -> ConeDesc:
     """Secondary cone of a Delaunay triangulation.
 
     Collects the wall forms, converts to extreme rays by double description,
     and keeps exactly the facet-supporting inequalities: those whose set of
-    tight rays is maximal among the walls' and nonempty.
+    tight rays is maximal among the walls' and nonempty.  A star with a
+    non-simplex cell raises `NotATriangulation` (from `pair_regulators`).
     """
-    if must_be_triangulation and not is_triangulation(star):
-        raise NotATriangulation("star is not a triangulation")
     d = star.dim
     m = sym_dim(d)
     walls = star_wall_forms(star)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from lcone.classify import (
     ClassDB,
+    _faces_within,
+    _facet_ray_masks,
     Classifier,
     DimensionUnsupported,
     DiskCache,
@@ -30,7 +33,7 @@ from lcone.classify import (
 from lcone.delaunay import is_triangulation
 from lcone.equiv import form_equivalence
 from lcone.exact import Rat, SymMat
-from lcone.scone import fundamental_face
+from lcone.scone import _ray_rank, fundamental_face
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -477,3 +480,47 @@ def test_enrich_cache_key_names_the_digest(tmp_path):
     assert again.puts == [] and len(again.hits) == D3_TASKS
     assert [r.to_dict() for r in db.records()] == \
         [r.to_dict() for r in classify_all(3).records()]
+
+
+def faces_within_by_loop(cone, allowed, facet_masks):
+    """The reference for `_faces_within`: its own intersection-closure loop,
+    from before it shared `face_lattice`'s."""
+    full = (1 << len(cone.rays)) - 1
+    base = sorted(set(fm & allowed for fm in facet_masks))
+    cands = set(base)
+    frontier = set(base)
+    while frontier:
+        new = set()
+        for f in frontier:
+            for g in base:
+                h = f & g
+                if h not in cands:
+                    new.add(h)
+        cands |= new
+        frontier = new
+    faces = []
+    if allowed == full:
+        faces.append(full)
+    for t in cands:
+        hull = full
+        for fm in facet_masks:
+            if t & ~fm == 0:
+                hull &= fm
+        if hull == t:
+            faces.append(t)
+    return sorted(set(faces))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_faces_within_matches_loop(d):
+    # Every cone of the database, with the mask of its rays of rank > 1
+    # (what `contraction_refine` passes), all rays and seeded random masks.
+    rng = random.Random(d)
+    for rec in classify_all(d).records():
+        cone = rec.cone
+        facet_masks = _facet_ray_masks(cone)
+        n = len(cone.rays)
+        high = sum(1 << i for i, r in enumerate(cone.rays) if _ray_rank(r) > 1)
+        for allowed in [high, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]:
+            assert _faces_within(cone, allowed, facet_masks) == \
+                faces_within_by_loop(cone, allowed, facet_masks)

@@ -111,11 +111,13 @@ class TestDelaunayStar:
         (SymMat([[1]]), 2, 1, True),
         (SymMat.identity(3), 8, 1, False),
     ])
-    def test_counts(self, q, cells, classes, tri):
+    def test_counts(self, monkeypatch, q, cells, classes, tri):
+        crossings = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(q)
         assert len(star.cells) == cells
         assert len(star.classes) == classes
         assert is_triangulation(star) == tri
+        assert len(crossings) == classes - 1
 
     def test_every_cell_contains_origin(self):
         star = delaunay_star(A2)
@@ -234,33 +236,45 @@ FACE4 = principal_form(4) - SymMat.outer((1, -1, 0, 0))
 SKEWED4 = SymMat([[3, 2, -2, -1], [2, 13, -8, -4], [-2, -8, 6, 3], [-1, -4, 3, 3]])
 
 
+def _count_calls(monkeypatch, name):
+    """Patch `lcone.delaunay.<name>` to record its calls; returns the list."""
+    calls = []
+    original = getattr(lcone.delaunay, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lcone.delaunay, name, counted)
+    return calls
+
+
 class TestStarByClasses:
     @pytest.mark.parametrize("q", [principal_form(2), principal_form(3), principal_form(4),
                                    SymMat.identity(3), FACE4] + _random_forms(7, 4))
-    def test_matches_cell_search(self, q):
+    def test_matches_cell_search(self, monkeypatch, q):
+        calls = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(q)
-        assert (star.cells, star.classes, star.adjacency) == star_by_cells(q)
+        assert (star.cells, star.classes) == star_by_cells(q)[:2]
+        assert len(calls) == len(star.classes) - 1
 
     def test_face_form_has_non_simplex_cells(self):
         assert not is_triangulation(delaunay_star(FACE4))
 
     def test_crosses_each_class_facet_pair_once(self, monkeypatch):
-        calls = []
-        original = lcone.delaunay.adjacent_cell
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(lcone.delaunay, "adjacent_cell", counted)
+        # Each crossing finds a new class; every other pair of class facets
+        # is matched by translation. principal_form(4) has 24 classes and
+        # 60 pairs of class facets.
+        calls = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(principal_form(4))
-        class_facets = sum(len(entries) for entries in star.adjacency)
-        assert class_facets == 120
-        assert len(calls) <= class_facets // 2
+        assert len(star.classes) == 24
+        assert len(calls) == len(star.classes) - 1
 
     @pytest.mark.parametrize("q", [principal_form(3), FACE4, SKEWED4] + _random_forms(11, 3))
     def test_probes_do_not_change_the_star(self, monkeypatch, q):
+        crossings = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(q)
+        assert len(crossings) == len(star.classes) - 1
         original = lcone.delaunay._parametric_contact
 
         def basis_step_only(q, base_vertex, center, sqradius, direction, probes=()):
@@ -290,6 +304,34 @@ class TestStarByClasses:
             points.append(0)
             delaunay_star(SKEWED4.congruence(flip))
         assert max(points) <= 1.2 * min(points), points
+
+    @pytest.mark.parametrize("change,message", [
+        ("facets[:-1]", "a facet crossing reached a known class"),
+        ("facets + facets[:1]", "a facet of the star does not lie in exactly two cells"),
+    ], ids=["dropped", "doubled"])
+    def test_facet_pairing_checks_survive_optimize(self, change, message):
+        # A class that loses a facet is reached again by a crossing of its
+        # lost facet's partner; a facet listed twice has three sides.
+        script = (
+            "import lcone.delaunay as D\n"
+            "from lcone.classify import principal_form\n"
+            "assert False, 'asserts are on'\n"
+            "orig = D.cell_facets\n"
+            "def patched(cell, d):\n"
+            "    facets = orig(cell, d)\n"
+            f"    return {change}\n"
+            "D.cell_facets = patched\n"
+            "try:\n"
+            "    D.delaunay_star(principal_form(3))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: " + message)
 
     def test_empty_sphere_check_survives_optimize(self):
         # `assert False` passes only if -O stripped asserts; the empty-sphere

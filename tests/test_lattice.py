@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import lcone.lattice
 from lcone.exact import NotPositiveDefinite, Rat, SymMat, lattice_span_full
 from lcone.lattice import characteristic_set, closest_vectors, enumerate_close, short_vectors
 
@@ -36,6 +37,22 @@ class TestShortVectors:
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             short_vectors(SymMat([[1, 2], [2, 1]]), 1)
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [2, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 1]]],
+                             ids=["indefinite", "zero-pivot", "singular"])
+    def test_not_pd_forms(self, rows):
+        with pytest.raises(NotPositiveDefinite):
+            short_vectors(SymMat(rows), 1)
+
+    def test_kernel_fault_propagates(self, monkeypatch):
+        # Only a zero pivot means "not positive definite"; any other failure
+        # of the factorization is a fault and must surface as itself.
+        def broken(q):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(lcone.lattice, "ldlt", broken)
+        with pytest.raises(TypeError, match="broken kernel"):
+            short_vectors(SymMat.identity(2), 2)
 
     def test_lex_order(self):
         vs = short_vectors(A2, 4)

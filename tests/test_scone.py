@@ -2,11 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from lcone.classify import seed_triangulation
-from lcone.delaunay import delaunay_star, neighbor_triangulation
+from lcone.classify import principal_form, seed_triangulation
+from lcone.delaunay import _normalized, delaunay_star, neighbor_triangulation
 from lcone.exact import SymMat, rank_of_rows
 from lcone.scone import (
     EmptyRaySet,
@@ -16,6 +17,7 @@ from lcone.scone import (
     cone_from_rays,
     contains_pd,
     fundamental_face,
+    pair_regulators,
     rank_profile,
     regulator,
     secondary_cone,
@@ -23,6 +25,7 @@ from lcone.scone import (
     sym_dim,
     sym_to_functional,
 )
+from test_delaunay import crossings, star_by_cells
 
 A2 = SymMat([[2, 1], [1, 2]])
 
@@ -123,6 +126,74 @@ def _walk(star, crossings):
         star = neighbor_triangulation(star, wall.central, cone.central)
         stars.append(star)
     return stars
+
+
+def pair_regulators_by_adjacency(keys, adjacency):
+    """The reference for `pair_regulators`: walk a stored adjacency (per
+    class, (facet, neighbour class, shift) as `star_by_cells` returns it)
+    and take each pair from one side, skipping the other side's entry."""
+    out = []
+    done = set()
+    for pos, (key, entries) in enumerate(zip(keys, adjacency)):
+        if len(key) != len(key[0]) + 1:
+            raise NotATriangulation("star contains a non-simplex cell")
+        for facet, nclass, shift in entries:
+            if (pos, facet) in done:
+                continue
+            done.add((nclass, tuple(tuple(x - s for x, s in zip(v, shift)) for v in facet)))
+            on_facet = set(facet)
+            extra = [w for w in (tuple(x + s for x, s in zip(v, shift)) for v in keys[nclass])
+                     if w not in on_facet]
+            if len(extra) != 1:
+                raise NotATriangulation("adjacent cell is not a simplex")
+            reg = regulator(key, extra[0])
+            if not reg.is_degenerate:
+                out.append((key, extra[0], reg))
+    return out
+
+
+def _circuits(pairs):
+    """The pairs as a multiset of (normalized circuit, regulator matrix)."""
+    return Counter((_normalized(key + (w,)), reg.matrix.lower()) for key, w, reg in pairs)
+
+
+class TestPairRegulators:
+    def _check(self, star):
+        cells, classes, adjacency = star_by_cells(star.form)
+        keys = star.class_keys()
+        assert keys == tuple(cells[i].vertices for i in classes)
+        assert _circuits(pair_regulators(keys)) == \
+            _circuits(pair_regulators_by_adjacency(keys, adjacency))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_adjacency_oracle(self, d):
+        self._check(delaunay_star(principal_form(d)))
+
+    @pytest.mark.parametrize("walk", [
+        lambda: _walk(seed_triangulation(3), 3),
+        lambda: _walk(seed_triangulation(4), 3),
+        lambda: [nb for star, wallpoint, center in crossings(seed_triangulation(3), 40)
+                 for nb in (star, neighbor_triangulation(star, wallpoint, center))],
+    ], ids=["d3-walk", "d4-walk", "d3-crossings"])
+    def test_matches_adjacency_oracle_on_walks(self, walk):
+        triangulations = {star.class_keys(): star for star in walk()}
+        for star in triangulations.values():
+            self._check(star)
+
+    def test_one_pair_per_facet_pair(self):
+        # principal_form(4): 24 classes of 5 facets each, 60 facet pairs.
+        keys = delaunay_star(principal_form(4)).class_keys()
+        assert len(keys) == 24 and len(pair_regulators(keys)) == 60
+
+    def test_missing_class_raises(self):
+        keys = delaunay_star(principal_form(3)).class_keys()
+        for i in range(len(keys)):
+            with pytest.raises(AssertionError, match="lies in 1 cells"):
+                pair_regulators(keys[:i] + keys[i + 1:])
+
+    def test_non_simplex_raises(self):
+        with pytest.raises(NotATriangulation):
+            pair_regulators(delaunay_star(SymMat.identity(2)).class_keys())
 
 
 class TestFacetWalls:
