@@ -13,6 +13,7 @@ failure, 3 incomplete or incompatible database.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -37,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(1)
+
+
+def _digest_name(name: str) -> str:
+    """The `--digest` type: a hashlib algorithm with a fixed-length hex
+    digest, checked while the arguments are parsed, before anything runs."""
+    try:
+        hashlib.new(name).hexdigest()
+    except (ValueError, TypeError):
+        raise argparse.ArgumentTypeError(f"unsupported hash algorithm {name!r}") from None
+    return name
 
 
 def _read_form(path: str):
@@ -131,7 +142,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dvcell", help="print the Dirichlet-Voronoi polytope summary")
     p.add_argument("form")
-    p.add_argument("--digest", default="sha256")
+    p.add_argument("--digest", default="sha256", type=_digest_name,
+                   help="hash algorithm for the incidence hash")
     p.set_defaults(func=cmd_dvcell)
 
     p = sub.add_parser("classify", help="classify all secondary cones up to GL_d(Z)")
@@ -141,7 +153,8 @@ def build_parser() -> _Parser:
     p.add_argument("-j", "--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--resume", action="store_true",
                    help="resume from an existing checkpoint")
-    p.add_argument("--digest", default="sha256", help="hash algorithm for certificates")
+    p.add_argument("--digest", default="sha256", type=_digest_name,
+                   help="hash algorithm for certificates")
     p.add_argument("--seed-form", default=None,
                    help="override the default traversal seed form")
     p.add_argument("-v", "--verbose", action="store_true",

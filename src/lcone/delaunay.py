@@ -15,13 +15,17 @@ sides of a normalized facet are two adjacent cells up to translation.
 
 Crossing a wall of a triangulation's secondary cone is a bistellar flip of
 the circuits that the wall's regulator cuts out (`neighbor_triangulation`);
-every class the flip adds is certified by the same empty-sphere check.
+every class the flip adds is certified by the same empty-sphere check.  A
+triangulation's star keeps the regulators of its adjacent pairs
+(`DelaunayStar.pairs`), and the flipped star inherits those of the pairs
+the flip left alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .exact import (
@@ -75,7 +79,14 @@ class DelaunayStar:
     The class representatives are normalized (smallest vertex 0), so their
     vertex tuples, the class keys, determine the subdivision; adjacent
     classes are found by pairing normalized facets (see the module
-    docstring)."""
+    docstring).
+
+    A triangulation's star also holds its adjacent simplex pairs, `pairs`:
+    normalized facet -> (class key, extra vertex, Regulator), as
+    `scone.pair_regulators` lists them.  They are computed at most once per
+    star, on first use, and a star made by `neighbor_triangulation` is
+    given them by the flip.  They are no field, so equality and `repr` see
+    only the form, the cells and the classes."""
 
     form: SymMat
     cells: tuple                 # all cells with 0 as a vertex, sorted
@@ -87,6 +98,13 @@ class DelaunayStar:
 
     def class_keys(self):
         return tuple(self.cells[i].vertices for i in self.classes)
+
+    @cached_property
+    def pairs(self) -> dict:
+        """normalized facet -> (class key, extra vertex, Regulator)."""
+        from .scone import _facet_pairs
+
+        return _facet_pairs(self.class_keys())
 
 
 def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, object]:
@@ -353,12 +371,18 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     Delaunay star of that form: every class the flip adds is certified by an
     exact empty-sphere check there, and the kept classes by the positive
     regulators of their facets.
+
+    The tight circuits are read off `star.pairs`, which the star computes
+    once however many walls are crossed from it.  The returned star carries
+    its own pairs: a facet whose two sides are classes the flip kept has
+    the same pair as before, and its regulator is copied; only the pairs
+    that touch an added class are computed.
     """
-    from .scone import pair_regulators
+    from .scone import _facet_pairs
 
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
-    pairs = pair_regulators(star.class_keys())
+    pairs = list(star.pairs.values())
     values = [reg.matrix.pair(wallpoint) for _, _, reg in pairs]
     tight = [pair for pair, val in zip(pairs, values) if val == 0]
     walls = {reg.matrix.lower() for _, _, reg in tight}
@@ -379,8 +403,9 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
         raise AssertionError("the flip removes a simplex that is not in the star")
     keys = sorted(old_keys - removed | added)
 
+    new_pairs = _facet_pairs(keys, star.pairs)
     new_walls = {reg.matrix.lower(): reg.matrix
-                 for _, _, reg in pair_regulators(keys)}.values()
+                 for _, _, reg in new_pairs.values()}.values()
     if any(n.pair(wallpoint) < 0 for n in new_walls):
         raise AssertionError("the flipped cone does not contain the wallpoint")
     eps = Rat(1)
@@ -399,4 +424,6 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
             best, mins = closest_vectors(cand, rep.center)
             if best != rep.sqradius or tuple(sorted(mins)) != rep.vertices:
                 raise AssertionError("flipped cell failed the empty-sphere check")
-    return _star_from_classes(cand, reps)
+    flipped = _star_from_classes(cand, reps)
+    flipped.__dict__["pairs"] = new_pairs   # the slot `cached_property` fills
+    return flipped

@@ -111,7 +111,8 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
 def pair_regulators(keys: Sequence[tuple]) -> list:
     """(class key, extra vertex, regulator) for every pair of adjacent
     simplices of a triangulation given by its class keys (the normalized
-    class representatives' vertex tuples, as `DelaunayStar.class_keys`).
+    class representatives' vertex tuples, as `DelaunayStar.class_keys`),
+    every regulator computed from scratch.
 
     Every facet lies in exactly two simplices, so the class facets with the
     same normalized form come in pairs.  If the facet F of `key` and the
@@ -119,7 +120,19 @@ def pair_regulators(keys: Sequence[tuple]) -> list:
     `nkey + (F[0] - G[0])`, and its vertex off F is the translate of the
     vertex of `nkey` off G.  Each pair is taken from its first side only:
     from the other side it spans a translate of the same circuit and has
-    the same regulator.  Degenerate regulators are left out."""
+    the same regulator.  Degenerate regulators are left out.  A star keeps
+    these pairs, keyed by normalized facet, as `DelaunayStar.pairs`."""
+    return list(_facet_pairs(keys).values())
+
+
+def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
+    """The pairs of `pair_regulators`, keyed by their normalized facet.
+
+    `carried` holds the pairs of another triangulation keyed the same way,
+    as a bistellar flip leaves them.  A pair with the class key and extra
+    vertex of the carried pair of its facet spans the same circuit, so its
+    regulator is copied, not computed.  With sorted keys on both sides that
+    holds exactly for the facets whose two sides are classes the flip kept."""
     sides = {}                   # normalized facet -> [(key, facet, vertex off it)]
     for key in keys:
         if len(key) != len(key[0]) + 1:
@@ -127,23 +140,29 @@ def pair_regulators(keys: Sequence[tuple]) -> list:
         for i, v in enumerate(key):
             facet = key[:i] + key[i + 1:]
             sides.setdefault(_normalized(facet), []).append((key, facet, v))
-    out = []
-    for pair in sides.values():
+    out = {}
+    for norm, pair in sides.items():
         if len(pair) != 2:
             raise AssertionError(f"a facet of the triangulation lies in {len(pair)} cells")
         (key, facet, _), (_, nfacet, nv) = pair
         extra = tuple(x + a - b for x, a, b in zip(nv, facet[0], nfacet[0]))
+        old = carried.get(norm) if carried else None
+        if old is not None and old[:2] == (key, extra):
+            out[norm] = old
+            continue
         reg = regulator(key, extra)
         if not reg.is_degenerate:
-            out.append((key, extra, reg))
+            out[norm] = (key, extra, reg)
     return out
 
 
 def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
     """Deduplicated regulator matrices over all adjacent simplex pairs of a
-    triangulation, one per wall class, each positive on the generating form."""
+    triangulation, one per wall class, each positive on the generating form.
+    The pairs are the star's own (`DelaunayStar.pairs`), so the regulators a
+    flip copied are checked on the new form like the computed ones."""
     seen = {}
-    for _, _, reg in pair_regulators(star.class_keys()):
+    for _, _, reg in star.pairs.values():
         if reg.matrix.pair(star.form) <= 0:
             raise AssertionError("regulator is not positive on its own form")
         seen[reg.matrix.lower()] = reg.matrix
@@ -226,10 +245,11 @@ def cone_from_rays(d: int, rays: Sequence[SymMat],
 def secondary_cone(star: DelaunayStar) -> ConeDesc:
     """Secondary cone of a Delaunay triangulation.
 
-    Collects the wall forms, converts to extreme rays by double description,
-    and keeps exactly the facet-supporting inequalities: those whose set of
-    tight rays is maximal among the walls' and nonempty.  A star with a
-    non-simplex cell raises `NotATriangulation` (from `pair_regulators`).
+    Collects the wall forms from the star's pairs (computed once per star,
+    or carried by the flip that made it), converts to extreme rays by double
+    description, and keeps exactly the facet-supporting inequalities: those
+    whose set of tight rays is maximal among the walls' and nonempty.  A
+    star with a non-simplex cell raises `NotATriangulation`.
     """
     d = star.dim
     m = sym_dim(d)

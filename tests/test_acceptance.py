@@ -5,10 +5,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import itertools
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ def db3(tmp_path_factory):
     t0 = time.time()
     db = run_classification(3, out, workers=1)
     db._elapsed = time.time() - t0
+    db._out = out
     return db
 
 
@@ -45,6 +48,7 @@ def db4(tmp_path_factory):
     t0 = time.time()
     db = run_classification(4, out, workers=min(4, os.cpu_count() or 1))
     db._elapsed = time.time() - t0
+    db._out = out
     return db
 
 
@@ -75,7 +79,10 @@ def test_criterion_1_d2(tmp_path):
 def _oracle_dv_f_vector(q, box=3):
     """Independent Dirichlet-Voronoi combinatorics by exhaustive box scans:
     facet vectors by the midpoint test, vertices by solving all d-subsets,
-    faces by closing vertex-facet incidence sets under intersection."""
+    faces by closing vertex-facet incidence sets under intersection.
+
+    The midpoint test runs in integers: 4 Q[v/2 - w] = Q[v - 2w], so the
+    lattice points closest to v/2 are those minimizing Q[v - 2w]."""
     d = q.d
     zero = tuple([0] * d)
     inner = list(itertools.product(range(-box - 1, box + 2), repeat=d))
@@ -83,14 +90,9 @@ def _oracle_dv_f_vector(q, box=3):
     for v in itertools.product(range(-box, box + 1), repeat=d):
         if not any(v):
             continue
-        c = [Rat(x, 2) for x in v]
-        best, argmins = None, []
-        for w in inner:
-            val = q.quad([a - b for a, b in zip(c, w)])
-            if best is None or val < best:
-                best, argmins = val, [w]
-            elif val == best:
-                argmins.append(w)
+        vals = [q.quad([a - 2 * b for a, b in zip(v, w)]) for w in inner]
+        best = min(vals)
+        argmins = [w for w, val in zip(inner, vals) if val == best]
         if sorted(argmins) == sorted([zero, v]):
             relevant.append(v)
     assert all(max(abs(x) for x in v) < box for v in relevant), "oracle box too small"
@@ -186,6 +188,51 @@ def test_criterion_4_mass(db3, db4):
     print(f"\nPASS criterion 4: mass formula is exactly 0 for d=3 "
           f"({len(m3.by_dim)} dimension groups) and d=4 "
           f"({len(m4.by_dim)} dimension groups)")
+
+
+# ---------------------------------------------------------------------------
+# Byte identity: the sha256 of every database file for d = 2, 3 and 4
+
+DATABASE_SHA256 = {
+    2: {
+        "dim_2.jsonl": "331ad051c5c032d71eafde9c7a52ccd86b690acd4c4fde96b81a9eb7664f353a",
+        "dim_3.jsonl": "1f436f0c44028e457621a4f38282e773a098ce3b73a16f77dbb0fcb13d7a4951",
+        "manifest.json": "fb1785f2f574e1bce6705259910f6f3f9f25e5bf1816bb00ac9e79f7a77b479d",
+    },
+    3: {
+        "dim_3.jsonl": "ebb5a0349bd8f4bb1435dfeab20dc2a29e29882a4abbee971398d5125bf1c4b2",
+        "dim_4.jsonl": "98ce8098c7421d12f3e9777c978336c1761e3c7fe1b0d30d424d442e6fcb6f89",
+        "dim_5.jsonl": "050cd1e0a3c4c3318e32997866ebfe985826508ae28702e852be651eaca4ffa5",
+        "dim_6.jsonl": "6f2829f2a9b43ac0889630219bda8e69bcbb30f7ecc0f3e5039f1eb7294df961",
+        "manifest.json": "a32eb73d9443e149a7455803f7cf17e2cd6a39bde6e5c4146bd30fe24aedf9a2",
+    },
+    4: {
+        "dim_1.jsonl": "069152f5a343e12aff301aacf1376123653b30b2390ae9d014ee48f3b16c9268",
+        "dim_2.jsonl": "6d52e4384e6252f41e446b08cab634fccabbef8551349477c117c536611e16da",
+        "dim_3.jsonl": "0021cb3c359f701e6817b2585a5c16cccdf6bd0c5c48018f68210a28637f7d49",
+        "dim_4.jsonl": "b81ff6c3777398db0f74e8739411b9d97f001a9889f4c6e60d45da4b81dbd1f0",
+        "dim_5.jsonl": "ecabc1ad06baeea145eb70a798e1dbb86783af7ea5f5b30e26eb241c2ba2355b",
+        "dim_6.jsonl": "23d6cd1c0d64900c6849ab23ebf3c9de53977cfd43d8626422f7e082ca0a890d",
+        "dim_7.jsonl": "5914ca690c80df1c8c329ba55d7d59539a4d8163c3365b182212009a7d32c3dc",
+        "dim_8.jsonl": "781460ccbab8901e1fc83a0d8846fed139e39002dee8e121eb1ea2002cd141ec",
+        "dim_9.jsonl": "d0b240a51993e5391fdf96f1a01f732f5a5c655da03197465981b565a8a83e6f",
+        "dim_10.jsonl": "60d0f3f47534a3db26bbdcab0c83f8ecedfa9010aa090868f1dd25c1ea27854b",
+        "manifest.json": "92e2c3c2e716f60c63382738f335cc4f46c952b789da43acda51dffcb6b1c92c",
+    },
+}
+
+
+def _database_sha256(out):
+    return {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+            for name in os.listdir(out) if name == "manifest.json" or name.startswith("dim_")}
+
+
+def test_databases_byte_identical(tmp_path, db3, db4):
+    run_classification(2, str(tmp_path / "db2"))
+    for d, out in ((2, str(tmp_path / "db2")), (3, db3._out), (4, db4._out)):
+        assert _database_sha256(out) == DATABASE_SHA256[d], f"d={d} database changed"
+    print("\nPASS byte identity: the d=2, 3 and 4 dim_*.jsonl and manifest.json "
+          "match their pinned sha256")
 
 
 # ---------------------------------------------------------------------------

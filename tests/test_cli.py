@@ -105,6 +105,14 @@ class TestDvcellCmd:
             "incidence hash: 6c8c694770d76b4c31ac5f9393535cd944c6c4202ac3cd499b176c2bb98ad17e"]
 
 
+    def test_unknown_digest_exit_1(self, a2_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dvcell", a2_file, "--digest", "nosuch"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "unsupported hash algorithm 'nosuch'" in err and "Traceback" not in err
+
+
 class TestClassifyCmd:
     def test_d2(self, tmp_path, capsys):
         out_dir = str(tmp_path / "db")
@@ -184,3 +192,12 @@ class TestClassifyCmd:
         line = (tmp_path / "dbmd5" / "dim_1.jsonl").read_text().strip()
         rec = json.loads(line)
         assert len(rec["hash"]) == 32
+
+    def test_unknown_digest_exit_1_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "db"
+        for digest in ("nosuch", "shake_128"):
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", "-d", "3", "-o", str(out_dir), "--digest", digest])
+            assert exc.value.code == 1
+            assert f"unsupported hash algorithm '{digest}'" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
+import lcone.scone
 from lcone.classify import principal_form, seed_triangulation
-from lcone.delaunay import _normalized, delaunay_star, neighbor_triangulation
+from lcone.delaunay import DelaunayStar, _normalized, delaunay_star, neighbor_triangulation
 from lcone.exact import SymMat, rank_of_rows
 from lcone.scone import (
     EmptyRaySet,
@@ -128,6 +129,12 @@ def _walk(star, crossings):
     return stars
 
 
+def _d3_crossings():
+    """The stars on both sides of the first 40 crossings from the d = 3 seed."""
+    return [nb for star, wallpoint, center in crossings(seed_triangulation(3), 40)
+            for nb in (star, neighbor_triangulation(star, wallpoint, center))]
+
+
 def pair_regulators_by_adjacency(keys, adjacency):
     """The reference for `pair_regulators`: walk a stored adjacency (per
     class, (facet, neighbour class, shift) as `star_by_cells` returns it)
@@ -172,8 +179,7 @@ class TestPairRegulators:
     @pytest.mark.parametrize("walk", [
         lambda: _walk(seed_triangulation(3), 3),
         lambda: _walk(seed_triangulation(4), 3),
-        lambda: [nb for star, wallpoint, center in crossings(seed_triangulation(3), 40)
-                 for nb in (star, neighbor_triangulation(star, wallpoint, center))],
+        _d3_crossings,
     ], ids=["d3-walk", "d4-walk", "d3-crossings"])
     def test_matches_adjacency_oracle_on_walks(self, walk):
         triangulations = {star.class_keys(): star for star in walk()}
@@ -194,6 +200,100 @@ class TestPairRegulators:
     def test_non_simplex_raises(self):
         with pytest.raises(NotATriangulation):
             pair_regulators(delaunay_star(SymMat.identity(2)).class_keys())
+
+
+def _counting_regulator(monkeypatch):
+    """Record the (points, extra vertex) of every `regulator` call."""
+    calls = []
+
+    def counting(points, w):
+        calls.append((tuple(tuple(p) for p in points), tuple(w)))
+        return regulator(points, w)
+
+    monkeypatch.setattr(lcone.scone, "regulator", counting)
+    return calls
+
+
+class TestCarriedPairs:
+    @pytest.mark.parametrize("walk", [
+        lambda: _walk(seed_triangulation(4), 3),
+        _d3_crossings,
+        lambda: _walk(seed_triangulation(5), 1),
+    ], ids=["d4-walk", "d3-crossings", "d5-crossing"])
+    def test_match_pairs_from_scratch(self, walk):
+        # All but the first star of each walk carry the pairs their flip gave them.
+        for star in walk():
+            assert _circuits(star.pairs.values()) == _circuits(pair_regulators(star.class_keys()))
+            for norm, (key, _, _) in star.pairs.items():
+                assert norm in {_normalized(key[:i] + key[i + 1:]) for i in range(len(key))}
+
+    def test_crossing_computes_only_added_pairs(self, monkeypatch):
+        # From scratch, a crossing and its cone walk the 60 pairs three
+        # times: 180 regulator calls.
+        star = seed_triangulation(4)
+        cone = secondary_cone(star)
+        own = {(key, w) for key, w, _ in star.pairs.values()}
+        assert len(own) == 60
+        walls = [f for f in cone_facets(cone) if contains_pd(f)]
+        assert len(walls) == 10
+        calls = _counting_regulator(monkeypatch)
+        for facet in walls:
+            del calls[:]
+            nb = neighbor_triangulation(star, facet.central, cone.central)
+            crossing = len(calls)
+            secondary_cone(nb)
+            assert len(calls) == crossing, "secondary_cone recomputed carried pairs"
+            assert 0 < crossing <= 42
+            assert own.isdisjoint(calls), "a crossing recomputed a pair of its star"
+            copied = [p for p in nb.pairs.values() if (p[0], p[1]) in own]
+            assert len(copied) + crossing == len(nb.pairs)
+            bare = DelaunayStar(nb.form, nb.cells, nb.classes)
+            assert nb == bare and hash(nb) == hash(bare) and repr(nb) == repr(bare)
+
+    def test_copied_regulator_checks_survive_optimize(self):
+        # `assert False` passes only if -O stripped asserts. A copied
+        # regulator that is negative on the new form must still be caught:
+        # by the flip's containment check, and by `star_wall_forms`.
+        script = (
+            "import dataclasses\n"
+            "import lcone.scone as sc\n"
+            "from lcone.classify import seed_triangulation\n"
+            "from lcone.delaunay import neighbor_triangulation\n"
+            "assert False, 'asserts are on'\n"
+            "def negated(entry):\n"
+            "    key, w, reg = entry\n"
+            "    return key, w, dataclasses.replace(reg, matrix=reg.matrix.scale(-1))\n"
+            "star = seed_triangulation(4)\n"
+            "cone = sc.secondary_cone(star)\n"
+            "wall = next(f for f in sc.cone_facets(cone) if sc.contains_pd(f))\n"
+            "facet_pairs = sc._facet_pairs\n"
+            "def corrupting(keys, carried=None):\n"
+            "    out = facet_pairs(keys, carried)\n"
+            "    norm = next(n for n in out if carried and out[n] is carried.get(n))\n"
+            "    out[norm] = negated(out[norm])\n"
+            "    return out\n"
+            "sc._facet_pairs = corrupting\n"
+            "try:\n"
+            "    neighbor_triangulation(star, wall.central, cone.central)\n"
+            "except AssertionError as exc:\n"
+            "    print('flip raised:', exc)\n"
+            "sc._facet_pairs = facet_pairs\n"
+            "nb = neighbor_triangulation(star, wall.central, cone.central)\n"
+            "norm = next(n for n in nb.pairs if nb.pairs[n] is star.pairs.get(n))\n"
+            "nb.pairs[norm] = negated(nb.pairs[norm])\n"
+            "try:\n"
+            "    sc.secondary_cone(nb)\n"
+            "except AssertionError as exc:\n"
+            "    print('cone raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "flip raised: the flipped cone does not contain the wallpoint",
+            "cone raised: regulator is not positive on its own form"]
 
 
 class TestFacetWalls:
