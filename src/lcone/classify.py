@@ -29,6 +29,7 @@ from .equiv import (
     ColoredGraph,
     _form_canonical,
     canonical_labeling,
+    check_digest,
     cone_equivalent,
     digest_of,
 )
@@ -788,8 +789,10 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     `resume`, the checkpoint must match the dimension, the software version
     and, while the run is unfinished, the digest; completed heavy
     computations are replayed from the cache, so an interrupted run
-    continues where it stopped and yields a byte-identical database.
+    continues where it stopped and yields a byte-identical database.  An
+    unsupported digest raises ValueError before `out_dir` is touched.
     """
+    check_digest(digest)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     frontier_path = os.path.join(out_dir, "frontier.jsonl")

@@ -13,7 +13,6 @@ failure, 3 incomplete or incompatible database.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -29,6 +28,7 @@ from .classify import (
     run_classification,
 )
 from .delaunay import delaunay_star, is_triangulation
+from .equiv import check_digest
 from .exact import NotPositiveDefinite, parse_form
 from .polyhedral import dv_polytope
 
@@ -44,10 +44,9 @@ def _digest_name(name: str) -> str:
     """The `--digest` type: a hashlib algorithm with a fixed-length hex
     digest, checked while the arguments are parsed, before anything runs."""
     try:
-        hashlib.new(name).hexdigest()
-    except (ValueError, TypeError):
-        raise argparse.ArgumentTypeError(f"unsupported hash algorithm {name!r}") from None
-    return name
+        return check_digest(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_form(path: str):

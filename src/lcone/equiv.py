@@ -215,6 +215,16 @@ def canonical_labeling(graph: ColoredGraph):
     return best[0], best[1], gens, order
 
 
+def check_digest(algorithm: str) -> str:
+    """Return the name if it is a hashlib algorithm with a fixed-length hex
+    digest, as `digest_of` needs; raise ValueError otherwise."""
+    try:
+        hashlib.new(algorithm).hexdigest()
+    except (ValueError, TypeError):
+        raise ValueError(f"unsupported hash algorithm {algorithm!r}") from None
+    return algorithm
+
+
 def digest_of(form: tuple, algorithm: str = "sha256") -> str:
     h = hashlib.new(algorithm)
     h.update(repr(form).encode())

@@ -6,11 +6,11 @@ integers; there is no floating point anywhere.  Dimensions are tiny (at most
 
 ``Rat`` is the rational scalar type, ``fractions.Fraction``.
 
-There are four elimination loops.  `echelon` is the one rational Gaussian
-elimination: `solve`, `inverse`, `rank`, `rank_of_rows` and `nullspace` read
-it.  `ldlt` is the symmetric factorization behind lattice enumeration and
-both definiteness tests.  `_det_bareiss` (fraction-free, behind `det`) and
-`hermite_diagonal` work over the integers.
+There are three elimination loops.  `echelon` is the one Gauss-Jordan
+elimination, fraction-free over the integers: `solve`, `inverse`, `rank`,
+`rank_of_rows`, `nullspace` and `det` read it.  `ldlt` is the symmetric
+factorization behind lattice enumeration and both definiteness tests.
+`hermite_diagonal` works over the integers.
 """
 
 from __future__ import annotations
@@ -307,8 +307,8 @@ def solve(a: Mat, b):
     of them (a Mat with A.rows rows; returns the Mat X with A X = B).  The
     whole block is reduced by one `echelon` pass over the rows [A | B]: A is
     nonsingular exactly when the first n pivots are the columns of A, and X
-    is then the B part of the first n reduced rows.  Raises SingularMatrix
-    when A is singular.
+    is then the B part of the first n integer rows divided by their common
+    scale.  Raises SingularMatrix when A is singular.
     """
     n = a.rows
     if a.cols != n:
@@ -322,7 +322,7 @@ def solve(a: Mat, b):
     ech = echelon([row + tuple(r) for row, r in zip(a.entries, rhs)])
     if ech.pivots[:n] != tuple(range(n)):
         raise SingularMatrix("singular system")
-    x = [[_norm(y) for y in row[n:]] for row in ech.rows[:n]]
+    x = [[_norm(Rat(y, ech.scale)) for y in row[n:]] for row in ech.rows[:n]]
     return Mat(x) if block else tuple(row[0] for row in x)
 
 
@@ -344,71 +344,37 @@ def rank_of_rows(rows: Sequence[Sequence]) -> int:
 
 
 def det(a: Mat):
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    A rational matrix is first scaled row by row to a primitive integer one
-    (`clear_denominators`); the determinant is divided by the row scales.
-    """
+    """Exact determinant, read off one `echelon` pass: the determinant of
+    its pivot block when every column is a pivot, else 0."""
     n = a.rows
     if a.cols != n:
         raise ValueError("matrix not square")
     if n == 0:
         return 1
-    if a.is_integral():
-        return _det_bareiss([list(r) for r in a.entries])
-    m = []
-    scale = Rat(1)
-    for row in a.entries:
-        ints = clear_denominators(row)
-        j = next((j for j, x in enumerate(ints) if x), None)
-        if j is None:
-            return 0
-        scale = scale * ints[j] / row[j]
-        m.append(list(ints))
-    return _norm(_det_bareiss(m) / scale)
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+    ech = echelon(a.entries)
+    return ech.det if len(ech.pivots) == n else 0
 
 
 class Echelon(NamedTuple):
-    """Reduced row echelon form of a matrix, see `echelon`."""
+    """Fraction-free reduced row echelon form of a matrix, see `echelon`."""
 
-    rows: tuple         # nonzero reduced rows (pivot entry 1), by pivot column
+    rows: tuple         # nonzero integer rows, `scale` times the reduced rows
     pivots: tuple       # their pivot columns, increasing
     independent: tuple  # indices of the input rows that raised the rank
     cols: int
+    scale: int          # the common denominator D > 0: each row has D at its pivot
+    det: object         # int or Rat: determinant of the independent input rows at the pivots
 
     def nullspace(self) -> list[tuple]:
         """Basis of the right null space: one integer vector per free
-        column (denominators cleared, gcd-normalized), in column order."""
+        column (gcd-normalized, positive at that column), in column order."""
         pivots = set(self.pivots)
         basis = []
         for fc in range(self.cols):
             if fc in pivots:
                 continue
             v = [0] * self.cols
-            v[fc] = 1
+            v[fc] = self.scale
             for row, pc in zip(self.rows, self.pivots):
                 v[pc] = -row[fc]
             basis.append(clear_denominators(v))
@@ -416,46 +382,67 @@ class Echelon(NamedTuple):
 
 
 def echelon(rows: Sequence[Sequence]) -> Echelon:
-    """One exact elimination pass over the rows, taken one at a time.
+    """One fraction-free Gauss-Jordan pass over the rows, taken one at a time.
 
-    Each row is reduced against the rows kept so far; a nonzero remainder is
-    normalized to pivot 1 and cleared from the kept rows.  The result holds
-    the reduced row echelon form with its pivot columns, and the indices of
-    the first linearly independent rows in input order.
+    Every kept row is D times its reduced row, with one common positive
+    integer D, so all arithmetic is over the integers.  A row holding a
+    fraction is first scaled to integers (`clear_denominators`).  A new row
+    v is reduced to w = D v - sum v[c] R_c over the kept rows R_c; if w is
+    nonzero, its sign is fixed so that its pivot p is positive, each kept
+    row becomes (p R_c - R_c[j] w) / D, exactly (its entries are minors,
+    Bareiss 1968), and p is the new D.  The result holds the rows with
+    their pivot columns, D, the determinant of the pivot block, and the
+    indices of the first linearly independent rows in input order.
     """
     if not rows:
         raise ValueError("need the ambient dimension; pass at least one row")
     cols = len(rows[0])
     kept: dict[int, list] = {}
     independent = []
+    scale = 1
+    sign = 1         # the determinant of the integer pivot block is sign * scale
+    row_scale = 1    # product of the factors that made independent rows integral
     for idx, row in enumerate(rows):
-        v = list(row)
-        for pc, b in kept.items():
-            f = v[pc]
+        v = row
+        if not all(isinstance(x, int) for x in row):
+            v = clear_denominators(row)
+        w = [scale * x for x in v]
+        for c, r in kept.items():
+            f = v[c]
             if f:
-                v = [x - f * y if y else x for x, y in zip(v, b)]
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
+                w = [x - f * y if y else x for x, y in zip(w, r)]
+        j = next((j for j, x in enumerate(w) if x), None)
+        if j is None:
             continue
-        p = Rat(v[pc])
-        v = [x / p if x else 0 for x in v]
-        for c, b in kept.items():
-            f = b[pc]
-            if f:
-                kept[c] = [x - f * y if y else x for x, y in zip(b, v)]
-        kept[pc] = v
+        if v is not row:
+            k = next(k for k, x in enumerate(v) if x)
+            row_scale *= Rat(v[k]) / row[k]
+        p = w[j]
+        if p < 0:
+            w = [-x for x in w]
+            p = -p
+            sign = -sign
+        if sum(c > j for c in kept) % 2:
+            sign = -sign
+        for c, r in kept.items():
+            f = r[j]
+            kept[c] = [(p * x - f * y) // scale for x, y in zip(r, w)]
+        kept[j] = w
+        scale = p
         independent.append(idx)
         if len(kept) == cols:
             break
     pivots = tuple(sorted(kept))
-    return Echelon(tuple(tuple(kept[c]) for c in pivots), pivots, tuple(independent), cols)
+    block_det = sign * scale if row_scale == 1 else _norm(sign * scale / row_scale)
+    return Echelon(tuple(tuple(kept[c]) for c in pivots), pivots, tuple(independent),
+                   cols, scale, block_det)
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
     """Basis of the right null space of the matrix with the given rows.
 
-    Returns integer vectors (denominators cleared, gcd-normalized), in a
-    deterministic order derived from the reduced echelon form.
+    Returns integer vectors (gcd-normalized), one per free column of one
+    `echelon` pass, in column order.
     """
     return echelon(rows).nullspace()
 

@@ -68,12 +68,11 @@ def functional_to_sym(d: int, a: Sequence) -> SymMat:
 class Regulator:
     """Integral normal of one local Delaunay wall condition.
 
-    `alphas` are the affine coordinates of the extra point in the simplex:
-    w = sum a_v v with sum a_v = 1, one per point of `source[0]`.
+    `alphas` are the affine coordinates of the extra point w in the simplex
+    V: w = sum a_v v with sum a_v = 1, one per point of V.
     """
 
     matrix: SymMat
-    source: tuple
     alphas: tuple
 
     @property
@@ -104,8 +103,8 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
         if a:
             n = n - SymMat.outer(p).scale(a)
     if all(x == 0 for x in n.lower()):
-        return Regulator(SymMat.zero(d), (tuple(pts), w), alphas)
-    return Regulator(symmat_clear_denominators(n), (tuple(pts), w), alphas)
+        return Regulator(SymMat.zero(d), alphas)
+    return Regulator(symmat_clear_denominators(n), alphas)
 
 
 def pair_regulators(keys: Sequence[tuple]) -> list:

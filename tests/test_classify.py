@@ -352,6 +352,16 @@ class TestPersistence:
         with pytest.raises(IncompatibleCheckpoint):
             run_classification(3, out, resume=True)
 
+    def test_unknown_digest_leaves_database_untouched(self, tmp_path):
+        out = tmp_path / "db"
+        run_classification(2, str(out))
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        for digest in ("nosuch", "shake_128"):
+            for resume in (False, True):
+                with pytest.raises(ValueError, match=f"unsupported hash algorithm '{digest}'"):
+                    run_classification(2, str(out), digest=digest, resume=resume)
+                assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
     def test_worker_count_invariance(self, tmp_path):
         a = str(tmp_path / "j1")
         b = str(tmp_path / "j2")

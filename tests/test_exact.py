@@ -173,24 +173,67 @@ def independent_rows_by_rank(rows):
     return chosen
 
 
+def _seeded_rows(seed, count=200):
+    """Seeded row lists of 1 to 8 columns with integer, rational and zero
+    entries, half of them with a dependent row appended."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cols = rng.randint(1, 8)
+        rows = [[rng.choice((0, 0, 1, -1, 2, Rat(1, 3))) for _ in range(cols)]
+                for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.5:  # add dependent rows
+            rows.append([x + 2 * y for x, y in zip(rows[0], rows[-1])])
+        out.append(rows)
+    return out
+
+
 class TestEchelon:
     def test_matches_references(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            cols = rng.randint(1, 8)
-            rows = [[rng.choice((0, 0, 1, -1, 2, Rat(1, 3))) for _ in range(cols)]
-                    for _ in range(rng.randint(1, 9))]
-            if rng.random() < 0.5:  # add dependent rows
-                rows.append([x + 2 * y for x, y in zip(rows[0], rows[-1])])
+        for rows in _seeded_rows(11):
             ech = echelon(rows)
             assert ech.nullspace() == nullspace_by_columns(rows)
             assert list(ech.independent) == independent_rows_by_rank(rows)
             assert len(ech.pivots) == rank_by_elimination(Mat(rows))
-            assert all(row[p] == 1 for row, p in zip(ech.rows, ech.pivots))
+            assert all(row[p] == ech.scale for row, p in zip(ech.rows, ech.pivots))
+
+    def _row_sets(self):
+        return _seeded_rows(12) + [[list(r) for r in a.entries] for a in _seeded_squares(13)]
+
+    def test_matches_fractions(self):
+        for rows in self._row_sets():
+            ech = echelon(rows)
+            want_rows, want_pivots, want_independent, want_null = echelon_by_fractions(rows)
+            assert ech.pivots == want_pivots
+            assert ech.independent == want_independent
+            assert ech.nullspace() == want_null
+            assert [[Rat(x, ech.scale) for x in row] for row in ech.rows] == want_rows
+
+    def test_integer_rows_positive_scale(self):
+        for rows in self._row_sets():
+            ech = echelon(rows)
+            assert ech.scale > 0
+            assert all(type(x) is int for row in ech.rows for x in row)
+
+    def test_integer_input_needs_no_fractions(self, monkeypatch):
+        import lcone.exact
+
+        def no_fractions(*args):
+            raise AssertionError("Rat used on integer input")
+
+        a = Mat([[2, 1, 0, 3], [1, 2, 1, 0], [0, 1, 2, 5], [4, 2, 0, 6]])
+        monkeypatch.setattr(lcone.exact, "Rat", no_fractions)
+        ech = echelon(a.entries)
+        assert ech.pivots == (0, 1, 2) and ech.independent == (0, 1, 2)
+        assert rank(a) == 3
+        assert nullspace(a.entries) == [(-7, 8, -9, 2)]
+        assert det(a) == 0
+        assert det(Mat([[2, 1], [1, 2]])) == 3
+        assert det(Mat([[0, 1], [1, 0]])) == -1
 
 
-# The elimination loops that `echelon`, `ldlt` and Bareiss replaced, kept as
-# references for `solve`, `rank`, `is_positive_semidefinite` and `det`.
+# The elimination loops that `echelon` and `ldlt` replaced, kept as references
+# for `echelon`, `solve`, `rank`, `is_positive_semidefinite` and `det`.
 
 
 def solve_by_gauss_jordan(a, b):
@@ -259,6 +302,77 @@ def psd_by_elimination(rows):
                 for j in range(k, n):
                     a[i][j] -= f * a[k][j]
     return True
+
+
+def echelon_by_fractions(rows):
+    """The rational `echelon` that the fraction-free pass replaced: each kept
+    row is normalized to pivot 1.  Returns the reduced rows, their pivots,
+    the independent row indices and the null-space basis."""
+    cols = len(rows[0])
+    kept = {}
+    independent = []
+    for idx, row in enumerate(rows):
+        v = list(row)
+        for pc, b in kept.items():
+            f = v[pc]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, b)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is None:
+            continue
+        p = Rat(v[pc])
+        v = [x / p if x else 0 for x in v]
+        for c, b in kept.items():
+            f = b[pc]
+            if f:
+                kept[c] = [x - f * y if y else x for x, y in zip(b, v)]
+        kept[pc] = v
+        independent.append(idx)
+        if len(kept) == cols:
+            break
+    pivots = tuple(sorted(kept))
+    null = []
+    for fc in (c for c in range(cols) if c not in kept):
+        v = [0] * cols
+        v[fc] = 1
+        for pc in pivots:
+            v[pc] = -kept[pc][fc]
+        null.append(clear_denominators(v))
+    return [kept[c] for c in pivots], pivots, tuple(independent), null
+
+
+def det_by_bareiss(a):
+    """Fraction-free Bareiss elimination with row swaps, on the rows scaled
+    to primitive integer ones: the reference for `det`."""
+    n = a.rows
+    if n == 0:
+        return 1
+    m = []
+    scale = Rat(1)
+    for row in a.entries:
+        ints = clear_denominators(row)
+        j = next((j for j, x in enumerate(ints) if x), None)
+        if j is None:
+            return 0
+        scale = scale * ints[j] / row[j]
+        m.append(list(ints))
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pkk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (pkk * m[i][j] - mik * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pkk
+    return _norm(sign * m[n - 1][n - 1] / scale)
 
 
 def det_by_elimination(a):
@@ -395,6 +509,7 @@ class TestFoldedKernels:
             want = det_by_elimination(a)
             zero += want == 0
             assert _same(det(a), want)
+            assert _same(det_by_bareiss(a), want)
         assert 50 < zero < 110
 
     def test_psd_matches_elimination(self):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -16,6 +18,7 @@ from lcone.scone import (
     central_form,
     cone_facets,
     cone_from_rays,
+    cone_to_dict,
     contains_pd,
     fundamental_face,
     pair_regulators,
@@ -294,6 +297,23 @@ class TestCarriedPairs:
         assert proc.stdout.splitlines() == [
             "flip raised: the flipped cone does not contain the wallpoint",
             "cone raised: regulator is not positive on its own form"]
+
+
+# The sha256 of `cone_to_dict` of the d = 5 seed cone and of the cone across
+# its first positive definite wall.  These run the largest eliminations in
+# the code (15 columns), so a change in the exact kernel shows here first.
+D5_CONE_SHA256 = (
+    "573ff55daf21a0274357ce74c0a4595b44ac74a5a3127d1377b3d3e05207214b",
+    "890ac91e8a653d2e9edf2e8a733660eda70f94abb98d174dc89b5dcc3d987dab",
+)
+
+
+def test_d5_cones_byte_identical():
+    digests = tuple(
+        hashlib.sha256(json.dumps(cone_to_dict(secondary_cone(star)), sort_keys=True,
+                                  separators=(",", ":")).encode()).hexdigest()
+        for star in _walk(seed_triangulation(5), 1))
+    assert digests == D5_CONE_SHA256
 
 
 class TestFacetWalls:
