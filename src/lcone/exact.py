@@ -9,7 +9,8 @@ integers; there is no floating point anywhere.  Dimensions are tiny (at most
 There are three elimination loops.  `echelon` is the one Gauss-Jordan
 elimination, fraction-free over the integers: `solve`, `inverse`, `rank`,
 `rank_of_rows`, `nullspace` and `det` read it.  `ldlt` is the symmetric
-factorization behind lattice enumeration and both definiteness tests.
+factorization behind both definiteness tests and lattice enumeration, which
+puts it over common denominators and walks the integers (`lcone.lattice`).
 `hermite_diagonal` works over the integers.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -52,16 +53,6 @@ def _norm(x):
     if x.denominator == 1:
         return int(x)
     return x
-
-
-def floor_sqrt_rat(x) -> int:
-    """floor(sqrt(x)) for a nonnegative rational x, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if isinstance(x, int):
-        return isqrt(x)
-    p, q = x.numerator, x.denominator
-    return isqrt(p * q) // q
 
 
 class Mat:

@@ -1,15 +1,18 @@
 """Lattice point enumeration against a positive definite quadratic form.
 
 Short vectors, closest vectors and the characteristic vector set are all
-computed exactly: the enumeration walks the coordinate tree of the LDL^T
-factorization and all interval bounds are determined by exact integer square
-roots, so the returned sets are provably complete.
+computed exactly.  `enumerate_close`, the one walk behind them, goes down
+the coordinate tree of the LDL^T factorization (Fincke & Pohst 1985) over
+the integers: with the factorization and the centre over common
+denominators, each level's interval is read off one integer square root
+and holds exactly the coordinates that fit, so the sets are complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt, lcm
 from typing import Sequence
 
 from .exact import (
@@ -17,7 +20,6 @@ from .exact import (
     Rat,
     SymMat,
     ZeroPivotNotPD,
-    floor_sqrt_rat,
     lattice_span_full,
     ldlt,
 )
@@ -35,95 +37,114 @@ class VectorSet:
         return len(self.vectors)
 
 
-def _ldlt_pd(q: SymMat):
+def _frame(q: SymMat, center: Sequence) -> tuple:
+    """Q = L D L^T and a centre over common denominators: (m, cen, levels, g).
+
+    The centre is cen / m.  Level i is (ell cen_i, terms, den, w): column i
+    of L below the diagonal is the pairs (j, a) in terms over ell, and
+    den = m ell.  With y_j = m x_j - cen_j, level i's target
+    t_i = c_i - sum_j L_ji (x_j - c_j) is (ell cen_i - sum_j a y_j) / den.
+    Values of Q are integers over g, the least common multiple of every
+    d_i den^2 (D_i = n_i / d_i), and w = n_i g / (d_i den^2).
+    Raises NotPositiveDefinite unless Q is positive definite.
+    """
     try:
         lower, diag = ldlt(q)
     except ZeroPivotNotPD as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     if any(x <= 0 for x in diag):
         raise NotPositiveDefinite("form is not positive definite")
-    return lower, diag
-
-
-def _max_step(t, r2) -> int:
-    """Largest integer x with (x - t)^2 <= r2 (t rational, r2 >= 0)."""
-    base = floor_sqrt_rat(r2)
-    tn = t.numerator if not isinstance(t, int) else t
-    td = t.denominator if not isinstance(t, int) else 1
-    x = tn // td + base + 2
-    while True:
-        diff = x - t
-        if diff <= 0 or diff * diff <= r2:
-            return x
-        x -= 1
-
-
-def _min_step(t, r2) -> int:
-    """Smallest integer x with (t - x)^2 <= r2."""
-    base = floor_sqrt_rat(r2)
-    tn = t.numerator if not isinstance(t, int) else t
-    td = t.denominator if not isinstance(t, int) else 1
-    x = tn // td - base - 2
-    while True:
-        diff = t - x
-        if diff <= 0 or diff * diff <= r2:
-            return x
-        x += 1
+    m = lcm(*(x.denominator for x in center))
+    cen = [x.numerator * (m // x.denominator) for x in center]
+    levels = []
+    for i, di in enumerate(diag):
+        col = [(j, row[i]) for j, row in enumerate(lower.entries) if j > i and row[i]]
+        ell = lcm(*(a.denominator for _, a in col))
+        terms = tuple((j, a.numerator * (ell // a.denominator)) for j, a in col)
+        den = m * ell
+        levels.append((ell * cen[i], terms, den, di.numerator, di.denominator * den * den))
+    g = lcm(*(lv[4] for lv in levels))
+    return m, cen, [(base, terms, den, n * (g // s)) for base, terms, den, n, s in levels], g
 
 
 def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, object]]:
     """All integer vectors v with Q[v - center] <= bound, with their values.
 
-    Exact Fincke-Pohst style enumeration on the LDL^T factorization of Q.
-    Returns pairs (v, Q[v - center]) in lexicographic order of v; the value
-    is accumulated exactly along the recursion.
+    Exact Fincke-Pohst enumeration (Fincke & Pohst 1985) on the LDL^T
+    factorization of Q, over the integers.  With the coordinates above
+    level i fixed, Q[v - center] collects D_i (x_i - t_i)^2 at level i.
+    The centre and each column of L are put over common denominators once
+    (`_frame`), so t_i is an integer T over den and the term is
+    w (den x_i - T)^2 over one g for all levels.  Every g Q[v - center] is
+    then an integer, so Q[v - center] <= bound exactly when it is at most
+    floor(g bound), the budget; the budget left, rem, stays an integer.
+    The square is an integer too, so the term fits exactly when
+    |den x_i - T| <= isqrt(rem // w) = r: the range
+    ceil((T - r) / den) .. floor((T + r) / den) holds every x_i that fits
+    and nothing else, and the set is complete.  Returns pairs
+    (v, Q[v - center]) in lexicographic order of v; each value is a ``Rat``
+    (a ``Fraction`` even when integral).
     """
-    lower, diag = _ldlt_pd(q)
-    d = q.d
+    m, cen, levels, g = _frame(q, center)
     if bound < 0:
         return []
-    lo_rows = lower.entries
-    c = [Rat(x) for x in center]
-    out = []
+    d = q.d
+    total = bound.numerator * g // bound.denominator
+    if not d:
+        return [((), Rat(0))]
     x = [0] * d
-    total = Rat(bound)
+    y = [0] * d    # y_j = m * x_j - cen_j, for the levels above
+    out = []
 
-    # Work from the last coordinate down: Q[y] = sum_i D_i (y_i + s_i)^2
-    # with s_i = sum_{j>i} L_ji y_j and y = x - center.
-    def descend(i: int, rem):
-        if i < 0:
-            out.append((tuple(x), total - rem))
-            return
-        s = 0
-        for j in range(i + 1, d):
-            lj = lo_rows[j][i]
-            if lj:
-                s += lj * (x[j] - c[j])
-        # D_i (x_i - c_i + s)^2 <= rem
-        t = c[i] - s
-        di = diag[i]
-        r2 = rem / di
-        lo = _min_step(t, r2)
-        hi = _max_step(t, r2)
-        for xi in range(lo, hi + 1):
-            delta = xi - t
-            used = di * delta * delta
-            if used <= rem:
+    def descend(i: int, rem: int):
+        base, terms, den, w = levels[i]
+        t = base
+        for j, a in terms:
+            t -= a * y[j]
+        r = isqrt(rem // w)
+        lo = -((r - t) // den)
+        hi = (t + r) // den
+        e = den * lo - t
+        if i:
+            yi = m * lo - cen[i]
+            for xi in range(lo, hi + 1):
                 x[i] = xi
-                descend(i - 1, rem - used)
-        x[i] = 0
+                y[i] = yi
+                descend(i - 1, rem - w * e * e)
+                e += den
+                yi += m
+        else:
+            for xi in range(lo, hi + 1):
+                x[0] = xi
+                out.append((tuple(x), Rat(total - rem + w * e * e, g)))
+                e += den
 
     descend(d - 1, total)
     out.sort()
     return out
 
 
+def _path(frame: tuple, v=None) -> int:
+    """g Q[v - center]; v is by default Babai's nearest-plane point, each
+    x_i being t_i rounded half up, level by level down."""
+    m, cen, levels, _ = frame
+    y = [0] * len(cen)
+    used = 0
+    for i in reversed(range(len(cen))):
+        base, terms, den, w = levels[i]
+        t = base - sum(a * y[j] for j, a in terms)
+        xi = (2 * t + den) // (2 * den) if v is None else v[i]
+        e = den * xi - t
+        used += w * e * e
+        y[i] = m * xi - cen[i]
+    return used
+
+
 def short_vectors(q: SymMat, n) -> VectorSet:
     """Exactly the nonzero integer vectors v with Q[v] <= n, in lex order."""
     if n <= 0:
         raise ValueError("norm bound must be positive")
-    hits = enumerate_close(q, [0] * q.d, n)
-    vecs = tuple(v for v, _ in hits if any(v))
+    vecs = tuple(v for v, _ in enumerate_close(q, [0] * q.d, n) if any(v))
     return VectorSet(q.d, vecs, n)
 
 
@@ -133,28 +154,14 @@ def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:
     The enumeration ball is bounded by the closer of two lattice points: c
     rounded coordinate-wise, and c rounded one coordinate at a time down the
     LDL^T factorization as `enumerate_close` descends (Babai's nearest
-    plane), which stays close on skewed forms.
+    plane), which stays close on skewed forms.  Both are read off the
+    walk's integer data, rounding half up.
     """
-    lower, _ = _ldlt_pd(q)
-    d = q.d
-    near = [0] * d
-    for i in reversed(range(d)):
-        s = sum(lower.entries[j][i] * (near[j] - c[j]) for j in range(i + 1, d))
-        near[i] = _round_rat(Rat(c[i]) - s)
-    bound = min(q.quad([a - b for a, b in zip(guess, c)])
-                for guess in (near, [_round_rat(x) for x in c]))
-    hits = enumerate_close(q, c, bound)
+    frame = _frame(q, c)
+    rounded = [(2 * x.numerator + x.denominator) // (2 * x.denominator) for x in c]
+    hits = enumerate_close(q, c, Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
     best = min(val for _, val in hits)
-    argmins = tuple(v for v, val in hits if val == best)
-    return best, argmins
-
-
-def _round_rat(x) -> int:
-    if isinstance(x, int):
-        return x
-    num, den = x.numerator, x.denominator
-    q, r = divmod(num, den)
-    return q + (1 if 2 * r >= den else 0)
+    return best, tuple(v for v, val in hits if val == best)
 
 
 @lru_cache(maxsize=4096)

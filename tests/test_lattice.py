@@ -1,14 +1,216 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
 import lcone.lattice
-from lcone.exact import NotPositiveDefinite, Rat, SymMat, lattice_span_full
+from lcone.classify import principal_form, seed_triangulation
+from lcone.exact import Mat, NotPositiveDefinite, Rat, SymMat, lattice_span_full, ldlt
 from lcone.lattice import characteristic_set, closest_vectors, enumerate_close, short_vectors
+from lcone.scone import cone_facets, contains_pd, secondary_cone
 
 
 A2 = SymMat([[2, 1], [1, 2]])
+
+
+def _floor_sqrt_rat(x) -> int:
+    x = Rat(x)
+    return isqrt(x.numerator * x.denominator) // x.denominator
+
+
+def _max_step(t, r2) -> int:
+    """Largest integer x with (x - t)^2 <= r2 (t rational, r2 >= 0)."""
+    x = Rat(t).__floor__() + _floor_sqrt_rat(r2) + 2
+    while x - t > 0 and (x - t) ** 2 > r2:
+        x -= 1
+    return x
+
+
+def _min_step(t, r2) -> int:
+    """Smallest integer x with (t - x)^2 <= r2."""
+    x = Rat(t).__floor__() - _floor_sqrt_rat(r2) - 2
+    while t - x > 0 and (t - x) ** 2 > r2:
+        x += 1
+    return x
+
+
+def enumerate_close_by_fractions(q, center, bound):
+    """The rational Fincke-Pohst walk that `enumerate_close` replaced.
+
+    Every target, budget and value is a ``Rat``, and each level's range
+    steps in from floor-square-root estimates.  Kept as the test oracle.
+    """
+    lower, diag = ldlt(q)
+    if any(x <= 0 for x in diag):
+        raise NotPositiveDefinite("form is not positive definite")
+    d = q.d
+    if bound < 0:
+        return []
+    c = [Rat(x) for x in center]
+    out = []
+    x = [0] * d
+    total = Rat(bound)
+
+    def descend(i, rem):
+        if i < 0:
+            out.append((tuple(x), total - rem))
+            return
+        s = sum(lower.entries[j][i] * (x[j] - c[j]) for j in range(i + 1, d))
+        t = c[i] - s
+        r2 = rem / diag[i]
+        for xi in range(_min_step(t, r2), _max_step(t, r2) + 1):
+            used = diag[i] * (xi - t) ** 2
+            if used <= rem:
+                x[i] = xi
+                descend(i - 1, rem - used)
+        x[i] = 0
+
+    descend(d - 1, total)
+    out.sort()
+    return out
+
+
+def _random_pd(rng, d, off=2):
+    while True:
+        rows = [[0] * d for _ in range(d)]
+        for i in range(d):
+            rows[i][i] = rng.randint(2, 2 + 2 * off)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(-off, off)
+        q = SymMat(rows)
+        if q.is_positive_definite():
+            return q
+
+
+def _skew(q, rng, ops=2):
+    """q in a basis changed by `ops` seeded elementary operations."""
+    for _ in range(ops):
+        i, j = rng.sample(range(q.d), 2)
+        u = [[int(a == b) for b in range(q.d)] for a in range(q.d)]
+        u[i][j] = rng.choice((1, -1))
+        q = q.congruence(Mat(u))
+    return q
+
+
+def _eps_forms(d, walls, steps=3):
+    """wallpoint + eps (wallpoint - center), eps = 1, 1/2, ..., as the wall
+    crossing tries them, for the first PD walls of the seed cone."""
+    cone = secondary_cone(seed_triangulation(d))
+    forms = []
+    for facet in [f for f in cone_facets(cone) if contains_pd(f)][:walls]:
+        diff = facet.central - cone.central
+        for k in range(steps):
+            cand = facet.central + diff.scale(Rat(1, 2 ** k))
+            if cand.is_positive_definite():
+                forms.append(cand)
+    return forms
+
+
+def _seeded_forms():
+    """(id, form): seeded integral forms, d = 2..5, and skewed d = 4 forms."""
+    rng = random.Random(2024)
+    forms = [(f"d{d}-{k}", _random_pd(rng, d)) for d in (2, 3, 4, 5) for k in range(3)]
+    face4 = principal_form(4) - SymMat.outer((1, -1, 0, 0))
+    skewed4 = SymMat([[3, 2, -2, -1], [2, 13, -8, -4], [-2, -8, 6, 3], [-1, -4, 3, 3]])
+    forms += [("skewed4", skewed4)]
+    return forms + [(f"skewed4-{k}", _skew(q, rng))
+                    for k, q in enumerate((principal_form(4), face4, skewed4))]
+
+
+FORMS = _seeded_forms()
+
+
+@pytest.fixture(scope="module")
+def eps_forms():
+    forms = _eps_forms(3, 2) + _eps_forms(4, 1)
+    assert sum(any(Rat(x).denominator > 1 for x in q.lower()) for q in forms) >= 5
+    return forms
+
+
+def _centers(q, rng):
+    d = q.d
+    yield (0,) * d
+    yield tuple(Rat(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for _ in range(d))
+    yield tuple(Rat(rng.randint(-10 ** 13, 10 ** 13), 10 ** 12 + 39) for _ in range(d))
+    yield tuple(Rat(rng.randint(-40, 40), rng.choice((7, 97, 2 ** 31 - 1))) for _ in range(d))
+
+
+def _same(q, c, bound):
+    got = enumerate_close(q, c, bound)
+    want = enumerate_close_by_fractions(q, c, bound)
+    assert got == want
+    assert [type(val) for _, val in got] == [type(val) for _, val in want]
+    return got
+
+
+class TestEnumerateCloseOracle:
+    """The integer walk against the rational one, value types included."""
+
+    @staticmethod
+    def check_form(q):
+        rng = random.Random(repr(q))
+        for c in _centers(q, rng):
+            rounded = [round(x) for x in c]
+            attained = q.quad([a - b for a, b in zip(rounded, c)])
+            for bound in (attained, attained - Rat(1, 10 ** 9),
+                          q.entry(0, 0) + Rat(1, 3), q.entry(0, 0) + Rat(1, 10 ** 9 + 7)):
+                _same(q, c, bound)
+            assert (tuple(rounded), Rat(attained)) in _same(q, c, attained)
+
+    @pytest.mark.parametrize("q", [q for _, q in FORMS], ids=[name for name, _ in FORMS])
+    def test_matches_fractions(self, q):
+        self.check_form(q)
+
+    def test_matches_fractions_on_wall_crossing_forms(self, eps_forms):
+        for q in eps_forms:
+            self.check_form(q)
+
+    def test_bounds_zero_and_negative(self):
+        rng = random.Random(1)
+        for d in (2, 3, 4, 5):
+            q = _random_pd(rng, d)
+            assert _same(q, (0,) * d, 0) == [((0,) * d, Rat(0))]
+            assert _same(q, (Rat(1, 3),) * d, 0) == []
+            assert _same(q, (0,) * d, -1) == []
+            assert _same(q, (Rat(1, 2),) * d, Rat(-1, 7)) == []
+
+    def test_bound_attained_exactly_on_a_face(self):
+        # The deep hole of A2 at (1/3, 1/3) is at 2/3 from three points.
+        hits = _same(A2, (Rat(1, 3), Rat(1, 3)), Rat(2, 3))
+        assert [v for v, _ in hits] == [(0, 0), (0, 1), (1, 0)]
+        assert _same(A2, (Rat(1, 3), Rat(1, 3)), Rat(2, 3) - Rat(1, 10 ** 20)) == []
+
+    def test_closest_vectors_matches_fractions(self, eps_forms):
+        rng = random.Random(3)
+        for q in [q for _, q in FORMS] + eps_forms:
+            for c in _centers(q, rng):
+                wide = q.quad([round(x) - x for x in c])
+                hits = enumerate_close_by_fractions(q, c, wide)
+                least = min(val for _, val in hits)
+                assert closest_vectors(q, c) == (least, tuple(v for v, val in hits if val == least))
+
+    def test_closest_vectors_bound_is_the_nearer_guess(self, monkeypatch, eps_forms):
+        # The ball is bounded by the closer of c rounded coordinate-wise and
+        # Babai's nearest-plane point, both rounding half up.
+        def nearest_plane(q, c):
+            lower = ldlt(q)[0].entries
+            near = [0] * q.d
+            for i in reversed(range(q.d)):
+                t = c[i] - sum(lower[j][i] * (near[j] - c[j]) for j in range(i + 1, q.d))
+                near[i] = (Rat(t) + Rat(1, 2)).__floor__()
+            return near
+
+        bounds = []
+        real = lcone.lattice.enumerate_close
+        monkeypatch.setattr(lcone.lattice, "enumerate_close",
+                            lambda q, c, b: bounds.append(b) or real(q, c, b))
+        rng = random.Random(4)
+        for q in [q for _, q in FORMS] + eps_forms:
+            for c in _centers(q, rng):
+                closest_vectors(q, c)
+                guesses = (nearest_plane(q, c), [(Rat(x) + Rat(1, 2)).__floor__() for x in c])
+                assert bounds.pop() == min(q.quad([a - b for a, b in zip(v, c)]) for v in guesses)
 
 
 def brute_short(q, n, radius=6):
