@@ -3,10 +3,12 @@
 A positive definite symmetric matrix Q turns Z^d into a metric lattice; its
 Delaunay cells are the convex hulls of lattice points on empty spheres.  The
 whole subdivision is encoded by the star of the origin: the cells having 0
-as a vertex.  This script walks through the basic geometry in d = 2 and 3.
+as a vertex.  A star is stored as its form and its class keys, the vertex
+tuples of one normalized cell per translation class; the cells are derived
+from them.  This script walks through the basic geometry in d = 2 and 3.
 """
 
-from lcone.exact import SymMat
+from lcone.exact import SymMat, format_form
 from lcone.delaunay import (
     circumcenter,
     delaunay_star,
@@ -22,7 +24,7 @@ I2 = SymMat.identity(2)
 star = delaunay_star(I2)
 print("square lattice Z^2")
 print("  cells at the origin:", len(star.cells))
-print("  translation classes:", len(star.classes))
+print("  translation classes:", len(star.keys), "with keys", star.keys)
 print("  triangulation?      ", is_triangulation(star))
 print("  one cell:", star.cells[0].vertices)
 
@@ -31,7 +33,7 @@ print("  one cell:", star.cells[0].vertices)
 A2 = SymMat([[2, 1], [1, 2]])
 star = delaunay_star(A2)
 print("\nhexagonal lattice (Gram [[2,1],[1,2]])")
-print("  cells:", len(star.cells), " classes:", len(star.classes),
+print("  cells:", len(star.cells), " classes:", len(star.keys),
       " triangulation:", is_triangulation(star))
 c, r2 = circumcenter(A2, [(0, 0), (1, 0), (0, 1)])
 print("  circumcenter of {0, e1, e2}:", c, " squared radius:", r2)
@@ -44,19 +46,24 @@ print("  initial cell:", cell.vertices)
 
 # Crossing a wall: perturbing the form through a facet of its secondary cone
 # flips the triangulation.  For the hexagonal form all three walls lead to
-# mirror images of the same combinatorial type.
+# mirror images of the same combinatorial type.  The flip works on the class
+# keys alone: it solves the circumcenters of the classes it adds, for their
+# empty-sphere check, and the kept classes are certified by their positive
+# regulators.  The flipped star's cells are derived when they are asked for.
 cone = secondary_cone(star)
 facet = next(f for f in cone_facets(cone) if contains_pd(f))
 flipped = neighbor_triangulation(star, facet.central, cone.central)
 print("\nafter crossing one wall:")
-print("  new classes:", [k for k in flipped.class_keys()])
+print("  new form:", format_form(flipped.form))
+print("  new classes:", list(flipped.keys))
+print("  cells derived from them:", len(flipped.cells))
 
 # The face-centered cubic lattice in d = 3 has a coarse subdivision made of
 # tetrahedra and octahedra; it refines to a triangulation after a generic
 # perturbation.
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 star = delaunay_star(FCC)
-print("\nfcc lattice (d=3): cells", len(star.cells), "classes", len(star.classes),
+print("\nfcc lattice (d=3): cells", len(star.cells), "classes", len(star.keys),
       "triangulation", is_triangulation(star))
 sizes = sorted(set(len(c.vertices) for c in star.cells))
 print("  cell vertex counts:", sizes, "(4 = tetrahedron, 6 = octahedron)")

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import __version__
-from .delaunay import delaunay_star, is_triangulation, neighbor_triangulation
+from .delaunay import DelaunayStar, delaunay_star, is_triangulation, neighbor_triangulation
 from .equiv import (
     ColoredGraph,
     _form_canonical,
@@ -55,6 +55,7 @@ from .scone import (
     fundamental_face,
     rank_profile,
     secondary_cone,
+    star_wall_forms,
     sym_dim,
 )
 
@@ -311,21 +312,30 @@ def merge_candidates(existing: list, candidates: Sequence[ConeDesc],
 
 
 def expand_primitive_cone(payload: dict) -> dict:
-    """Wall-cross every PD facet of a full-dimensional cone; returns the
-    neighboring full-dimensional secondary cones."""
+    """Wall-cross every PD facet of a full-dimensional cone, given with the
+    class keys of its triangulation; returns the neighbouring
+    full-dimensional secondary cones, each with its class keys.
+
+    The keys may come back from a checkpoint, so they are certified first:
+    every regulator of the triangulation must be positive on the central
+    form (`star_wall_forms`), and a locally Delaunay triangulation is the
+    Delaunay triangulation."""
     cone = cone_from_dict(payload["cone"])
-    star = delaunay_star(cone.central)
-    if not is_triangulation(star):
-        raise AssertionError("central form of a full-dimensional cone must be generic")
+    star = DelaunayStar(cone.central, payload["keys"])
+    star_wall_forms(star)
     out = []
     for facet in cone_facets(cone):
         if not contains_pd(facet):
             continue
-        wallpoint = facet.central
-        nb_star = neighbor_triangulation(star, wallpoint, cone.central)
-        nb_cone = secondary_cone(nb_star)
-        out.append(cone_to_dict(nb_cone))
+        nb_star = neighbor_triangulation(star, facet.central, cone.central)
+        out.append({"cone": cone_to_dict(secondary_cone(nb_star)), "keys": nb_star.keys})
     return {"cones": out}
+
+
+def _keys_of(data) -> tuple:
+    """Class keys as tuples, from their JSON lists (a replayed output) or
+    as they are."""
+    return tuple(tuple(tuple(v) for v in key) for key in data)
 
 
 def expand_descent_cone(payload: dict) -> dict:
@@ -402,10 +412,13 @@ class DiskCache:
 
 
 def _cone_cache_key(kind: str, cone: ConeDesc, digest: str) -> str:
-    """Cache key of a task on a cone.  An `enrich` record holds hashes made
-    with the digest, so its key names the digest too."""
+    """Cache key of a task on a cone.  Its tag names the output's format
+    where the task kind alone does not: an `enrich` record holds hashes made
+    with the digest, and a `prim` output holds each neighbour's class keys.
+    Older `prim:` entries lack the keys, so they are recomputed, not
+    replayed."""
     blob = json.dumps(cone_to_dict(cone), sort_keys=True, separators=(",", ":"))
-    tag = f"{kind}/{digest}" if kind == "enrich" else kind
+    tag = {"enrich": f"enrich/{digest}", "prim": "prim/keys"}.get(kind, kind)
     return f"{tag}:{hashlib.sha256(blob.encode()).hexdigest()}"
 
 
@@ -425,6 +438,7 @@ class Classifier:
         self.abort_after = abort_after
         self.verbose = verbose
         self._completed = 0
+        self._keys: dict = {}    # primitive cone key -> class keys of its triangulation
 
     def _log(self, msg: str):
         if self.verbose:
@@ -447,8 +461,10 @@ class Classifier:
             if hit is not None:
                 results[key] = hit
             else:
-                items.append((kind, key, {"cone": cone_to_dict(cone),
-                                          "digest": self.digest}))
+                payload = {"cone": cone_to_dict(cone), "digest": self.digest}
+                if kind == "prim":
+                    payload["keys"] = self._keys[cone.key()]
+                items.append((kind, key, payload))
         if items:
             if self.workers > 1 and len(items) > 1:
                 try:
@@ -469,9 +485,14 @@ class Classifier:
         return [results[_cone_cache_key(kind, cone, self.digest)] for cone in cones]
 
     def primitive_cones(self) -> list[ConeDesc]:
-        """All full-dimensional cones up to equivalence, by wall crossing."""
+        """All full-dimensional cones up to equivalence, by wall crossing.
+
+        Only the seed's triangulation is found by lattice search.  Every
+        cone carries the class keys of its triangulation into its `prim`
+        task, which returns each neighbour with the keys of its flip."""
         star = seed_triangulation(self.d, self.seed)
         first = secondary_cone(star)
+        self._keys = {first.key(): star.keys}
         classes = merge_candidates([], [first], self.digest)
         frontier = list(classes)
         wave = 0
@@ -480,10 +501,14 @@ class Classifier:
             self._log(f"primitive wave {wave}: expanding {len(frontier)} cones "
                       f"({len(classes)} classes so far)")
             outs = self._map("prim", frontier)
-            candidates = []
+            candidates, keys = [], {}
             for out in outs:
-                candidates.extend(cone_from_dict(c) for c in out["cones"])
+                for nb in out["cones"]:
+                    cone = cone_from_dict(nb["cone"])
+                    candidates.append(cone)
+                    keys[cone.key()] = _keys_of(nb["keys"])
             new = merge_candidates(classes, candidates, self.digest)
+            self._keys = {cone.key(): keys[cone.key()] for cone in new}
             classes.extend(new)
             frontier = new
         self._log(f"primitive enumeration done: {len(classes)} classes")

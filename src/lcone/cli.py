@@ -69,7 +69,7 @@ def cmd_delaunay(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     tri = "true" if is_triangulation(star) else "false"
-    print(f"cells: {len(star.cells)}, classes: {len(star.classes)}, triangulation: {tri}")
+    print(f"cells: {len(star.cells)}, classes: {len(star.keys)}, triangulation: {tri}")
     for cell in star.cells:
         print(" ".join(str(tuple(v)) for v in cell.vertices))
     return 0

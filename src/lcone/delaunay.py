@@ -1,12 +1,14 @@
 """Delaunay subdivisions of Z^d with respect to a positive definite form.
 
 The subdivision is represented by its star at the origin: all full
-dimensional Delaunay cells having 0 as a vertex, together with translation
-class representatives.  The star is found one translation class at a time.
-Every class representative is verified against the empty-sphere condition,
-so the algorithms used to find cells only need to terminate, not to be
-trusted; the other cells of the star are translates of a representative and
-inherit its certificate.
+dimensional Delaunay cells having 0 as a vertex.  A star is stored as its
+form and its class keys, the vertex tuples of one normalized representative
+per translation class (smallest vertex 0); its cells are derived from them.
+The star is found one translation class at a time.  Every class
+representative is verified against the empty-sphere condition, so the
+algorithms used to find cells only need to terminate, not to be trusted;
+the other cells of the star are translates of a representative and inherit
+its certificate.
 
 No adjacency is stored.  Every facet of a face-to-face tiling lies in
 exactly two cells, so the class facets that are translates of each other,
@@ -14,11 +16,12 @@ that is, that have the same `_normalized` form, come in pairs: the two
 sides of a normalized facet are two adjacent cells up to translation.
 
 Crossing a wall of a triangulation's secondary cone is a bistellar flip of
-the circuits that the wall's regulator cuts out (`neighbor_triangulation`);
-every class the flip adds is certified by the same empty-sphere check.  A
-triangulation's star keeps the regulators of its adjacent pairs
-(`DelaunayStar.pairs`), and the flipped star inherits those of the pairs
-the flip left alone.
+the circuits that the wall's regulator cuts out (`neighbor_triangulation`).
+It works on the keys alone and builds no cell: every class the flip adds is
+certified by the same empty-sphere check, and every class it keeps by the
+positive regulators of its facets.  A triangulation's star keeps the
+regulators of its adjacent pairs (`DelaunayStar.pairs`), and the flipped
+star inherits those of the pairs the flip left alone.
 """
 
 from __future__ import annotations
@@ -76,35 +79,39 @@ class Cell:
 class DelaunayStar:
     """Star of the origin in the Delaunay subdivision of a form.
 
-    The class representatives are normalized (smallest vertex 0), so their
-    vertex tuples, the class keys, determine the subdivision; adjacent
-    classes are found by pairing normalized facets (see the module
-    docstring).
+    A star is its form and its class keys: the sorted vertex tuples of its
+    translation class representatives, each normalized (smallest vertex 0).
+    The keys determine the subdivision; adjacent classes are found by
+    pairing normalized facets (see the module docstring).
 
-    A triangulation's star also holds its adjacent simplex pairs, `pairs`:
-    normalized facet -> (class key, extra vertex, Regulator), as
-    `scone.pair_regulators` lists them.  They are computed at most once per
-    star, on first use, and a star made by `neighbor_triangulation` is
-    given them by the flip.  They are no field, so equality and `repr` see
-    only the form, the cells and the classes."""
+    Two views are derived on first use and cached.  Neither is a field, so
+    equality, hashing and `repr` see only the form and the keys.
+    - `cells`: every cell with 0 as a vertex, sorted.  `delaunay_star`
+      hands over the certified cells its search found; any other star takes
+      the simplex on each key with its circumcenter.
+    - `pairs`: a triangulation's adjacent simplex pairs, normalized facet ->
+      (class key, extra vertex, Regulator), as `scone.pair_regulators`
+      lists them.  A star made by `neighbor_triangulation` is given them by
+      the flip."""
 
     form: SymMat
-    cells: tuple                 # all cells with 0 as a vertex, sorted
-    classes: tuple               # indices into cells: translation class reps
+    keys: tuple                  # sorted normalized class representatives
 
     @property
     def dim(self) -> int:
         return self.form.d
 
-    def class_keys(self):
-        return tuple(self.cells[i].vertices for i in self.classes)
+    @cached_property
+    def cells(self) -> tuple:
+        """All cells with 0 as a vertex, sorted."""
+        return _star_cells([Cell(k, *circumcenter(self.form, k)) for k in self.keys])
 
     @cached_property
     def pairs(self) -> dict:
         """normalized facet -> (class key, extra vertex, Regulator)."""
         from .scone import _facet_pairs
 
-        return _facet_pairs(self.class_keys())
+        return _facet_pairs(self.keys)
 
 
 def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, object]:
@@ -301,9 +308,10 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
     while its normalized form has one side: the other side is then a class
     not yet found, so the search makes one crossing per class after the
     first.  At the end every normalized facet must have exactly two sides.
-    The star's cells are the translates `rep - v` over the vertices `v` of
-    every representative; they inherit the representative's empty-sphere
-    certificate, since translation preserves it.  Deterministic ordering.
+    The star is handed the cells the search found: the translates `rep - v`
+    over the vertices `v` of every representative, which inherit the
+    representative's empty-sphere certificate, since translation preserves
+    it.  Deterministic ordering.
     """
     _require_pd(q)
     d = q.d
@@ -328,31 +336,30 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
                 found(norm)
     if any(n != 2 for n in sides.values()):
         raise AssertionError("a facet of the star does not lie in exactly two cells")
-    return _star_from_classes(q, [reps[k] for k in sorted(reps)])
+    keys = tuple(sorted(reps))
+    star = DelaunayStar(q, keys)
+    star.__dict__["cells"] = _star_cells([reps[k] for k in keys])  # `cached_property`'s slot
+    return star
 
 
-def _star_from_classes(q: SymMat, reps: Sequence[Cell]) -> DelaunayStar:
-    """The star with the given class representatives (normalized, in key
-    order): its cells are the translates `rep - v` over the vertices `v` of
-    every representative, in sorted order."""
+def _star_cells(reps: Sequence[Cell]) -> tuple:
+    """The cells of the star with the given class representatives: the
+    translates `rep - v` over the vertices `v` of every representative, in
+    sorted order, with pairwise distinct circumcenters."""
     by_key = {}
     for rep in reps:
         for v in rep.vertices:
             cell = rep.translate(tuple(-x for x in v))
             by_key[cell.vertices] = cell
-    keys = sorted(by_key)
-    cells = tuple(by_key[k] for k in keys)
-    centers = set(c.center for c in cells)
-    if len(centers) != len(cells):
+    cells = tuple(by_key[k] for k in sorted(by_key))
+    if len(set(c.center for c in cells)) != len(cells):
         raise AssertionError("duplicate circumcenters in the star")
-    index = {k: i for i, k in enumerate(keys)}
-    return DelaunayStar(q, cells, tuple(index[rep.vertices] for rep in reps))
+    return cells
 
 
 def is_triangulation(star: DelaunayStar) -> bool:
     """True iff every Delaunay cell is a simplex."""
-    d = star.dim
-    return all(len(c.vertices) == d + 1 for c in star.cells)
+    return all(len(key) == star.dim + 1 for key in star.keys)
 
 
 def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat) -> DelaunayStar:
@@ -370,7 +377,9 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     in the open secondary cone of the new triangulation, so it is the
     Delaunay star of that form: every class the flip adds is certified by an
     exact empty-sphere check there, and the kept classes by the positive
-    regulators of their facets.
+    regulators of their facets (a locally Delaunay triangulation is
+    Delaunay).  The flip works on the class keys: it solves a circumcenter
+    only for the classes it adds and builds no cell.
 
     The tight circuits are read off `star.pairs`, which the star computes
     once however many walls are crossed from it.  The returned star carries
@@ -398,10 +407,10 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
             if lam != 0:
                 simplex = _normalized([p for p in circuit if p != z])
                 (removed if lam > 0 else added).add(simplex)
-    old_keys = set(star.class_keys())
+    old_keys = set(star.keys)
     if not removed <= old_keys:
         raise AssertionError("the flip removes a simplex that is not in the star")
-    keys = sorted(old_keys - removed | added)
+    keys = tuple(sorted(old_keys - removed | added))
 
     new_pairs = _facet_pairs(keys, star.pairs)
     new_walls = {reg.matrix.lower(): reg.matrix
@@ -418,12 +427,11 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     else:
         raise AssertionError("wall crossing did not converge")
 
-    reps = [Cell(k, *circumcenter(cand, k)) for k in keys]
-    for rep in reps:
-        if rep.vertices in added:
-            best, mins = closest_vectors(cand, rep.center)
-            if best != rep.sqradius or tuple(sorted(mins)) != rep.vertices:
-                raise AssertionError("flipped cell failed the empty-sphere check")
-    flipped = _star_from_classes(cand, reps)
+    for key in sorted(added):
+        sphere_center, sqradius = circumcenter(cand, key)
+        best, mins = closest_vectors(cand, sphere_center)
+        if best != sqradius or tuple(sorted(mins)) != key:
+            raise AssertionError("flipped cell failed the empty-sphere check")
+    flipped = DelaunayStar(cand, keys)
     flipped.__dict__["pairs"] = new_pairs   # the slot `cached_property` fills
     return flipped

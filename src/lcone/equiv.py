@@ -347,14 +347,6 @@ def automorphism_group(q: SymMat, algorithm: str = "sha256") -> tuple[list[Unimo
     return maps, order
 
 
-def stabilizer_order(cone: ConeDesc, algorithm: str = "sha256") -> int:
-    """Order of the GL_d(Z) stabilizer of a secondary cone: the automorphism
-    group of its central form (any U fixing the central form permutes the
-    cone complex and fixes the cone containing the central form)."""
-    _, _, _, _, order = _form_canonical(cone.central, algorithm)
-    return order
-
-
 def cone_equivalent(c1: ConeDesc, c2: ConeDesc, *,
                     algorithm: str = "sha256") -> Optional[UnimodularMap]:
     """GL_d(Z) equivalence of secondary cones through their central forms.

@@ -1,7 +1,7 @@
 """Lattice point enumeration against a positive definite quadratic form.
 
-Short vectors, closest vectors and the characteristic vector set are all
-computed exactly.  `enumerate_close`, the one walk behind them, goes down
+Closest vectors and the characteristic vector set are both computed
+exactly.  `enumerate_close`, the one walk behind them, goes down
 the coordinate tree of the LDL^T factorization (Fincke & Pohst 1985) over
 the integers: with the factorization and the centre over common
 denominators, each level's interval is read off one integer square root
@@ -138,14 +138,6 @@ def _path(frame: tuple, v=None) -> int:
         used += w * e * e
         y[i] = m * xi - cen[i]
     return used
-
-
-def short_vectors(q: SymMat, n) -> VectorSet:
-    """Exactly the nonzero integer vectors v with Q[v] <= n, in lex order."""
-    if n <= 0:
-        raise ValueError("norm bound must be positive")
-    vecs = tuple(v for v, _ in enumerate_close(q, [0] * q.d, n) if any(v))
-    return VectorSet(q.d, vecs, n)
 
 
 def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:

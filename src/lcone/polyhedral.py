@@ -198,11 +198,6 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
     return HRep(dim, equalities, tuple(sorted(set(ineqs))))
 
 
-def extreme_rays(rays: Sequence[Sequence], dim: int) -> list[tuple]:
-    """Canonical extreme-ray set of the cone generated by arbitrary rays."""
-    return dual_description(rays_to_hrep(rays, dim))
-
-
 @dataclass(frozen=True)
 class LatPolytope:
     """Bounded full-dimensional polytope with exact rational vertex
@@ -222,47 +217,6 @@ class LatPolytope:
     @property
     def n_facets(self) -> int:
         return len(self.facets)
-
-
-def polytope_from_halfspaces(halfspaces: Sequence[tuple], dim: int) -> LatPolytope:
-    """Vertex description of {x : a x + b >= 0} via the homogenization cone.
-
-    The input may contain redundant halfspaces; only facet-supporting ones
-    are retained.  The polytope must be bounded and full-dimensional.
-    """
-    hs = sorted(set(
-        clear_denominators(tuple(a) + (b,))
-        for a, b in ((tuple(h[0]), h[1]) for h in halfspaces)
-    ))
-    rays = _dd_cone(_integer_rows(hs), dim + 1)
-    if not rays:
-        raise ValueError("empty or degenerate polytope")
-    verts = []
-    for r in rays:
-        t = r[-1]
-        if t <= 0:
-            raise ValueError("halfspace system is unbounded")
-        verts.append(tuple(Rat(x, t) for x in r[:-1]))
-    verts = sorted(set(verts))
-    # Facet-supporting halfspaces: incident vertices have affine rank dim-1.
-    facets = []
-    facet_masks = []
-    for h in hs:
-        a, b = h[:-1], h[-1]
-        mask = 0
-        inc = []
-        for i, v in enumerate(verts):
-            if _dot(a, v) + b == 0:
-                mask |= 1 << i
-                inc.append(v)
-        if not inc:
-            continue
-        v0 = inc[0]
-        if rank_of_rows([[x - y for x, y in zip(v, v0)] for v in inc[1:]] or [[0] * dim]) == dim - 1:
-            facets.append((tuple(a), b))
-            facet_masks.append(mask)
-    return LatPolytope(dim, tuple(verts), tuple(facets),
-                       _vertex_masks(facet_masks, len(verts)), tuple(facet_masks))
 
 
 def _vertex_masks(facet_masks: Sequence[int], n_vertices: int) -> tuple:
@@ -314,9 +268,10 @@ def dv_polytope(q: SymMat) -> LatPolytope:
     vertices have no other common vertex.  Their intersection is the
     smallest face of the subdivision containing 0 and v, and the DV face it
     is dual to is a facet exactly when that face is an edge; this screens
-    out non-edges such as the diagonals of square cells.  Facets are ordered
-    and the incidences stored as in `polytope_from_halfspaces`.  Raises
-    AssertionError unless every vertex lies on at least d facets.
+    out non-edges such as the diagonals of square cells.  Vertices and the
+    integral facet rows (a, b) are each in sorted order, and the incidences
+    are bitmasks both ways.  Raises AssertionError unless every vertex lies
+    on at least d facets.
     """
     from .delaunay import delaunay_star
 
@@ -495,10 +450,8 @@ __all__ = [
     "NotPointed",
     "dual_description",
     "dv_polytope",
-    "extreme_rays",
     "face_lattice",
     "incidence_graph",
-    "polytope_from_halfspaces",
     "polytope_from_vertices",
     "polytope_volume",
     "rays_to_hrep",

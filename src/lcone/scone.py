@@ -110,7 +110,7 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
 def pair_regulators(keys: Sequence[tuple]) -> list:
     """(class key, extra vertex, regulator) for every pair of adjacent
     simplices of a triangulation given by its class keys (the normalized
-    class representatives' vertex tuples, as `DelaunayStar.class_keys`),
+    class representatives' vertex tuples, as `DelaunayStar.keys`),
     every regulator computed from scratch.
 
     Every facet lies in exactly two simplices, so the class facets with the

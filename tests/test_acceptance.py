@@ -260,7 +260,7 @@ def test_criterion_5a_membership():
             q = SymMat.zero(d)
             for r in cone.rays:
                 q = q + r.scale(rng.randint(1, 9))
-            assert delaunay_star(q).class_keys() == star.class_keys()
+            assert delaunay_star(q).keys == star.keys
     print("\nPASS criterion 5a: interior-point membership reproduces the triangulation")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -33,7 +34,7 @@ from lcone.classify import (
 from lcone.delaunay import is_triangulation
 from lcone.equiv import form_equivalence
 from lcone.exact import Rat, SymMat
-from lcone.scone import _ray_rank, fundamental_face
+from lcone.scone import _ray_rank, cone_facets, cone_to_dict, fundamental_face, secondary_cone
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -150,7 +151,7 @@ class TestClassifyAll:
                 for r in cone.rays:
                     q = q + r.scale(rng.randint(1, 7))
                 star = delaunay_star(q)
-                assert star.class_keys() == star0.class_keys()
+                assert star.keys == star0.keys
 
     def test_pyramid_formula(self):
         for d in (2, 3):
@@ -417,6 +418,34 @@ class TestFaultInjection:
             assert _db_bytes(out) == clean_d3
 
 
+def test_old_prim_entry_is_not_replayed(tmp_path, clean_d3, monkeypatch):
+    # Before `prim` outputs held class keys, their cache keys were
+    # "prim:<sha256 of the cone>".  Such an entry, here for the seed cone and
+    # holding its facets as if they were its neighbours, is the whole
+    # checkpoint of an unfinished run.
+    out = tmp_path / "db"
+    with pytest.raises(KeyboardInterrupt):
+        run_classification(3, str(out), abort_after=1)
+    seed = secondary_cone(seed_triangulation(3))
+    blob = json.dumps(cone_to_dict(seed), sort_keys=True, separators=(",", ":"))
+    old = {"key": "prim:" + hashlib.sha256(blob.encode()).hexdigest(),
+           "out": {"cones": [cone_to_dict(f) for f in cone_facets(seed)]}}
+    (out / "frontier.jsonl").write_text(json.dumps(old) + "\n")
+    hits = []
+    get = DiskCache.get
+
+    def recording(cache, key):
+        entry = get(cache, key)
+        if entry is not None:
+            hits.append(key)
+        return entry
+
+    monkeypatch.setattr(DiskCache, "get", recording)
+    run_classification(3, str(out), resume=True)
+    assert hits == []
+    assert _db_bytes(str(out)) == clean_d3
+
+
 def test_enrich_cone_builds_one_face_lattice(monkeypatch):
     import lcone.polyhedral
     from lcone.classify import enrich_cone
@@ -486,7 +515,7 @@ def test_enrich_cache_key_names_the_digest(tmp_path):
     n = db.total()
     assert len(md5.puts) == D3_TASKS and md5.hits == []
     assert sha.puts == ["enrich/sha256"] * n
-    assert sorted(set(sha.hits)) == ["desc", "prim"] and len(sha.hits) == D3_TASKS - n
+    assert sorted(set(sha.hits)) == ["desc", "prim/keys"] and len(sha.hits) == D3_TASKS - n
     assert again.puts == [] and len(again.hits) == D3_TASKS
     assert [r.to_dict() for r in db.records()] == \
         [r.to_dict() for r in classify_all(3).records()]

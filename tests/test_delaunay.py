@@ -115,7 +115,7 @@ class TestDelaunayStar:
         crossings = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(q)
         assert len(star.cells) == cells
-        assert len(star.classes) == classes
+        assert len(star.keys) == classes
         assert is_triangulation(star) == tri
         assert len(crossings) == classes - 1
 
@@ -152,9 +152,8 @@ class TestDelaunayStar:
         for q in (A2, I2, SymMat.identity(3), SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])):
             star = delaunay_star(q)
             total = Rat(0)
-            for idx in star.classes:
-                cell = star.cells[idx]
-                poly = polytope_from_vertices(cell.vertices, q.d)
+            for key in star.keys:
+                poly = polytope_from_vertices(key, q.d)
                 total += polytope_volume(poly)
             assert total == 1
 
@@ -196,10 +195,8 @@ def star_by_cells(q):
             if nb.vertices not in seen:
                 seen[nb.vertices] = nb
                 queue.append(nb)
-    keys = sorted(seen)
-    cells = tuple(seen[k] for k in keys)
-    index = {k: i for i, k in enumerate(keys)}
-    class_keys = sorted(set(cell.normalized()[0].vertices for cell in cells))
+    cells = tuple(seen[k] for k in sorted(seen))
+    class_keys = tuple(sorted(set(cell.normalized()[0].vertices for cell in cells)))
     class_pos = {k: i for i, k in enumerate(class_keys)}
     adjacency = []
     for k in class_keys:
@@ -209,7 +206,7 @@ def star_by_cells(q):
             nnorm, shift = adjacent_cell(q, rep, facet).normalized()
             entries.append((facet, class_pos[nnorm.vertices], tuple(-s for s in shift)))
         adjacency.append(tuple(entries))
-    return cells, tuple(index[k] for k in class_keys), tuple(adjacency)
+    return cells, class_keys, tuple(adjacency)
 
 
 def _random_forms(seed, count):
@@ -255,8 +252,8 @@ class TestStarByClasses:
     def test_matches_cell_search(self, monkeypatch, q):
         calls = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(q)
-        assert (star.cells, star.classes) == star_by_cells(q)[:2]
-        assert len(calls) == len(star.classes) - 1
+        assert (star.cells, star.keys) == star_by_cells(q)[:2]
+        assert len(calls) == len(star.keys) - 1
 
     def test_face_form_has_non_simplex_cells(self):
         assert not is_triangulation(delaunay_star(FACE4))
@@ -267,14 +264,14 @@ class TestStarByClasses:
         # 60 pairs of class facets.
         calls = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(principal_form(4))
-        assert len(star.classes) == 24
-        assert len(calls) == len(star.classes) - 1
+        assert len(star.keys) == 24
+        assert len(calls) == len(star.keys) - 1
 
     @pytest.mark.parametrize("q", [principal_form(3), FACE4, SKEWED4] + _random_forms(11, 3))
     def test_probes_do_not_change_the_star(self, monkeypatch, q):
         crossings = _count_calls(monkeypatch, "adjacent_cell")
         star = delaunay_star(q)
-        assert len(crossings) == len(star.classes) - 1
+        assert len(crossings) == len(star.keys) - 1
         original = lcone.delaunay._parametric_contact
 
         def basis_step_only(q, base_vertex, center, sqradius, direction, probes=()):
@@ -406,15 +403,17 @@ class TestNeighborTriangulation:
         for facet in walls:
             nb = neighbor_triangulation(star, facet.central, cone.central)
             assert is_triangulation(nb)
-            assert nb.class_keys() != star.class_keys()
-            assert nb == neighbor_by_eps(star, facet.central, cone.central)
+            assert nb.keys != star.keys
+            searched = neighbor_by_eps(star, facet.central, cone.central)
+            assert nb == searched and nb.cells == searched.cells
 
     def test_d3_matches_eps_route(self):
         walk = crossings(seed_triangulation(3), 40)
         assert len(walk) == 40
         for star, wallpoint, center in walk:
-            assert neighbor_triangulation(star, wallpoint, center) == \
-                neighbor_by_eps(star, wallpoint, center)
+            nb = neighbor_triangulation(star, wallpoint, center)
+            searched = neighbor_by_eps(star, wallpoint, center)
+            assert nb == searched and nb.cells == searched.cells
 
     @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1)])
     def test_d4_matches_eps_route(self, signs):
@@ -422,8 +421,9 @@ class TestNeighborTriangulation:
         star = seed_triangulation(4, principal_form(4).congruence(flip))
         cone, walls = pd_walls(star)
         for facet in walls[:3]:
-            assert neighbor_triangulation(star, facet.central, cone.central) == \
-                neighbor_by_eps(star, facet.central, cone.central)
+            nb = neighbor_triangulation(star, facet.central, cone.central)
+            searched = neighbor_by_eps(star, facet.central, cone.central)
+            assert nb == searched and nb.cells == searched.cells
 
     def test_d4_builds_no_star(self, monkeypatch):
         star = seed_triangulation(4)
@@ -438,7 +438,7 @@ class TestNeighborTriangulation:
 
             monkeypatch.setattr(lcone.delaunay, name, counted)
         nb = neighbor_triangulation(star, walls[0].central, cone.central)
-        assert is_triangulation(nb) and nb.class_keys() != star.class_keys()
+        assert is_triangulation(nb) and nb.keys != star.keys
         assert calls == []
 
     def test_empty_sphere_check_survives_optimize(self):

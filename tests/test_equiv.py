@@ -13,10 +13,10 @@ from lcone.equiv import (
     form_certificate,
     form_equivalence,
     group_order,
-    stabilizer_order,
 )
 from lcone.exact import Mat, SymMat, det
 from lcone.scone import cone_facets, secondary_cone
+from oracles import short_vectors, stabilizer_order
 
 A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
@@ -36,8 +36,6 @@ def backtrack_isometries(q1, q2):
     right q1-norm, pruned by the pairwise inner products demanded by q2.
     Returns all U with U^T q1 U = q2.
     """
-    from lcone.lattice import short_vectors
-
     d = q1.d
     cand = {}
     for j in range(d):

@@ -8,8 +8,10 @@ from collections import Counter
 
 import pytest
 
+import lcone.classify
+import lcone.delaunay
 import lcone.scone
-from lcone.classify import principal_form, seed_triangulation
+from lcone.classify import Classifier, principal_form, seed_triangulation
 from lcone.delaunay import DelaunayStar, _normalized, delaunay_star, neighbor_triangulation
 from lcone.exact import SymMat, rank_of_rows
 from lcone.scone import (
@@ -17,6 +19,7 @@ from lcone.scone import (
     NotATriangulation,
     central_form,
     cone_facets,
+    cone_from_dict,
     cone_from_rays,
     cone_to_dict,
     contains_pd,
@@ -93,7 +96,7 @@ class TestSecondaryCone:
             for r in cone.rays:
                 q = q + r.scale(rng.randint(1, 9))
             star2 = delaunay_star(q)
-            assert star2.class_keys() == star.class_keys()
+            assert star2.keys == star.keys
 
     def test_facet_point_coarsens(self):
         # PD points on a facet have strictly coarser subdivisions refined by T
@@ -169,9 +172,8 @@ def _circuits(pairs):
 
 class TestPairRegulators:
     def _check(self, star):
-        cells, classes, adjacency = star_by_cells(star.form)
-        keys = star.class_keys()
-        assert keys == tuple(cells[i].vertices for i in classes)
+        _, keys, adjacency = star_by_cells(star.form)
+        assert keys == star.keys
         assert _circuits(pair_regulators(keys)) == \
             _circuits(pair_regulators_by_adjacency(keys, adjacency))
 
@@ -185,24 +187,24 @@ class TestPairRegulators:
         _d3_crossings,
     ], ids=["d3-walk", "d4-walk", "d3-crossings"])
     def test_matches_adjacency_oracle_on_walks(self, walk):
-        triangulations = {star.class_keys(): star for star in walk()}
+        triangulations = {star.keys: star for star in walk()}
         for star in triangulations.values():
             self._check(star)
 
     def test_one_pair_per_facet_pair(self):
         # principal_form(4): 24 classes of 5 facets each, 60 facet pairs.
-        keys = delaunay_star(principal_form(4)).class_keys()
+        keys = delaunay_star(principal_form(4)).keys
         assert len(keys) == 24 and len(pair_regulators(keys)) == 60
 
     def test_missing_class_raises(self):
-        keys = delaunay_star(principal_form(3)).class_keys()
+        keys = delaunay_star(principal_form(3)).keys
         for i in range(len(keys)):
             with pytest.raises(AssertionError, match="lies in 1 cells"):
                 pair_regulators(keys[:i] + keys[i + 1:])
 
     def test_non_simplex_raises(self):
         with pytest.raises(NotATriangulation):
-            pair_regulators(delaunay_star(SymMat.identity(2)).class_keys())
+            pair_regulators(delaunay_star(SymMat.identity(2)).keys)
 
 
 def _counting_regulator(monkeypatch):
@@ -226,7 +228,7 @@ class TestCarriedPairs:
     def test_match_pairs_from_scratch(self, walk):
         # All but the first star of each walk carry the pairs their flip gave them.
         for star in walk():
-            assert _circuits(star.pairs.values()) == _circuits(pair_regulators(star.class_keys()))
+            assert _circuits(star.pairs.values()) == _circuits(pair_regulators(star.keys))
             for norm, (key, _, _) in star.pairs.items():
                 assert norm in {_normalized(key[:i] + key[i + 1:]) for i in range(len(key))}
 
@@ -250,7 +252,7 @@ class TestCarriedPairs:
             assert own.isdisjoint(calls), "a crossing recomputed a pair of its star"
             copied = [p for p in nb.pairs.values() if (p[0], p[1]) in own]
             assert len(copied) + crossing == len(nb.pairs)
-            bare = DelaunayStar(nb.form, nb.cells, nb.classes)
+            bare = DelaunayStar(nb.form, nb.keys)
             assert nb == bare and hash(nb) == hash(bare) and repr(nb) == repr(bare)
 
     def test_copied_regulator_checks_survive_optimize(self):
@@ -297,6 +299,103 @@ class TestCarriedPairs:
         assert proc.stdout.splitlines() == [
             "flip raised: the flipped cone does not contain the wallpoint",
             "cone raised: regulator is not positive on its own form"]
+
+
+def _recording_prim(monkeypatch):
+    """Record the (payload, output) of every `prim` task run in-process."""
+    tasks = []
+    original = lcone.classify._TASKS["prim"]
+
+    def recording(payload):
+        out = original(payload)
+        tasks.append((payload, out))
+        return out
+
+    monkeypatch.setitem(lcone.classify._TASKS, "prim", recording)
+    return tasks
+
+
+class TestCarriedKeys:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_match_searched_keys(self, monkeypatch, d):
+        # Each `prim` task's keys and those it returns for every neighbour
+        # are the class keys of the Delaunay star of the cone's central form.
+        tasks = _recording_prim(monkeypatch)
+        Classifier(d).primitive_cones()
+        assert len(tasks) == {3: 1, 4: 3}[d]
+        for payload, out in tasks:
+            for data, keys in [(payload["cone"], payload["keys"])] + \
+                    [(nb["cone"], nb["keys"]) for nb in out["cones"]]:
+                assert keys == delaunay_star(cone_from_dict(data).central).keys
+
+    def test_match_searched_keys_d5(self):
+        star = seed_triangulation(5)
+        cone = secondary_cone(star)
+        assert star.keys == delaunay_star(cone.central).keys
+        walls = [f for f in cone_facets(cone) if contains_pd(f)]
+        for facet in walls[:3]:
+            nb = neighbor_triangulation(star, facet.central, cone.central)
+            assert nb.keys == delaunay_star(secondary_cone(nb).central).keys
+
+    def test_d4_primitive_phase_searches_once(self, monkeypatch):
+        # The parent of this design searched 4 stars and solved 720
+        # circumcenters (24 per crossing, 30 crossings).  Now only the seed
+        # is searched, and a crossing solves the circumcenter of each class
+        # it adds and builds no cell.
+        searches, solved, built, crossings = [], [], [], []
+        star_of = lcone.classify.delaunay_star
+        monkeypatch.setattr(lcone.classify, "delaunay_star",
+                            lambda q: searches.append(q) or star_of(q))
+        circumcenter = lcone.delaunay.circumcenter
+        monkeypatch.setattr(lcone.delaunay, "circumcenter",
+                            lambda q, points: solved.append(tuple(points)) or
+                            circumcenter(q, points))
+        cell = lcone.delaunay.Cell
+        monkeypatch.setattr(lcone.delaunay, "Cell",
+                            lambda *args: built.append(args) or cell(*args))
+        cross = lcone.classify.neighbor_triangulation
+
+        def counted(star, wallpoint, center):
+            first_solved, first_built = len(solved), len(built)
+            nb = cross(star, wallpoint, center)
+            crossings.append((sorted(set(nb.keys) - set(star.keys)),
+                              solved[first_solved:], len(built) - first_built))
+            return nb
+
+        monkeypatch.setattr(lcone.classify, "neighbor_triangulation", counted)
+        Classifier(4).primitive_cones()
+        assert len(searches) == 1 and len(crossings) == 30
+        for added, calls, cells in crossings:
+            assert added and calls == added and cells == 0
+        assert len(solved) == sum(len(added) for added, _, _ in crossings) == 282
+
+    def test_neighbour_keys_raise_under_optimize(self):
+        # `assert False` passes only if -O stripped asserts.  A `prim`
+        # payload whose keys are those of a neighbouring triangulation has
+        # a regulator that is negative on the cone's central form.
+        script = (
+            "from lcone.classify import expand_primitive_cone, seed_triangulation\n"
+            "from lcone.delaunay import neighbor_triangulation\n"
+            "from lcone.scone import cone_facets, cone_to_dict, contains_pd, secondary_cone\n"
+            "assert False, 'asserts are on'\n"
+            "star = seed_triangulation(3)\n"
+            "cone = secondary_cone(star)\n"
+            "wall = next(f for f in cone_facets(cone) if contains_pd(f))\n"
+            "nb = neighbor_triangulation(star, wall.central, cone.central)\n"
+            "payload = {'cone': cone_to_dict(cone), 'digest': 'sha256'}\n"
+            "print(len(expand_primitive_cone(dict(payload, keys=star.keys))['cones']))\n"
+            "try:\n"
+            "    expand_primitive_cone(dict(payload, keys=nb.keys))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "6", "raised: regulator is not positive on its own form"]
 
 
 # The sha256 of `cone_to_dict` of the d = 5 seed cone and of the cone across
