@@ -2,19 +2,21 @@
 
 The pipeline follows the classical two-stage scheme: first all
 full-dimensional cones (primitive types) are found by crossing walls between
-neighboring triangulations; then faces are descended dimension by dimension,
-deduplicating with invariant buckets, canonical certificates and verified
-witnesses.  Verification operations (mass formula, pairwise combinatorial
-distinctness, censuses and the contraction refinement) run on the finished
-database.
+neighboring triangulations; then faces are descended dimension by dimension.
+Each level is deduplicated by the canonical form of each cone's central form,
+and a candidate merges into a class only through a verified witness.
+Verification operations (mass formula, pairwise combinatorial distinctness,
+censuses and the contraction refinement) run on the finished database.
 
 Heavy geometric steps are pure functions of their input cone, so they can be
-distributed over worker processes and their results cached on disk; a killed
-run replays its cache and produces a byte-identical database.
+distributed over worker processes and their results checkpointed on disk; a
+killed run replays each checkpointed result once and produces a
+byte-identical database.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -279,31 +281,23 @@ def merge_candidates(existing: list, candidates: Sequence[ConeDesc],
                      digest: str = "sha256") -> list:
     """Deduplicate candidate cones against existing classes and each other.
 
-    Protocol: invariant-key bucket, then canonical certificate, then a
-    verified witness; a merge without a verified witness never happens.
-    Returns the newly accepted cones in deterministic order.
+    Protocol: the canonical form of the central form names the class, and a
+    candidate whose form is taken merges only through a verified witness;
+    two cones are equivalent exactly when their central forms are, so equal
+    forms without a witness raise.  Candidates are taken in the order of
+    their invariants, certificate hash and ray set, the first of equal ones
+    first.  Returns the newly accepted cones in that order.
     """
-    buckets: dict[tuple, list[ConeDesc]] = {}
-    for cone in existing:
-        inv, _ = _candidate_key(cone, digest)
-        buckets.setdefault(inv, []).append(cone)
-    keyed = [(_candidate_key(c, digest), c) for c in candidates]
-    keyed.sort(key=lambda kc: (kc[0][0], kc[0][1], kc[1].key()))
+    classes = {_form_canonical(c.central, digest)[1]: c for c in existing}
     accepted: list[ConeDesc] = []
-    for (inv, _), cone in keyed:
-        _, canon, _, _, _ = _form_canonical(cone.central, digest)
-        dup = False
-        for other in buckets.get(inv, ()):  # same invariant bucket
-            _, canon_o, _, _, _ = _form_canonical(other.central, digest)
-            if canon_o == canon:
-                witness = cone_equivalent(other, cone)
-                if witness is None:
-                    raise AssertionError("equal certificates without a witness")
-                dup = True
-                break
-        if not dup:
-            buckets.setdefault(inv, []).append(cone)
+    for cone in sorted(candidates, key=lambda c: (_candidate_key(c, digest), c.key())):
+        canon = _form_canonical(cone.central, digest)[1]
+        other = classes.get(canon)
+        if other is None:
+            classes[canon] = cone
             accepted.append(cone)
+        elif cone_equivalent(other, cone) is None:
+            raise AssertionError("equal canonical forms without a witness")
     return accepted
 
 
@@ -362,22 +356,33 @@ _TASKS = {
 
 
 def _run_task(item):
-    kind, key, payload = item
-    return key, _TASKS[kind](payload)
+    i, kind, key, payload = item
+    return i, key, _TASKS[kind](payload)
+
+
+def _pool(workers: int, tasks: int):
+    """A pool of `workers` processes for `tasks` tasks, or a null context
+    when one process does; on exit the pool is terminated."""
+    if workers == 1 or tasks < 2:
+        return contextlib.nullcontext()
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None).Pool(workers)
 
 
 class DiskCache:
-    """Append-only JSONL cache of completed pure computations.
+    """Append-only JSONL checkpoint of completed pure computations.
 
     Every entry is written as one line ending in a newline.  A final line
     without its newline is the torn tail of a killed write: it is cut off
     before the file is reopened for append.  Any other line that does not
-    parse raises `IncompatibleCheckpoint`.
+    parse raises `IncompatibleCheckpoint`.  A run asks for each task once,
+    so the entries are held as their raw lines (`pending`), and `get`
+    decodes an entry and drops it; `put` only appends to the file.
     """
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        self.data: dict[str, dict] = {}
+        self.pending: dict[str, bytes] = {}
         if path and os.path.exists(path):
             with open(path, "rb+") as fh:
                 blob = fh.read()
@@ -389,17 +394,18 @@ class DiskCache:
                     continue
                 try:
                     entry = json.loads(line)
-                    self.data[entry["key"]] = entry["out"]
+                    key, _ = entry["key"], entry["out"]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise IncompatibleCheckpoint(
                         f"{path}: line {lineno} is not a cache entry") from exc
+                self.pending[key] = line
         self._fh = open(path, "a") if path else None
 
     def get(self, key: str):
-        return self.data.get(key)
+        line = self.pending.pop(key, None)
+        return None if line is None else json.loads(line)["out"]
 
     def put(self, key: str, out: dict):
-        self.data[key] = out
         if self._fh:
             self._fh.write(json.dumps({"key": key, "out": out}, sort_keys=True,
                                       separators=(",", ":")) + "\n")
@@ -411,13 +417,13 @@ class DiskCache:
             self._fh = None
 
 
-def _cone_cache_key(kind: str, cone: ConeDesc, digest: str) -> str:
-    """Cache key of a task on a cone.  Its tag names the output's format
-    where the task kind alone does not: an `enrich` record holds hashes made
-    with the digest, and a `prim` output holds each neighbour's class keys.
-    Older `prim:` entries lack the keys, so they are recomputed, not
-    replayed."""
-    blob = json.dumps(cone_to_dict(cone), sort_keys=True, separators=(",", ":"))
+def _cone_cache_key(kind: str, data: dict, digest: str) -> str:
+    """Cache key of a task on a cone, given as its `cone_to_dict`.  Its tag
+    names the output's format where the task kind alone does not: an
+    `enrich` record holds hashes made with the digest, and a `prim` output
+    holds each neighbour's class keys.  Older `prim:` entries lack the keys,
+    so they are recomputed, not replayed."""
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     tag = {"enrich": f"enrich/{digest}", "prim": "prim/keys"}.get(kind, kind)
     return f"{tag}:{hashlib.sha256(blob.encode()).hexdigest()}"
 
@@ -453,36 +459,29 @@ class Classifier:
             raise KeyboardInterrupt("aborted for checkpoint testing")
 
     def _map(self, kind: str, cones: Sequence[ConeDesc]) -> list[dict]:
-        items = []
-        results: dict[str, dict] = {}
-        for cone in cones:
-            key = _cone_cache_key(kind, cone, self.digest)
-            hit = self.cache.get(key)
-            if hit is not None:
-                results[key] = hit
-            else:
-                payload = {"cone": cone_to_dict(cone), "digest": self.digest}
+        """Outputs of one task kind on distinct cones, in their order.  Each
+        is replayed from the checkpoint or computed and appended to it."""
+        outs, items = [], []
+        for i, cone in enumerate(cones):
+            data = cone_to_dict(cone)
+            key = _cone_cache_key(kind, data, self.digest)
+            outs.append(self.cache.get(key))
+            if outs[i] is None:
+                payload = {"cone": data, "digest": self.digest}
                 if kind == "prim":
                     payload["keys"] = self._keys[cone.key()]
-                items.append((kind, key, payload))
-        if items:
-            if self.workers > 1 and len(items) > 1:
-                try:
-                    ctx = multiprocessing.get_context("fork")
-                except ValueError:
-                    ctx = multiprocessing.get_context("spawn")
-                with ctx.Pool(self.workers) as pool:
-                    for key, out in pool.imap_unordered(_run_task, items):
-                        self.cache.put(key, out)
-                        results[key] = out
-                        self._tick()
-            else:
-                for item in items:
-                    key, out = _run_task(item)
-                    self.cache.put(key, out)
-                    results[key] = out
-                    self._tick()
-        return [results[_cone_cache_key(kind, cone, self.digest)] for cone in cones]
+                items.append((i, kind, key, payload))
+        with _pool(self.workers, len(items)) as pool:
+            for i, key, out in (pool.imap_unordered if pool else map)(_run_task, items):
+                self.cache.put(key, out)
+                outs[i] = out
+                self._tick()
+        return outs
+
+    def enrich(self, cones: Sequence[ConeDesc]) -> list[ClassRecord]:
+        """The enriched records of classes, in database order."""
+        recs = [ClassRecord.from_dict(o["record"]) for o in self._map("enrich", cones)]
+        return sorted(recs, key=_record_sort_key)
 
     def primitive_cones(self) -> list[ConeDesc]:
         """All full-dimensional cones up to equivalence, by wall crossing.
@@ -531,10 +530,7 @@ class Classifier:
         db = ClassDB(self.d)
         for k, cones in cones_by_dim.items():
             self._log(f"enriching dimension {k}: {len(cones)} classes")
-            outs = self._map("enrich", cones)
-            recs = [ClassRecord.from_dict(o["record"]) for o in outs]
-            recs.sort(key=_record_sort_key)
-            db.by_dim[k] = recs
+            db.by_dim[k] = self.enrich(cones)
         db.complete = True
         return db
 
@@ -543,11 +539,7 @@ def enumerate_primitive(d: int, workers: int = 1, digest: str = "sha256",
                         seed: Optional[SymMat] = None) -> list[ClassRecord]:
     """Full-dimensional secondary cones up to GL_d(Z), as enriched records."""
     clf = Classifier(d, workers=workers, digest=digest, seed=seed)
-    cones = clf.primitive_cones()
-    outs = clf._map("enrich", cones)
-    recs = [ClassRecord.from_dict(o["record"]) for o in outs]
-    recs.sort(key=_record_sort_key)
-    return recs
+    return clf.enrich(clf.primitive_cones())
 
 
 def classify_all(d: int, workers: int = 1, digest: str = "sha256",

@@ -90,8 +90,8 @@ class DelaunayStar:
       hands over the certified cells its search found; any other star takes
       the simplex on each key with its circumcenter.
     - `pairs`: a triangulation's adjacent simplex pairs, normalized facet ->
-      (class key, extra vertex, Regulator), as `scone.pair_regulators`
-      lists them.  A star made by `neighbor_triangulation` is given them by
+      (class key, extra vertex, Regulator), as `scone._facet_pairs`
+      computes them.  A star made by `neighbor_triangulation` is given them by
       the flip."""
 
     form: SymMat

@@ -479,12 +479,6 @@ def gcd_normalize(obj, *, orient: bool = True):
     return vec
 
 
-def symmat_clear_denominators(s: SymMat) -> SymMat:
-    """Scale a rational SymMat by a positive rational to a primitive integral
-    one, so its orientation (overall sign) is preserved."""
-    return SymMat.from_lower(s.d, clear_denominators(s.lower()))
-
-
 def hermite_diagonal(vectors: Sequence[Sequence[int]], d: int) -> list[int]:
     """Diagonal of the row-style Hermite normal form of the integer span.
 

@@ -1,7 +1,8 @@
 """Lattice point enumeration against a positive definite quadratic form.
 
 Closest vectors and the characteristic vector set are both computed
-exactly.  `enumerate_close`, the one walk behind them, goes down
+exactly.  One walk is behind both: `enumerate_close` (`closest_vectors`
+runs its `_walk` on the frame it reads its guesses off) goes down
 the coordinate tree of the LDL^T factorization (Fincke & Pohst 1985) over
 the integers: with the factorization and the centre over common
 denominators, each level's interval is read off one integer square root
@@ -85,10 +86,14 @@ def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, obj
     (v, Q[v - center]) in lexicographic order of v; each value is a ``Rat``
     (a ``Fraction`` even when integral).
     """
-    m, cen, levels, g = _frame(q, center)
+    return _walk(_frame(q, center), q.d, bound)
+
+
+def _walk(frame: tuple, d: int, bound) -> list[tuple[tuple, object]]:
+    """The walk of `enumerate_close` on a frame made by `_frame`."""
+    m, cen, levels, g = frame
     if bound < 0:
         return []
-    d = q.d
     total = bound.numerator * g // bound.denominator
     if not d:
         return [((), Rat(0))]
@@ -147,11 +152,12 @@ def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:
     rounded coordinate-wise, and c rounded one coordinate at a time down the
     LDL^T factorization as `enumerate_close` descends (Babai's nearest
     plane), which stays close on skewed forms.  Both are read off the
-    walk's integer data, rounding half up.
+    walk's integer data, rounding half up, and the walk runs on the same
+    frame.
     """
     frame = _frame(q, c)
     rounded = [(2 * x.numerator + x.denominator) // (2 * x.denominator) for x in c]
-    hits = enumerate_close(q, c, Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
+    hits = _walk(frame, q.d, Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
     best = min(val for _, val in hits)
     return best, tuple(v for v, val in hits if val == best)
 

@@ -17,12 +17,12 @@ from .delaunay import DelaunayStar, _normalized
 from .exact import (
     AffinelyDependent,
     Mat,
-    Rat,
     SingularMatrix,
     SymMat,
+    clear_denominators,
+    gcd_normalize,
     rank_of_rows,
     solve,
-    symmat_clear_denominators,
 )
 from .polyhedral import HRep, dual_description, rays_to_hrep
 
@@ -59,9 +59,9 @@ def functional_to_sym(d: int, a: Sequence) -> SymMat:
     k = 0
     for i in range(d):
         for j in range(i + 1):
-            entries.append(a[k] if i == j else Rat(a[k], 2))
+            entries.append(2 * a[k] if i == j else a[k])
             k += 1
-    return symmat_clear_denominators(SymMat.from_lower(d, entries))
+    return SymMat.from_lower(d, gcd_normalize(entries, orient=False))
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,11 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
     """Wall form of the affinely independent set V and the extra point w.
 
     With w = sum a_v v, 1 = sum a_v, this is w w^T - sum a_v v v^T, cleared
-    to integral entries with gcd 1.  The orientation (which side is positive)
-    is preserved by the normalization.
+    to integral entries with gcd 1.  It is summed over the integers: with
+    the a_v scaled to a primitive integer vector l (a positive multiple),
+    N = (sum l_v) w w^T - sum l_v v v^T, entry by entry of the lower
+    triangle.  The orientation (which side is positive) is preserved by the
+    normalization.
     """
     pts = [tuple(p) for p in points]
     w = tuple(w)
@@ -98,20 +101,20 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
         alphas = tuple(solve(Mat(rows), list(w) + [1]))
     except SingularMatrix as exc:
         raise AffinelyDependent("affinely dependent point set") from exc
-    n = SymMat.outer(w)
-    for a, p in zip(alphas, pts):
-        if a:
-            n = n - SymMat.outer(p).scale(a)
-    if all(x == 0 for x in n.lower()):
+    terms = [(a, p) for a, p in zip(clear_denominators(alphas), pts) if a]
+    total = sum(a for a, _ in terms)
+    lower = tuple(total * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
+                  for i in range(d) for j in range(i + 1))
+    if not any(lower):
         return Regulator(SymMat.zero(d), alphas)
-    return Regulator(symmat_clear_denominators(n), alphas)
+    return Regulator(SymMat.from_lower(d, gcd_normalize(lower, orient=False)), alphas)
 
 
-def pair_regulators(keys: Sequence[tuple]) -> list:
+def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
     """(class key, extra vertex, regulator) for every pair of adjacent
     simplices of a triangulation given by its class keys (the normalized
-    class representatives' vertex tuples, as `DelaunayStar.keys`),
-    every regulator computed from scratch.
+    class representatives' vertex tuples, as `DelaunayStar.keys`), keyed by
+    their normalized facet.  A star keeps them as `DelaunayStar.pairs`.
 
     Every facet lies in exactly two simplices, so the class facets with the
     same normalized form come in pairs.  If the facet F of `key` and the
@@ -119,13 +122,7 @@ def pair_regulators(keys: Sequence[tuple]) -> list:
     `nkey + (F[0] - G[0])`, and its vertex off F is the translate of the
     vertex of `nkey` off G.  Each pair is taken from its first side only:
     from the other side it spans a translate of the same circuit and has
-    the same regulator.  Degenerate regulators are left out.  A star keeps
-    these pairs, keyed by normalized facet, as `DelaunayStar.pairs`."""
-    return list(_facet_pairs(keys).values())
-
-
-def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
-    """The pairs of `pair_regulators`, keyed by their normalized facet.
+    the same regulator.  Degenerate regulators are left out.
 
     `carried` holds the pairs of another triangulation keyed the same way,
     as a bistellar flip leaves them.  A pair with the class key and extra

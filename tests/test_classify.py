@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcone.classify
 from lcone.classify import (
     ClassDB,
     _faces_within,
@@ -22,6 +25,7 @@ from lcone.classify import (
     dimension_table,
     distinctness_check,
     enumerate_primitive,
+    expand_descent_cone,
     load_db,
     mass_check,
     principal_form,
@@ -34,7 +38,15 @@ from lcone.classify import (
 from lcone.delaunay import is_triangulation
 from lcone.equiv import form_equivalence
 from lcone.exact import Rat, SymMat
-from lcone.scone import _ray_rank, cone_facets, cone_to_dict, fundamental_face, secondary_cone
+from lcone.scone import (
+    _ray_rank,
+    cone_facets,
+    cone_to_dict,
+    contains_pd,
+    fundamental_face,
+    secondary_cone,
+)
+from oracles import merge_by_buckets
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -315,7 +327,43 @@ class TestPersistence:
         cache = DiskCache(path)
         cache.put("c", {"x": 3})
         cache.close()
-        assert DiskCache(path).data == {"a": {"x": 1}, "c": {"x": 3}}
+        cache = DiskCache(path)
+        assert [cache.get(key) for key in "abc"] == [{"x": 1}, None, {"x": 3}]
+        assert cache.pending == {}
+
+    def test_cache_entry_is_handed_out_once(self, tmp_path):
+        path = str(tmp_path / "frontier.jsonl")
+        cache = DiskCache(path)
+        cache.put("a", {"x": [1, 2]})
+        cache.put("b", {"x": 3})
+        assert cache.pending == {} and cache.get("a") is None
+        cache.close()
+        cache = DiskCache(path)
+        assert sorted(cache.pending) == ["a", "b"]
+        assert all(isinstance(line, bytes) for line in cache.pending.values())
+        assert cache.get("a") == {"x": [1, 2]}
+        assert cache.get("a") is None and sorted(cache.pending) == ["b"]
+        cache.close()
+        memory = DiskCache(None)
+        memory.put("a", {"x": 1})
+        assert memory.get("a") is None and memory.pending == {}
+
+    def test_resume_replays_every_entry_once(self, tmp_path, clean_d3, monkeypatch):
+        # Each task key is asked for at most once per run, and a resumed run
+        # replays every entry of its checkpoint.
+        out = str(tmp_path / "db")
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(3, out, abort_after=D3_TASKS - 2)
+        asked, left = [], []
+        get, close = DiskCache.get, DiskCache.close
+        monkeypatch.setattr(DiskCache, "get",
+                            lambda cache, key: asked.append(key) or get(cache, key))
+        monkeypatch.setattr(DiskCache, "close",
+                            lambda cache: left.append(dict(cache.pending)) or close(cache))
+        run_classification(3, out, resume=True)
+        assert len(asked) == len(set(asked)) == D3_TASKS
+        assert left == [{}]
+        assert _db_bytes(out) == clean_d3
 
     def test_corrupt_middle_line_is_incompatible(self, tmp_path):
         path = tmp_path / "frontier.jsonl"
@@ -363,15 +411,35 @@ class TestPersistence:
                     run_classification(2, str(out), digest=digest, resume=resume)
                 assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
-    def test_worker_count_invariance(self, tmp_path):
-        a = str(tmp_path / "j1")
-        b = str(tmp_path / "j2")
-        run_classification(2, a, workers=1)
-        run_classification(2, b, workers=2)
-        for name in sorted(os.listdir(a)):
-            if name.startswith("dim_") or name == "manifest.json":
-                assert open(os.path.join(a, name), "rb").read() == \
-                    open(os.path.join(b, name), "rb").read()
+    def test_worker_count_invariance(self, tmp_path, clean_d3):
+        # d = 3 is the least dimension with maps of more than one task, so
+        # the only one where the pool runs.
+        out = str(tmp_path / "j2")
+        run_classification(3, out, workers=2)
+        assert _db_bytes(out) == clean_d3
+
+    def test_map_keeps_cone_order(self, tmp_path, monkeypatch):
+        # A pool that hands back its results last first, and one output
+        # replayed among the computed ones.
+        class Reversed:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items):
+                return reversed([fn(item) for item in items])
+
+        monkeypatch.setattr(lcone.classify, "_pool", lambda workers, tasks: Reversed())
+        facets = [f for f in cone_facets(secondary_cone(seed_triangulation(3))) if contains_pd(f)]
+        want = [expand_descent_cone({"cone": cone_to_dict(f)}) for f in facets]
+        path = str(tmp_path / "frontier.jsonl")
+        for part in (facets[1:2], facets):
+            cache = DiskCache(path)
+            outs = Classifier(3, workers=2, cache=cache)._map("desc", part)
+            cache.close()
+        assert len(facets) > 2 and outs == want and cache.pending == {}
 
 
 D3_TASKS = 11   # prim, desc and enrich tasks of a d = 3 classification
@@ -444,6 +512,52 @@ def test_old_prim_entry_is_not_replayed(tmp_path, clean_d3, monkeypatch):
     run_classification(3, str(out), resume=True)
     assert hits == []
     assert _db_bytes(str(out)) == clean_d3
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_merge_matches_bucket_oracle(d, monkeypatch):
+    # Every merge of the classification: the same cones, in the same order,
+    # with the same accumulated equalities.
+    merges = []
+    merge = lcone.classify.merge_candidates
+
+    def recording(existing, candidates, digest="sha256"):
+        accepted = merge(existing, candidates, digest)
+        merges.append((list(existing), list(candidates), digest, list(accepted)))
+        return accepted
+
+    monkeypatch.setattr(lcone.classify, "merge_candidates", recording)
+    classify_all(d)
+    assert len(merges) > 2
+    for existing, candidates, digest, accepted in merges:
+        want = merge_by_buckets(existing, candidates, digest)
+        assert [cone_to_dict(c) for c in accepted] == [cone_to_dict(c) for c in want]
+
+
+def test_equal_forms_without_witness_raise_under_optimize():
+    # `assert False` passes only if -O stripped asserts.  The seed cone given
+    # twice has one canonical form; with no witness the merge must raise.
+    script = (
+        "import lcone.classify as clf\n"
+        "from lcone.scone import secondary_cone\n"
+        "assert False, 'asserts are on'\n"
+        "cone = secondary_cone(clf.seed_triangulation(3))\n"
+        "print(len(clf.merge_candidates([], [cone, cone])),\n"
+        "      len(clf.merge_candidates([cone], [cone])))\n"
+        "clf.cone_equivalent = lambda a, b: None\n"
+        "for existing, candidates in (([], [cone, cone]), ([cone], [cone])):\n"
+        "    try:\n"
+        "        clf.merge_candidates(existing, candidates)\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    raised = "raised: equal canonical forms without a witness"
+    assert proc.stdout.splitlines() == ["1 0", raised, raised]
 
 
 def test_enrich_cone_builds_one_face_lattice(monkeypatch):

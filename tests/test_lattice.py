@@ -203,9 +203,9 @@ class TestEnumerateCloseOracle:
             return near
 
         bounds = []
-        real = lcone.lattice.enumerate_close
-        monkeypatch.setattr(lcone.lattice, "enumerate_close",
-                            lambda q, c, b: bounds.append(b) or real(q, c, b))
+        real = lcone.lattice._walk
+        monkeypatch.setattr(lcone.lattice, "_walk",
+                            lambda frame, d, b: bounds.append(b) or real(frame, d, b))
         rng = random.Random(4)
         for q in [q for _, q in FORMS] + eps_forms:
             for c in _centers(q, rng):

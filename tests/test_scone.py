@@ -13,7 +13,7 @@ import lcone.delaunay
 import lcone.scone
 from lcone.classify import Classifier, principal_form, seed_triangulation
 from lcone.delaunay import DelaunayStar, _normalized, delaunay_star, neighbor_triangulation
-from lcone.exact import SymMat, rank_of_rows
+from lcone.exact import AffinelyDependent, SymMat, rank_of_rows
 from lcone.scone import (
     EmptyRaySet,
     NotATriangulation,
@@ -24,7 +24,6 @@ from lcone.scone import (
     cone_to_dict,
     contains_pd,
     fundamental_face,
-    pair_regulators,
     rank_profile,
     regulator,
     secondary_cone,
@@ -32,6 +31,7 @@ from lcone.scone import (
     sym_dim,
     sym_to_functional,
 )
+from oracles import pair_regulators, regulator_by_fractions
 from test_delaunay import crossings, star_by_cells
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -49,6 +49,31 @@ class TestRegulator:
     def test_degenerate(self):
         reg = regulator([(0, 0), (1, 0), (0, 1)], (1, 0))
         assert reg.is_degenerate
+
+    @pytest.mark.parametrize("walk", [
+        lambda: _walk(seed_triangulation(3), 3),
+        lambda: _walk(seed_triangulation(4), 1),
+        lambda: [seed_triangulation(5)],
+    ], ids=["d3", "d4", "d5"])
+    def test_matches_rational_oracle(self, walk):
+        # Every adjacent pair of the stars, and the same circuit with the
+        # first vertex of the simplex as the extra point (degenerate or
+        # affinely dependent when that vertex is off the circuit).
+        def outcome(fn, points, w):
+            try:
+                reg = fn(points, w)
+            except AffinelyDependent as exc:
+                return str(exc)
+            return (reg, [type(x) for x in reg.matrix.lower() + reg.alphas])
+
+        seen = Counter()
+        for star in walk():
+            for key, w, _ in star.pairs.values():
+                for points, extra in ((key, w), (key[1:] + (w,), key[0])):
+                    want = outcome(regulator_by_fractions, points, extra)
+                    assert outcome(regulator, points, extra) == want
+                    seen[type(want) is str or want[0].is_degenerate] += 1
+        assert seen[False] > 0
 
     def test_gcd_normalized(self):
         reg = regulator([(0, 0), (2, 0), (0, 2)], (2, 2))
