@@ -12,10 +12,10 @@ from lcone.exact import SymMat, format_form
 from lcone.delaunay import (
     circumcenter,
     delaunay_star,
-    initial_cell,
     is_triangulation,
     neighbor_triangulation,
 )
+from lcone.lattice import closest_vectors
 from lcone.scone import cone_facets, contains_pd, secondary_cone
 
 # The square lattice: Delaunay cells are unit squares, so the subdivision is
@@ -38,11 +38,15 @@ print("  cells:", len(star.cells), " classes:", len(star.keys),
 c, r2 = circumcenter(A2, [(0, 0), (1, 0), (0, 1)])
 print("  circumcenter of {0, e1, e2}:", c, " squared radius:", r2)
 
-# Every constructed cell is certified: the squared circumradius is the
-# minimum of Q[c - v] over the whole lattice, attained exactly at the cell's
-# vertices (the empty-sphere condition).
-cell = initial_cell(A2)
-print("  initial cell:", cell.vertices)
+# Every cell is certified: the squared circumradius is the minimum of
+# Q[c - v] over the whole lattice, attained exactly at the cell's vertices
+# (the empty-sphere condition).  The star finds its cells this way: their
+# centres are the vertices of the Dirichlet-Voronoi cell at 0, and one
+# closest-vector call at a centre gives the cell.
+cell = star.cells[0]
+best, mins = closest_vectors(A2, cell.center)
+print("  cell", cell.vertices, "with centre", cell.center)
+print("  closest lattice points to the centre:", mins, "at squared distance", best)
 
 # Crossing a wall: perturbing the form through a facet of its secondary cone
 # flips the triangulation.  For the hexagonal form all three walls lead to

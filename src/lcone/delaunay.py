@@ -4,11 +4,12 @@ The subdivision is represented by its star at the origin: all full
 dimensional Delaunay cells having 0 as a vertex.  A star is stored as its
 form and its class keys, the vertex tuples of one normalized representative
 per translation class (smallest vertex 0); its cells are derived from them.
-The star is found one translation class at a time.  Every class
-representative is verified against the empty-sphere condition, so the
-algorithms used to find cells only need to terminate, not to be trusted;
-the other cells of the star are translates of a representative and inherit
-its certificate.
+The star is read off the Dirichlet-Voronoi cell at 0, whose vertices are the
+circumcenters of the cells at 0 (Voronoi's duality): its facet vectors are
+shortest vectors of the classes of Z^d / 2Z^d, one double description gives
+its vertices, and one closest-vector call per translation class gives the
+cell and its empty-sphere certificate.  The other cells of the star are
+translates of a representative and inherit its certificate.
 
 No adjacency is stored.  Every facet of a face-to-face tiling lies in
 exactly two cells, so the class facets that are translates of each other,
@@ -26,9 +27,10 @@ star inherits those of the pairs the flip left alone.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 from .exact import (
@@ -38,14 +40,10 @@ from .exact import (
     Rat,
     SingularMatrix,
     SymMat,
-    nullspace,
     solve,
 )
-from .lattice import characteristic_set, closest_vectors, enumerate_close
-
-
-class NotAFacet(Exception):
-    pass
+from .lattice import closest_vectors
+from .polyhedral import _dd_cone, _dv_halfspace, polytope_from_vertices
 
 
 class NotOnSingleFacet(Exception):
@@ -87,7 +85,7 @@ class DelaunayStar:
     Two views are derived on first use and cached.  Neither is a field, so
     equality, hashing and `repr` see only the form and the keys.
     - `cells`: every cell with 0 as a vertex, sorted.  `delaunay_star`
-      hands over the certified cells its search found; any other star takes
+      hands over the certified cells it found; any other star takes
       the simplex on each key with its circumcenter.
     - `pairs`: a triangulation's adjacent simplex pairs, normalized facet ->
       (class key, extra vertex, Regulator), as `scone._facet_pairs`
@@ -141,99 +139,6 @@ def _require_pd(q: SymMat):
         raise NotPositiveDefinite("form is not positive definite")
 
 
-def _sphere_value(q: SymMat, center, point):
-    return q.quad([c - x for c, x in zip(center, point)])
-
-
-def _parametric_contact(q: SymMat, base_vertex, center, sqradius, direction, probes=()):
-    """First lattice contact when the sphere center moves along `direction`.
-
-    The sphere through the current vertex set stays through it (direction is
-    Q-orthogonal to its affine hull) and the first lattice points reached on
-    the positive side of the motion are returned, together with the contact
-    center and squared radius.  The current sphere must be empty.
-
-    Each lattice point w on the positive side is reached at a parameter
-    `reach(w)`, and every point reached sooner lies inside the sphere at that
-    parameter.  So the sphere at the soonest reach among a basis step from
-    `base_vertex` and `probes` is enumerated: probes near the contact keep
-    it small, and they do not change the result.
-    """
-    hq = q.mul_vec(direction)
-    hq0 = sum(a * b for a, b in zip(hq, base_vertex))
-    qc = q.mul_vec(center)
-    offset = q.quad(center) - sqradius
-
-    def denom(w):
-        return sum(a * b for a, b in zip(hq, w)) - hq0
-
-    def reach(w):
-        """Parameter at which the moving sphere reaches w (denom(w) > 0)."""
-        excess = q.quad(w) - 2 * sum(a * b for a, b in zip(qc, w)) + offset
-        return Rat(excess) / (2 * denom(w))
-
-    step = next(k for k in range(q.d) if hq[k] != 0)
-    probe = list(base_vertex)
-    probe[step] += 1 if hq[step] > 0 else -1
-    lam_probe = min(reach(w) for w in (tuple(probe), *probes) if denom(w) > 0)
-    c_probe = tuple(c + lam_probe * h for c, h in zip(center, direction))
-    r_probe = _sphere_value(q, c_probe, base_vertex)
-
-    best_lam = None
-    hits = []
-    for w, _ in enumerate_close(q, c_probe, r_probe):
-        if denom(w) <= 0:
-            continue
-        lam = reach(w)
-        if best_lam is None or lam < best_lam:
-            best_lam = lam
-            hits = [w]
-        elif lam == best_lam:
-            hits.append(w)
-    if best_lam is None or best_lam < 0:
-        raise AssertionError("no lattice contact ahead of the moving sphere")
-    new_center = tuple(c + best_lam * h for c, h in zip(center, direction))
-    new_r2 = _sphere_value(q, new_center, base_vertex)
-    return best_lam, new_center, new_r2, sorted(hits)
-
-
-def initial_cell(q: SymMat) -> Cell:
-    """Some Delaunay cell of Q with 0 as a vertex.
-
-    Grows an empty sphere through an affinely independent vertex set one
-    dimension at a time: among the two Q-orthogonal motions of the center,
-    the first lattice contact with the smaller circumradius is taken; the
-    sums of a vertex and a vector of the characteristic set are its probes.
-    The final vertex set is saturated to the full closest-vector set, and
-    the empty-sphere postcondition is verified.
-    """
-    _require_pd(q)
-    d = q.d
-    short = characteristic_set(q).vectors
-    min_norm = min(q.quad(v) for v in short)
-    v1 = min(v for v in short if q.quad(v) == min_norm)
-    zero = tuple([0] * d)
-    verts = [zero, v1]
-    center = tuple(Rat(x, 2) for x in v1)
-    r2 = Rat(q.quad(v1), 4)
-    while len(verts) < d + 1:
-        rows = [q.mul_vec([a - b for a, b in zip(w, verts[0])]) for w in verts[1:]]
-        direction = nullspace(rows)[0]
-        probes = {tuple(a + b for a, b in zip(w, v)) for w in verts for v in short}
-        sides = []
-        for h in (direction, tuple(-x for x in direction)):
-            lam, c2, rr2, hits = _parametric_contact(q, verts[0], center, r2, h, probes)
-            sides.append((rr2, hits[0], c2))
-        sides.sort()
-        rr2, w_new, c2 = sides[0]
-        verts.append(w_new)
-        center, r2 = c2, rr2
-    best, mins = closest_vectors(q, center)
-    if best != r2 or zero not in mins:
-        raise AssertionError("initial cell failed the empty-sphere check")
-    return Cell(tuple(sorted(mins)), center, r2)
-
-
 def _normalized(vertices) -> tuple:
     """Sorted vertex tuple translated so that its smallest vertex is 0."""
     base = min(vertices)
@@ -249,8 +154,6 @@ def cell_facets(cell: Cell, d: int) -> list[tuple]:
     if len(cell.vertices) == d + 1:
         return [cell.vertices[:i] + cell.vertices[i + 1:]
                 for i in range(d + 1)]
-    from .polyhedral import polytope_from_vertices
-
     poly = polytope_from_vertices(cell.vertices, d)
     vmap = {v: i for i, v in enumerate(poly.vertices)}
     out = []
@@ -260,85 +163,70 @@ def cell_facets(cell: Cell, d: int) -> list[tuple]:
     return sorted(out)
 
 
-def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell:
-    """The unique Delaunay cell on the other side of a facet of `cell`.
+def _coset_minima(q: SymMat) -> list[tuple]:
+    """The shortest vectors of every nonzero class of Z^d / 2Z^d.
 
-    The center slides along the line of centers Q-orthogonal to the facet,
-    away from the cell, until the first lattice points enter the sphere.
+    The vectors of the class of c in {0, 1}^d are c + 2w, and
+    Q[c + 2w] = 4 Q[w + c/2], so one `closest_vectors` call at -c/2 gives
+    them all.  By Voronoi's theorem these include every facet vector of the
+    Dirichlet-Voronoi cell; the others give halfspaces that are redundant.
     """
-    fverts = tuple(sorted(tuple(v) for v in facet))
-    vset = set(cell.vertices)
-    if not set(fverts) <= vset:
-        raise NotAFacet("facet vertices are not vertices of the cell")
-    f0 = fverts[0]
-    rows = [q.mul_vec([a - b for a, b in zip(w, f0)]) for w in fverts[1:]]
-    if not rows:
-        rows = [[0] * q.d]
-    # Q is nonsingular, so the rows have the rank of the vertex differences.
-    directions = nullspace(rows)
-    if len(directions) != 1:
-        raise NotAFacet("facet does not span a hyperplane")
-    h = directions[0]
-    hq = q.mul_vec(h)
-    hq0 = sum(a * b for a, b in zip(hq, f0))
-    others = [v for v in cell.vertices if v not in set(fverts)]
-    dens = [sum(a * b for a, b in zip(hq, v)) - hq0 for v in others]
-    if any(x == 0 for x in dens):
-        raise NotAFacet("a non-facet vertex lies on the facet hyperplane")
-    if all(x > 0 for x in dens):
-        h = tuple(-x for x in h)
-    elif not all(x < 0 for x in dens):
-        raise NotAFacet("cell vertices on both sides of the hyperplane")
-    # The contact is often a reflection f + g - o of an opposite vertex o.
-    probes = {tuple(a + b - c for a, b, c in zip(f, g, o))
-              for f in fverts for g in fverts for o in others}
-    _, new_center, new_r2, _ = _parametric_contact(q, f0, cell.center, cell.sqradius, h, probes)
-    best, mins = closest_vectors(q, new_center)
-    if best != new_r2 or not set(fverts) <= set(mins):
-        raise AssertionError("adjacent cell failed the empty-sphere check")
-    return Cell(tuple(sorted(mins)), new_center, new_r2)
+    out = []
+    for c in product((0, 1), repeat=q.d):
+        if any(c):
+            _, mins = closest_vectors(q, [Rat(-x, 2) for x in c])
+            out.extend(tuple(x + 2 * y for x, y in zip(c, w)) for w in mins)
+    return out
 
 
 def delaunay_star(q: SymMat) -> DelaunayStar:
-    """Star of the origin, found one translation class at a time.
+    """Star of the origin, read off the Dirichlet-Voronoi (DV) cell at 0.
 
-    A breadth-first search runs over normalized class representatives.  The
-    facets of each class are filed under their `_normalized` form as soon
-    as the class is found.  A facet is crossed with `adjacent_cell` only
-    while its normalized form has one side: the other side is then a class
-    not yet found, so the search makes one crossing per class after the
-    first.  At the end every normalized facet must have exactly two sides.
-    The star is handed the cells the search found: the translates `rep - v`
-    over the vertices `v` of every representative, which inherit the
-    representative's empty-sphere certificate, since translation preserves
-    it.  Deterministic ordering.
+    The DV cell is {x : -2 Q v . x + Q[v] >= 0} over the vectors v of
+    `_coset_minima` and their negatives.  Its vertices, from one double
+    description with the halfspaces shortest first, are the circumcenters of
+    the cells at 0.  The cell of a vertex c is the set of minimizers of
+    Q[c - v], from one `closest_vectors` call, which is also its empty-sphere
+    certificate: 0 must be among them.  The other cells of its translation
+    class are its translates by -v over its vertices v, centred at c - v,
+    which are DV vertices too and need no call.  Checks: every normalized
+    class facet has exactly two sides, the centres are pairwise distinct,
+    and there are as many cells as DV vertices.  The star is handed the
+    certified cells.  Deterministic ordering.
     """
     _require_pd(q)
     d = q.d
+    zero = (0,) * d
+    halfspaces = {(q.quad(w), _dv_halfspace(q, w))
+                  for v in _coset_minima(q) for w in (v, tuple(-x for x in v))}
+    rays = _dd_cone([h for _, h in sorted(halfspaces)], d + 1)
+    if any(r[-1] <= 0 for r in rays):
+        raise AssertionError("the DV cell is unbounded")
     reps = {}
-    sides = Counter()            # normalized facet -> number of class facets
-    queue = deque()
-
-    def found(rep):
+    covered = set()              # rays of the centres of the cells found
+    for r in rays:
+        if r in covered:
+            continue
+        *y, t = r
+        center = tuple(Rat(x, t) for x in y)
+        sqradius = q.quad(center)
+        best, mins = closest_vectors(q, center)
+        if best != sqradius or zero not in mins:
+            raise AssertionError("a DV vertex is not the centre of a cell at 0")
+        # The centre c - v of a translate is the ray (y - t v, t), primitive
+        # as (y, t) is.
+        covered.update(tuple(x - t * a for x, a in zip(y, v)) + (t,) for v in mins)
+        rep, _ = Cell(mins, center, sqradius).normalized()
         reps[rep.vertices] = rep
-        facets = cell_facets(rep, d)
-        sides.update(_normalized(facet) for facet in facets)
-        queue.append((rep, facets))
-
-    found(initial_cell(q).normalized()[0])
-    while queue:
-        rep, facets = queue.popleft()
-        for facet in facets:
-            if sides[_normalized(facet)] == 1:
-                norm, _ = adjacent_cell(q, rep, facet).normalized()
-                if norm.vertices in reps:
-                    raise AssertionError("a facet crossing reached a known class")
-                found(norm)
+    sides = Counter(_normalized(facet) for rep in reps.values() for facet in cell_facets(rep, d))
     if any(n != 2 for n in sides.values()):
         raise AssertionError("a facet of the star does not lie in exactly two cells")
     keys = tuple(sorted(reps))
+    cells = _star_cells([reps[k] for k in keys])
+    if len(cells) != len(rays):
+        raise AssertionError(f"the star has {len(cells)} cells but the DV cell {len(rays)} vertices")
     star = DelaunayStar(q, keys)
-    star.__dict__["cells"] = _star_cells([reps[k] for k in keys])  # `cached_property`'s slot
+    star.__dict__["cells"] = cells      # `cached_property`'s slot
     return star
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exact import Mat, NotPositiveDefinite, SingularMatrix, SymMat, inverse
+from .exact import Mat, NotPositiveDefinite, SymMat, echelon, solve
 from .lattice import characteristic_set
 from .scone import ConeDesc
 
@@ -292,18 +292,15 @@ def form_certificate(q: SymMat, algorithm: str = "sha256") -> CanonicalCertifica
 def _linear_map_from_vector_match(target: Sequence, source: Sequence, d: int) -> Optional[Mat]:
     """Integer matrix U with U source[k] = target[k] for all k, if it exists.
 
-    Solved through the normal equations of the (consistent) overdetermined
-    system; both vector families must span Q^d.
+    U is solved on the first d linearly independent source vectors, by one
+    `solve`, and checked on all of them; None unless the sources span Q^d.
     """
-    smat = Mat.from_cols(source)          # d x n
-    tmat = Mat.from_cols(target)
-    gram = smat @ smat.transpose()        # d x d, invertible if source spans
-    rhs = tmat @ smat.transpose()
-    try:
-        gi = inverse(gram)
-    except SingularMatrix:
+    basis = echelon(source).independent
+    if len(basis) < d:
         return None
-    u = rhs @ gi
+    # U S = T on the basis columns, transposed: S^T U^T = T^T.
+    ut = solve(Mat([source[k] for k in basis]), Mat([target[k] for k in basis]))
+    u = ut.transpose()
     if not u.is_integral():
         return None
     for s, t in zip(source, target):

@@ -8,10 +8,12 @@ cone given by rays is described inside its linear hull in the hull's pivot
 coordinates, which one `exact.echelon` pass over the rays provides together
 with the hull's equalities; no Gram system is solved per ray.
 
-The Dirichlet-Voronoi polytope needs no double description: by Voronoi's
-duality it is read off the Delaunay star, its vertices the circumcenters of
-the cells at 0 and its facets the Delaunay edges at 0.  Face lattices are
-closed under intersection and graded combinatorially, without arithmetic.
+The Dirichlet-Voronoi polytope is read off the Delaunay star by Voronoi's
+duality, its vertices the circumcenters of the cells at 0 and its facets the
+Delaunay edges at 0.  The star itself starts from one double description
+(`_dd_cone`) of the halfspaces of the coset minima of Z^d / 2Z^d, see
+`delaunay.delaunay_star`.  Face lattices are closed under intersection and
+graded combinatorially, without arithmetic.
 """
 
 from __future__ import annotations
@@ -106,11 +108,11 @@ def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
             mp = masks[ip]
             for im in minus:
                 m = mp & masks[im]
-                if bin(m).count("1") < need:
+                if m.bit_count() < need:
                     continue
                 adjacent = True
                 for io, mo in enumerate(masks):
-                    if io != ip and io != im and m & ~mo == 0:
+                    if m & ~mo == 0 and io != ip and io != im:
                         adjacent = False
                         break
                 if not adjacent:
@@ -202,12 +204,12 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
 class LatPolytope:
     """Bounded full-dimensional polytope with exact rational vertex
     coordinates, irredundant facets (a, b) meaning a x + b >= 0, and exact
-    vertex-facet incidences stored as bitmasks."""
+    vertex-facet incidences stored as one bitmask over the vertices per
+    facet."""
 
     dim: int
     vertices: tuple
     facets: tuple
-    vertex_masks: tuple = field(repr=False)   # per vertex: bitmask over facets
     facet_masks: tuple = field(repr=False)    # per facet: bitmask over vertices
 
     @property
@@ -252,7 +254,13 @@ def polytope_from_vertices(vertices: Sequence[Sequence], dim: int) -> LatPolytop
             if not any(k != i and m & ~o == 0 for k, o in enumerate(point_masks))]
     facet_masks = tuple(sum(1 << n for n, i in enumerate(keep) if row[i]) for row in on)
     return LatPolytope(dim, tuple(tuple(Rat(x) for x in points[i]) for i in keep), facets,
-                       _vertex_masks(facet_masks, len(keep)), facet_masks)
+                       facet_masks)
+
+
+def _dv_halfspace(q: SymMat, v) -> tuple:
+    """The primitive integral row (a, b) of -2 Q v . x + Q[v] >= 0: x is no
+    farther from 0 than from v."""
+    return clear_denominators(tuple(-2 * x for x in q.mul_vec(v)) + (q.quad(v),))
 
 
 def dv_polytope(q: SymMat) -> LatPolytope:
@@ -270,8 +278,8 @@ def dv_polytope(q: SymMat) -> LatPolytope:
     is dual to is a facet exactly when that face is an edge; this screens
     out non-edges such as the diagonals of square cells.  Vertices and the
     integral facet rows (a, b) are each in sorted order, and the incidences
-    are bitmasks both ways.  Raises AssertionError unless every vertex lies
-    on at least d facets.
+    are one bitmask over the vertices per facet.  Raises AssertionError
+    unless every vertex lies on at least d facets.
     """
     from .delaunay import delaunay_star
 
@@ -286,22 +294,14 @@ def dv_polytope(q: SymMat) -> LatPolytope:
             if v != zero:
                 containing[v] = containing.get(v, 0) | 1 << i
                 common[v] = common[v] & vset if v in common else vset
-    facets = sorted(
-        (clear_denominators(tuple(-2 * x for x in q.mul_vec(v)) + (q.quad(v),)), v)
-        for v in containing if len(common[v]) == 2)
+    facets = sorted((_dv_halfspace(q, v), v) for v in containing if len(common[v]) == 2)
     index = {v: j for j, (_, v) in enumerate(facets)}
-    vertex_masks = []
     for cell in cells:
-        m = 0
-        for v in cell.vertices:
-            if v in index:
-                m |= 1 << index[v]
-        if m.bit_count() < d:
+        if sum(1 for v in cell.vertices if v in index) < d:
             raise AssertionError(f"DV vertex {cell.center} lies on fewer than {d} facets")
-        vertex_masks.append(m)
     return LatPolytope(d, tuple(tuple(Rat(x) for x in c.center) for c in cells),
                        tuple((h[:-1], h[-1]) for h, _ in facets),
-                       tuple(vertex_masks), tuple(containing[v] for _, v in facets))
+                       tuple(containing[v] for _, v in facets))
 
 
 def incidence_graph(p: LatPolytope):

@@ -4,12 +4,23 @@ Each of these was once in `lcone` and has no caller in the pipeline, the
 CLI or the demos, or was replaced there by a faster or leaner path.  They
 stay here as independent routes for the tests: short vectors by enumeration
 around 0, polytopes from halfspaces by one double description, canonical
-extreme rays, the stabilizer order of a cone, the adjacent pairs of a
-triangulation as a list, the regulator over rational matrices, and the merge
-through invariant buckets.
+extreme rays, the Delaunay star by moving spheres, the stabilizer order of a
+cone, the adjacent pairs of a triangulation as a list, the regulator over
+rational matrices, and the merge through invariant buckets.
 """
 
+from collections import Counter, deque
+from typing import Sequence
+
 from lcone.classify import _candidate_key
+from lcone.delaunay import (
+    Cell,
+    DelaunayStar,
+    _normalized,
+    _require_pd,
+    _star_cells,
+    cell_facets,
+)
 from lcone.equiv import _form_canonical, cone_equivalent
 from lcone.exact import (
     AffinelyDependent,
@@ -18,16 +29,16 @@ from lcone.exact import (
     SingularMatrix,
     SymMat,
     clear_denominators,
+    nullspace,
     rank_of_rows,
     solve,
 )
-from lcone.lattice import VectorSet, enumerate_close
+from lcone.lattice import VectorSet, characteristic_set, closest_vectors, enumerate_close
 from lcone.polyhedral import (
     LatPolytope,
     _dd_cone,
     _dot,
     _integer_rows,
-    _vertex_masks,
     dual_description,
     rays_to_hrep,
 )
@@ -84,8 +95,187 @@ def polytope_from_halfspaces(halfspaces, dim: int) -> LatPolytope:
         if rank_of_rows([[x - y for x, y in zip(v, v0)] for v in inc[1:]] or [[0] * dim]) == dim - 1:
             facets.append((tuple(a), b))
             facet_masks.append(mask)
-    return LatPolytope(dim, tuple(verts), tuple(facets),
-                       _vertex_masks(facet_masks, len(verts)), tuple(facet_masks))
+    return LatPolytope(dim, tuple(verts), tuple(facets), tuple(facet_masks))
+
+
+class NotAFacet(Exception):
+    pass
+
+
+def _sphere_value(q: SymMat, center, point):
+    return q.quad([c - x for c, x in zip(center, point)])
+
+
+def _parametric_contact(q: SymMat, base_vertex, center, sqradius, direction, probes=()):
+    """First lattice contact when the sphere center moves along `direction`.
+
+    The sphere through the current vertex set stays through it (direction is
+    Q-orthogonal to its affine hull) and the first lattice points reached on
+    the positive side of the motion are returned, together with the contact
+    center and squared radius.  The current sphere must be empty.
+
+    Each lattice point w on the positive side is reached at a parameter
+    `reach(w)`, and every point reached sooner lies inside the sphere at that
+    parameter.  So the sphere at the soonest reach among a basis step from
+    `base_vertex` and `probes` is enumerated: probes near the contact keep
+    it small, and they do not change the result.
+    """
+    hq = q.mul_vec(direction)
+    hq0 = sum(a * b for a, b in zip(hq, base_vertex))
+    qc = q.mul_vec(center)
+    offset = q.quad(center) - sqradius
+
+    def denom(w):
+        return sum(a * b for a, b in zip(hq, w)) - hq0
+
+    def reach(w):
+        """Parameter at which the moving sphere reaches w (denom(w) > 0)."""
+        excess = q.quad(w) - 2 * sum(a * b for a, b in zip(qc, w)) + offset
+        return Rat(excess) / (2 * denom(w))
+
+    step = next(k for k in range(q.d) if hq[k] != 0)
+    probe = list(base_vertex)
+    probe[step] += 1 if hq[step] > 0 else -1
+    lam_probe = min(reach(w) for w in (tuple(probe), *probes) if denom(w) > 0)
+    c_probe = tuple(c + lam_probe * h for c, h in zip(center, direction))
+    r_probe = _sphere_value(q, c_probe, base_vertex)
+
+    best_lam = None
+    hits = []
+    for w, _ in enumerate_close(q, c_probe, r_probe):
+        if denom(w) <= 0:
+            continue
+        lam = reach(w)
+        if best_lam is None or lam < best_lam:
+            best_lam = lam
+            hits = [w]
+        elif lam == best_lam:
+            hits.append(w)
+    if best_lam is None or best_lam < 0:
+        raise AssertionError("no lattice contact ahead of the moving sphere")
+    new_center = tuple(c + best_lam * h for c, h in zip(center, direction))
+    new_r2 = _sphere_value(q, new_center, base_vertex)
+    return best_lam, new_center, new_r2, sorted(hits)
+
+
+def initial_cell(q: SymMat) -> Cell:
+    """Some Delaunay cell of Q with 0 as a vertex.
+
+    Grows an empty sphere through an affinely independent vertex set one
+    dimension at a time: among the two Q-orthogonal motions of the center,
+    the first lattice contact with the smaller circumradius is taken; the
+    sums of a vertex and a vector of the characteristic set are its probes.
+    The final vertex set is saturated to the full closest-vector set, and
+    the empty-sphere postcondition is verified.
+    """
+    _require_pd(q)
+    d = q.d
+    short = characteristic_set(q).vectors
+    min_norm = min(q.quad(v) for v in short)
+    v1 = min(v for v in short if q.quad(v) == min_norm)
+    zero = tuple([0] * d)
+    verts = [zero, v1]
+    center = tuple(Rat(x, 2) for x in v1)
+    r2 = Rat(q.quad(v1), 4)
+    while len(verts) < d + 1:
+        rows = [q.mul_vec([a - b for a, b in zip(w, verts[0])]) for w in verts[1:]]
+        direction = nullspace(rows)[0]
+        probes = {tuple(a + b for a, b in zip(w, v)) for w in verts for v in short}
+        sides = []
+        for h in (direction, tuple(-x for x in direction)):
+            lam, c2, rr2, hits = _parametric_contact(q, verts[0], center, r2, h, probes)
+            sides.append((rr2, hits[0], c2))
+        sides.sort()
+        rr2, w_new, c2 = sides[0]
+        verts.append(w_new)
+        center, r2 = c2, rr2
+    best, mins = closest_vectors(q, center)
+    if best != r2 or zero not in mins:
+        raise AssertionError("initial cell failed the empty-sphere check")
+    return Cell(tuple(sorted(mins)), center, r2)
+
+
+def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell:
+    """The unique Delaunay cell on the other side of a facet of `cell`.
+
+    The center slides along the line of centers Q-orthogonal to the facet,
+    away from the cell, until the first lattice points enter the sphere.
+    """
+    fverts = tuple(sorted(tuple(v) for v in facet))
+    vset = set(cell.vertices)
+    if not set(fverts) <= vset:
+        raise NotAFacet("facet vertices are not vertices of the cell")
+    f0 = fverts[0]
+    rows = [q.mul_vec([a - b for a, b in zip(w, f0)]) for w in fverts[1:]]
+    if not rows:
+        rows = [[0] * q.d]
+    # Q is nonsingular, so the rows have the rank of the vertex differences.
+    directions = nullspace(rows)
+    if len(directions) != 1:
+        raise NotAFacet("facet does not span a hyperplane")
+    h = directions[0]
+    hq = q.mul_vec(h)
+    hq0 = sum(a * b for a, b in zip(hq, f0))
+    others = [v for v in cell.vertices if v not in set(fverts)]
+    dens = [sum(a * b for a, b in zip(hq, v)) - hq0 for v in others]
+    if any(x == 0 for x in dens):
+        raise NotAFacet("a non-facet vertex lies on the facet hyperplane")
+    if all(x > 0 for x in dens):
+        h = tuple(-x for x in h)
+    elif not all(x < 0 for x in dens):
+        raise NotAFacet("cell vertices on both sides of the hyperplane")
+    # The contact is often a reflection f + g - o of an opposite vertex o.
+    probes = {tuple(a + b - c for a, b, c in zip(f, g, o))
+              for f in fverts for g in fverts for o in others}
+    _, new_center, new_r2, _ = _parametric_contact(q, f0, cell.center, cell.sqradius, h, probes)
+    best, mins = closest_vectors(q, new_center)
+    if best != new_r2 or not set(fverts) <= set(mins):
+        raise AssertionError("adjacent cell failed the empty-sphere check")
+    return Cell(tuple(sorted(mins)), new_center, new_r2)
+
+
+def delaunay_star_by_search(q: SymMat) -> DelaunayStar:
+    """`delaunay.delaunay_star` by moving spheres, one translation class at
+    a time.
+
+    A breadth-first search runs over normalized class representatives.  The
+    facets of each class are filed under their `_normalized` form as soon
+    as the class is found.  A facet is crossed with `adjacent_cell` only
+    while its normalized form has one side: the other side is then a class
+    not yet found, so the search makes one crossing per class after the
+    first.  At the end every normalized facet must have exactly two sides.
+    The star is handed the cells the search found: the translates `rep - v`
+    over the vertices `v` of every representative, which inherit the
+    representative's empty-sphere certificate, since translation preserves
+    it.  Deterministic ordering.
+    """
+    _require_pd(q)
+    d = q.d
+    reps = {}
+    sides = Counter()            # normalized facet -> number of class facets
+    queue = deque()
+
+    def found(rep):
+        reps[rep.vertices] = rep
+        facets = cell_facets(rep, d)
+        sides.update(_normalized(facet) for facet in facets)
+        queue.append((rep, facets))
+
+    found(initial_cell(q).normalized()[0])
+    while queue:
+        rep, facets = queue.popleft()
+        for facet in facets:
+            if sides[_normalized(facet)] == 1:
+                norm, _ = adjacent_cell(q, rep, facet).normalized()
+                if norm.vertices in reps:
+                    raise AssertionError("a facet crossing reached a known class")
+                found(norm)
+    if any(n != 2 for n in sides.values()):
+        raise AssertionError("a facet of the star does not lie in exactly two cells")
+    keys = tuple(sorted(reps))
+    star = DelaunayStar(q, keys)
+    star.__dict__["cells"] = _star_cells([reps[k] for k in keys])  # `cached_property`'s slot
+    return star
 
 
 def stabilizer_order(cone, algorithm: str = "sha256") -> int:

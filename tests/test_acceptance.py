@@ -29,6 +29,9 @@ from lcone.exact import Mat, Rat, SingularMatrix, SymMat, det, solve
 from lcone.polyhedral import dv_polytope, polytope_volume
 from lcone.scone import fundamental_face
 
+from oracles import delaunay_star_by_search
+from test_delaunay import assert_same_star
+
 A2 = SymMat([[2, 1], [1, 2]])
 
 
@@ -160,6 +163,13 @@ def test_criterion_2_d3(db3):
 
 # ---------------------------------------------------------------------------
 # Criterion 3: d = 4
+
+
+def test_star_matches_search_oracle_on_d4_database(db4):
+    # Every central form of the d = 4 database, primitive or not.
+    for rec in db4.records():
+        q = rec.cone.central
+        assert_same_star(delaunay_star(q), delaunay_star_by_search(q))
 
 
 def test_criterion_3_d4(db4):

@@ -12,13 +12,10 @@ import lcone.lattice
 
 from lcone.delaunay import (
     Cell,
-    NotAFacet,
     NotOnSingleFacet,
-    adjacent_cell,
     cell_facets,
     circumcenter,
     delaunay_star,
-    initial_cell,
     is_triangulation,
     neighbor_triangulation,
 )
@@ -26,6 +23,9 @@ from lcone.classify import principal_form, seed_triangulation
 from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, det, inverse
 from lcone.lattice import closest_vectors
 from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
+
+import oracles
+from oracles import NotAFacet, adjacent_cell, delaunay_star_by_search, initial_cell
 
 A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
@@ -111,13 +111,11 @@ class TestDelaunayStar:
         (SymMat([[1]]), 2, 1, True),
         (SymMat.identity(3), 8, 1, False),
     ])
-    def test_counts(self, monkeypatch, q, cells, classes, tri):
-        crossings = _count_calls(monkeypatch, "adjacent_cell")
+    def test_counts(self, q, cells, classes, tri):
         star = delaunay_star(q)
         assert len(star.cells) == cells
         assert len(star.keys) == classes
         assert is_triangulation(star) == tri
-        assert len(crossings) == classes - 1
 
     def test_every_cell_contains_origin(self):
         star = delaunay_star(A2)
@@ -234,66 +232,85 @@ SKEWED4 = SymMat([[3, 2, -2, -1], [2, 13, -8, -4], [-2, -8, 6, 3], [-1, -4, 3, 3
 
 
 def _count_calls(monkeypatch, name):
-    """Patch `lcone.delaunay.<name>` to record its calls; returns the list."""
+    """Patch `oracles.<name>` to record its calls; returns the list."""
     calls = []
-    original = getattr(lcone.delaunay, name)
+    original = getattr(oracles, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lcone.delaunay, name, counted)
+    monkeypatch.setattr(oracles, name, counted)
     return calls
+
+
+def _typed(x):
+    """x with every number paired with its type, so that `==` sees types."""
+    if isinstance(x, tuple):
+        return tuple(_typed(y) for y in x)
+    return type(x), x
+
+
+def assert_same_star(star, other):
+    """Equal stars, cell for cell, value for value and type for type."""
+    assert star == other
+    assert [_typed((c.vertices, c.center, c.sqradius)) for c in star.cells] == \
+        [_typed((c.vertices, c.center, c.sqradius)) for c in other.cells]
 
 
 class TestStarByClasses:
     @pytest.mark.parametrize("q", [principal_form(2), principal_form(3), principal_form(4),
                                    SymMat.identity(3), FACE4] + _random_forms(7, 4))
-    def test_matches_cell_search(self, monkeypatch, q):
-        calls = _count_calls(monkeypatch, "adjacent_cell")
+    def test_matches_cell_search(self, q):
         star = delaunay_star(q)
         assert (star.cells, star.keys) == star_by_cells(q)[:2]
-        assert len(calls) == len(star.keys) - 1
+
+    @pytest.mark.parametrize("q", [FACE4, SKEWED4, SymMat([[Rat(5, 2), 1], [1, Rat(7, 3)]])]
+                             + _random_forms(7, 4) + _random_forms(11, 3))
+    def test_matches_search_oracle(self, q):
+        assert_same_star(delaunay_star(q), delaunay_star_by_search(q))
 
     def test_face_form_has_non_simplex_cells(self):
         assert not is_triangulation(delaunay_star(FACE4))
 
     def test_crosses_each_class_facet_pair_once(self, monkeypatch):
-        # Each crossing finds a new class; every other pair of class facets
-        # is matched by translation. principal_form(4) has 24 classes and
-        # 60 pairs of class facets.
+        # The search oracle: each crossing finds a new class; every other
+        # pair of class facets is matched by translation. principal_form(4)
+        # has 24 classes and 60 pairs of class facets.
         calls = _count_calls(monkeypatch, "adjacent_cell")
-        star = delaunay_star(principal_form(4))
+        star = delaunay_star_by_search(principal_form(4))
         assert len(star.keys) == 24
         assert len(calls) == len(star.keys) - 1
 
     @pytest.mark.parametrize("q", [principal_form(3), FACE4, SKEWED4] + _random_forms(11, 3))
     def test_probes_do_not_change_the_star(self, monkeypatch, q):
+        # The search oracle's contact probes are a heuristic: without them
+        # it finds the same star.
         crossings = _count_calls(monkeypatch, "adjacent_cell")
-        star = delaunay_star(q)
+        star = delaunay_star_by_search(q)
         assert len(crossings) == len(star.keys) - 1
-        original = lcone.delaunay._parametric_contact
+        original = oracles._parametric_contact
 
         def basis_step_only(q, base_vertex, center, sqradius, direction, probes=()):
             return original(q, base_vertex, center, sqradius, direction)
 
-        monkeypatch.setattr(lcone.delaunay, "_parametric_contact", basis_step_only)
-        assert delaunay_star(q) == star
+        monkeypatch.setattr(oracles, "_parametric_contact", basis_step_only)
+        assert delaunay_star_by_search(q) == star == delaunay_star(q)
 
     def test_work_does_not_depend_on_coordinate_signs(self, monkeypatch):
-        # Lattice points enumerated for the star of each sign image of
-        # SKEWED4. With a basis step as the only contact probe and the check
-        # bounded by coordinate-wise rounding they ranged from 3.9k to 13.7k.
+        # Lattice points walked for the star of each sign image of SKEWED4.
+        # With the moving-sphere search, a basis step as the only contact
+        # probe and the check bounded by coordinate-wise rounding, they
+        # ranged from 3.9k to 13.7k.
         points = []
-        original = lcone.lattice.enumerate_close
+        original = lcone.lattice._walk
 
         def counted(*args):
             hits = original(*args)
             points[-1] += len(hits)
             return hits
 
-        monkeypatch.setattr(lcone.delaunay, "enumerate_close", counted)
-        monkeypatch.setattr(lcone.lattice, "enumerate_close", counted)
+        monkeypatch.setattr(lcone.lattice, "_walk", counted)
         for signs in itertools.product((1, -1), repeat=3):
             flip = Mat([[s if i == j else 0 for j in range(4)]
                         for i, s in enumerate((1,) + signs)])
@@ -302,59 +319,77 @@ class TestStarByClasses:
             delaunay_star(SKEWED4.congruence(flip))
         assert max(points) <= 1.2 * min(points), points
 
-    @pytest.mark.parametrize("change,message", [
-        ("facets[:-1]", "a facet crossing reached a known class"),
-        ("facets + facets[:1]", "a facet of the star does not lie in exactly two cells"),
-    ], ids=["dropped", "doubled"])
-    def test_facet_pairing_checks_survive_optimize(self, change, message):
-        # A class that loses a facet is reached again by a crossing of its
-        # lost facet's partner; a facet listed twice has three sides.
-        script = (
-            "import lcone.delaunay as D\n"
-            "from lcone.classify import principal_form\n"
-            "assert False, 'asserts are on'\n"
+    @pytest.mark.parametrize("change", ["facets[:-1]", "facets + facets[:1]"],
+                             ids=["dropped", "doubled"])
+    def test_facet_pairing_checks_survive_optimize(self, change):
+        # A normalized facet whose class facet is dropped has one side; one
+        # listed twice has three.
+        out = _raised_under_optimize(
             "orig = D.cell_facets\n"
             "def patched(cell, d):\n"
             "    facets = orig(cell, d)\n"
             f"    return {change}\n"
-            "D.cell_facets = patched\n"
-            "try:\n"
-            "    D.delaunay_star(principal_form(3))\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: " + message)
+            "D.cell_facets = patched\n",
+            "D.delaunay_star(principal_form(3))")
+        assert out.startswith("raised: a facet of the star does not lie in exactly two cells")
 
     def test_empty_sphere_check_survives_optimize(self):
-        # `assert False` passes only if -O stripped asserts; the empty-sphere
-        # check must still reject the wrong minimum from closest_vectors.
-        script = (
-            "import lcone.delaunay as D\n"
-            "from lcone.delaunay import Cell, adjacent_cell\n"
-            "from lcone.exact import Rat, SymMat\n"
-            "assert False, 'asserts are on'\n"
+        # The empty-sphere check must reject a wrong minimum from
+        # closest_vectors.
+        out = _raised_under_optimize(
             "orig = D.closest_vectors\n"
             "def wrong(q, c):\n"
             "    best, mins = orig(q, c)\n"
             "    return best + 1, mins\n"
-            "D.closest_vectors = wrong\n"
-            "cell = Cell(((0, 0), (0, 1), (1, 0)), (Rat(1, 3), Rat(1, 3)), Rat(2, 3))\n"
-            "try:\n"
-            "    adjacent_cell(SymMat([[2, 1], [1, 2]]), cell, [(1, 0), (0, 1)])\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: adjacent cell failed the empty-sphere check")
+            "D.closest_vectors = wrong\n",
+            "D.delaunay_star(SymMat([[2, 1], [1, 2]]))")
+        assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
+
+    def test_cell_without_origin_raises_under_optimize(self):
+        # closest_vectors leaves 0 out of every minimizer set.  The coset
+        # minima keep their halfspaces (each vector comes with its negative),
+        # so the cells are what is wrong.
+        out = _raised_under_optimize(
+            "orig = D.closest_vectors\n"
+            "def without_origin(q, c):\n"
+            "    best, mins = orig(q, c)\n"
+            "    return best, tuple(v for v in mins if any(v))\n"
+            "D.closest_vectors = without_origin\n",
+            "D.delaunay_star(principal_form(3))")
+        assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
+
+    def test_dropped_coset_raises_under_optimize(self):
+        # Without the vectors of one class of Z^3 / 2Z^3, which are facet
+        # vectors of a generic form, the double description makes a cell
+        # that is too large, and some of its vertices are not circumcenters.
+        out = _raised_under_optimize(
+            "orig = D._coset_minima\n"
+            "def dropped(q):\n"
+            "    vectors = orig(q)\n"
+            "    return [v for v in vectors if [x % 2 for x in v] != [0, 0, 1]]\n"
+            "D._coset_minima = dropped\n",
+            "D.delaunay_star(principal_form(3))")
+        assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
+
+
+def _raised_under_optimize(setup: str, call: str) -> str:
+    """Run `setup`, then `call`, under `python -O` in a new process, with
+    `lcone.delaunay` as D, `principal_form` and `SymMat` imported.  Returns
+    the output: "raised: <message>" if `call` raised an AssertionError.
+    The script's `assert False` passes only if -O stripped the asserts."""
+    script = ("import lcone.delaunay as D\n"
+              "from lcone.classify import principal_form\n"
+              "from lcone.exact import SymMat\n"
+              "assert False, 'asserts are on'\n"
+              f"{setup}"
+              f"try:\n    {call}\n"
+              "except AssertionError as exc:\n    print('raised:', exc)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def neighbor_by_eps(star, wallpoint, center):
@@ -429,7 +464,7 @@ class TestNeighborTriangulation:
         star = seed_triangulation(4)
         cone, walls = pd_walls(star)
         calls = []
-        for name in ("delaunay_star", "adjacent_cell"):
+        for name in ("delaunay_star", "_coset_minima"):
             original = getattr(lcone.delaunay, name)
 
             def counted(*args, name=name, original=original):
@@ -442,31 +477,19 @@ class TestNeighborTriangulation:
         assert calls == []
 
     def test_empty_sphere_check_survives_optimize(self):
-        # As for adjacent_cell: a wrong minimum from closest_vectors must be
+        # As for the star: a wrong minimum from closest_vectors must be
         # caught under -O when a class is added by the flip.
-        script = (
-            "import lcone.delaunay as D\n"
-            "from lcone.exact import SymMat\n"
+        out = _raised_under_optimize(
             "from lcone.scone import cone_facets, secondary_cone\n"
-            "assert False, 'asserts are on'\n"
             "star = D.delaunay_star(SymMat([[2, 1], [1, 2]]))\n"
             "cone = secondary_cone(star)\n"
             "orig = D.closest_vectors\n"
             "def wrong(q, c):\n"
             "    best, mins = orig(q, c)\n"
             "    return best + 1, mins\n"
-            "D.closest_vectors = wrong\n"
-            "try:\n"
-            "    D.neighbor_triangulation(star, cone_facets(cone)[0].central, cone.central)\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: flipped cell failed the empty-sphere check")
+            "D.closest_vectors = wrong\n",
+            "D.neighbor_triangulation(star, cone_facets(cone)[0].central, cone.central)")
+        assert out.startswith("raised: flipped cell failed the empty-sphere check")
 
     def test_wallpoint_must_be_on_wall(self):
         star = delaunay_star(A2)

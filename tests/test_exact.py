@@ -584,7 +584,7 @@ class TestKernelFailurePropagates:
         match = lcone.equiv._linear_map_from_vector_match
         assert match([(1, 0), (2, 0)], [(1, 0), (2, 0)], 2) is None   # no span
         assert match([(0, 1), (1, 0)], [(1, 0), (0, 1)], 2) == Mat([[0, 1], [1, 0]])
-        monkeypatch.setattr(lcone.equiv, "inverse", self._broken)
+        monkeypatch.setattr(lcone.equiv, "solve", self._broken)
         with pytest.raises(TypeError, match="broken kernel"):
             match([(0, 1), (1, 0)], [(1, 0), (0, 1)], 2)
 
