@@ -49,12 +49,12 @@ from .polyhedral import (
 from .scone import (
     ConeDesc,
     _ray_rank,
+    _tight_masks,
     cone_facets,
     cone_from_dict,
     cone_from_rays,
     cone_to_dict,
     contains_pd,
-    fundamental_face,
     rank_profile,
     secondary_cone,
     star_wall_forms,
@@ -243,13 +243,13 @@ def _dv_summary(poly: LatPolytope, digest: str) -> tuple[str, tuple, str]:
 
 def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
     """All per-class invariants of a cone: certificate of the central form,
-    stabilizer order, DV polytope data of the central form, censuses."""
+    stabilizer order, DV polytope data of the central form, censuses.  The
+    cone is zonotopal when its rank profile holds rank 1 only."""
     _check_ray_ranks(cone)
     (central_det, _, _, ranks, can_size), cert_hash = _candidate_key(cone, digest)
     _, _, witness, _, stab = _form_canonical(cone.central, digest)
     poly = dv_polytope(cone.central)
     dv_hash, fv, sub = _dv_summary(poly, digest)
-    zono = fundamental_face(cone) is None
     return ClassRecord(
         cone=cone,
         cert_hash=cert_hash,
@@ -263,7 +263,7 @@ def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
         dv_vertices=poly.n_vertices,
         f_vector=fv,
         subordination=sub,
-        zonotopal=zono,
+        zonotopal=all(k == 1 for k, _ in ranks),
     )
 
 
@@ -647,17 +647,6 @@ def dimension_table(db: ClassDB) -> dict[int, int]:
 # Contraction refinement
 
 
-def _facet_ray_masks(cone: ConeDesc) -> list[int]:
-    masks = []
-    for n in cone.inequalities:
-        mask = 0
-        for i, r in enumerate(cone.rays):
-            if n.pair(r) == 0:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
-
-
 def _faces_within(cone: ConeDesc, allowed: int, facet_masks: list[int]) -> list[int]:
     """Faces of the cone whose ray set lies inside the `allowed` mask.
 
@@ -702,7 +691,7 @@ def contraction_refine(db: ClassDB, digest: str = "sha256"):
                 rank1_mask |= 1 << i
             else:
                 high_mask |= 1 << i
-        facet_masks = _facet_ray_masks(cone)
+        facet_masks = _tight_masks(cone.inequalities, cone.rays)
         for smask in _faces_within(cone, high_mask, facet_masks):
             piece_mask = smask | rank1_mask
             if piece_mask == 0:

@@ -31,7 +31,6 @@ from .exact import (
     inverse,
     nullspace,
     rank_of_rows,
-    solve,
 )
 
 
@@ -157,6 +156,29 @@ def dual_description(h: HRep) -> list[tuple]:
     return _dd_cone(ineqs, m)
 
 
+def _project_into_hull(equalities: Sequence[Sequence[int]],
+                       normals: Sequence[Sequence[int]]) -> list[tuple]:
+    """Orthogonal projections of integer functionals a onto the hull
+    {x : E x = 0} of integer equalities E of full row rank, over the
+    integers: D a - E^T X, where one `echelon` of [E E^T | E a ...] leaves
+    D [I | (E E^T)^-1 E a ...].  Each result is a positive multiple of
+    a - E^T (E E^T)^-1 E a, the unique functional in the hull that agrees
+    with a on it, so it does not depend on the basis E of the equalities."""
+    if not equalities or not normals:
+        return [tuple(a) for a in normals]
+    k = len(equalities)
+    ech = echelon([[_dot(e, f) for f in equalities] + [_dot(e, a) for a in normals]
+                   for e in equalities])
+    if ech.pivots != tuple(range(k)):
+        raise AssertionError("hull equalities are linearly dependent")
+    out = []
+    for j, a in enumerate(normals):
+        x = [row[k + j] for row in ech.rows]
+        out.append(tuple(ech.scale * a[c] - sum(xi * e[c] for xi, e in zip(x, equalities) if xi)
+                         for c in range(len(a))))
+    return out
+
+
 def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
     """Irredundant halfspace description of the cone generated by integer rays.
 
@@ -165,10 +187,10 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
     injective on the hull, so the rays r_I are the inequalities of the polar
     cone there, and the double description method turns them into the facet
     normals g.  Each g is lifted to the unique functional in the hull that
-    agrees with x -> g . x_I on it: g placed at I, projected along the
-    equalities E by one solve with E E^T.  Normals are gcd-normalized and
-    nonnegative on the rays.  Raises NotPointed when the rays generate a
-    cone that contains a line.
+    agrees with x -> g . x_I on it: g placed at I and projected orthogonally
+    into the hull over the integers (`_project_into_hull`).  Normals are
+    gcd-normalized and nonnegative on the rays.  Raises NotPointed when the
+    rays generate a cone that contains a line.
     """
     rays = [tuple(r) for r in rays]
     if not rays:
@@ -188,15 +210,7 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
         for i, x in zip(pivots, g):
             a[i] = x
         lifted.append(a)
-    if equalities and lifted:
-        # a - E^T t with (E E^T) t = E a lies in the hull and agrees with a on it.
-        e = Mat(equalities)
-        et = e.transpose()
-        t = solve(e @ et, Mat.from_cols([e.mul_vec(a) for a in lifted]))
-        shifts = (et @ t).transpose().entries
-        lifted = [clear_denominators([x - y for x, y in zip(a, shift)])
-                  for a, shift in zip(lifted, shifts)]
-    ineqs = [gcd_normalize(a, orient=False) for a in lifted]
+    ineqs = [gcd_normalize(a, orient=False) for a in _project_into_hull(equalities, lifted)]
     return HRep(dim, equalities, tuple(sorted(set(ineqs))))
 
 

@@ -5,6 +5,13 @@ matrices, by one linear inequality per pair of adjacent simplices; the
 inequality normals are the classical regulators.  Cones are stored with
 irredundant inequalities, gcd-normalized integral extreme rays, accumulated
 linear-hull equalities, and the central form (the sum of the rays).
+
+Faces are read off the incidences of rays and facets, not rebuilt from
+their rays: in a pointed cone every facet of a face lies in a facet of the
+cone that does not contain the face, so the facet normals of a face are
+those of the cone, projected into the face's linear hull (`_face`).  A
+double description runs once per secondary cone and once per
+`cone_from_rays`, never per facet.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ from .exact import (
     SingularMatrix,
     SymMat,
     clear_denominators,
+    echelon,
     gcd_normalize,
     rank_of_rows,
     solve,
 )
-from .polyhedral import HRep, dual_description, rays_to_hrep
+from .polyhedral import HRep, _project_into_hull, dual_description, rays_to_hrep
 
 
 class NotATriangulation(Exception):
@@ -166,14 +174,11 @@ def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
 
 
 def central_form(rays: Sequence[SymMat]) -> SymMat:
-    """Sum of the (gcd-normalized) generating rays."""
+    """Sum of the (gcd-normalized) generating rays, entry by entry."""
     rays = list(rays)
     if not rays:
         raise EmptyRaySet("no rays")
-    total = rays[0]
-    for r in rays[1:]:
-        total = total + r
-    return total
+    return SymMat([[sum(col) for col in zip(*rows)] for rows in zip(*(r.entries for r in rays))])
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     # The cone is full-dimensional and pointed, and the walls are distinct
     # normalized forms: a wall supports a facet exactly when its tight rays
     # are nonempty and strictly contained in no other wall's tight rays.
-    tight = [sum(1 << i for i, r in enumerate(rays) if n.pair(r) == 0) for n in walls]
+    tight = _tight_masks(walls, rays)
     keep = [n for n, t in zip(walls, tight)
             if t and not any(t != u and t & ~u == 0 for u in tight)]
     rays_sorted = sorted(rays, key=lambda r: r.lower())
@@ -267,19 +272,61 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     return cone
 
 
-def cone_facets(cone: ConeDesc) -> list[ConeDesc]:
-    """Facet cones of a cone, one per irredundant inequality.
+def _tight_masks(normals: Sequence[SymMat], rays: Sequence[SymMat]) -> list[int]:
+    """For each normal, the mask of the rays it vanishes on (bit i for rays[i])."""
+    return [sum(1 << i for i, r in enumerate(rays) if n.pair(r) == 0) for n in normals]
 
-    Each facet keeps the subset of rays tight on the inequality; its own
-    inequalities are recomputed within the facet hull.  Cones of dimension 1
-    have no facets other than the origin and return an empty list.
+
+def _face(cone: ConeDesc, masks: Sequence[int], t: int, equalities: tuple) -> ConeDesc:
+    """The face of a cone whose rays are the bits of mask t, given the tight
+    masks of the cone's inequalities and the face's accumulated equalities.
+
+    One `echelon` of the face's rays gives its dimension and the equalities
+    of its linear hull.  The facets of the face are the maximal sets among
+    t & u over the masks u that do not contain t; the empty set counts only
+    when the face is a ray, whose one facet is the apex.  The normal of any
+    inequality giving such a set is that facet's normal once projected into
+    the hull (`polyhedral._project_into_hull`): a facet normal is unique up
+    to positive scale modulo the hull.  The normals are then normalized and
+    sorted as `rays_to_hrep` sorts them, so the face equals the
+    `cone_from_rays` of its rays with the same equalities."""
+    d, m = cone.d, cone.dim_ambient
+    rays = [r for i, r in enumerate(cone.rays) if t >> i & 1]
+    ech = echelon([r.lower() for r in rays])
+    dim = len(ech.pivots)
+    if rank_of_rows([sym_to_functional(e) for e in equalities]) != m - dim:
+        raise AssertionError("accumulated equalities do not cut out the hull")
+    traces: dict[int, SymMat] = {}
+    for n, u in zip(cone.inequalities, masks):
+        if t & ~u:
+            traces.setdefault(t & u, n)
+    ridges = [s for s in traces if (s or dim == 1)
+              and not any(s != o and s & ~o == 0 for o in traces)]
+    normals = _project_into_hull(ech.nullspace(), [sym_to_functional(traces[s]) for s in ridges])
+    ineqs = sorted(set(gcd_normalize(a, orient=False) for a in normals))
+    if dim > 1 and len(ineqs) < dim:
+        raise AssertionError("a face has fewer facets than its dimension")
+    face = ConeDesc(d, m, tuple(equalities), tuple(functional_to_sym(d, a) for a in ineqs),
+                    tuple(rays), dim, central_form(rays))
+    face.validate()
+    return face
+
+
+def cone_facets(cone: ConeDesc) -> list[ConeDesc]:
+    """Facet cones of a cone, one per irredundant inequality, in their order.
+
+    Each facet keeps the subset of rays tight on the inequality and the
+    cone's equalities with the inequality added.  Its own inequalities are
+    read off the cone's ray-facet incidences (`_face`), with no double
+    description.  Cones of dimension 1 have no facets other than the origin
+    and return an empty list.
     """
     if cone.dim <= 1:
         return []
+    masks = _tight_masks(cone.inequalities, cone.rays)
     out = []
-    for n in cone.inequalities:
-        on = [r for r in cone.rays if n.pair(r) == 0]
-        facet = cone_from_rays(cone.d, on, equalities=cone.equalities + (n,))
+    for n, t in zip(cone.inequalities, masks):
+        facet = _face(cone, masks, t, cone.equalities + (n,))
         if facet.dim != cone.dim - 1:
             raise AssertionError("facet dimension mismatch")
         out.append(facet)
@@ -298,17 +345,20 @@ def contains_pd(cone: ConeDesc) -> bool:
 
 def fundamental_face(cone: ConeDesc) -> Optional[ConeDesc]:
     """Smallest face containing all rays of rank > 1, or None when every ray
-    has rank 1 (the zonotopal case)."""
-    high = [r for r in cone.rays if _ray_rank(r) > 1]
+    has rank 1 (the zonotopal case).  The face lies on every inequality
+    tight on those rays, and is read off the incidences like a facet
+    (`_face`)."""
+    high = sum(1 << i for i, r in enumerate(cone.rays) if _ray_rank(r) > 1)
     if not high:
         return None
-    active = tuple(n for n in cone.inequalities
-                   if all(n.pair(r) == 0 for r in high))
-    face_rays = [r for r in cone.rays
-                 if all(n.pair(r) == 0 for n in active)]
+    masks = _tight_masks(cone.inequalities, cone.rays)
+    active = [i for i, u in enumerate(masks) if high & ~u == 0]
     if not active:
         return cone
-    return cone_from_rays(cone.d, face_rays, equalities=cone.equalities + active)
+    t = (1 << len(cone.rays)) - 1
+    for i in active:
+        t &= masks[i]
+    return _face(cone, masks, t, cone.equalities + tuple(cone.inequalities[i] for i in active))
 
 
 @lru_cache(maxsize=65536)

@@ -6,7 +6,8 @@ stay here as independent routes for the tests: short vectors by enumeration
 around 0, polytopes from halfspaces by one double description, canonical
 extreme rays, the Delaunay star by moving spheres, the stabilizer order of a
 cone, the adjacent pairs of a triangulation as a list, the regulator over
-rational matrices, and the merge through invariant buckets.
+rational matrices, facet cones and fundamental faces by one double
+description each, and the merge through invariant buckets.
 """
 
 from collections import Counter, deque
@@ -42,7 +43,7 @@ from lcone.polyhedral import (
     dual_description,
     rays_to_hrep,
 )
-from lcone.scone import Regulator, _facet_pairs
+from lcone.scone import Regulator, _facet_pairs, cone_from_rays
 
 
 def short_vectors(q, n) -> VectorSet:
@@ -315,6 +316,35 @@ def regulator_by_fractions(points, w) -> Regulator:
     if all(x == 0 for x in n.lower()):
         return Regulator(SymMat.zero(d), alphas)
     return Regulator(SymMat.from_lower(d, clear_denominators(n.lower())), alphas)
+
+
+def cone_facets_by_rays(cone) -> list:
+    """`scone.cone_facets` from the bare rays: each facet's inequalities by
+    one `rays_to_hrep` of its tight rays (`cone_from_rays`)."""
+    if cone.dim <= 1:
+        return []
+    out = []
+    for n in cone.inequalities:
+        on = [r for r in cone.rays if n.pair(r) == 0]
+        facet = cone_from_rays(cone.d, on, equalities=cone.equalities + (n,))
+        if facet.dim != cone.dim - 1:
+            raise AssertionError("facet dimension mismatch")
+        out.append(facet)
+    return out
+
+
+def fundamental_face_by_rays(cone):
+    """`scone.fundamental_face` from the bare rays, by `cone_from_rays`."""
+    high = [r for r in cone.rays if r.rank() > 1]
+    if not high:
+        return None
+    active = tuple(n for n in cone.inequalities
+                   if all(n.pair(r) == 0 for r in high))
+    face_rays = [r for r in cone.rays
+                 if all(n.pair(r) == 0 for n in active)]
+    if not active:
+        return cone
+    return cone_from_rays(cone.d, face_rays, equalities=cone.equalities + active)
 
 
 def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:

@@ -31,6 +31,7 @@ from lcone.scone import fundamental_face
 
 from oracles import delaunay_star_by_search
 from test_delaunay import assert_same_star
+from test_scone import assert_faces_match_rays_oracle
 
 A2 = SymMat([[2, 1], [1, 2]])
 
@@ -170,6 +171,17 @@ def test_star_matches_search_oracle_on_d4_database(db4):
     for rec in db4.records():
         q = rec.cone.central
         assert_same_star(delaunay_star(q), delaunay_star_by_search(q))
+
+
+def test_faces_match_rays_oracle_on_databases(db3, db4):
+    # Every cone of the d = 3 and d = 4 databases: its facets and its
+    # fundamental face, read off the incidences, equal those rebuilt from
+    # their rays.
+    facets = 0
+    for db in (db3, db4):
+        for rec in db.records():
+            facets += len(assert_faces_match_rays_oracle(rec.cone))
+    assert facets == 349
 
 
 def test_criterion_3_d4(db4):

@@ -14,7 +14,6 @@ import lcone.classify
 from lcone.classify import (
     ClassDB,
     _faces_within,
-    _facet_ray_masks,
     Classifier,
     DimensionUnsupported,
     DiskCache,
@@ -40,6 +39,7 @@ from lcone.equiv import form_equivalence
 from lcone.exact import Rat, SymMat
 from lcone.scone import (
     _ray_rank,
+    _tight_masks,
     cone_facets,
     cone_to_dict,
     contains_pd,
@@ -671,7 +671,7 @@ def test_faces_within_matches_loop(d):
     rng = random.Random(d)
     for rec in classify_all(d).records():
         cone = rec.cone
-        facet_masks = _facet_ray_masks(cone)
+        facet_masks = _tight_masks(cone.inequalities, cone.rays)
         n = len(cone.rays)
         high = sum(1 << i for i, r in enumerate(cone.rays) if _ray_rank(r) > 1)
         for allowed in [high, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]:

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import lcone.polyhedral
-import lcone.scone
 from lcone.classify import principal_form, seed_triangulation
 from lcone.exact import Mat, Rat, SymMat, clear_denominators, gcd_normalize, nullspace, \
     rank_of_rows, solve
@@ -25,7 +24,7 @@ from lcone.polyhedral import (
     subordination_scheme,
 )
 from lcone.polyhedral import _dd_cone
-from lcone.scone import cone_facets, secondary_cone
+from lcone.scone import secondary_cone
 from oracles import extreme_rays, polytope_from_halfspaces, short_vectors
 
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
@@ -167,20 +166,13 @@ def rays_to_hrep_by_gram(rays, dim):
     return HRep(dim, equalities, tuple(sorted(set(ineqs))))
 
 
-def _facet_inputs(monkeypatch, star):
-    """The (rays, dim) arguments `cone_facets` passes to `rays_to_hrep`."""
-    calls = []
-
-    def recording(rays, dim):
-        calls.append(([tuple(r) for r in rays], dim))
-        return rays_to_hrep(rays, dim)
-
+def _facet_inputs(star):
+    """The (rays, dim) of each facet of a secondary cone, as `cone_from_rays`
+    passes them to `rays_to_hrep`: the lower coordinates of the rays tight
+    on each inequality."""
     cone = secondary_cone(star)
-    monkeypatch.setattr(lcone.scone, "rays_to_hrep", recording)
-    cone_facets(cone)
-    monkeypatch.undo()
-    assert len(calls) == len(cone.inequalities)
-    return calls
+    return [([r.lower() for r in cone.rays if n.pair(r) == 0], cone.dim_ambient)
+            for n in cone.inequalities]
 
 
 def _sign_image(q, signs):
@@ -194,9 +186,9 @@ class TestRaysToHrep:
         lambda: seed_triangulation(4),
         lambda: seed_triangulation(4, _sign_image(principal_form(4), (1, -1, 1, -1))),
     ], ids=["seed3", "seed4", "seed4-signs"])
-    def test_matches_gram_on_cone_facets(self, monkeypatch, star):
+    def test_matches_gram_on_cone_facets(self, star):
         rng = random.Random(4)
-        for rays, dim in _facet_inputs(monkeypatch, star()):
+        for rays, dim in _facet_inputs(star()):
             h = rays_to_hrep(rays, dim)
             assert len(h.equalities) == 1
             assert h == rays_to_hrep_by_gram(rays, dim)

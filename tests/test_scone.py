@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,11 +11,13 @@ import pytest
 
 import lcone.classify
 import lcone.delaunay
+import lcone.polyhedral
 import lcone.scone
 from lcone.classify import Classifier, principal_form, seed_triangulation
 from lcone.delaunay import DelaunayStar, _normalized, delaunay_star, neighbor_triangulation
 from lcone.exact import AffinelyDependent, SymMat, rank_of_rows
 from lcone.scone import (
+    ConeDesc,
     EmptyRaySet,
     NotATriangulation,
     central_form,
@@ -31,8 +34,13 @@ from lcone.scone import (
     sym_dim,
     sym_to_functional,
 )
-from oracles import pair_regulators, regulator_by_fractions
-from test_delaunay import crossings, star_by_cells
+from oracles import (
+    cone_facets_by_rays,
+    fundamental_face_by_rays,
+    pair_regulators,
+    regulator_by_fractions,
+)
+from test_delaunay import _raised_under_optimize, crossings, star_by_cells
 
 A2 = SymMat([[2, 1], [1, 2]])
 
@@ -438,6 +446,72 @@ def test_d5_cones_byte_identical():
                                   separators=(",", ":")).encode()).hexdigest()
         for star in _walk(seed_triangulation(5), 1))
     assert digests == D5_CONE_SHA256
+
+
+def assert_same_cone(got, want):
+    """Two cones (or None) agree field for field."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        for f in dataclasses.fields(ConeDesc):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def assert_faces_match_rays_oracle(cone):
+    """`cone_facets` and `fundamental_face` of a cone equal their oracles,
+    which rebuild every face from its rays; returns the facets."""
+    facets = cone_facets(cone)
+    want = cone_facets_by_rays(cone)
+    assert len(facets) == len(want)
+    for got, ref in zip(facets, want):
+        assert_same_cone(got, ref)
+    assert_same_cone(fundamental_face(cone), fundamental_face_by_rays(cone))
+    return facets
+
+
+class TestFacetsByIncidence:
+    def test_match_rays_oracle_d5(self):
+        # The d = 5 seed cone, the cones across its first 3 positive
+        # definite walls, and all their facets, one level further down.
+        star = seed_triangulation(5)
+        cone = secondary_cone(star)
+        walls = [f for f in cone_facets(cone) if contains_pd(f)]
+        cones = [cone] + [secondary_cone(neighbor_triangulation(star, f.central, cone.central))
+                          for f in walls[:3]]
+        facets = [f for c in cones for f in assert_faces_match_rays_oracle(c)]
+        assert len(facets) == 60
+        for facet in facets:
+            assert_faces_match_rays_oracle(facet)
+
+    def test_run_no_double_description(self, monkeypatch):
+        # Every facet of the d = 4 seed cone and of its facets is read off
+        # the incidences: no `rays_to_hrep` and no `_dd_cone` call.
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+
+        counted(lcone.scone, "rays_to_hrep")
+        counted(lcone.polyhedral, "rays_to_hrep")
+        counted(lcone.polyhedral, "_dd_cone")
+        cone = secondary_cone(seed_triangulation(4))
+        calls.clear()
+        facets = cone_facets(cone)
+        second = [g for f in facets for g in cone_facets(f)]
+        assert len(facets) == 10 and len(second) == 90
+        assert calls == []
+
+    def test_dropped_inequality_raises_under_optimize(self):
+        # The d = 4 seed cone is simplicial: with one inequality dropped,
+        # each facet next to it has one facet fewer than its dimension.
+        out = _raised_under_optimize(
+            "import dataclasses\n"
+            "from lcone.classify import seed_triangulation\n"
+            "from lcone.scone import cone_facets, secondary_cone\n"
+            "cone = secondary_cone(seed_triangulation(4))\n"
+            "cone = dataclasses.replace(cone, inequalities=cone.inequalities[1:])\n",
+            "cone_facets(cone)")
+        assert out.startswith("raised: a face has fewer facets than its dimension")
 
 
 class TestFacetWalls:
