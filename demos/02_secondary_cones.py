@@ -8,15 +8,8 @@ neighbor.  Faces of the closed cone are the coarser subdivisions.
 """
 
 from lcone.exact import SymMat
-from lcone.delaunay import delaunay_star
-from lcone.scone import (
-    cone_facets,
-    contains_pd,
-    fundamental_face,
-    rank_profile,
-    regulator,
-    secondary_cone,
-)
+from lcone.delaunay import delaunay_star, regulator
+from lcone.scone import cone_facets, contains_pd, fundamental_face, rank_profile, secondary_cone
 
 # One wall condition by hand: the triangle {0, e1, e2} and the opposite
 # vertex (1,1) of its neighbor give the regulator [[0,1],[1,0]], i.e. the

@@ -21,6 +21,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import sys
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -448,10 +450,7 @@ class Classifier:
 
     def _log(self, msg: str):
         if self.verbose:
-            import sys
-            import time as _time
-
-            print(f"[{_time.strftime('%H:%M:%S')}] {msg}", file=sys.stderr, flush=True)
+            print(f"[{time.strftime('%H:%M:%S')}] {msg}", file=sys.stderr, flush=True)
 
     def _tick(self):
         self._completed += 1

@@ -5,16 +5,16 @@ dimensional Delaunay cells having 0 as a vertex.  A star is stored as its
 form and its class keys, the vertex tuples of one normalized representative
 per translation class (smallest vertex 0); its cells are derived from them.
 The star is read off the Dirichlet-Voronoi cell at 0, whose vertices are the
-circumcenters of the cells at 0 (Voronoi's duality): its facet vectors are
-shortest vectors of the classes of Z^d / 2Z^d, one double description gives
-its vertices, and one closest-vector call per translation class gives the
-cell and its empty-sphere certificate.  The other cells of the star are
-translates of a representative and inherit its certificate.
+circumcenters of the cells at 0 (Voronoi's duality): `polyhedral._dv_cell`
+gives every cell at 0 with its empty-sphere certificate, and the star adds
+the check that the cells tile face to face.
 
 No adjacency is stored.  Every facet of a face-to-face tiling lies in
 exactly two cells, so the class facets that are translates of each other,
 that is, that have the same `_normalized` form, come in pairs: the two
-sides of a normalized facet are two adjacent cells up to translation.
+sides of a normalized facet are two adjacent cells up to translation.  For
+a triangulation, each pair spans a circuit whose regulator is one wall
+condition of the secondary cone (`regulator`, `_facet_pairs`).
 
 Crossing a wall of a triangulation's secondary cone is a bistellar flip of
 the circuits that the wall's regulator cuts out (`neighbor_triangulation`).
@@ -30,8 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .exact import (
     AffinelyDependent,
@@ -40,10 +39,16 @@ from .exact import (
     Rat,
     SingularMatrix,
     SymMat,
+    clear_denominators,
+    gcd_normalize,
     solve,
 )
 from .lattice import closest_vectors
-from .polyhedral import _dd_cone, _dv_halfspace, polytope_from_vertices
+from .polyhedral import _dv_cell, polytope_from_vertices
+
+
+class NotATriangulation(Exception):
+    pass
 
 
 class NotOnSingleFacet(Exception):
@@ -85,11 +90,11 @@ class DelaunayStar:
     Two views are derived on first use and cached.  Neither is a field, so
     equality, hashing and `repr` see only the form and the keys.
     - `cells`: every cell with 0 as a vertex, sorted.  `delaunay_star`
-      hands over the certified cells it found; any other star takes
+      hands over the certified cells of `_dv_cell`; any other star takes
       the simplex on each key with its circumcenter.
     - `pairs`: a triangulation's adjacent simplex pairs, normalized facet ->
-      (class key, extra vertex, Regulator), as `scone._facet_pairs`
-      computes them.  A star made by `neighbor_triangulation` is given them by
+      (class key, extra vertex, Regulator), as `_facet_pairs` computes
+      them.  A star made by `neighbor_triangulation` is given them by
       the flip."""
 
     form: SymMat
@@ -107,8 +112,6 @@ class DelaunayStar:
     @cached_property
     def pairs(self) -> dict:
         """normalized facet -> (class key, extra vertex, Regulator)."""
-        from .scone import _facet_pairs
-
         return _facet_pairs(self.keys)
 
 
@@ -132,11 +135,6 @@ def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, obj
         raise AffinelyDependent("points are affinely dependent") from exc
     r2 = q.quad([c - x for c, x in zip(center, p0)])
     return center, r2
-
-
-def _require_pd(q: SymMat):
-    if not q.is_positive_definite():
-        raise NotPositiveDefinite("form is not positive definite")
 
 
 def _normalized(vertices) -> tuple:
@@ -163,69 +161,24 @@ def cell_facets(cell: Cell, d: int) -> list[tuple]:
     return sorted(out)
 
 
-def _coset_minima(q: SymMat) -> list[tuple]:
-    """The shortest vectors of every nonzero class of Z^d / 2Z^d.
-
-    The vectors of the class of c in {0, 1}^d are c + 2w, and
-    Q[c + 2w] = 4 Q[w + c/2], so one `closest_vectors` call at -c/2 gives
-    them all.  By Voronoi's theorem these include every facet vector of the
-    Dirichlet-Voronoi cell; the others give halfspaces that are redundant.
-    """
-    out = []
-    for c in product((0, 1), repeat=q.d):
-        if any(c):
-            _, mins = closest_vectors(q, [Rat(-x, 2) for x in c])
-            out.extend(tuple(x + 2 * y for x, y in zip(c, w)) for w in mins)
-    return out
-
-
 def delaunay_star(q: SymMat) -> DelaunayStar:
     """Star of the origin, read off the Dirichlet-Voronoi (DV) cell at 0.
 
-    The DV cell is {x : -2 Q v . x + Q[v] >= 0} over the vectors v of
-    `_coset_minima` and their negatives.  Its vertices, from one double
-    description with the halfspaces shortest first, are the circumcenters of
-    the cells at 0.  The cell of a vertex c is the set of minimizers of
-    Q[c - v], from one `closest_vectors` call, which is also its empty-sphere
-    certificate: 0 must be among them.  The other cells of its translation
-    class are its translates by -v over its vertices v, centred at c - v,
-    which are DV vertices too and need no call.  Checks: every normalized
-    class facet has exactly two sides, the centres are pairwise distinct,
-    and there are as many cells as DV vertices.  The star is handed the
-    certified cells.  Deterministic ordering.
+    `polyhedral._dv_cell` gives the cell of every DV vertex, certified by an
+    empty-sphere check, one `closest_vectors` call per translation class.
+    The normalized representative of a class (smallest vertex 0) is one of
+    these cells, the one whose smallest vertex is 0.  The star checks
+    that every normalized class facet has exactly two sides, so that the
+    cells tile face to face, and is handed the certified cells.
+    Deterministic ordering.
     """
-    _require_pd(q)
     d = q.d
-    zero = (0,) * d
-    halfspaces = {(q.quad(w), _dv_halfspace(q, w))
-                  for v in _coset_minima(q) for w in (v, tuple(-x for x in v))}
-    rays = _dd_cone([h for _, h in sorted(halfspaces)], d + 1)
-    if any(r[-1] <= 0 for r in rays):
-        raise AssertionError("the DV cell is unbounded")
-    reps = {}
-    covered = set()              # rays of the centres of the cells found
-    for r in rays:
-        if r in covered:
-            continue
-        *y, t = r
-        center = tuple(Rat(x, t) for x in y)
-        sqradius = q.quad(center)
-        best, mins = closest_vectors(q, center)
-        if best != sqradius or zero not in mins:
-            raise AssertionError("a DV vertex is not the centre of a cell at 0")
-        # The centre c - v of a translate is the ray (y - t v, t), primitive
-        # as (y, t) is.
-        covered.update(tuple(x - t * a for x, a in zip(y, v)) + (t,) for v in mins)
-        rep, _ = Cell(mins, center, sqradius).normalized()
-        reps[rep.vertices] = rep
-    sides = Counter(_normalized(facet) for rep in reps.values() for facet in cell_facets(rep, d))
+    cells = tuple(sorted((Cell(*cell) for cell in _dv_cell(q)), key=lambda c: c.vertices))
+    reps = [cell for cell in cells if not any(cell.vertices[0])]
+    sides = Counter(_normalized(facet) for rep in reps for facet in cell_facets(rep, d))
     if any(n != 2 for n in sides.values()):
         raise AssertionError("a facet of the star does not lie in exactly two cells")
-    keys = tuple(sorted(reps))
-    cells = _star_cells([reps[k] for k in keys])
-    if len(cells) != len(rays):
-        raise AssertionError(f"the star has {len(cells)} cells but the DV cell {len(rays)} vertices")
-    star = DelaunayStar(q, keys)
+    star = DelaunayStar(q, tuple(rep.vertices for rep in reps))
     star.__dict__["cells"] = cells      # `cached_property`'s slot
     return star
 
@@ -243,6 +196,94 @@ def _star_cells(reps: Sequence[Cell]) -> tuple:
     if len(set(c.center for c in cells)) != len(cells):
         raise AssertionError("duplicate circumcenters in the star")
     return cells
+
+
+@dataclass(frozen=True)
+class Regulator:
+    """Integral normal of one local Delaunay wall condition.
+
+    `alphas` are the affine coordinates of the extra point w in the simplex
+    V: w = sum a_v v with sum a_v = 1, one per point of V.
+    """
+
+    matrix: SymMat
+    alphas: tuple
+
+    @property
+    def is_degenerate(self) -> bool:
+        return all(x == 0 for x in self.matrix.lower())
+
+
+def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
+    """Wall form of the affinely independent set V and the extra point w.
+
+    With w = sum a_v v, 1 = sum a_v, this is w w^T - sum a_v v v^T, cleared
+    to integral entries with gcd 1.  It is summed over the integers: with
+    the a_v scaled to a primitive integer vector l (a positive multiple),
+    N = (sum l_v) w w^T - sum l_v v v^T, entry by entry of the lower
+    triangle.  The orientation (which side is positive) is preserved by the
+    normalization.
+    """
+    pts = [tuple(p) for p in points]
+    w = tuple(w)
+    d = len(w)
+    if len(pts) != d + 1:
+        raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
+    rows = [[p[i] for p in pts] for i in range(d)]
+    rows.append([1] * (d + 1))
+    try:
+        alphas = tuple(solve(Mat(rows), list(w) + [1]))
+    except SingularMatrix as exc:
+        raise AffinelyDependent("affinely dependent point set") from exc
+    terms = [(a, p) for a, p in zip(clear_denominators(alphas), pts) if a]
+    total = sum(a for a, _ in terms)
+    lower = tuple(total * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
+                  for i in range(d) for j in range(i + 1))
+    if not any(lower):
+        return Regulator(SymMat.zero(d), alphas)
+    return Regulator(SymMat.from_lower(d, gcd_normalize(lower, orient=False)), alphas)
+
+
+def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
+    """(class key, extra vertex, regulator) for every pair of adjacent
+    simplices of a triangulation given by its class keys (the normalized
+    class representatives' vertex tuples, as `DelaunayStar.keys`), keyed by
+    their normalized facet.  A star keeps them as `DelaunayStar.pairs`.
+
+    Every facet lies in exactly two simplices, so the class facets with the
+    same normalized form come in pairs.  If the facet F of `key` and the
+    facet G of `nkey` pair up, the neighbour of `key` across F is
+    `nkey + (F[0] - G[0])`, and its vertex off F is the translate of the
+    vertex of `nkey` off G.  Each pair is taken from its first side only:
+    from the other side it spans a translate of the same circuit and has
+    the same regulator.  Degenerate regulators are left out.
+
+    `carried` holds the pairs of another triangulation keyed the same way,
+    as a bistellar flip leaves them.  A pair with the class key and extra
+    vertex of the carried pair of its facet spans the same circuit, so its
+    regulator is copied, not computed.  With sorted keys on both sides that
+    holds exactly for the facets whose two sides are classes the flip kept."""
+    sides = {}                   # normalized facet -> [(key, facet, vertex off it)]
+    for key in keys:
+        if len(key) != len(key[0]) + 1:
+            raise NotATriangulation("star contains a non-simplex cell")
+        for i, v in enumerate(key):
+            facet = key[:i] + key[i + 1:]
+            sides.setdefault(_normalized(facet), []).append((key, facet, v))
+    out = {}
+    for norm, pair in sides.items():
+        if len(pair) != 2:
+            raise AssertionError(f"a facet of the triangulation lies in {len(pair)} cells")
+        (key, facet, _), (_, nfacet, nv) = pair
+        extra = tuple(x + a - b for x, a, b in zip(nv, facet[0], nfacet[0]))
+        old = carried.get(norm) if carried else None
+        if old is not None and old[:2] == (key, extra):
+            out[norm] = old
+            continue
+        reg = regulator(key, extra)
+        if not reg.is_degenerate:
+            out[norm] = (key, extra, reg)
+    return out
 
 
 def is_triangulation(star: DelaunayStar) -> bool:
@@ -275,8 +316,6 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     the same pair as before, and its regulator is copied; only the pairs
     that touch an added class are computed.
     """
-    from .scone import _facet_pairs
-
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
     pairs = list(star.pairs.values())

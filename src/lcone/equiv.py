@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exact import Mat, NotPositiveDefinite, SymMat, echelon, solve
+from .exact import Mat, NotPositiveDefinite, SymMat, det, echelon, solve
 from .lattice import characteristic_set
 from .scone import ConeDesc
 
@@ -253,8 +253,6 @@ class UnimodularMap:
     matrix: Mat
 
     def __post_init__(self):
-        from .exact import det
-
         if not self.matrix.is_integral() or det(self.matrix) not in (1, -1):
             raise ValueError("not a unimodular matrix")
 

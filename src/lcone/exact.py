@@ -80,9 +80,6 @@ class Mat:
     def from_cols(cols: Sequence[Sequence]) -> "Mat":
         return Mat(list(zip(*cols)))
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def col(self, j: int):
         return tuple(r[j] for r in self.entries)
 
@@ -211,9 +208,6 @@ class SymMat:
 
     def scale(self, c) -> "SymMat":
         return SymMat([[c * x for x in row] for row in self.entries])
-
-    def __neg__(self) -> "SymMat":
-        return self.scale(-1)
 
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for row in self.entries for x in row)

@@ -7,12 +7,15 @@ the coordinate tree of the LDL^T factorization (Fincke & Pohst 1985) over
 the integers: with the factorization and the centre over common
 denominators, each level's interval is read off one integer square root
 and holds exactly the coordinates that fit, so the sets are complete.
+The shortest vectors of the classes of Z^d / 2Z^d, from which the
+Dirichlet-Voronoi cell is cut (`_coset_minima`), are closest vectors too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import isqrt, lcm
 from typing import Sequence
 
@@ -160,6 +163,22 @@ def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:
     hits = _walk(frame, q.d, Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
     best = min(val for _, val in hits)
     return best, tuple(v for v, val in hits if val == best)
+
+
+def _coset_minima(q: SymMat) -> list[tuple]:
+    """The shortest vectors of every nonzero class of Z^d / 2Z^d.
+
+    The vectors of the class of c in {0, 1}^d are c + 2w, and
+    Q[c + 2w] = 4 Q[w + c/2], so one `closest_vectors` call at -c/2 gives
+    them all.  By Voronoi's theorem these include every facet vector of the
+    Dirichlet-Voronoi cell; the others give halfspaces that are redundant.
+    """
+    out = []
+    for c in product((0, 1), repeat=q.d):
+        if any(c):
+            _, mins = closest_vectors(q, [Rat(-x, 2) for x in c])
+            out.extend(tuple(x + 2 * y for x, y in zip(c, w)) for w in mins)
+    return out
 
 
 @lru_cache(maxsize=4096)

@@ -8,11 +8,13 @@ cone given by rays is described inside its linear hull in the hull's pivot
 coordinates, which one `exact.echelon` pass over the rays provides together
 with the hull's equalities; no Gram system is solved per ray.
 
-The Dirichlet-Voronoi polytope is read off the Delaunay star by Voronoi's
-duality, its vertices the circumcenters of the cells at 0 and its facets the
-Delaunay edges at 0.  The star itself starts from one double description
-(`_dd_cone`) of the halfspaces of the coset minima of Z^d / 2Z^d, see
-`delaunay.delaunay_star`.  Face lattices are closed under intersection and
+The Dirichlet-Voronoi (DV) cell at 0 is computed once, by `_dv_cell`: one
+double description (`_dd_cone`) of the halfspaces of the coset minima of
+Z^d / 2Z^d gives its vertices, and one `closest_vectors` call per
+translation class gives the Delaunay cell of each vertex with its
+empty-sphere certificate.  Both the DV polytope (`dv_polytope`) and the
+Delaunay star (`delaunay.delaunay_star`) are read off those certified cells,
+by Voronoi's duality.  Face lattices are closed under intersection and
 graded combinatorially, without arithmetic.
 """
 
@@ -23,15 +25,18 @@ from typing import Sequence
 
 from .exact import (
     Mat,
+    NotPositiveDefinite,
     Rat,
     SymMat,
     clear_denominators,
+    det,
     echelon,
     gcd_normalize,
     inverse,
     nullspace,
     rank_of_rows,
 )
+from .lattice import _coset_minima, closest_vectors
 
 
 class NotPointed(Exception):
@@ -277,9 +282,60 @@ def _dv_halfspace(q: SymMat, v) -> tuple:
     return clear_denominators(tuple(-2 * x for x in q.mul_vec(v)) + (q.quad(v),))
 
 
+def _dv_cell(q: SymMat) -> list[tuple]:
+    """The DV cell at 0 of a positive definite form, with the Delaunay cell
+    of each of its vertices, certified.
+
+    The DV cell is {x : -2 Q v . x + Q[v] >= 0} over the vectors v of
+    `lattice._coset_minima` and their negatives.  Its vertices, from one
+    double description with the halfspaces shortest first, are the
+    circumcenters of the Delaunay cells at 0.  The cell of a vertex c is the
+    set of minimizers of Q[c - v], from one `closest_vectors` call, which is
+    also its empty-sphere certificate: 0 must be among them.  The other
+    cells of its translation class are its translates by -v over its
+    vertices v, centred at c - v, and need no call.  Checks: the DV cell is
+    bounded, each DV vertex is the centre of exactly one cell found, and
+    every translate's centre is a DV vertex.  Returns one (vertices, center,
+    sqradius) per DV vertex, the vertices sorted, in order of the centres.
+    """
+    if not q.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
+    d = q.d
+    zero = (0,) * d
+    halfspaces = {(q.quad(w), _dv_halfspace(q, w))
+                  for v in _coset_minima(q) for w in (v, tuple(-x for x in v))}
+    rays = _dd_cone([h for _, h in sorted(halfspaces)], d + 1)
+    if any(r[-1] <= 0 for r in rays):
+        raise AssertionError("the DV cell is unbounded")
+    cells = {}                   # ray of a cell's centre -> the cell
+    for r in rays:
+        if r in cells:
+            continue
+        *y, t = r
+        center = tuple(Rat(x, t) for x in y)
+        sqradius = q.quad(center)
+        best, mins = closest_vectors(q, center)
+        if best != sqradius or zero not in mins:
+            raise AssertionError("a DV vertex is not the centre of a cell at 0")
+        for v in mins:
+            # The centre c - v is the ray (y - t v, t), primitive as (y, t) is.
+            ray = tuple(x - t * a for x, a in zip(y, v)) + (t,)
+            if ray in cells:
+                raise AssertionError("a DV vertex is the centre of two cells")
+            cells[ray] = (tuple(sorted(tuple(a - b for a, b in zip(w, v)) for w in mins)),
+                          tuple(c - a for c, a in zip(center, v)), sqradius)
+    # Every DV vertex is the centre of a cell found, so any further cell is
+    # a translate whose centre is not a DV vertex.
+    if len(cells) != len(rays):
+        raise AssertionError(f"{len(cells)} cells but {len(rays)} DV vertices: "
+                             "the centre of a translated cell is not a DV vertex")
+    return sorted(cells.values(), key=lambda cell: cell[1])
+
+
 def dv_polytope(q: SymMat) -> LatPolytope:
     """Dirichlet-Voronoi polytope of a positive definite form, exactly, read
-    off its Delaunay star by Voronoi's duality.
+    off the certified Delaunay cells of its vertices (`_dv_cell`) by
+    Voronoi's duality.
 
     The vertices are the circumcenters of the Delaunay cells at 0.  Every
     nonzero vertex v of those cells gives the halfspace -2 Q v . x + Q[v] >= 0
@@ -295,25 +351,23 @@ def dv_polytope(q: SymMat) -> LatPolytope:
     are one bitmask over the vertices per facet.  Raises AssertionError
     unless every vertex lies on at least d facets.
     """
-    from .delaunay import delaunay_star
-
     d = q.d
     zero = (0,) * d
-    cells = sorted(delaunay_star(q).cells, key=lambda c: c.center)
+    cells = _dv_cell(q)
     containing = {}              # v -> bitmask over cells having v as vertex
     common = {}                  # v -> vertices common to those cells
-    for i, cell in enumerate(cells):
-        vset = frozenset(cell.vertices)
-        for v in cell.vertices:
+    for i, (vertices, _, _) in enumerate(cells):
+        vset = frozenset(vertices)
+        for v in vertices:
             if v != zero:
                 containing[v] = containing.get(v, 0) | 1 << i
                 common[v] = common[v] & vset if v in common else vset
     facets = sorted((_dv_halfspace(q, v), v) for v in containing if len(common[v]) == 2)
     index = {v: j for j, (_, v) in enumerate(facets)}
-    for cell in cells:
-        if sum(1 for v in cell.vertices if v in index) < d:
-            raise AssertionError(f"DV vertex {cell.center} lies on fewer than {d} facets")
-    return LatPolytope(d, tuple(tuple(Rat(x) for x in c.center) for c in cells),
+    for vertices, center, _ in cells:
+        if sum(1 for v in vertices if v in index) < d:
+            raise AssertionError(f"DV vertex {center} lies on fewer than {d} facets")
+    return LatPolytope(d, tuple(center for _, center, _ in cells),
                        tuple((h[:-1], h[-1]) for h, _ in facets),
                        tuple(containing[v] for _, v in facets))
 
@@ -436,8 +490,6 @@ def _triangulate_face(mask: int, by_dim, dim_of: dict[int, int], p: LatPolytope,
 
 def polytope_volume(p: LatPolytope):
     """Exact volume via fan triangulation from the first vertex."""
-    from .exact import det as _det
-
     d = p.dim
     by_dim, _ = face_lattice(p)
     dim_of = {}
@@ -453,7 +505,7 @@ def polytope_volume(p: LatPolytope):
     for simplex in _triangulate_face(full, by_dim, dim_of, p, memo):
         v0 = p.vertices[simplex[0]]
         rows = [[x - y for x, y in zip(p.vertices[i], v0)] for i in simplex[1:]]
-        dv = _det(Mat(rows))
+        dv = det(Mat(rows))
         total += abs(Rat(dv))
     return total / fact
 

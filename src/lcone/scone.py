@@ -2,9 +2,11 @@
 
 A triangulation's secondary cone is cut out, inside the space of symmetric
 matrices, by one linear inequality per pair of adjacent simplices; the
-inequality normals are the classical regulators.  Cones are stored with
-irredundant inequalities, gcd-normalized integral extreme rays, accumulated
-linear-hull equalities, and the central form (the sum of the rays).
+inequality normals are the classical regulators, which the triangulation's
+star computes once per adjacent pair (`delaunay.regulator`,
+`DelaunayStar.pairs`).  Cones are stored with irredundant inequalities,
+gcd-normalized integral extreme rays, accumulated linear-hull equalities,
+and the central form (the sum of the rays).
 
 Faces are read off the incidences of rays and facets, not rebuilt from
 their rays: in a pointed cone every facet of a face lies in a facet of the
@@ -20,23 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .delaunay import DelaunayStar, _normalized
-from .exact import (
-    AffinelyDependent,
-    Mat,
-    SingularMatrix,
-    SymMat,
-    clear_denominators,
-    echelon,
-    gcd_normalize,
-    rank_of_rows,
-    solve,
-)
+from .delaunay import DelaunayStar
+from .exact import SymMat, echelon, gcd_normalize, rank_of_rows
 from .polyhedral import HRep, _project_into_hull, dual_description, rays_to_hrep
-
-
-class NotATriangulation(Exception):
-    pass
 
 
 class EmptyRaySet(Exception):
@@ -70,94 +58,6 @@ def functional_to_sym(d: int, a: Sequence) -> SymMat:
             entries.append(2 * a[k] if i == j else a[k])
             k += 1
     return SymMat.from_lower(d, gcd_normalize(entries, orient=False))
-
-
-@dataclass(frozen=True)
-class Regulator:
-    """Integral normal of one local Delaunay wall condition.
-
-    `alphas` are the affine coordinates of the extra point w in the simplex
-    V: w = sum a_v v with sum a_v = 1, one per point of V.
-    """
-
-    matrix: SymMat
-    alphas: tuple
-
-    @property
-    def is_degenerate(self) -> bool:
-        return all(x == 0 for x in self.matrix.lower())
-
-
-def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
-    """Wall form of the affinely independent set V and the extra point w.
-
-    With w = sum a_v v, 1 = sum a_v, this is w w^T - sum a_v v v^T, cleared
-    to integral entries with gcd 1.  It is summed over the integers: with
-    the a_v scaled to a primitive integer vector l (a positive multiple),
-    N = (sum l_v) w w^T - sum l_v v v^T, entry by entry of the lower
-    triangle.  The orientation (which side is positive) is preserved by the
-    normalization.
-    """
-    pts = [tuple(p) for p in points]
-    w = tuple(w)
-    d = len(w)
-    if len(pts) != d + 1:
-        raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
-    rows = [[p[i] for p in pts] for i in range(d)]
-    rows.append([1] * (d + 1))
-    try:
-        alphas = tuple(solve(Mat(rows), list(w) + [1]))
-    except SingularMatrix as exc:
-        raise AffinelyDependent("affinely dependent point set") from exc
-    terms = [(a, p) for a, p in zip(clear_denominators(alphas), pts) if a]
-    total = sum(a for a, _ in terms)
-    lower = tuple(total * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
-                  for i in range(d) for j in range(i + 1))
-    if not any(lower):
-        return Regulator(SymMat.zero(d), alphas)
-    return Regulator(SymMat.from_lower(d, gcd_normalize(lower, orient=False)), alphas)
-
-
-def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
-    """(class key, extra vertex, regulator) for every pair of adjacent
-    simplices of a triangulation given by its class keys (the normalized
-    class representatives' vertex tuples, as `DelaunayStar.keys`), keyed by
-    their normalized facet.  A star keeps them as `DelaunayStar.pairs`.
-
-    Every facet lies in exactly two simplices, so the class facets with the
-    same normalized form come in pairs.  If the facet F of `key` and the
-    facet G of `nkey` pair up, the neighbour of `key` across F is
-    `nkey + (F[0] - G[0])`, and its vertex off F is the translate of the
-    vertex of `nkey` off G.  Each pair is taken from its first side only:
-    from the other side it spans a translate of the same circuit and has
-    the same regulator.  Degenerate regulators are left out.
-
-    `carried` holds the pairs of another triangulation keyed the same way,
-    as a bistellar flip leaves them.  A pair with the class key and extra
-    vertex of the carried pair of its facet spans the same circuit, so its
-    regulator is copied, not computed.  With sorted keys on both sides that
-    holds exactly for the facets whose two sides are classes the flip kept."""
-    sides = {}                   # normalized facet -> [(key, facet, vertex off it)]
-    for key in keys:
-        if len(key) != len(key[0]) + 1:
-            raise NotATriangulation("star contains a non-simplex cell")
-        for i, v in enumerate(key):
-            facet = key[:i] + key[i + 1:]
-            sides.setdefault(_normalized(facet), []).append((key, facet, v))
-    out = {}
-    for norm, pair in sides.items():
-        if len(pair) != 2:
-            raise AssertionError(f"a facet of the triangulation lies in {len(pair)} cells")
-        (key, facet, _), (_, nfacet, nv) = pair
-        extra = tuple(x + a - b for x, a, b in zip(nv, facet[0], nfacet[0]))
-        old = carried.get(norm) if carried else None
-        if old is not None and old[:2] == (key, extra):
-            out[norm] = old
-            continue
-        reg = regulator(key, extra)
-        if not reg.is_degenerate:
-            out[norm] = (key, extra, reg)
-    return out
 
 
 def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
@@ -219,11 +119,10 @@ class ConeDesc:
             raise AssertionError("central form is not the sum of the rays")
 
 
-def cone_from_rays(d: int, rays: Sequence[SymMat],
-                   equalities: Optional[tuple] = None) -> ConeDesc:
+def cone_from_rays(d: int, rays: Sequence[SymMat]) -> ConeDesc:
     """Assemble a ConeDesc from extreme rays: inequalities are recomputed
-    irredundantly within the linear hull; equalities may be supplied
-    (accumulated from face descent) or derived from the hull."""
+    irredundantly within the linear hull, and the equalities are those that
+    cut out the hull."""
     m = sym_dim(d)
     rays = sorted(rays, key=lambda r: r.lower())
     if not rays:
@@ -231,14 +130,9 @@ def cone_from_rays(d: int, rays: Sequence[SymMat],
     vecs = [r.lower() for r in rays]
     h = rays_to_hrep(vecs, m)
     ineqs = tuple(functional_to_sym(d, a) for a in h.inequalities)
-    dim = m - len(h.equalities)
-    if equalities is None:
-        equalities = tuple(functional_to_sym(d, e) for e in h.equalities)
-    else:
-        eq_rows = [sym_to_functional(e) for e in equalities]
-        if eq_rows and rank_of_rows(eq_rows) != m - dim:
-            raise AssertionError("accumulated equalities do not cut out the hull")
-    cone = ConeDesc(d, m, tuple(equalities), ineqs, tuple(rays), dim, central_form(rays))
+    equalities = tuple(functional_to_sym(d, e) for e in h.equalities)
+    cone = ConeDesc(d, m, equalities, ineqs, tuple(rays), m - len(equalities),
+                    central_form(rays))
     cone.validate()
     return cone
 
@@ -250,7 +144,7 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     or carried by the flip that made it), converts to extreme rays by double
     description, and keeps exactly the facet-supporting inequalities: those
     whose set of tight rays is maximal among the walls' and nonempty.  A
-    star with a non-simplex cell raises `NotATriangulation`.
+    star with a non-simplex cell raises `delaunay.NotATriangulation`.
     """
     d = star.dim
     m = sym_dim(d)

@@ -4,12 +4,14 @@ Each of these was once in `lcone` and has no caller in the pipeline, the
 CLI or the demos, or was replaced there by a faster or leaner path.  They
 stay here as independent routes for the tests: short vectors by enumeration
 around 0, polytopes from halfspaces by one double description, canonical
-extreme rays, the Delaunay star by moving spheres, the stabilizer order of a
-cone, the adjacent pairs of a triangulation as a list, the regulator over
-rational matrices, facet cones and fundamental faces by one double
-description each, and the merge through invariant buckets.
+extreme rays, the Delaunay star by moving spheres, the Dirichlet-Voronoi
+polytope read off the Delaunay star, the stabilizer order of a cone, the
+adjacent pairs of a triangulation as a list, the regulator over rational
+matrices, facet cones and fundamental faces by one double description each,
+and the merge through invariant buckets.
 """
 
+import dataclasses
 from collections import Counter, deque
 from typing import Sequence
 
@@ -17,15 +19,18 @@ from lcone.classify import _candidate_key
 from lcone.delaunay import (
     Cell,
     DelaunayStar,
+    Regulator,
+    _facet_pairs,
     _normalized,
-    _require_pd,
     _star_cells,
     cell_facets,
+    delaunay_star,
 )
 from lcone.equiv import _form_canonical, cone_equivalent
 from lcone.exact import (
     AffinelyDependent,
     Mat,
+    NotPositiveDefinite,
     Rat,
     SingularMatrix,
     SymMat,
@@ -39,11 +44,12 @@ from lcone.polyhedral import (
     LatPolytope,
     _dd_cone,
     _dot,
+    _dv_halfspace,
     _integer_rows,
     dual_description,
     rays_to_hrep,
 )
-from lcone.scone import Regulator, _facet_pairs, cone_from_rays
+from lcone.scone import cone_from_rays, sym_to_functional
 
 
 def short_vectors(q, n) -> VectorSet:
@@ -99,8 +105,39 @@ def polytope_from_halfspaces(halfspaces, dim: int) -> LatPolytope:
     return LatPolytope(dim, tuple(verts), tuple(facets), tuple(facet_masks))
 
 
+def dv_polytope_by_star(q: SymMat) -> LatPolytope:
+    """`polyhedral.dv_polytope` read off the cells of `delaunay_star(q)`:
+    the vertices are the circumcenters of the cells at 0, and a nonzero
+    vertex v of those cells gives a facet exactly when the cells having 0
+    and v as vertices share only 0 and v."""
+    d = q.d
+    zero = (0,) * d
+    cells = sorted(delaunay_star(q).cells, key=lambda c: c.center)
+    containing = {}              # v -> bitmask over cells having v as vertex
+    common = {}                  # v -> vertices common to those cells
+    for i, cell in enumerate(cells):
+        vset = frozenset(cell.vertices)
+        for v in cell.vertices:
+            if v != zero:
+                containing[v] = containing.get(v, 0) | 1 << i
+                common[v] = common[v] & vset if v in common else vset
+    facets = sorted((_dv_halfspace(q, v), v) for v in containing if len(common[v]) == 2)
+    index = {v: j for j, (_, v) in enumerate(facets)}
+    for cell in cells:
+        if sum(1 for v in cell.vertices if v in index) < d:
+            raise AssertionError(f"DV vertex {cell.center} lies on fewer than {d} facets")
+    return LatPolytope(d, tuple(tuple(Rat(x) for x in c.center) for c in cells),
+                       tuple((h[:-1], h[-1]) for h, _ in facets),
+                       tuple(containing[v] for _, v in facets))
+
+
 class NotAFacet(Exception):
     pass
+
+
+def _require_pd(q: SymMat):
+    if not q.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
 
 
 def _sphere_value(q: SymMat, center, point):
@@ -290,12 +327,12 @@ def stabilizer_order(cone, algorithm: str = "sha256") -> int:
 def pair_regulators(keys) -> list:
     """(class key, extra vertex, regulator) for every pair of adjacent
     simplices of a triangulation given by its class keys, every regulator
-    computed from scratch: the values of `scone._facet_pairs`."""
+    computed from scratch: the values of `delaunay._facet_pairs`."""
     return list(_facet_pairs(keys).values())
 
 
 def regulator_by_fractions(points, w) -> Regulator:
-    """`scone.regulator` over rational matrices: w w^T - sum a_v v v^T built
+    """`delaunay.regulator` over rational matrices: w w^T - sum a_v v v^T built
     from `SymMat`s, then scaled by a positive rational to a primitive
     integral matrix."""
     pts = [tuple(p) for p in points]
@@ -318,6 +355,18 @@ def regulator_by_fractions(points, w) -> Regulator:
     return Regulator(SymMat.from_lower(d, clear_denominators(n.lower())), alphas)
 
 
+def _cone_with_equalities(d: int, rays, equalities: tuple):
+    """`cone_from_rays` of the rays, holding the given accumulated equalities
+    instead of those it derives, which must cut out the same linear hull."""
+    cone = cone_from_rays(d, rays)
+    rows = [sym_to_functional(e) for e in equalities]
+    if rows and rank_of_rows(rows) != cone.dim_ambient - cone.dim:
+        raise AssertionError("accumulated equalities do not cut out the hull")
+    cone = dataclasses.replace(cone, equalities=tuple(equalities))
+    cone.validate()
+    return cone
+
+
 def cone_facets_by_rays(cone) -> list:
     """`scone.cone_facets` from the bare rays: each facet's inequalities by
     one `rays_to_hrep` of its tight rays (`cone_from_rays`)."""
@@ -326,7 +375,7 @@ def cone_facets_by_rays(cone) -> list:
     out = []
     for n in cone.inequalities:
         on = [r for r in cone.rays if n.pair(r) == 0]
-        facet = cone_from_rays(cone.d, on, equalities=cone.equalities + (n,))
+        facet = _cone_with_equalities(cone.d, on, cone.equalities + (n,))
         if facet.dim != cone.dim - 1:
             raise AssertionError("facet dimension mismatch")
         out.append(facet)
@@ -344,7 +393,7 @@ def fundamental_face_by_rays(cone):
                  if all(n.pair(r) == 0 for n in active)]
     if not active:
         return cone
-    return cone_from_rays(cone.d, face_rays, equalities=cone.equalities + active)
+    return _cone_with_equalities(cone.d, face_rays, cone.equalities + active)
 
 
 def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:

@@ -29,7 +29,7 @@ from lcone.exact import Mat, Rat, SingularMatrix, SymMat, det, solve
 from lcone.polyhedral import dv_polytope, polytope_volume
 from lcone.scone import fundamental_face
 
-from oracles import delaunay_star_by_search
+from oracles import delaunay_star_by_search, dv_polytope_by_star
 from test_delaunay import assert_same_star
 from test_scone import assert_faces_match_rays_oracle
 
@@ -182,6 +182,15 @@ def test_faces_match_rays_oracle_on_databases(db3, db4):
         for rec in db.records():
             facets += len(assert_faces_match_rays_oracle(rec.cone))
     assert facets == 349
+
+
+def test_dv_matches_star_oracle_on_databases(db3, db4):
+    # Every central form of the d = 3 and d = 4 databases: the DV polytope,
+    # masks included, equals the one read off the form's Delaunay star.
+    forms = [rec.cone.central for db in (db3, db4) for rec in db.records()]
+    assert len(forms) == 57
+    for q in forms:
+        assert dv_polytope(q) == dv_polytope_by_star(q)
 
 
 def test_criterion_3_d4(db4):

@@ -583,6 +583,22 @@ def test_enrich_cone_builds_one_face_lattice(monkeypatch):
     assert rec.subordination == serialize_subordination(subordination_scheme(poly))
 
 
+def test_d4_run_builds_one_star(tmp_path, monkeypatch):
+    # The seed triangulation is the only Delaunay star of a d = 4 run: the
+    # primitive phase carries the class keys, and the enrichment reads each
+    # DV polytope off `polyhedral._dv_cell`.
+    import lcone.delaunay
+
+    calls = []
+    for module in (lcone.delaunay, lcone.classify):
+        star_of = getattr(module, "delaunay_star")
+        monkeypatch.setattr(module, "delaunay_star",
+                            lambda q, star_of=star_of: calls.append(q) or star_of(q))
+    db = run_classification(4, str(tmp_path / "db4"))
+    assert db.total() == 52
+    assert len(calls) == 1
+
+
 def test_enrich_cone_ranks_each_ray_once(monkeypatch):
     from lcone.classify import _candidate_key, enrich_cone
     from lcone.scone import _ray_rank, secondary_cone

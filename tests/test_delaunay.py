@@ -9,6 +9,7 @@ import pytest
 
 import lcone.delaunay
 import lcone.lattice
+import lcone.polyhedral
 
 from lcone.delaunay import (
     Cell,
@@ -337,24 +338,23 @@ class TestStarByClasses:
         # The empty-sphere check must reject a wrong minimum from
         # closest_vectors.
         out = _raised_under_optimize(
-            "orig = D.closest_vectors\n"
+            "orig = P.closest_vectors\n"
             "def wrong(q, c):\n"
             "    best, mins = orig(q, c)\n"
             "    return best + 1, mins\n"
-            "D.closest_vectors = wrong\n",
+            "P.closest_vectors = wrong\n",
             "D.delaunay_star(SymMat([[2, 1], [1, 2]]))")
         assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
 
     def test_cell_without_origin_raises_under_optimize(self):
-        # closest_vectors leaves 0 out of every minimizer set.  The coset
-        # minima keep their halfspaces (each vector comes with its negative),
-        # so the cells are what is wrong.
+        # closest_vectors leaves 0 out of every minimizer set of a cell; the
+        # coset minima, from `lattice`'s binding, keep their halfspaces.
         out = _raised_under_optimize(
-            "orig = D.closest_vectors\n"
+            "orig = P.closest_vectors\n"
             "def without_origin(q, c):\n"
             "    best, mins = orig(q, c)\n"
             "    return best, tuple(v for v in mins if any(v))\n"
-            "D.closest_vectors = without_origin\n",
+            "P.closest_vectors = without_origin\n",
             "D.delaunay_star(principal_form(3))")
         assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
 
@@ -363,21 +363,23 @@ class TestStarByClasses:
         # vectors of a generic form, the double description makes a cell
         # that is too large, and some of its vertices are not circumcenters.
         out = _raised_under_optimize(
-            "orig = D._coset_minima\n"
+            "orig = P._coset_minima\n"
             "def dropped(q):\n"
             "    vectors = orig(q)\n"
             "    return [v for v in vectors if [x % 2 for x in v] != [0, 0, 1]]\n"
-            "D._coset_minima = dropped\n",
+            "P._coset_minima = dropped\n",
             "D.delaunay_star(principal_form(3))")
         assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
 
 
 def _raised_under_optimize(setup: str, call: str) -> str:
     """Run `setup`, then `call`, under `python -O` in a new process, with
-    `lcone.delaunay` as D, `principal_form` and `SymMat` imported.  Returns
-    the output: "raised: <message>" if `call` raised an AssertionError.
-    The script's `assert False` passes only if -O stripped the asserts."""
+    `lcone.delaunay` as D, `lcone.polyhedral` as P, `principal_form` and
+    `SymMat` imported.  Returns the output: "raised: <message>" if `call`
+    raised an AssertionError.  The script's `assert False` passes only if
+    -O stripped the asserts."""
     script = ("import lcone.delaunay as D\n"
+              "import lcone.polyhedral as P\n"
               "from lcone.classify import principal_form\n"
               "from lcone.exact import SymMat\n"
               "assert False, 'asserts are on'\n"
@@ -464,14 +466,15 @@ class TestNeighborTriangulation:
         star = seed_triangulation(4)
         cone, walls = pd_walls(star)
         calls = []
-        for name in ("delaunay_star", "_coset_minima"):
-            original = getattr(lcone.delaunay, name)
+        for module, name in ((lcone.delaunay, "delaunay_star"),
+                             (lcone.polyhedral, "_coset_minima")):
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
                 calls.append(name)
                 return original(*args)
 
-            monkeypatch.setattr(lcone.delaunay, name, counted)
+            monkeypatch.setattr(module, name, counted)
         nb = neighbor_triangulation(star, walls[0].central, cone.central)
         assert is_triangulation(nb) and nb.keys != star.keys
         assert calls == []

@@ -569,14 +569,14 @@ class TestKernelFailurePropagates:
             lcone.delaunay.circumcenter(SymMat.identity(2), pts)
 
     def test_regulator(self, monkeypatch):
-        import lcone.scone
+        import lcone.delaunay
         from lcone.exact import AffinelyDependent
 
         with pytest.raises(AffinelyDependent):
-            lcone.scone.regulator([(0, 0), (1, 0), (2, 0)], (1, 1))
-        monkeypatch.setattr(lcone.scone, "solve", self._broken)
+            lcone.delaunay.regulator([(0, 0), (1, 0), (2, 0)], (1, 1))
+        monkeypatch.setattr(lcone.delaunay, "solve", self._broken)
         with pytest.raises(TypeError, match="broken kernel"):
-            lcone.scone.regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
+            lcone.delaunay.regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
 
     def test_linear_map_from_vector_match(self, monkeypatch):
         import lcone.equiv

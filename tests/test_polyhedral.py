@@ -1,13 +1,13 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
+import lcone.delaunay
+import lcone.lattice
 import lcone.polyhedral
 from lcone.classify import principal_form, seed_triangulation
+from lcone.delaunay import neighbor_triangulation
 from lcone.exact import Mat, Rat, SymMat, clear_denominators, gcd_normalize, nullspace, \
     rank_of_rows, solve
 from lcone.polyhedral import (
@@ -24,8 +24,9 @@ from lcone.polyhedral import (
     subordination_scheme,
 )
 from lcone.polyhedral import _dd_cone
-from lcone.scone import secondary_cone
-from oracles import extreme_rays, polytope_from_halfspaces, short_vectors
+from lcone.scone import cone_facets, contains_pd, secondary_cone
+from oracles import dv_polytope_by_star, extreme_rays, polytope_from_halfspaces, short_vectors
+from test_delaunay import _raised_under_optimize
 
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 D4 = SymMat([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
@@ -411,6 +412,7 @@ class TestDVFromStar:
     def test_matches_halfspace_oracle(self, q):
         p = dv_polytope(q)
         assert p == dv_polytope_by_halfspaces(q)   # masks included
+        assert p == dv_polytope_by_star(q)
         assert face_lattice(p) == face_lattice_by_rank(p)
 
     def test_skewed_forms_have_non_simplex_cells(self):
@@ -418,50 +420,70 @@ class TestDVFromStar:
 
         assert sum(not is_triangulation(delaunay_star(q)) for q in SKEWED_D4) == 3
 
+    def test_matches_star_oracle_d5(self):
+        # The principal form is the central form of the d = 5 seed cone; the
+        # other form is the central form of the cone across its first PD wall.
+        star = seed_triangulation(5)
+        cone = secondary_cone(star)
+        assert cone.central == principal_form(5)
+        wall = next(f for f in cone_facets(cone) if contains_pd(f))
+        nb = secondary_cone(neighbor_triangulation(star, wall.central, cone.central))
+        for q in (cone.central, nb.central):
+            assert dv_polytope(q) == dv_polytope_by_star(q)
+
     def test_one_star(self, monkeypatch):
-        import lcone.delaunay
-
+        # The DV polytope builds no Delaunay star and no cell facets, and
+        # makes the closest-vector calls of one star: 15 for the coset
+        # minima of Z^4 / 2Z^4 and one per each of the 18 translation classes.
         calls = []
-        star = lcone.delaunay.delaunay_star
 
-        def counting_star(q):
-            calls.append(q)
-            return star(q)
+        def count(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls.append(name) or original(*args))
 
-        monkeypatch.setattr(lcone.delaunay, "delaunay_star", counting_star)
+        for module, name in ((lcone.delaunay, "delaunay_star"), (lcone.delaunay, "cell_facets"),
+                             (lcone.delaunay, "polytope_from_vertices"),
+                             (lcone.polyhedral, "polytope_from_vertices"),
+                             (lcone.polyhedral, "closest_vectors"),
+                             (lcone.lattice, "closest_vectors")):
+            count(module, name)
         dv_polytope(SKEWED_D4[2])
-        assert calls == [SKEWED_D4[2]]
+        assert calls == ["closest_vectors"] * 33
 
     def test_vertex_on_too_few_facets_raises_under_O(self):
         # `assert False` passes only if -O stripped asserts.  The unit square
         # cell of Z^2 loses its vertex (1, 0), so [0, (1, 0)] is no longer an
         # edge and the center (1/2, -1/2) lies on one facet only.
-        script = (
-            "import dataclasses\n"
-            "import lcone.delaunay\n"
-            "from lcone.exact import SymMat\n"
-            "from lcone.polyhedral import dv_polytope\n"
-            "assert False, 'asserts are on'\n"
-            "real = lcone.delaunay.delaunay_star\n"
+        out = _raised_under_optimize(
+            "real = P._dv_cell\n"
             "def corrupt(q):\n"
-            "    star = real(q)\n"
-            "    star.__dict__['cells'] = tuple(dataclasses.replace(\n"
-            "        c, vertices=tuple(v for v in c.vertices if v != (1, 0)))\n"
-            "        if (1, 1) in c.vertices else c for c in star.cells)\n"
-            "    return star\n"
-            "lcone.delaunay.delaunay_star = corrupt\n"
-            "try:\n"
-            "    dv_polytope(SymMat.identity(2))\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: DV vertex")
-        assert proc.stdout.rstrip().endswith("lies on fewer than 2 facets")
+            "    return [(tuple(v for v in vs if v != (1, 0)) if (1, 1) in vs else vs, c, r)\n"
+            "            for vs, c, r in real(q)]\n"
+            "P._dv_cell = corrupt\n",
+            "P.dv_polytope(SymMat.identity(2))")
+        assert out.startswith("raised: DV vertex")
+        assert out.rstrip().endswith("lies on fewer than 2 facets")
+
+    @pytest.mark.parametrize("change, raised", [
+        # One nonzero minimizer is dropped from every cell, so the cell of a
+        # DV vertex is found as a translate of two cells.
+        ("tuple(v for v in mins if v != max(v for v in mins if any(v)))",
+         "a DV vertex is the centre of two cells"),
+        # A far lattice point is added to every cell, so the translate by it
+        # is centred off the DV cell.
+        ("tuple(sorted(mins + ((5,) * q.d,)))",
+         "30 cells but 24 DV vertices: the centre of a translated cell is not a DV vertex"),
+    ], ids=["dropped", "added"])
+    def test_cell_coverage_raises_under_O(self, change, raised):
+        out = _raised_under_optimize(
+            "real = P.closest_vectors\n"
+            "def changed(q, c):\n"
+            "    best, mins = real(q, c)\n"
+            f"    return best, {change}\n"
+            "P.closest_vectors = changed\n",
+            "P.dv_polytope(principal_form(3))")
+        assert out == f"raised: {raised}\n"
 
 
 class TestFaceLatticeGrading:

@@ -14,12 +14,18 @@ import lcone.delaunay
 import lcone.polyhedral
 import lcone.scone
 from lcone.classify import Classifier, principal_form, seed_triangulation
-from lcone.delaunay import DelaunayStar, _normalized, delaunay_star, neighbor_triangulation
+from lcone.delaunay import (
+    DelaunayStar,
+    NotATriangulation,
+    _normalized,
+    delaunay_star,
+    neighbor_triangulation,
+    regulator,
+)
 from lcone.exact import AffinelyDependent, SymMat, rank_of_rows
 from lcone.scone import (
     ConeDesc,
     EmptyRaySet,
-    NotATriangulation,
     central_form,
     cone_facets,
     cone_from_dict,
@@ -28,7 +34,6 @@ from lcone.scone import (
     contains_pd,
     fundamental_face,
     rank_profile,
-    regulator,
     secondary_cone,
     star_wall_forms,
     sym_dim,
@@ -248,7 +253,7 @@ def _counting_regulator(monkeypatch):
         calls.append((tuple(tuple(p) for p in points), tuple(w)))
         return regulator(points, w)
 
-    monkeypatch.setattr(lcone.scone, "regulator", counting)
+    monkeypatch.setattr(lcone.delaunay, "regulator", counting)
     return calls
 
 
@@ -294,6 +299,7 @@ class TestCarriedPairs:
         # by the flip's containment check, and by `star_wall_forms`.
         script = (
             "import dataclasses\n"
+            "import lcone.delaunay as D\n"
             "import lcone.scone as sc\n"
             "from lcone.classify import seed_triangulation\n"
             "from lcone.delaunay import neighbor_triangulation\n"
@@ -304,18 +310,18 @@ class TestCarriedPairs:
             "star = seed_triangulation(4)\n"
             "cone = sc.secondary_cone(star)\n"
             "wall = next(f for f in sc.cone_facets(cone) if sc.contains_pd(f))\n"
-            "facet_pairs = sc._facet_pairs\n"
+            "facet_pairs = D._facet_pairs\n"
             "def corrupting(keys, carried=None):\n"
             "    out = facet_pairs(keys, carried)\n"
             "    norm = next(n for n in out if carried and out[n] is carried.get(n))\n"
             "    out[norm] = negated(out[norm])\n"
             "    return out\n"
-            "sc._facet_pairs = corrupting\n"
+            "D._facet_pairs = corrupting\n"
             "try:\n"
             "    neighbor_triangulation(star, wall.central, cone.central)\n"
             "except AssertionError as exc:\n"
             "    print('flip raised:', exc)\n"
-            "sc._facet_pairs = facet_pairs\n"
+            "D._facet_pairs = facet_pairs\n"
             "nb = neighbor_triangulation(star, wall.central, cone.central)\n"
             "norm = next(n for n in nb.pairs if nb.pairs[n] is star.pairs.get(n))\n"
             "nb.pairs[norm] = negated(nb.pairs[norm])\n"
