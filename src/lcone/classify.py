@@ -752,16 +752,23 @@ def write_db(db: ClassDB, out_dir: str, extras: Optional[dict] = None):
 
 
 def read_manifest(out_dir: str) -> dict:
+    """The manifest of a database.  Raises IncompleteDatabase when it is
+    missing or does not parse."""
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         raise IncompleteDatabase(f"no manifest in {out_dir}")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise IncompleteDatabase(f"{path} is not a manifest: {exc}") from exc
 
 
 def load_db(out_dir: str) -> ClassDB:
     """Read a database written by `write_db`.  Raises IncompleteDatabase when
-    the manifest is missing or its record counts differ from the files."""
+    the manifest is missing or does not parse, when a line of a `dim_<k>.jsonl`
+    is not a class record, or when the record counts differ from the
+    manifest's."""
     manifest = read_manifest(out_dir)
     db = ClassDB(manifest["d"])
     db.complete = manifest.get("status") == "complete"
@@ -770,11 +777,16 @@ def load_db(out_dir: str) -> ClassDB:
             continue
         k = int(name[4:-6])
         recs = []
-        with open(os.path.join(out_dir, name)) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
+        path = os.path.join(out_dir, name)
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
                     recs.append(ClassRecord.from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise IncompleteDatabase(
+                        f"{path}: line {lineno} is not a class record") from exc
         db.by_dim[k] = recs
     counts = {str(k): len(recs) for k, recs in db.by_dim.items()}
     if counts != manifest.get("counts", {}):

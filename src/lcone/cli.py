@@ -103,7 +103,7 @@ def cmd_classify(args) -> int:
     except (NotPositiveDefinite, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IncompatibleCheckpoint as exc:
+    except (IncompatibleCheckpoint, IncompleteDatabase) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     manifest = read_manifest(out)

@@ -44,7 +44,7 @@ from .exact import (
     solve,
 )
 from .lattice import closest_vectors
-from .polyhedral import _dv_cell, polytope_from_vertices
+from .polyhedral import _dot, _dv_cell, rays_to_hrep
 
 
 class NotATriangulation(Exception):
@@ -69,13 +69,6 @@ class Cell:
             tuple(c + s for c, s in zip(self.center, t)),
             self.sqradius,
         )
-
-    def normalized(self) -> tuple["Cell", tuple]:
-        """Translate the lexicographically smallest vertex to the origin.
-        Returns (cell, shift) with cell = self translated by shift."""
-        base = min(self.vertices)
-        shift = tuple(-x for x in base)
-        return self.translate(shift), shift
 
 
 @dataclass(frozen=True)
@@ -146,19 +139,22 @@ def _normalized(vertices) -> tuple:
 def cell_facets(cell: Cell, d: int) -> list[tuple]:
     """Vertex sets of the (d-1)-faces of a cell, each sorted, in sorted order.
 
-    Simplices get the combinatorial shortcut (drop one vertex at a time);
-    general cells go through the polyhedral conversion.
+    Simplices get the combinatorial shortcut (drop one vertex at a time).
+    Every lattice point of a Delaunay cell lies on its empty sphere, so every
+    point is a vertex, and a general cell's facets are the sets of vertices
+    tight on the inequalities of its homogenization cone (`rays_to_hrep` of
+    the points (v, 1)).  Raises ValueError unless the cell is
+    full-dimensional.
     """
     if len(cell.vertices) == d + 1:
         return [cell.vertices[:i] + cell.vertices[i + 1:]
                 for i in range(d + 1)]
-    poly = polytope_from_vertices(cell.vertices, d)
-    vmap = {v: i for i, v in enumerate(poly.vertices)}
-    out = []
-    for mask in poly.facet_masks:
-        fverts = tuple(sorted(v for v in cell.vertices if mask >> vmap[v] & 1))
-        out.append(fverts)
-    return sorted(out)
+    points = [v + (1,) for v in cell.vertices]
+    equalities, inequalities = rays_to_hrep(points, d + 1)
+    if equalities:
+        raise ValueError("cell is not full-dimensional")
+    return sorted(tuple(v for v, p in zip(cell.vertices, points) if _dot(g, p) == 0)
+                  for g in inequalities)
 
 
 def delaunay_star(q: SymMat) -> DelaunayStar:

@@ -8,9 +8,10 @@ integers; there is no floating point anywhere.  Dimensions are tiny (at most
 
 There are three elimination loops.  `echelon` is the one Gauss-Jordan
 elimination, fraction-free over the integers: `solve`, `inverse`, `rank`,
-`rank_of_rows`, `nullspace` and `det` read it.  `ldlt` is the symmetric
-factorization behind both definiteness tests and lattice enumeration, which
-puts it over common denominators and walks the integers (`lcone.lattice`).
+`rank_of_rows` and `det` read it, and its result gives the null space
+(`Echelon.nullspace`).  `ldlt` is the symmetric factorization behind both
+definiteness tests and lattice enumeration, which puts it over common
+denominators and walks the integers (`lcone.lattice`).
 `hermite_diagonal` works over the integers.
 """
 
@@ -75,10 +76,6 @@ class Mat:
     @staticmethod
     def zero(r: int, c: int) -> "Mat":
         return Mat([[0] * c for _ in range(r)])
-
-    @staticmethod
-    def from_cols(cols: Sequence[Sequence]) -> "Mat":
-        return Mat(list(zip(*cols)))
 
     def col(self, j: int):
         return tuple(r[j] for r in self.entries)
@@ -421,15 +418,6 @@ def echelon(rows: Sequence[Sequence]) -> Echelon:
     block_det = sign * scale if row_scale == 1 else _norm(sign * scale / row_scale)
     return Echelon(tuple(tuple(kept[c]) for c in pivots), pivots, tuple(independent),
                    cols, scale, block_det)
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
-    """Basis of the right null space of the matrix with the given rows.
-
-    Returns integer vectors (gcd-normalized), one per free column of one
-    `echelon` pass, in column order.
-    """
-    return echelon(rows).nullspace()
 
 
 def clear_denominators(v: Sequence) -> tuple:

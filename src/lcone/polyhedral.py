@@ -1,12 +1,14 @@
-"""Exact polyhedral computations: double description conversion between
-halfspace and ray representations, Dirichlet-Voronoi polytopes, face
+"""Exact polyhedral computations: the double description method, halfspace
+descriptions of cones given by rays, Dirichlet-Voronoi polytopes, face
 lattices, subordination schemes and volumes.
 
-All cones are handled through the incremental double description method over
-the integers; polytopes are treated through their homogenization cones.  A
-cone given by rays is described inside its linear hull in the hull's pivot
-coordinates, which one `exact.echelon` pass over the rays provides together
-with the hull's equalities; no Gram system is solved per ray.
+`_dd_cone` is the one double description (DD), over the integers: the
+extreme rays of a pointed cone given by its inequalities.  `rays_to_hrep`
+runs it on the polar side: a cone given by rays is described inside its
+linear hull in the hull's pivot coordinates, which one `exact.echelon` pass
+over the rays provides together with the hull's equalities; no Gram system
+is solved per ray.  Polytopes are treated through their homogenization
+cones.
 
 The Dirichlet-Voronoi (DV) cell at 0 is computed once, by `_dv_cell`: one
 double description (`_dd_cone`) of the halfspaces of the coset minima of
@@ -33,36 +35,17 @@ from .exact import (
     echelon,
     gcd_normalize,
     inverse,
-    nullspace,
     rank_of_rows,
 )
 from .lattice import _coset_minima, closest_vectors
 
 
 class NotPointed(Exception):
-    """The cone has a nontrivial lineality space after quotienting equalities."""
-
-
-@dataclass(frozen=True)
-class HRep:
-    """Halfspace representation of a cone: a x = 0 and a x >= 0 constraints."""
-
-    dim: int
-    equalities: tuple = ()
-    inequalities: tuple = ()
-
-    def __post_init__(self):
-        for a in self.inequalities:
-            if not any(a):
-                raise ValueError("zero inequality functional")
+    """The cone contains a line: it has a nontrivial lineality space."""
 
 
 def _dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _integer_rows(rows) -> list[tuple]:
-    return [clear_denominators(r) for r in rows]
 
 
 def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
@@ -136,31 +119,6 @@ def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
     return sorted(set(rays))
 
 
-def dual_description(h: HRep) -> list[tuple]:
-    """Extreme rays of the cone given by an HRep.
-
-    Equalities are quotiented out first; the remaining cone must be pointed,
-    otherwise NotPointed is raised.  Rays are integral, gcd-normalized with
-    the leading-entry sign convention, and sorted.
-    """
-    m = h.dim
-    if h.equalities:
-        basis = nullspace(list(h.equalities))
-        if not basis:
-            return []
-        bmat = Mat.from_cols(basis)
-        ineqs_y = _integer_rows([bmat.transpose().mul_vec(a) for a in h.inequalities]) \
-            if h.inequalities else []
-        ineqs_y = [a for a in ineqs_y if any(a)]
-        s = len(basis)
-        rays_y = _dd_cone(ineqs_y, s)
-        rays_x = [clear_denominators(bmat.mul_vec(y)) for y in rays_y]
-        return sorted(set(rays_x))
-    ineqs = _integer_rows(h.inequalities)
-    ineqs = [a for a in ineqs if any(a)]
-    return _dd_cone(ineqs, m)
-
-
 def _project_into_hull(equalities: Sequence[Sequence[int]],
                        normals: Sequence[Sequence[int]]) -> list[tuple]:
     """Orthogonal projections of integer functionals a onto the hull
@@ -184,8 +142,9 @@ def _project_into_hull(equalities: Sequence[Sequence[int]],
     return out
 
 
-def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
-    """Irredundant halfspace description of the cone generated by integer rays.
+def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> tuple[tuple, tuple]:
+    """Irredundant halfspace description of the cone generated by integer
+    rays, as the pair (equalities, inequalities): a x = 0 and a x >= 0.
 
     One `echelon` pass over the rays gives the equalities that cut out their
     linear hull and its pivot columns I.  Restriction to the coordinates I is
@@ -194,13 +153,13 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
     normals g.  Each g is lifted to the unique functional in the hull that
     agrees with x -> g . x_I on it: g placed at I and projected orthogonally
     into the hull over the integers (`_project_into_hull`).  Normals are
-    gcd-normalized and nonnegative on the rays.  Raises NotPointed when the
-    rays generate a cone that contains a line.
+    gcd-normalized, nonnegative on the rays and sorted.  Raises NotPointed
+    when the rays generate a cone that contains a line.
     """
     rays = [tuple(r) for r in rays]
     if not rays:
         eqs = tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
-        return HRep(dim, eqs, ())
+        return eqs, ()
     ech = echelon(rays)
     equalities = tuple(gcd_normalize(e) for e in ech.nullspace())
     pivots = ech.pivots
@@ -216,7 +175,7 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> HRep:
             a[i] = x
         lifted.append(a)
     ineqs = [gcd_normalize(a, orient=False) for a in _project_into_hull(equalities, lifted)]
-    return HRep(dim, equalities, tuple(sorted(set(ineqs))))
+    return equalities, tuple(sorted(set(ineqs)))
 
 
 @dataclass(frozen=True)
@@ -238,42 +197,6 @@ class LatPolytope:
     @property
     def n_facets(self) -> int:
         return len(self.facets)
-
-
-def _vertex_masks(facet_masks: Sequence[int], n_vertices: int) -> tuple:
-    """Per vertex, the bitmask of the facets through it, from the per-facet
-    bitmasks over the vertices."""
-    out = []
-    for i in range(n_vertices):
-        m = 0
-        for j, fm in enumerate(facet_masks):
-            if fm >> i & 1:
-                m |= 1 << j
-        out.append(m)
-    return tuple(out)
-
-
-def polytope_from_vertices(vertices: Sequence[Sequence], dim: int) -> LatPolytope:
-    """Facet description of a full-dimensional polytope from its vertices.
-
-    The facets are the irredundant inequalities of the homogenization cone
-    that `rays_to_hrep` returns, (g[:-1], g[-1]) in its order.  An input
-    point is kept as a vertex unless another input point lies on every facet
-    through it, which drops the points that are not vertices.
-    """
-    points = sorted(set(tuple(v) for v in vertices))
-    h = rays_to_hrep(_integer_rows([p + (1,) for p in points]), dim + 1)
-    if h.equalities:
-        raise ValueError("polytope is not full-dimensional")
-    facets = tuple((g[:-1], g[-1]) for g in h.inequalities)
-    on = [[_dot(a, p) + b == 0 for p in points] for a, b in facets]
-    point_masks = _vertex_masks([sum(1 << i for i, x in enumerate(row) if x) for row in on],
-                                len(points))
-    keep = [i for i, m in enumerate(point_masks)
-            if not any(k != i and m & ~o == 0 for k, o in enumerate(point_masks))]
-    facet_masks = tuple(sum(1 << n for n, i in enumerate(keep) if row[i]) for row in on)
-    return LatPolytope(dim, tuple(tuple(Rat(x) for x in points[i]) for i in keep), facets,
-                       facet_masks)
 
 
 def _dv_halfspace(q: SymMat, v) -> tuple:
@@ -511,14 +434,11 @@ def polytope_volume(p: LatPolytope):
 
 
 __all__ = [
-    "HRep",
     "LatPolytope",
     "NotPointed",
-    "dual_description",
     "dv_polytope",
     "face_lattice",
     "incidence_graph",
-    "polytope_from_vertices",
     "polytope_volume",
     "rays_to_hrep",
     "serialize_subordination",

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .delaunay import DelaunayStar
 from .exact import SymMat, echelon, gcd_normalize, rank_of_rows
-from .polyhedral import HRep, _project_into_hull, dual_description, rays_to_hrep
+from .polyhedral import _dd_cone, _project_into_hull, rays_to_hrep
 
 
 class EmptyRaySet(Exception):
@@ -92,20 +92,21 @@ class ConeDesc:
     """
 
     d: int
-    dim_ambient: int
     equalities: tuple
     inequalities: tuple
     rays: tuple
     dim: int
     central: SymMat
 
+    @property
+    def dim_ambient(self) -> int:
+        return sym_dim(self.d)
+
     def key(self) -> tuple:
         return tuple(r.lower() for r in self.rays)
 
     def validate(self):
         """Check the invariants; explicit raises, so they survive python -O."""
-        if self.dim_ambient != sym_dim(self.d):
-            raise AssertionError("ambient dimension does not match d")
         for r in self.rays:
             if not r.is_positive_semidefinite():
                 raise NonPSDRay(f"ray {r} is not positive semidefinite")
@@ -128,11 +129,10 @@ def cone_from_rays(d: int, rays: Sequence[SymMat]) -> ConeDesc:
     if not rays:
         raise EmptyRaySet("cone has no rays")
     vecs = [r.lower() for r in rays]
-    h = rays_to_hrep(vecs, m)
-    ineqs = tuple(functional_to_sym(d, a) for a in h.inequalities)
-    equalities = tuple(functional_to_sym(d, e) for e in h.equalities)
-    cone = ConeDesc(d, m, equalities, ineqs, tuple(rays), m - len(equalities),
-                    central_form(rays))
+    eqs, normals = rays_to_hrep(vecs, m)
+    ineqs = tuple(functional_to_sym(d, a) for a in normals)
+    equalities = tuple(functional_to_sym(d, e) for e in eqs)
+    cone = ConeDesc(d, equalities, ineqs, tuple(rays), m - len(equalities), central_form(rays))
     cone.validate()
     return cone
 
@@ -149,9 +149,7 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     d = star.dim
     m = sym_dim(d)
     walls = star_wall_forms(star)
-    hrep = HRep(m, (), tuple(sym_to_functional(n) for n in walls))
-    ray_vecs = dual_description(hrep)
-    rays = [SymMat.from_lower(d, v) for v in ray_vecs]
+    rays = [SymMat.from_lower(d, v) for v in _dd_cone([sym_to_functional(n) for n in walls], m)]
     # The cone is full-dimensional and pointed, and the walls are distinct
     # normalized forms: a wall supports a facet exactly when its tight rays
     # are nonempty and strictly contained in no other wall's tight rays.
@@ -159,7 +157,7 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     keep = [n for n, t in zip(walls, tight)
             if t and not any(t != u and t & ~u == 0 for u in tight)]
     rays_sorted = sorted(rays, key=lambda r: r.lower())
-    cone = ConeDesc(d, m, (), tuple(keep), tuple(rays_sorted), m, central_form(rays_sorted))
+    cone = ConeDesc(d, (), tuple(keep), tuple(rays_sorted), m, central_form(rays_sorted))
     cone.validate()
     if cone.dim != m:
         raise AssertionError("secondary cone of a triangulation must be full-dimensional")
@@ -200,7 +198,7 @@ def _face(cone: ConeDesc, masks: Sequence[int], t: int, equalities: tuple) -> Co
     ineqs = sorted(set(gcd_normalize(a, orient=False) for a in normals))
     if dim > 1 and len(ineqs) < dim:
         raise AssertionError("a face has fewer facets than its dimension")
-    face = ConeDesc(d, m, tuple(equalities), tuple(functional_to_sym(d, a) for a in ineqs),
+    face = ConeDesc(d, tuple(equalities), tuple(functional_to_sym(d, a) for a in ineqs),
                     tuple(rays), dim, central_form(rays))
     face.validate()
     return face
@@ -282,9 +280,8 @@ def cone_to_dict(cone: ConeDesc) -> dict:
 
 def cone_from_dict(data: dict) -> ConeDesc:
     d = data["d"]
-    m = sym_dim(d)
     rays = tuple(SymMat.from_lower(d, v) for v in data["rays"])
     ineqs = tuple(SymMat.from_lower(d, v) for v in data["ineqs"])
     eqs = tuple(SymMat.from_lower(d, v) for v in data.get("eqs", []))
     central = SymMat.from_lower(d, data["central"])
-    return ConeDesc(d, m, eqs, ineqs, rays, data["dim"], central)
+    return ConeDesc(d, eqs, ineqs, rays, data["dim"], central)

@@ -3,12 +3,15 @@
 Each of these was once in `lcone` and has no caller in the pipeline, the
 CLI or the demos, or was replaced there by a faster or leaner path.  They
 stay here as independent routes for the tests: short vectors by enumeration
-around 0, polytopes from halfspaces by one double description, canonical
-extreme rays, the Delaunay star by moving spheres, the Dirichlet-Voronoi
-polytope read off the Delaunay star, the stabilizer order of a cone, the
-adjacent pairs of a triangulation as a list, the regulator over rational
-matrices, facet cones and fundamental faces by one double description each,
-and the merge through invariant buckets.
+around 0, the double description of a cone with equalities, polytopes from
+halfspaces by one double description, polytopes from vertices with the
+points that are not vertices dropped, the facets of a Delaunay cell read off
+that polytope, canonical extreme rays, the normalized translate of a cell,
+the Delaunay star by moving spheres, the Dirichlet-Voronoi polytope read off
+the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
+triangulation as a list, the regulator over rational matrices, facet cones
+and fundamental faces by one double description each, and the merge through
+invariant buckets.
 """
 
 import dataclasses
@@ -35,7 +38,7 @@ from lcone.exact import (
     SingularMatrix,
     SymMat,
     clear_denominators,
-    nullspace,
+    echelon,
     rank_of_rows,
     solve,
 )
@@ -45,8 +48,6 @@ from lcone.polyhedral import (
     _dd_cone,
     _dot,
     _dv_halfspace,
-    _integer_rows,
-    dual_description,
     rays_to_hrep,
 )
 from lcone.scone import cone_from_rays, sym_to_functional
@@ -60,9 +61,27 @@ def short_vectors(q, n) -> VectorSet:
     return VectorSet(q.d, vecs, n)
 
 
+def dual_description(dim: int, equalities, inequalities) -> list:
+    """Extreme rays of the cone {x : a x = 0, b x >= 0} in R^dim, for the
+    equalities a and inequalities b, as `rays_to_hrep` returns them.
+
+    Equalities are quotiented out first; the remaining cone must be pointed,
+    otherwise NotPointed is raised.  Rays are integral, primitive and sorted.
+    """
+    if equalities:
+        basis = Mat(echelon(list(equalities)).nullspace())
+        if not basis.rows:
+            return []
+        ineqs_y = [clear_denominators(basis.mul_vec(a)) for a in inequalities]
+        rays_y = _dd_cone([a for a in ineqs_y if any(a)], basis.rows)
+        return sorted(set(clear_denominators(basis.transpose().mul_vec(y)) for y in rays_y))
+    ineqs = [clear_denominators(a) for a in inequalities]
+    return _dd_cone([a for a in ineqs if any(a)], dim)
+
+
 def extreme_rays(rays, dim: int) -> list:
     """Canonical extreme-ray set of the cone generated by arbitrary rays."""
-    return dual_description(rays_to_hrep(rays, dim))
+    return dual_description(dim, *rays_to_hrep(rays, dim))
 
 
 def polytope_from_halfspaces(halfspaces, dim: int) -> LatPolytope:
@@ -75,7 +94,7 @@ def polytope_from_halfspaces(halfspaces, dim: int) -> LatPolytope:
         clear_denominators(tuple(a) + (b,))
         for a, b in ((tuple(h[0]), h[1]) for h in halfspaces)
     ))
-    rays = _dd_cone(_integer_rows(hs), dim + 1)
+    rays = _dd_cone(hs, dim + 1)
     if not rays:
         raise ValueError("empty or degenerate polytope")
     verts = []
@@ -103,6 +122,63 @@ def polytope_from_halfspaces(halfspaces, dim: int) -> LatPolytope:
             facets.append((tuple(a), b))
             facet_masks.append(mask)
     return LatPolytope(dim, tuple(verts), tuple(facets), tuple(facet_masks))
+
+
+def _vertex_masks(facet_masks: Sequence[int], n_vertices: int) -> tuple:
+    """Per vertex, the bitmask of the facets through it, from the per-facet
+    bitmasks over the vertices."""
+    out = []
+    for i in range(n_vertices):
+        m = 0
+        for j, fm in enumerate(facet_masks):
+            if fm >> i & 1:
+                m |= 1 << j
+        out.append(m)
+    return tuple(out)
+
+
+def polytope_from_vertices(vertices: Sequence[Sequence], dim: int) -> LatPolytope:
+    """Facet description of a full-dimensional polytope from its vertices.
+
+    The facets are the irredundant inequalities of the homogenization cone
+    that `rays_to_hrep` returns, (g[:-1], g[-1]) in its order.  An input
+    point is kept as a vertex unless another input point lies on every facet
+    through it, which drops the points that are not vertices.
+    """
+    points = sorted(set(tuple(v) for v in vertices))
+    equalities, inequalities = rays_to_hrep([clear_denominators(p + (1,)) for p in points],
+                                            dim + 1)
+    if equalities:
+        raise ValueError("polytope is not full-dimensional")
+    facets = tuple((g[:-1], g[-1]) for g in inequalities)
+    on = [[_dot(a, p) + b == 0 for p in points] for a, b in facets]
+    point_masks = _vertex_masks([sum(1 << i for i, x in enumerate(row) if x) for row in on],
+                                len(points))
+    keep = [i for i, m in enumerate(point_masks)
+            if not any(k != i and m & ~o == 0 for k, o in enumerate(point_masks))]
+    facet_masks = tuple(sum(1 << n for n, i in enumerate(keep) if row[i]) for row in on)
+    return LatPolytope(dim, tuple(tuple(Rat(x) for x in points[i]) for i in keep), facets,
+                       facet_masks)
+
+
+def cell_facets_by_polytope(cell: Cell, d: int) -> list:
+    """`delaunay.cell_facets` read off `polytope_from_vertices` of the cell,
+    whose vertex filter keeps only the points that are vertices."""
+    poly = polytope_from_vertices(cell.vertices, d)
+    vmap = {v: i for i, v in enumerate(poly.vertices)}
+    out = []
+    for mask in poly.facet_masks:
+        fverts = tuple(sorted(v for v in cell.vertices if mask >> vmap[v] & 1))
+        out.append(fverts)
+    return sorted(out)
+
+
+def normalized(cell: Cell) -> tuple:
+    """Translate the lexicographically smallest vertex to the origin.
+    Returns (cell, shift) with cell = `cell` translated by shift."""
+    base = min(cell.vertices)
+    shift = tuple(-x for x in base)
+    return cell.translate(shift), shift
 
 
 def dv_polytope_by_star(q: SymMat) -> LatPolytope:
@@ -217,7 +293,7 @@ def initial_cell(q: SymMat) -> Cell:
     r2 = Rat(q.quad(v1), 4)
     while len(verts) < d + 1:
         rows = [q.mul_vec([a - b for a, b in zip(w, verts[0])]) for w in verts[1:]]
-        direction = nullspace(rows)[0]
+        direction = echelon(rows).nullspace()[0]
         probes = {tuple(a + b for a, b in zip(w, v)) for w in verts for v in short}
         sides = []
         for h in (direction, tuple(-x for x in direction)):
@@ -248,7 +324,7 @@ def adjacent_cell(q: SymMat, cell: Cell, facet: Sequence[Sequence[int]]) -> Cell
     if not rows:
         rows = [[0] * q.d]
     # Q is nonsingular, so the rows have the rank of the vertex differences.
-    directions = nullspace(rows)
+    directions = echelon(rows).nullspace()
     if len(directions) != 1:
         raise NotAFacet("facet does not span a hyperplane")
     h = directions[0]
@@ -299,12 +375,12 @@ def delaunay_star_by_search(q: SymMat) -> DelaunayStar:
         sides.update(_normalized(facet) for facet in facets)
         queue.append((rep, facets))
 
-    found(initial_cell(q).normalized()[0])
+    found(normalized(initial_cell(q))[0])
     while queue:
         rep, facets = queue.popleft()
         for facet in facets:
             if sides[_normalized(facet)] == 1:
-                norm, _ = adjacent_cell(q, rep, facet).normalized()
+                norm, _ = normalized(adjacent_cell(q, rep, facet))
                 if norm.vertices in reps:
                     raise AssertionError("a facet crossing reached a known class")
                 found(norm)

@@ -179,6 +179,33 @@ class TestClassifyCmd:
         assert main(["classify", "-d", "2", "-o", str(out_dir), "--resume"]) == 3
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, damage, where", [
+        ("dim_3.jsonl", lambda text: text[:-10], "dim_3.jsonl: line 1 "),
+        ("dim_3.jsonl", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "stab_order"}) + "\n",
+         "dim_3.jsonl: line 1 "),
+        ("manifest.json", lambda text: text[:-10], "manifest.json is not a manifest: "),
+    ], ids=["torn-record", "record-without-stab-order", "torn-manifest"])
+    def test_masscheck_damaged_database_exit_3(self, tmp_path, capsys, name, damage, where):
+        out_dir = tmp_path / "db"
+        assert main(["classify", "-d", "2", "-o", str(out_dir)]) == 0
+        path = out_dir / name
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main(["masscheck", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+
+    def test_resume_torn_manifest_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "db"
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(2, str(out_dir), abort_after=2)
+        manifest = out_dir / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-10])
+        assert main(["classify", "-d", "2", "-o", str(out_dir), "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json is not a manifest: " in err
+
     def test_resume_with_other_digest_exit_3(self, tmp_path, capsys):
         out_dir = str(tmp_path / "db")
         with pytest.raises(KeyboardInterrupt):

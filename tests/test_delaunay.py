@@ -26,7 +26,7 @@ from lcone.lattice import closest_vectors
 from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
 
 import oracles
-from oracles import NotAFacet, adjacent_cell, delaunay_star_by_search, initial_cell
+from oracles import NotAFacet, adjacent_cell, delaunay_star_by_search, initial_cell, normalized
 
 A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
@@ -146,13 +146,13 @@ class TestDelaunayStar:
 
     def test_tiling_volume(self):
         # translation class volumes add up to one fundamental domain
-        from lcone.polyhedral import polytope_from_vertices, polytope_volume
+        from lcone.polyhedral import polytope_volume
 
         for q in (A2, I2, SymMat.identity(3), SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])):
             star = delaunay_star(q)
             total = Rat(0)
             for key in star.keys:
-                poly = polytope_from_vertices(key, q.d)
+                poly = oracles.polytope_from_vertices(key, q.d)
                 total += polytope_volume(poly)
             assert total == 1
 
@@ -195,14 +195,14 @@ def star_by_cells(q):
                 seen[nb.vertices] = nb
                 queue.append(nb)
     cells = tuple(seen[k] for k in sorted(seen))
-    class_keys = tuple(sorted(set(cell.normalized()[0].vertices for cell in cells)))
+    class_keys = tuple(sorted(set(normalized(cell)[0].vertices for cell in cells)))
     class_pos = {k: i for i, k in enumerate(class_keys)}
     adjacency = []
     for k in class_keys:
         rep = seen[k]
         entries = []
         for facet in cell_facets(rep, d):
-            nnorm, shift = adjacent_cell(q, rep, facet).normalized()
+            nnorm, shift = normalized(adjacent_cell(q, rep, facet))
             entries.append((facet, class_pos[nnorm.vertices], tuple(-s for s in shift)))
         adjacency.append(tuple(entries))
     return cells, class_keys, tuple(adjacency)

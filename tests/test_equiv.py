@@ -47,7 +47,7 @@ def backtrack_isometries(q1, q2):
 
     def place(j):
         if j == d:
-            u = Mat.from_cols(cols)
+            u = Mat(cols).transpose()
             if det(u) in (1, -1):
                 out.append(u)
             return

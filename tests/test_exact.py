@@ -23,7 +23,6 @@ from lcone.exact import (
     inverse,
     lattice_span_full,
     ldlt,
-    nullspace,
     parse_form,
     rank,
     rank_of_rows,
@@ -102,7 +101,7 @@ def _random_matrix(rng, n, rational):
 def inverse_by_columns(a):
     """One `solve` per column of the identity: the reference for `inverse`."""
     n = a.rows
-    return Mat.from_cols([solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)])
+    return Mat([solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]).transpose()
 
 
 class TestInverse:
@@ -124,7 +123,7 @@ class TestInverse:
         a = _random_matrix(rng, 5, True)
         b = Mat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(5)])
         x = solve(a, b)
-        assert x == Mat.from_cols([solve(a, b.col(j)) for j in range(3)])
+        assert x == Mat([solve(a, b.col(j)) for j in range(3)]).transpose()
 
     def test_singular(self):
         with pytest.raises(SingularMatrix):
@@ -226,7 +225,7 @@ class TestEchelon:
         ech = echelon(a.entries)
         assert ech.pivots == (0, 1, 2) and ech.independent == (0, 1, 2)
         assert rank(a) == 3
-        assert nullspace(a.entries) == [(-7, 8, -9, 2)]
+        assert ech.nullspace() == [(-7, 8, -9, 2)]
         assert det(a) == 0
         assert det(Mat([[2, 1], [1, 2]])) == 3
         assert det(Mat([[0, 1], [1, 0]])) == -1
@@ -437,7 +436,7 @@ def _seeded_symmetric(seed, count=160):
                     cols.append(list(rng.choice(cols)))
                 else:
                     cols.append([rng.randint(-3, 3) for _ in range(len(cols[0]))])
-            b = Mat.from_cols(cols)
+            b = Mat(cols).transpose()
             g = b.transpose() @ b
             scale = Rat(1, rng.randint(2, 5)) if rational else 1
             out.append(SymMat([[scale * x for x in row] for row in g.entries]))
@@ -667,14 +666,14 @@ class TestLatticeSpan:
 
 class TestNullspace:
     def test_simple(self):
-        basis = nullspace([[1, 1, 0]])
+        basis = echelon([[1, 1, 0]]).nullspace()
         assert len(basis) == 2
         for v in basis:
             assert v[0] + v[1] == 0 or (v[0] == 0 and v[1] == 0) or v[2] != 0
             assert sum(a * b for a, b in zip((1, 1, 0), v)) == 0
 
     def test_full_rank(self):
-        assert nullspace([[1, 0], [0, 1]]) == []
+        assert echelon([[1, 0], [0, 1]]).nullspace() == []
 
 
 class TestFormFormat:

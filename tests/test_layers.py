@@ -1,7 +1,9 @@
 """The modules of `lcone` import one way, in the layer order below, and
-only at module level."""
+only at module level; every public name of theirs has a caller outside the
+tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,46 @@ def test_relative_imports_name_earlier_layers(name):
         elif isinstance(node, ast.Import):
             assert not any(a.name == "lcone" or a.name.startswith("lcone.")
                            for a in node.names), f"line {node.lineno}"
+
+
+ROOT = SRC.parent.parent
+CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + \
+    [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.stem.startswith("test_")]
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in CALLERS}
+
+
+def _uses(node) -> Counter:
+    """How often each name (`ast.Name`) and attribute (`ast.Attribute`) is
+    used under `node`."""
+    return Counter((type(n), n.id if isinstance(n, ast.Name) else n.attr)
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _public_names():
+    """(label, kind, name, definition) for every public function and class
+    of `src/lcone`, used as an `ast.Name`, and every public method of a
+    public class, used as an `ast.Attribute`."""
+    for path, tree in TREES.items():
+        if path.parent != SRC or path.stem == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", ast.Name, node.name, node
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            yield f"{path.stem}.{node.name}.{item.name}", ast.Attribute, \
+                                item.name, item
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is code of the library, a demo or the benchmark harness, or a
+    # re-export by `lcone/__init__.py`; uses inside a name's own definition
+    # do not count.  A public name that only the tests use belongs in
+    # `tests/oracles.py`.
+    uses = sum((_uses(tree) for tree in TREES.values()), Counter())
+    uses.update((ast.Name, node.name) for node in ast.walk(TREES[SRC / "__init__.py"])
+                if isinstance(node, ast.alias))
+    unused = [label for label, kind, name, definition in _public_names()
+              if uses[kind, name] == _uses(definition)[kind, name]]
+    assert unused == []

@@ -8,16 +8,13 @@ import lcone.lattice
 import lcone.polyhedral
 from lcone.classify import principal_form, seed_triangulation
 from lcone.delaunay import neighbor_triangulation
-from lcone.exact import Mat, Rat, SymMat, clear_denominators, gcd_normalize, nullspace, \
+from lcone.exact import Mat, Rat, SymMat, clear_denominators, echelon, gcd_normalize, \
     rank_of_rows, solve
 from lcone.polyhedral import (
-    HRep,
     NotPointed,
-    dual_description,
     dv_polytope,
     face_lattice,
     incidence_graph,
-    polytope_from_vertices,
     polytope_volume,
     rays_to_hrep,
     serialize_subordination,
@@ -25,7 +22,15 @@ from lcone.polyhedral import (
 )
 from lcone.polyhedral import _dd_cone
 from lcone.scone import cone_facets, contains_pd, secondary_cone
-from oracles import dv_polytope_by_star, extreme_rays, polytope_from_halfspaces, short_vectors
+from oracles import (
+    cell_facets_by_polytope,
+    dual_description,
+    dv_polytope_by_star,
+    extreme_rays,
+    polytope_from_halfspaces,
+    polytope_from_vertices,
+    short_vectors,
+)
 from test_delaunay import _raised_under_optimize
 
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
@@ -95,31 +100,28 @@ def face_lattice_by_rank(p):
 
 class TestDualDescription:
     def test_orthant(self):
-        rays = dual_description(HRep(2, (), ((1, 0), (0, 1))))
+        rays = dual_description(2, (), ((1, 0), (0, 1)))
         assert rays == [(0, 1), (1, 0)]
 
     def test_secondary_cone_system(self):
         # q12 >= 0, q11 - q12 >= 0, q22 - q12 >= 0 in (q11, q12, q22) coords
-        h = HRep(3, (), ((0, 1, 0), (1, -1, 0), (0, -1, 1)))
-        rays = dual_description(h)
+        rays = dual_description(3, (), ((0, 1, 0), (1, -1, 0), (0, -1, 1)))
         assert set(rays) == {(1, 0, 0), (0, 0, 1), (1, 1, 1)}
 
     def test_forced_equality(self):
-        h = HRep(2, (), ((1, 1), (-1, -1), (1, 0)))
-        rays = dual_description(h)
+        rays = dual_description(2, (), ((1, 1), (-1, -1), (1, 0)))
         assert rays == [(1, -1)]
 
     def test_lineality_raises(self):
         with pytest.raises(NotPointed):
-            dual_description(HRep(2, (), ((1, 0),)))
+            dual_description(2, (), ((1, 0),))
 
     def test_non_pointed_rays_raise(self):
         with pytest.raises(NotPointed):
             rays_to_hrep([(1, 0), (-1, 0)], 2)
 
     def test_equalities_quotient(self):
-        h = HRep(3, ((0, 0, 1),), ((1, 0, 0), (0, 1, 0)))
-        rays = dual_description(h)
+        rays = dual_description(3, ((0, 0, 1),), ((1, 0, 0), (0, 1, 0)))
         assert set(rays) == {(1, 0, 0), (0, 1, 0)}
 
     def test_round_trip_random(self):
@@ -137,7 +139,7 @@ class TestDualDescription:
             # nonnegative vectors generate a pointed cone
             canon = extreme_rays(rays, dim)
             h = rays_to_hrep(canon, dim)
-            back = dual_description(h)
+            back = dual_description(dim, *h)
             assert back == canon
             done += 1
 
@@ -149,14 +151,14 @@ def rays_to_hrep_by_gram(rays, dim):
     rays = [tuple(r) for r in rays]
     if not rays:
         eqs = tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
-        return HRep(dim, eqs, ())
-    equalities = tuple(gcd_normalize(e) for e in nullspace(rays))
+        return eqs, ()
+    equalities = tuple(gcd_normalize(e) for e in echelon(rays).nullspace())
     acc = []
     for r in rays:
         if rank_of_rows(acc + [list(r)]) > len(acc):
             acc.append(list(r))
     s = len(acc)
-    bmat = Mat.from_cols(acc)
+    bmat = Mat(acc).transpose()
     btb = bmat.transpose() @ bmat
     ycoords = [clear_denominators(solve(btb, bmat.transpose().mul_vec(r))) for r in rays]
     normals_y = _dd_cone(ycoords, s)
@@ -164,7 +166,7 @@ def rays_to_hrep_by_gram(rays, dim):
         raise NotPointed("ray set generates a non-pointed cone")
     ineqs = [gcd_normalize(clear_denominators(bmat.mul_vec(solve(btb, g))), orient=False)
              for g in normals_y]
-    return HRep(dim, equalities, tuple(sorted(set(ineqs))))
+    return equalities, tuple(sorted(set(ineqs)))
 
 
 def _facet_inputs(star):
@@ -191,7 +193,7 @@ class TestRaysToHrep:
         rng = random.Random(4)
         for rays, dim in _facet_inputs(star()):
             h = rays_to_hrep(rays, dim)
-            assert len(h.equalities) == 1
+            assert len(h[0]) == 1
             assert h == rays_to_hrep_by_gram(rays, dim)
             shuffled = rays[:]
             rng.shuffle(shuffled)
@@ -214,7 +216,7 @@ class TestRaysToHrep:
             if rank_of_rows(rays) < s:
                 continue
             h = rays_to_hrep(rays, dim)
-            assert len(h.equalities) == k
+            assert len(h[0]) == k
             assert h == rays_to_hrep_by_gram(rays, dim)
             rng.shuffle(rays)
             assert rays_to_hrep(rays, dim) == h
@@ -347,10 +349,11 @@ def polytope_from_vertices_by_halfspaces(vertices, dim):
     homogenization cone, then a second double description from them that
     recovers the vertices and keeps the halfspaces of affine rank dim - 1."""
     vset = sorted(set(tuple(v) for v in vertices))
-    h = rays_to_hrep([clear_denominators(v + (1,)) for v in vset], dim + 1)
-    if h.equalities:
+    equalities, inequalities = rays_to_hrep([clear_denominators(v + (1,)) for v in vset],
+                                            dim + 1)
+    if equalities:
         raise ValueError("polytope is not full-dimensional")
-    return polytope_from_halfspaces([(g[:-1], g[-1]) for g in h.inequalities], dim)
+    return polytope_from_halfspaces([(g[:-1], g[-1]) for g in inequalities], dim)
 
 
 def _non_simplex_cells():
@@ -406,6 +409,18 @@ class TestPolytopeFromVertices:
         with pytest.raises(ValueError, match="not full-dimensional"):
             polytope_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3)
 
+    def test_cell_facets_match_on_non_simplex_cells(self):
+        # `cell_facets` reads the facets straight off `rays_to_hrep`; the
+        # polytope route first drops the points that are not vertices.
+        from lcone.delaunay import cell_facets, delaunay_star
+
+        forms = [SymMat.identity(d) for d in (2, 3, 4)] + [FCC] + SKEWED_D4
+        cells = [(c, q.d) for q in forms for c in delaunay_star(q).cells
+                 if len(c.vertices) > q.d + 1]
+        assert len(cells) == 160
+        for cell, d in cells:
+            assert cell_facets(cell, d) == cell_facets_by_polytope(cell, d)
+
 
 class TestDVFromStar:
     @pytest.mark.parametrize("q", DV_FORMS, ids=lambda q: str(q.lower()))
@@ -432,9 +447,10 @@ class TestDVFromStar:
             assert dv_polytope(q) == dv_polytope_by_star(q)
 
     def test_one_star(self, monkeypatch):
-        # The DV polytope builds no Delaunay star and no cell facets, and
-        # makes the closest-vector calls of one star: 15 for the coset
-        # minima of Z^4 / 2Z^4 and one per each of the 18 translation classes.
+        # The DV polytope builds no Delaunay star and no cell facets, runs no
+        # `rays_to_hrep` of a cell, and makes the closest-vector calls of one
+        # star: 15 for the coset minima of Z^4 / 2Z^4 and one per each of the
+        # 18 translation classes.
         calls = []
 
         def count(module, name):
@@ -443,8 +459,7 @@ class TestDVFromStar:
                                 lambda *args: calls.append(name) or original(*args))
 
         for module, name in ((lcone.delaunay, "delaunay_star"), (lcone.delaunay, "cell_facets"),
-                             (lcone.delaunay, "polytope_from_vertices"),
-                             (lcone.polyhedral, "polytope_from_vertices"),
+                             (lcone.delaunay, "rays_to_hrep"),
                              (lcone.polyhedral, "closest_vectors"),
                              (lcone.lattice, "closest_vectors")):
             count(module, name)
