@@ -31,8 +31,8 @@ from . import __version__
 from .delaunay import DelaunayStar, delaunay_star, is_triangulation, neighbor_triangulation
 from .equiv import (
     ColoredGraph,
+    _canonical_search,
     _form_canonical,
-    canonical_labeling,
     check_digest,
     cone_equivalent,
     digest_of,
@@ -231,7 +231,7 @@ def _dv_form(poly: LatPolytope) -> tuple:
     """Canonical form of the vertex-facet incidence graph of a polytope; the
     DV hash is its digest."""
     n, colors, edges = incidence_graph(poly)
-    form, _, _, _ = canonical_labeling(ColoredGraph(n, colors, edges))
+    form, _, _ = _canonical_search(ColoredGraph(n, colors, edges))
     return form
 
 
@@ -759,25 +759,34 @@ def read_manifest(out_dir: str) -> dict:
         raise IncompleteDatabase(f"no manifest in {out_dir}")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except ValueError as exc:
             raise IncompleteDatabase(f"{path} is not a manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IncompleteDatabase(f"{path} is not a manifest: not a JSON object")
+    return manifest
 
 
 def load_db(out_dir: str) -> ClassDB:
     """Read a database written by `write_db`.  Raises IncompleteDatabase when
-    the manifest is missing or does not parse, when a line of a `dim_<k>.jsonl`
-    is not a class record, or when the record counts differ from the
-    manifest's."""
+    the manifest is missing, does not parse or has no integer dimension `d`,
+    when a `dim_<k>.jsonl` has no integer k or holds a line that is not a
+    class record, or when the record counts differ from the manifest's."""
     manifest = read_manifest(out_dir)
+    if not isinstance(manifest.get("d"), int):
+        raise IncompleteDatabase(
+            f"{os.path.join(out_dir, 'manifest.json')} is not a manifest: no integer d")
     db = ClassDB(manifest["d"])
     db.complete = manifest.get("status") == "complete"
     for name in sorted(os.listdir(out_dir)):
         if not (name.startswith("dim_") and name.endswith(".jsonl")):
             continue
-        k = int(name[4:-6])
-        recs = []
         path = os.path.join(out_dir, name)
+        try:
+            k = int(name[4:-6])
+        except ValueError:
+            raise IncompleteDatabase(f"{path}: not a dim_<k>.jsonl record file") from None
+        recs = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():

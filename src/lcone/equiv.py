@@ -9,7 +9,9 @@ form because the characteristic set spans the lattice.
 
 The canonical labeling is an individualization-refinement search with
 automorphism orbit pruning; discovered automorphisms generate the full
-group, whose exact order comes from a Schreier-Sims computation.
+group.  Their exact order comes from a stabilizer chain: Schreier-Sims
+with sifting, where every Schreier generator is sifted through the chain
+below its level and only a nonidentity residue extends it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .scone import ConeDesc
 
 def _compose(p: tuple, q: tuple) -> tuple:
     """Permutation applying q first, then p."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def _inverse_perm(p: tuple) -> tuple:
@@ -41,32 +43,80 @@ def _inverse_perm(p: tuple) -> tuple:
 
 
 def group_order(degree: int, generators: Sequence[tuple]) -> int:
-    """Exact order of the permutation group generated by the generators,
-    by iterated orbit-stabilizer reduction (Schreier's lemma)."""
-    gens = [tuple(g) for g in generators]
-    gens = [g for g in gens if any(g[i] != i for i in range(degree))]
-    order = 1
+    """Exact order of the permutation group generated by the generators.
+
+    Schreier-Sims with sifting (Seress, *Permutation Group Algorithms*,
+    2003, ch. 4): a chain of base points b_0, b_1, ..., each with generators
+    fixing the earlier base points and a transversal of its orbit.  Every
+    Schreier generator of a level is sifted through the levels below it;
+    a nonidentity residue joins the generators of the levels from the next
+    one down to where its sift stopped, adding a base point when it sifted
+    through them all.  Once every Schreier generator sifts to the identity,
+    each level's generators generate the stabilizer of its base point in the
+    level above, and the order is the product of the orbit lengths.
+    """
     identity = tuple(range(degree))
-    while gens:
-        base = min(i for g in gens for i in range(degree) if g[i] != i)
-        transversal = {base: identity}
-        frontier = [base]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = g[p]
-                if q not in transversal:
-                    transversal[q] = _compose(g, transversal[p])
-                    frontier.append(q)
-        order *= len(transversal)
-        sub = set()
-        for p, t in transversal.items():
-            for g in gens:
-                u = transversal[g[p]]
-                sg = _compose(_inverse_perm(u), _compose(g, t))
-                if any(sg[i] != i for i in range(degree)):
-                    sub.add(sg)
-        gens = list(sub)
+    base: list[int] = []
+    gens: list[list[tuple]] = []     # per level: generators fixing base[:level]
+    trans: list[dict] = []           # per level: orbit point p -> (t, t^-1), t sends the base point to p
+    tested: list[set] = []           # per level: (p, generator index) sifted already
+
+    def sift(g, i):
+        while i < len(base):
+            t = trans[i].get(g[base[i]])
+            if t is None:
+                break
+            g = _compose(t[1], g)
+            i += 1
+        return g, i
+
+    def add(g, first, last):
+        for level in range(first, last + 1):
+            if level == len(base):
+                b = next(x for x in range(degree) if g[x] != x)
+                base.append(b)
+                gens.append([])
+                trans.append({b: (identity, identity)})
+                tested.append(set())
+            gens[level].append(g)
+            orbit = trans[level]
+            points = list(orbit)
+            for p in points:
+                for s in gens[level]:
+                    q = s[p]
+                    if q not in orbit:
+                        t = _compose(s, orbit[p][0])
+                        orbit[q] = (t, _inverse_perm(t))
+                        points.append(q)
+
+    for g in generators:
+        h, j = sift(tuple(g), 0)
+        if h != identity:
+            add(h, 0, j)
+    i = len(base) - 1
+    while i >= 0:
+        orbit = trans[i]
+        residue = None
+        for p in list(orbit):
+            for x, s in enumerate(gens[i]):
+                if (p, x) in tested[i]:
+                    continue
+                tested[i].add((p, x))
+                q = s[p]
+                h, j = sift(_compose(orbit[q][1], _compose(s, orbit[p][0])), i + 1)
+                if h != identity:
+                    residue = h, j
+                    break
+            if residue is not None:
+                break
+        if residue is None:
+            i -= 1
+        else:
+            add(residue[0], i + 1, residue[1])
+            i = residue[1]
+    order = 1
+    for orbit in trans:
+        order *= len(orbit)
     return order
 
 
@@ -85,28 +135,64 @@ class ColoredGraph:
         self.n = n
         self.node_colors = list(node_colors)
         self.edges = {}
-        self.adj = [[] for _ in range(n)]
         for (i, j), c in edges.items():
             if i == j:
                 raise ValueError("loops are not supported")
-            a, b = (i, j) if i < j else (j, i)
-            self.edges[(a, b)] = c
-            self.adj[a].append((b, c))
-            self.adj[b].append((a, c))
+            self.edges[(i, j) if i < j else (j, i)] = c
+        # Neighbour u of v over an edge of colour c, as (u, rank(c) * n): a
+        # vertex of colour k < n then contributes rank(c) * n + k, and these
+        # ints order like the pairs (c, k).
+        rank = {c: i for i, c in enumerate(sorted(set(self.edges.values())))}
+        self._adj = [[] for _ in range(n)]
+        for (a, b), c in self.edges.items():
+            self._adj[a].append((b, rank[c] * n))
+            self._adj[b].append((a, rank[c] * n))
 
     def refine(self, colors: list[int]) -> list[int]:
-        """Stable (equitable) refinement of a coloring, order-invariant."""
+        """Stable (equitable) refinement of a coloring, order-invariant.
+
+        Each round gives every vertex the rank of its signature: its colour,
+        then the sorted (edge colour, colour) pairs of its neighbours.  The
+        rounds stop when the number of colours stops growing, and the
+        result is numbered 0, 1, ... in the order of the last signatures.
+        The colour leads the signature, so a signature's rank is the number
+        of signatures in earlier cells plus its rank within its own cell,
+        and each cell is ranked alone.  A cell of one vertex cannot split,
+        and after the first round neither can a cell with no neighbour in a
+        cell that split in the round before: its neighbours' colours were
+        renumbered in order, so its signatures stay equal.
+        """
         n = self.n
+        adj = self._adj
+        by_color: dict = {}
+        for v, c in enumerate(colors):
+            by_color.setdefault(c, []).append(v)
+        cells = [by_color[c] for c in sorted(by_color)]
+        colors = [0] * n
+        split = None                 # the vertices of the cells that split last round
         while True:
-            sigs = []
-            for v in range(n):
-                nbr = sorted((c, colors[u]) for u, c in self.adj[v])
-                sigs.append((colors[v], tuple(nbr)))
-            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [ranking[s] for s in sigs]
-            if len(set(new)) == len(set(colors)):
-                return new
-            colors = new
+            for k, cell in enumerate(cells):
+                for v in cell:
+                    colors[v] = k
+            active = None if split is None else {colors[u] for v in split for u, _ in adj[v]}
+            new_cells = []
+            split = []
+            for k, cell in enumerate(cells):
+                if len(cell) == 1 or (active is not None and k not in active):
+                    new_cells.append(cell)
+                    continue
+                parts: dict = {}
+                for v in cell:
+                    sig = tuple(sorted([b + colors[u] for u, b in adj[v]]))
+                    parts.setdefault(sig, []).append(v)
+                if len(parts) == 1:
+                    new_cells.append(cell)
+                else:
+                    new_cells.extend(parts[sig] for sig in sorted(parts))
+                    split.extend(cell)
+            if not split:
+                return colors
+            cells = new_cells
 
     def individualize(self, colors: list[int], v: int) -> list[int]:
         raw = [c * 2 for c in colors]
@@ -138,9 +224,16 @@ def canonical_labeling(graph: ColoredGraph):
     `labeling` realizes it, and the permutation generators generate the full
     automorphism group whose exact order is returned.
     """
+    form, lab, gens = _canonical_search(graph)
+    return form, lab, gens, group_order(graph.n, gens)
+
+
+def _canonical_search(graph: ColoredGraph):
+    """The (form, labeling, generators) of `canonical_labeling`, without the
+    group order."""
     n = graph.n
     if n == 0:
-        return (0, (), ()), (), [], 1
+        return (0, (), ()), (), []
     ranking = {c: i for i, c in enumerate(sorted(set(graph.node_colors)))}
     start = [ranking[c] for c in graph.node_colors]
 
@@ -211,8 +304,7 @@ def canonical_labeling(graph: ColoredGraph):
             explored.append(v)
 
     dfs(start)
-    order = group_order(n, gens)
-    return best[0], best[1], gens, order
+    return best[0], best[1], gens
 
 
 def check_digest(algorithm: str) -> str:

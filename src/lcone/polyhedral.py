@@ -373,12 +373,19 @@ def subordination_scheme(p: LatPolytope) -> dict[int, dict[int, int]]:
 
 def _scheme_of_lattice(by_dim: dict, d: int) -> dict[int, dict[int, int]]:
     """`subordination_scheme` of a polytope of dimension d from its faces by
-    dimension, as `face_lattice` returns them."""
+    dimension, as `face_lattice` returns them.
+
+    The (k-1)-faces of a k-face F are counted among its intersections with
+    the facets.  Each of them, G, equals F & g for a facet g that contains G
+    but not F: F & g is a proper face of F containing G, so it is G.
+    """
+    facets = by_dim[d - 1]
     scheme: dict[int, dict[int, int]] = {}
     for k in range(2, d):
+        lower = set(by_dim[k - 1])
         hist: dict[int, int] = {}
         for high in by_dim[k]:
-            n = sum(1 for low in by_dim[k - 1] if low & ~high == 0)
+            n = len({high & g for g in facets} & lower)
             hist[n] = hist.get(n, 0) + 1
         scheme[k] = dict(sorted(hist.items()))
     return scheme

@@ -10,8 +10,10 @@ that polytope, canonical extreme rays, the normalized translate of a cell,
 the Delaunay star by moving spheres, the Dirichlet-Voronoi polytope read off
 the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
 triangulation as a list, the regulator over rational matrices, facet cones
-and fundamental faces by one double description each, and the merge through
-invariant buckets.
+and fundamental faces by one double description each, the merge through
+invariant buckets, colour refinement by full signatures, the group order by
+Schreier generators kept without sifting, and the subordination scheme by a
+scan of every pair of faces.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from lcone.delaunay import (
     cell_facets,
     delaunay_star,
 )
-from lcone.equiv import _form_canonical, cone_equivalent
+from lcone.equiv import _compose, _form_canonical, _inverse_perm, cone_equivalent
 from lcone.exact import (
     AffinelyDependent,
     Mat,
@@ -497,3 +499,67 @@ def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:
             buckets.setdefault(inv, []).append(cone)
             accepted.append(cone)
     return accepted
+
+
+def refine_by_signatures(graph, colors) -> list:
+    """`equiv.ColoredGraph.refine` by full signatures: each round ranks every
+    vertex's (colour, sorted (edge colour, neighbour colour) pairs) over the
+    whole graph, until the number of colours stops growing."""
+    adj = [[] for _ in range(graph.n)]
+    for (a, b), c in graph.edges.items():
+        adj[a].append((b, c))
+        adj[b].append((a, c))
+    while True:
+        sigs = []
+        for v in range(graph.n):
+            nbr = sorted((c, colors[u]) for u, c in adj[v])
+            sigs.append((colors[v], tuple(nbr)))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def group_order_by_closure(degree: int, generators) -> int:
+    """`equiv.group_order` by iterated orbit-stabilizer reduction: at each
+    level every Schreier generator of the orbit of the smallest moved point
+    is kept, with no sifting (Schreier's lemma)."""
+    gens = [tuple(g) for g in generators]
+    gens = [g for g in gens if any(g[i] != i for i in range(degree))]
+    order = 1
+    identity = tuple(range(degree))
+    while gens:
+        base = min(i for g in gens for i in range(degree) if g[i] != i)
+        transversal = {base: identity}
+        frontier = [base]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = g[p]
+                if q not in transversal:
+                    transversal[q] = _compose(g, transversal[p])
+                    frontier.append(q)
+        order *= len(transversal)
+        sub = set()
+        for p, t in transversal.items():
+            for g in gens:
+                u = transversal[g[p]]
+                sg = _compose(_inverse_perm(u), _compose(g, t))
+                if any(sg[i] != i for i in range(degree)):
+                    sub.add(sg)
+        gens = list(sub)
+    return order
+
+
+def scheme_by_scan(by_dim: dict, d: int) -> dict:
+    """`polyhedral._scheme_of_lattice` by testing every (k-1)-face against
+    every k-face for containment."""
+    scheme = {}
+    for k in range(2, d):
+        hist = {}
+        for high in by_dim[k]:
+            n = sum(1 for low in by_dim[k - 1] if low & ~high == 0)
+            hist[n] = hist.get(n, 0) + 1
+        scheme[k] = dict(sorted(hist.items()))
+    return scheme

@@ -185,12 +185,16 @@ class TestClassifyCmd:
             {k: v for k, v in json.loads(text).items() if k != "stab_order"}) + "\n",
          "dim_3.jsonl: line 1 "),
         ("manifest.json", lambda text: text[:-10], "manifest.json is not a manifest: "),
-    ], ids=["torn-record", "record-without-stab-order", "torn-manifest"])
+        ("manifest.json", lambda text: "{}", "manifest.json is not a manifest: "),
+        ("manifest.json", lambda text: "[1]", "manifest.json is not a manifest: "),
+        ("dim_x.jsonl", lambda text: text, "dim_x.jsonl: "),
+    ], ids=["torn-record", "record-without-stab-order", "torn-manifest",
+            "empty-manifest", "manifest-not-an-object", "stray-record-file"])
     def test_masscheck_damaged_database_exit_3(self, tmp_path, capsys, name, damage, where):
         out_dir = tmp_path / "db"
         assert main(["classify", "-d", "2", "-o", str(out_dir)]) == 0
         path = out_dir / name
-        path.write_text(damage(path.read_text()))
+        path.write_text(damage(path.read_text() if path.exists() else ""))
         capsys.readouterr()
         assert main(["masscheck", str(out_dir)]) == 3
         err = capsys.readouterr().err

@@ -3,10 +3,15 @@ import random
 
 import pytest
 
+import lcone.classify
+import lcone.equiv
+from lcone.classify import classify_all, principal_form
 from lcone.delaunay import delaunay_star
 from lcone.equiv import (
     ColoredGraph,
     UnimodularMap,
+    _canonical_search,
+    _form_canonical,
     automorphism_group,
     canonical_labeling,
     cone_equivalent,
@@ -15,8 +20,14 @@ from lcone.equiv import (
     group_order,
 )
 from lcone.exact import Mat, SymMat, det
+from lcone.polyhedral import dv_polytope, incidence_graph
 from lcone.scone import cone_facets, secondary_cone
-from oracles import short_vectors, stabilizer_order
+from oracles import (
+    group_order_by_closure,
+    refine_by_signatures,
+    short_vectors,
+    stabilizer_order,
+)
 
 A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
@@ -101,6 +112,102 @@ class TestGraphCanonicalization:
         # symmetric group on 4 points from two generators
         s4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
         assert group_order(4, s4) == 24
+
+
+def _cycle(degree, points):
+    """The permutation of range(degree) sending points[i] to points[i + 1]."""
+    p = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        p[a] = b
+    return tuple(p)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("degree, generators, order", [
+        (0, [], 1),
+        (5, [], 1),
+        (5, [tuple(range(5))], 1),
+        (7, [_cycle(7, [0, 1, 2, 3, 4, 5, 6])], 7),
+        (6, [_cycle(6, [0, 1, 2, 3, 4, 5]), (0, 5, 4, 3, 2, 1)], 12),
+        (4, [(1, 0, 2, 3), (1, 2, 3, 0)], 24),
+        (5, [_cycle(5, [0, 1]), _cycle(5, [0, 1, 2, 3, 4])], 120),
+        (9, [_cycle(9, [0, 1]), _cycle(9, [0, 1, 2]), _cycle(9, [3, 4, 5, 6]),
+             _cycle(9, [7, 8])], 6 * 4 * 2),
+    ], ids=["degree-0", "trivial", "identity", "cyclic-7", "dihedral-12", "S4", "S5",
+            "S3xC4xC2"])
+    def test_group_order_known_groups(self, degree, generators, order):
+        assert group_order(degree, generators) == order
+        assert group_order_by_closure(degree, generators) == order
+
+    def test_group_order_random_generators(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            degree = rng.randint(1, 9)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                points = rng.sample(range(degree), rng.randint(1, degree))
+                images = points[:]
+                rng.shuffle(images)
+                g = list(range(degree))
+                for a, b in zip(points, images):
+                    g[a] = b
+                gens.append(tuple(g))
+            assert group_order(degree, gens) == group_order_by_closure(degree, gens)
+
+    def test_refine_random_colorings(self):
+        # Colours need not be 0, 1, ...; edge colours repeat.
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            edges = {(i, j): rng.choice((1, 2, 5))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+            graph = ColoredGraph(n, [0] * n, edges)
+            colors = [rng.choice((3, 7, 40)) for _ in range(n)]
+            assert graph.refine(colors) == refine_by_signatures(graph, colors)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_refine_and_group_order_on_databases(self, d, monkeypatch):
+        """Every refinement met while classifying, which enriches every
+        database cone, equals the oracle colour for colour; so does the group
+        order of every generator set the search finds.  The graphs are those
+        of the central forms and the DV incidence graphs."""
+        refine = ColoredGraph.refine
+        refined = []
+
+        def checked_refine(graph, colors):
+            new = refine(graph, colors)
+            assert new == refine_by_signatures(graph, colors)
+            refined.append(graph)
+            return new
+
+        searched = {"form": [], "dv": []}
+
+        def recorded(kind):
+            def search(graph):
+                out = _canonical_search(graph)
+                searched[kind].append((graph, out[2]))
+                return out
+            return search
+
+        monkeypatch.setattr(ColoredGraph, "refine", checked_refine)
+        monkeypatch.setattr(lcone.equiv, "_canonical_search", recorded("form"))
+        monkeypatch.setattr(lcone.classify, "_canonical_search", recorded("dv"))
+        _form_canonical.cache_clear()
+        db = classify_all(d)
+        assert len(searched["dv"]) == db.total() <= len(searched["form"])
+        assert len(refined) >= len(searched["form"] + searched["dv"])
+        for graph, gens in searched["form"] + searched["dv"]:
+            assert group_order(graph.n, gens) == group_order_by_closure(graph.n, gens)
+
+    def test_search_matches_canonical_labeling(self):
+        graphs = [ColoredGraph(*incidence_graph(dv_polytope(q)))
+                  for q in (I2, A2, SymMat.identity(3), principal_form(4))]
+        graphs.append(ColoredGraph(4, [0] * 4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1}))
+        graphs.append(ColoredGraph(0, [], {}))
+        for graph in graphs:
+            form, lab, gens, order = canonical_labeling(graph)
+            assert _canonical_search(graph) == (form, lab, gens)
+            assert order == group_order(graph.n, gens)
 
 
 class TestCertificates:

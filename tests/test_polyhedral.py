@@ -20,7 +20,7 @@ from lcone.polyhedral import (
     serialize_subordination,
     subordination_scheme,
 )
-from lcone.polyhedral import _dd_cone
+from lcone.polyhedral import _dd_cone, _scheme_of_lattice
 from lcone.scone import cone_facets, contains_pd, secondary_cone
 from oracles import (
     cell_facets_by_polytope,
@@ -29,6 +29,7 @@ from oracles import (
     extreme_rays,
     polytope_from_halfspaces,
     polytope_from_vertices,
+    scheme_by_scan,
     short_vectors,
 )
 from test_delaunay import _raised_under_optimize
@@ -328,6 +329,13 @@ class TestFaceLatticeAndSchemes:
             _, fv = face_lattice(p)
             for k, hist in scheme.items():
                 assert sum(hist.values()) == fv[k]
+
+    @pytest.mark.parametrize("q", [SymMat.identity(2), SymMat.identity(3), SymMat.identity(4),
+                                   FCC, principal_form(4)] + SKEWED_D4 + [principal_form(5)])
+    def test_scheme_matches_scan_oracle(self, q):
+        p = dv_polytope(q)
+        by_dim, _ = face_lattice(p)
+        assert _scheme_of_lattice(by_dim, p.dim) == scheme_by_scan(by_dim, p.dim)
 
     def test_serialization(self):
         assert serialize_subordination({2: {4: 6}}) == "2=[4:6]"
