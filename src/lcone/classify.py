@@ -31,8 +31,8 @@ from . import __version__
 from .delaunay import DelaunayStar, delaunay_star, is_triangulation, neighbor_triangulation
 from .equiv import (
     ColoredGraph,
-    _canonical_search,
     _form_canonical,
+    canonical_labeling,
     check_digest,
     cone_equivalent,
     digest_of,
@@ -103,8 +103,11 @@ def seed_triangulation(d: int, seed: Optional[SymMat] = None):
     cone forever), the seed is blended with the principal form: k Q + P
     approaches Q along a segment from a wall-free generic point, so for
     large k it lies in a full-dimensional cone whose closure contains Q and
-    its subdivision is a triangulation refining Del(Q).
+    its subdivision is a triangulation refining Del(Q).  A seed of another
+    dimension raises ValueError.
     """
+    if seed is not None and seed.d != d:
+        raise ValueError(f"seed form has dimension {seed.d}, not {d}")
     q = seed if seed is not None else principal_form(d)
     star = delaunay_star(q)
     if is_triangulation(star):
@@ -231,8 +234,7 @@ def _dv_form(poly: LatPolytope) -> tuple:
     """Canonical form of the vertex-facet incidence graph of a polytope; the
     DV hash is its digest."""
     n, colors, edges = incidence_graph(poly)
-    form, _, _ = _canonical_search(ColoredGraph(n, colors, edges))
-    return form
+    return canonical_labeling(ColoredGraph(n, colors, edges))[0]
 
 
 def _dv_summary(poly: LatPolytope, digest: str) -> tuple[str, tuple, str]:
@@ -249,7 +251,7 @@ def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
     cone is zonotopal when its rank profile holds rank 1 only."""
     _check_ray_ranks(cone)
     (central_det, _, _, ranks, can_size), cert_hash = _candidate_key(cone, digest)
-    _, _, witness, _, stab = _form_canonical(cone.central, digest)
+    _, witness, _, stab = _form_canonical(cone.central)
     poly = dv_polytope(cone.central)
     dv_hash, fv, sub = _dv_summary(poly, digest)
     return ClassRecord(
@@ -271,7 +273,7 @@ def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
 
 @lru_cache(maxsize=16384)
 def _candidate_key(cone: ConeDesc, digest: str) -> tuple:
-    cert_hash, _, _, _, _ = _form_canonical(cone.central, digest)
+    cert_hash = digest_of(_form_canonical(cone.central)[0], digest)
     det = int(cone.central.det())
     ranks = tuple(sorted(rank_profile(cone).items()))
     can_size = len(characteristic_set(cone.central).vectors)
@@ -290,10 +292,10 @@ def merge_candidates(existing: list, candidates: Sequence[ConeDesc],
     their invariants, certificate hash and ray set, the first of equal ones
     first.  Returns the newly accepted cones in that order.
     """
-    classes = {_form_canonical(c.central, digest)[1]: c for c in existing}
+    classes = {_form_canonical(c.central)[0]: c for c in existing}
     accepted: list[ConeDesc] = []
     for cone in sorted(candidates, key=lambda c: (_candidate_key(c, digest), c.key())):
-        canon = _form_canonical(cone.central, digest)[1]
+        canon = _form_canonical(cone.central)[0]
         other = classes.get(canon)
         if other is None:
             classes[canon] = cone
@@ -816,9 +818,12 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     and, while the run is unfinished, the digest; completed heavy
     computations are replayed from the cache, so an interrupted run
     continues where it stopped and yields a byte-identical database.  An
-    unsupported digest raises ValueError before `out_dir` is touched.
+    unsupported digest or a seed form of another dimension raises ValueError
+    before `out_dir` is touched.
     """
     check_digest(digest)
+    if seed is not None and seed.d != d:
+        raise ValueError(f"seed form has dimension {seed.d}, not {d}")
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     frontier_path = os.path.join(out_dir, "frontier.jsonl")

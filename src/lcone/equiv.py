@@ -9,9 +9,9 @@ form because the characteristic set spans the lattice.
 
 The canonical labeling is an individualization-refinement search with
 automorphism orbit pruning; discovered automorphisms generate the full
-group.  Their exact order comes from a stabilizer chain: Schreier-Sims
-with sifting, where every Schreier generator is sifted through the chain
-below its level and only a nonidentity residue extends it.
+group.  Its exact order is read off the search's first path, as the
+product of the orbit lengths of the stabilizer chain along that path
+(McKay, "Practical graph isomorphism", 1981).
 """
 
 from __future__ import annotations
@@ -24,100 +24,6 @@ from typing import Optional, Sequence
 from .exact import Mat, NotPositiveDefinite, SymMat, det, echelon, solve
 from .lattice import characteristic_set
 from .scone import ConeDesc
-
-
-# ---------------------------------------------------------------------------
-# Permutation groups
-
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """Permutation applying q first, then p."""
-    return tuple(map(p.__getitem__, q))
-
-
-def _inverse_perm(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def group_order(degree: int, generators: Sequence[tuple]) -> int:
-    """Exact order of the permutation group generated by the generators.
-
-    Schreier-Sims with sifting (Seress, *Permutation Group Algorithms*,
-    2003, ch. 4): a chain of base points b_0, b_1, ..., each with generators
-    fixing the earlier base points and a transversal of its orbit.  Every
-    Schreier generator of a level is sifted through the levels below it;
-    a nonidentity residue joins the generators of the levels from the next
-    one down to where its sift stopped, adding a base point when it sifted
-    through them all.  Once every Schreier generator sifts to the identity,
-    each level's generators generate the stabilizer of its base point in the
-    level above, and the order is the product of the orbit lengths.
-    """
-    identity = tuple(range(degree))
-    base: list[int] = []
-    gens: list[list[tuple]] = []     # per level: generators fixing base[:level]
-    trans: list[dict] = []           # per level: orbit point p -> (t, t^-1), t sends the base point to p
-    tested: list[set] = []           # per level: (p, generator index) sifted already
-
-    def sift(g, i):
-        while i < len(base):
-            t = trans[i].get(g[base[i]])
-            if t is None:
-                break
-            g = _compose(t[1], g)
-            i += 1
-        return g, i
-
-    def add(g, first, last):
-        for level in range(first, last + 1):
-            if level == len(base):
-                b = next(x for x in range(degree) if g[x] != x)
-                base.append(b)
-                gens.append([])
-                trans.append({b: (identity, identity)})
-                tested.append(set())
-            gens[level].append(g)
-            orbit = trans[level]
-            points = list(orbit)
-            for p in points:
-                for s in gens[level]:
-                    q = s[p]
-                    if q not in orbit:
-                        t = _compose(s, orbit[p][0])
-                        orbit[q] = (t, _inverse_perm(t))
-                        points.append(q)
-
-    for g in generators:
-        h, j = sift(tuple(g), 0)
-        if h != identity:
-            add(h, 0, j)
-    i = len(base) - 1
-    while i >= 0:
-        orbit = trans[i]
-        residue = None
-        for p in list(orbit):
-            for x, s in enumerate(gens[i]):
-                if (p, x) in tested[i]:
-                    continue
-                tested[i].add((p, x))
-                q = s[p]
-                h, j = sift(_compose(orbit[q][1], _compose(s, orbit[p][0])), i + 1)
-                if h != identity:
-                    residue = h, j
-                    break
-            if residue is not None:
-                break
-        if residue is None:
-            i -= 1
-        else:
-            add(residue[0], i + 1, residue[1])
-            i = residue[1]
-    order = 1
-    for orbit in trans:
-        order *= len(orbit)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +122,20 @@ class ColoredGraph:
         return (self.n, nodes, tuple(sorted(edge_list)))
 
 
+def _orbit(v: int, gens: Sequence[tuple]) -> set:
+    """The orbit of v under the group generated by the permutations."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def canonical_labeling(graph: ColoredGraph):
     """Canonical form of a colored graph with its automorphism group.
 
@@ -223,21 +143,29 @@ def canonical_labeling(graph: ColoredGraph):
     tuple equal for two graphs iff they are isomorphic (as colored graphs),
     `labeling` realizes it, and the permutation generators generate the full
     automorphism group whose exact order is returned.
+
+    The search individualizes each vertex of the first non-singleton cell
+    in turn and refines, depth first.  `form` is the least leaf form and
+    `labeling` the first leaf with it; a child is pruned when automorphisms
+    fixing its prefix map it onto an explored sibling, which never prunes
+    that leaf.  A leaf with the form of the first leaf, or of the least one
+    so far, gives an automorphism.  Let P_i be the first i vertices
+    individualized on the way to the first leaf and v_i the next one.  An
+    individualized vertex keeps its position in every leaf below its node,
+    so every child of the node P_i that is equivalent to v_i yields an
+    automorphism fixing P_i and mapping v_i onto it.  The order is thus the
+    product over i of the orbit lengths of v_i under the generators fixing
+    P_i (McKay 1981).
     """
-    form, lab, gens = _canonical_search(graph)
-    return form, lab, gens, group_order(graph.n, gens)
-
-
-def _canonical_search(graph: ColoredGraph):
-    """The (form, labeling, generators) of `canonical_labeling`, without the
-    group order."""
     n = graph.n
     if n == 0:
-        return (0, (), ()), (), []
+        return (0, (), ()), (), [], 1
     ranking = {c: i for i, c in enumerate(sorted(set(graph.node_colors)))}
     start = [ranking[c] for c in graph.node_colors]
 
-    best: list = [None, None]   # form, labeling
+    first: list = []            # form, labeling of the first leaf
+    best: list = []             # form, labeling of the least leaf so far
+    path: list[int] = []        # the prefix of the first leaf
     gens: list[tuple] = []
 
     def record_automorphism(lab1, lab2):
@@ -272,39 +200,33 @@ def _canonical_search(graph: ColoredGraph):
         if target is None:
             lab = tuple(sorted(range(n), key=lambda v: colors[v]))
             form = graph.encode(lab)
-            if best[0] is None or form < best[0]:
-                best[0], best[1] = form, lab
+            if not first:
+                first[:] = best[:] = form, lab
+                path.extend(prefix)
+                return
+            # best[0] < first[0] unless best is the first leaf
+            if form == first[0]:
+                record_automorphism(first[1], lab)
             elif form == best[0]:
                 record_automorphism(best[1], lab)
+            elif form < best[0]:
+                best[:] = form, lab
             return
         explored: list[int] = []
         for v in target:
             # orbit pruning under automorphisms fixing the current prefix
             fixers = [g for g in gens if all(g[u] == u for u in prefix)]
-            if fixers and explored:
-                orbit = {v}
-                frontier = [v]
-                hit = False
-                while frontier and not hit:
-                    x = frontier.pop()
-                    for g in fixers:
-                        y = g[x]
-                        if y in explored:
-                            hit = True
-                            break
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
-                if hit:
-                    explored.append(v)
-                    continue
-            prefix.append(v)
-            dfs(graph.individualize(colors, v))
-            prefix.pop()
+            if _orbit(v, fixers).isdisjoint(explored):
+                prefix.append(v)
+                dfs(graph.individualize(colors, v))
+                prefix.pop()
             explored.append(v)
 
     dfs(start)
-    return best[0], best[1], gens
+    order = 1
+    for i, v in enumerate(path):
+        order *= len(_orbit(v, [g for g in gens if all(g[u] == u for u in path[:i])]))
+    return best[0], best[1], gens, order
 
 
 def check_digest(algorithm: str) -> str:
@@ -357,9 +279,9 @@ def _require_integral_pd(q: SymMat):
 
 
 @lru_cache(maxsize=4096)
-def _form_canonical(q: SymMat, algorithm: str = "sha256"):
-    """Canonical data of a PD integral form: (hash, canon form, canonical
-    vector order, graph automorphism generators, group order)."""
+def _form_canonical(q: SymMat):
+    """Canonical data of a PD integral form: (canon form, canonical vector
+    order, graph automorphism generators, group order)."""
     _require_integral_pd(q)
     can = characteristic_set(q).vectors
     n = len(can)
@@ -371,12 +293,12 @@ def _form_canonical(q: SymMat, algorithm: str = "sha256"):
     graph = ColoredGraph(n, node_colors, edges)
     form, lab, gens, order = canonical_labeling(graph)
     witness = tuple(can[v] for v in lab)
-    return digest_of(form, algorithm), form, witness, tuple(gens), order
+    return form, witness, tuple(gens), order
 
 
 def form_certificate(q: SymMat, algorithm: str = "sha256") -> CanonicalCertificate:
-    h, form, witness, _, _ = _form_canonical(q, algorithm)
-    return CanonicalCertificate(h, witness, form)
+    form, witness, _, _ = _form_canonical(q)
+    return CanonicalCertificate(digest_of(form, algorithm), witness, form)
 
 
 def _linear_map_from_vector_match(target: Sequence, source: Sequence, d: int) -> Optional[Mat]:
@@ -399,12 +321,11 @@ def _linear_map_from_vector_match(target: Sequence, source: Sequence, d: int) ->
     return u
 
 
-def form_equivalence(q1: SymMat, q2: SymMat,
-                     algorithm: str = "sha256") -> Optional[UnimodularMap]:
+def form_equivalence(q1: SymMat, q2: SymMat) -> Optional[UnimodularMap]:
     """Explicit U with U^T Q1 U = Q2, or None when the forms are not
     GL_d(Z)-equivalent.  The witness is verified before being returned."""
-    h1, form1, wit1, _, _ = _form_canonical(q1, algorithm)
-    h2, form2, wit2, _, _ = _form_canonical(q2, algorithm)
+    form1, wit1, _, _ = _form_canonical(q1)
+    form2, wit2, _, _ = _form_canonical(q2)
     if form1 != form2:
         return None
     u = _linear_map_from_vector_match(wit1, wit2, q1.d)
@@ -415,14 +336,14 @@ def form_equivalence(q1: SymMat, q2: SymMat,
     return UnimodularMap(u)
 
 
-def automorphism_group(q: SymMat, algorithm: str = "sha256") -> tuple[list[UnimodularMap], int]:
+def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
     """Generators and exact order of {U in GL_d(Z) : U^T Q U = Q}.
 
     The graph automorphisms of the characteristic-set Gram graph extend
     uniquely to linear maps because the characteristic set spans; each
     extension is verified before being returned.
     """
-    _, _, witness, gens, order = _form_canonical(q, algorithm)
+    _, witness, gens, order = _form_canonical(q)
     can = tuple(sorted(witness))     # generators permute the lex-ordered set
     maps = []
     for g in gens:
@@ -434,14 +355,13 @@ def automorphism_group(q: SymMat, algorithm: str = "sha256") -> tuple[list[Unimo
     return maps, order
 
 
-def cone_equivalent(c1: ConeDesc, c2: ConeDesc, *,
-                    algorithm: str = "sha256") -> Optional[UnimodularMap]:
+def cone_equivalent(c1: ConeDesc, c2: ConeDesc) -> Optional[UnimodularMap]:
     """GL_d(Z) equivalence of secondary cones through their central forms.
 
     On success the witness U (with U^T central1 U = central2) is checked to
     map the ray set of c1 onto that of c2.
     """
-    u = form_equivalence(c1.central, c2.central, algorithm)
+    u = form_equivalence(c1.central, c2.central)
     if u is None:
         return None
     mapped = set(r.congruence(u.matrix).lower() for r in c1.rays)

@@ -513,6 +513,8 @@ def parse_form(text: str) -> SymMat:
     if not tokens:
         raise ValueError("empty form description")
     d = int(tokens[0])
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
     need = d * (d + 1) // 2
     if len(tokens) != 1 + need:
         raise ValueError(f"expected {need} entries for dimension {d}, got {len(tokens) - 1}")
@@ -520,6 +522,8 @@ def parse_form(text: str) -> SymMat:
     for tok in tokens[1:]:
         if "/" in tok:
             num, den = tok.split("/", 1)
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {tok!r}")
             entries.append(Rat(int(num), int(den)))
         else:
             entries.append(int(tok))

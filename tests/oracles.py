@@ -12,11 +12,13 @@ the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
 triangulation as a list, the regulator over rational matrices, facet cones
 and fundamental faces by one double description each, the merge through
 invariant buckets, colour refinement by full signatures, the group order by
-Schreier generators kept without sifting, and the subordination scheme by a
-scan of every pair of faces.
+Schreier-Sims with sifting and by Schreier generators kept without sifting,
+the automorphism count of a small graph over all permutations, and the
+subordination scheme by a scan of every pair of faces.
 """
 
 import dataclasses
+import itertools
 from collections import Counter, deque
 from typing import Sequence
 
@@ -31,7 +33,7 @@ from lcone.delaunay import (
     cell_facets,
     delaunay_star,
 )
-from lcone.equiv import _compose, _form_canonical, _inverse_perm, cone_equivalent
+from lcone.equiv import _form_canonical, cone_equivalent
 from lcone.exact import (
     AffinelyDependent,
     Mat,
@@ -394,12 +396,11 @@ def delaunay_star_by_search(q: SymMat) -> DelaunayStar:
     return star
 
 
-def stabilizer_order(cone, algorithm: str = "sha256") -> int:
+def stabilizer_order(cone) -> int:
     """Order of the GL_d(Z) stabilizer of a secondary cone: the automorphism
     group of its central form (any U fixing the central form permutes the
     cone complex and fixes the cone containing the central form)."""
-    _, _, _, _, order = _form_canonical(cone.central, algorithm)
-    return order
+    return _form_canonical(cone.central)[3]
 
 
 def pair_regulators(keys) -> list:
@@ -486,11 +487,10 @@ def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:
     keyed.sort(key=lambda kc: (kc[0][0], kc[0][1], kc[1].key()))
     accepted = []
     for (inv, _), cone in keyed:
-        _, canon, _, _, _ = _form_canonical(cone.central, digest)
+        canon = _form_canonical(cone.central)[0]
         dup = False
         for other in buckets.get(inv, ()):
-            _, canon_o, _, _, _ = _form_canonical(other.central, digest)
-            if canon_o == canon:
+            if _form_canonical(other.central)[0] == canon:
                 if cone_equivalent(other, cone) is None:
                     raise AssertionError("equal certificates without a witness")
                 dup = True
@@ -521,10 +521,100 @@ def refine_by_signatures(graph, colors) -> list:
         colors = new
 
 
+def _compose(p: tuple, q: tuple) -> tuple:
+    """Permutation applying q first, then p."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse_perm(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def group_order(degree: int, generators: Sequence[tuple]) -> int:
+    """The order of `equiv.canonical_labeling` from the generators alone.
+
+    Schreier-Sims with sifting (Seress, *Permutation Group Algorithms*,
+    2003, ch. 4): a chain of base points b_0, b_1, ..., each with generators
+    fixing the earlier base points and a transversal of its orbit.  Every
+    Schreier generator of a level is sifted through the levels below it;
+    a nonidentity residue joins the generators of the levels from the next
+    one down to where its sift stopped, adding a base point when it sifted
+    through them all.  Once every Schreier generator sifts to the identity,
+    each level's generators generate the stabilizer of its base point in the
+    level above, and the order is the product of the orbit lengths.
+    """
+    identity = tuple(range(degree))
+    base: list[int] = []
+    gens: list[list[tuple]] = []     # per level: generators fixing base[:level]
+    trans: list[dict] = []           # per level: orbit point p -> (t, t^-1), t sends the base point to p
+    tested: list[set] = []           # per level: (p, generator index) sifted already
+
+    def sift(g, i):
+        while i < len(base):
+            t = trans[i].get(g[base[i]])
+            if t is None:
+                break
+            g = _compose(t[1], g)
+            i += 1
+        return g, i
+
+    def add(g, first, last):
+        for level in range(first, last + 1):
+            if level == len(base):
+                b = next(x for x in range(degree) if g[x] != x)
+                base.append(b)
+                gens.append([])
+                trans.append({b: (identity, identity)})
+                tested.append(set())
+            gens[level].append(g)
+            orbit = trans[level]
+            points = list(orbit)
+            for p in points:
+                for s in gens[level]:
+                    q = s[p]
+                    if q not in orbit:
+                        t = _compose(s, orbit[p][0])
+                        orbit[q] = (t, _inverse_perm(t))
+                        points.append(q)
+
+    for g in generators:
+        h, j = sift(tuple(g), 0)
+        if h != identity:
+            add(h, 0, j)
+    i = len(base) - 1
+    while i >= 0:
+        orbit = trans[i]
+        residue = None
+        for p in list(orbit):
+            for x, s in enumerate(gens[i]):
+                if (p, x) in tested[i]:
+                    continue
+                tested[i].add((p, x))
+                q = s[p]
+                h, j = sift(_compose(orbit[q][1], _compose(s, orbit[p][0])), i + 1)
+                if h != identity:
+                    residue = h, j
+                    break
+            if residue is not None:
+                break
+        if residue is None:
+            i -= 1
+        else:
+            add(residue[0], i + 1, residue[1])
+            i = residue[1]
+    order = 1
+    for orbit in trans:
+        order *= len(orbit)
+    return order
+
+
 def group_order_by_closure(degree: int, generators) -> int:
-    """`equiv.group_order` by iterated orbit-stabilizer reduction: at each
-    level every Schreier generator of the orbit of the smallest moved point
-    is kept, with no sifting (Schreier's lemma)."""
+    """`group_order` by iterated orbit-stabilizer reduction: at each level
+    every Schreier generator of the orbit of the smallest moved point is
+    kept, with no sifting (Schreier's lemma)."""
     gens = [tuple(g) for g in generators]
     gens = [g for g in gens if any(g[i] != i for i in range(degree))]
     order = 1
@@ -550,6 +640,22 @@ def group_order_by_closure(degree: int, generators) -> int:
                     sub.add(sg)
         gens = list(sub)
     return order
+
+
+def automorphism_count(graph) -> int:
+    """The number of automorphisms of a `ColoredGraph`, by testing every
+    permutation of its vertices against the node colours and every pair's
+    edge colour (None for a non-edge); for small graphs only."""
+    n = graph.n
+    colors = graph.node_colors
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    count = 0
+    for g in itertools.permutations(range(n)):
+        if all(colors[g[v]] == colors[v] for v in range(n)) and all(
+                graph.edges.get((min(g[i], g[j]), max(g[i], g[j]))) == graph.edges.get((i, j))
+                for i, j in pairs):
+            count += 1
+    return count
 
 
 def scheme_by_scan(by_dim: dict, d: int) -> dict:

@@ -65,6 +65,14 @@ class TestSeeds:
             star = seed_triangulation(d, SymMat.identity(d))
             assert is_triangulation(star)
 
+    def test_seed_of_other_dimension_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="seed form has dimension 2, not 3"):
+            seed_triangulation(3, A2)
+        out = tmp_path / "db"
+        with pytest.raises(ValueError, match="seed form has dimension 2, not 3"):
+            run_classification(3, str(out), seed=A2)
+        assert not out.exists()
+
     def test_principal_form_values(self):
         assert principal_form(2) == SymMat([[2, -1], [-1, 2]])
         assert principal_form(1) == SymMat([[1]])
@@ -649,6 +657,26 @@ def test_enrich_cache_key_names_the_digest(tmp_path):
     assert again.puts == [] and len(again.hits) == D3_TASKS
     assert [r.to_dict() for r in db.records()] == \
         [r.to_dict() for r in classify_all(3).records()]
+
+
+def test_form_labelings_do_not_depend_on_digest(monkeypatch):
+    # The canonical data of a form is cached by the form alone, so a run
+    # under another digest labels each form as often as under sha256.
+    from lcone.classify import _candidate_key
+    from lcone.equiv import _form_canonical
+
+    labeling = lcone.equiv.canonical_labeling
+    calls = []
+    monkeypatch.setattr(lcone.equiv, "canonical_labeling",
+                        lambda graph: calls.append(graph) or labeling(graph))
+    counts = {}
+    for digest in ("sha256", "md5"):
+        _form_canonical.cache_clear()
+        _candidate_key.cache_clear()
+        calls.clear()
+        classify_all(3, digest=digest)
+        counts[digest] = len(calls)
+    assert counts["md5"] == counts["sha256"] > 0
 
 
 def faces_within_by_loop(cone, allowed, facet_masks):

@@ -162,6 +162,13 @@ class TestClassifyCmd:
         out = capsys.readouterr().out
         assert "total: 2" in out
 
+    def test_seed_of_other_dimension_exit_2(self, tmp_path, a2_file, capsys):
+        out_dir = tmp_path / "db"
+        assert main(["classify", "-d", "3", "-o", str(out_dir), "--seed-form", a2_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed form has dimension 2, not 3" in err
+        assert not out_dir.exists()
+
     def test_resume_incompatible_exit_3(self, tmp_path, capsys):
         out_dir = str(tmp_path / "db")
         assert main(["classify", "-d", "2", "-o", out_dir]) == 0
@@ -232,3 +239,18 @@ class TestClassifyCmd:
             assert exc.value.code == 1
             assert f"unsupported hash algorithm '{digest}'" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", ["0\n", "-1\n", "2 2 1/0 2\n"],
+                         ids=["dimension-0", "dimension-minus-1", "zero-denominator"])
+@pytest.mark.parametrize("command", [["delaunay"], ["dvcell"],
+                                     ["classify", "-d", "2", "-o", "db", "--seed-form"]],
+                         ids=["delaunay", "dvcell", "classify-seed-form"])
+def test_malformed_form_file_exit_1(tmp_path, capsys, monkeypatch, command, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.form").write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "bad.form"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: bad form file: ")
+    assert not (tmp_path / "db").exists()

@@ -5,24 +5,23 @@ import pytest
 
 import lcone.classify
 import lcone.equiv
-from lcone.classify import classify_all, principal_form
+from lcone.classify import classify_all
 from lcone.delaunay import delaunay_star
 from lcone.equiv import (
     ColoredGraph,
     UnimodularMap,
-    _canonical_search,
     _form_canonical,
     automorphism_group,
     canonical_labeling,
     cone_equivalent,
     form_certificate,
     form_equivalence,
-    group_order,
 )
 from lcone.exact import Mat, SymMat, det
-from lcone.polyhedral import dv_polytope, incidence_graph
 from lcone.scone import cone_facets, secondary_cone
 from oracles import (
+    automorphism_count,
+    group_order,
     group_order_by_closure,
     refine_by_signatures,
     short_vectors,
@@ -184,30 +183,55 @@ class TestAgainstOracles:
 
         def recorded(kind):
             def search(graph):
-                out = _canonical_search(graph)
-                searched[kind].append((graph, out[2]))
+                out = canonical_labeling(graph)
+                searched[kind].append((graph, out[2], out[3]))
                 return out
             return search
 
         monkeypatch.setattr(ColoredGraph, "refine", checked_refine)
-        monkeypatch.setattr(lcone.equiv, "_canonical_search", recorded("form"))
-        monkeypatch.setattr(lcone.classify, "_canonical_search", recorded("dv"))
+        monkeypatch.setattr(lcone.equiv, "canonical_labeling", recorded("form"))
+        monkeypatch.setattr(lcone.classify, "canonical_labeling", recorded("dv"))
         _form_canonical.cache_clear()
         db = classify_all(d)
         assert len(searched["dv"]) == db.total() <= len(searched["form"])
         assert len(refined) >= len(searched["form"] + searched["dv"])
-        for graph, gens in searched["form"] + searched["dv"]:
-            assert group_order(graph.n, gens) == group_order_by_closure(graph.n, gens)
+        for graph, gens, order in searched["form"] + searched["dv"]:
+            assert order == group_order(graph.n, gens) == group_order_by_closure(graph.n, gens)
 
-    def test_search_matches_canonical_labeling(self):
-        graphs = [ColoredGraph(*incidence_graph(dv_polytope(q)))
-                  for q in (I2, A2, SymMat.identity(3), principal_form(4))]
-        graphs.append(ColoredGraph(4, [0] * 4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1}))
-        graphs.append(ColoredGraph(0, [], {}))
-        for graph in graphs:
-            form, lab, gens, order = canonical_labeling(graph)
-            assert _canonical_search(graph) == (form, lab, gens)
-            assert order == group_order(graph.n, gens)
+    def test_order_matches_brute_force_count(self):
+        """The returned order equals a count of automorphisms over all
+        permutations, which does not depend on the generators found."""
+        rng = random.Random(37)
+        nontrivial = 0
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            colors = [rng.choice((0, 0, 0, 4)) for _ in range(n)]
+            edges = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    c = rng.choice((None, None, 1, 2))
+                    if c is not None:
+                        edges[(i, j)] = c
+            graph = ColoredGraph(n, colors, edges)
+            order = canonical_labeling(graph)[3]
+            assert order == automorphism_count(graph)
+            nontrivial += order > 1
+        assert nontrivial > 100
+
+    @pytest.mark.parametrize("edges, order", [
+        ([(i, (i + 1) % 5) for i in range(5)]
+         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)], 120),
+        ([(a, a ^ b) for a in range(8) for b in (1, 2, 4) if a < a ^ b], 48),
+        ([(a, b) for a in range(3) for b in range(3, 6)], 72),
+        ([(i, (i + 1) % 7) for i in range(7)], 14),
+        ([(a, b) for a in range(9) for b in range(a + 1, 9)
+          if a // 3 == b // 3 or a % 3 == b % 3], 72),
+    ], ids=["petersen", "cube-3", "K33", "cycle-7", "rook-3x3"])
+    def test_named_graph_orders(self, edges, order):
+        n = 1 + max(max(e) for e in edges)
+        graph = ColoredGraph(n, [0] * n, {e: 1 for e in edges})
+        form, lab, gens, got = canonical_labeling(graph)
+        assert got == order == group_order(n, gens)
 
 
 class TestCertificates:
