@@ -5,8 +5,15 @@ full-dimensional cones (primitive types) are found by crossing walls between
 neighboring triangulations; then faces are descended dimension by dimension.
 Each level is deduplicated by the canonical form of each cone's central form,
 and a candidate merges into a class only through a verified witness.
-Verification operations (mass formula, pairwise combinatorial distinctness,
-censuses and the contraction refinement) run on the finished database.
+Verification operations (mass formula, flag identity, pairwise combinatorial
+distinctness, censuses and the contraction refinement) run on the finished
+database.
+
+A cone's walls are crossed one per orbit of its stabilizer (the adjacency
+decomposition method of Bremner, Dutour Sikirić and Schürmann, 2009): a
+stabilizer element U maps the cone onto itself, the wall F onto the wall
+U.F and the neighbour across F onto the neighbour across U.F, so every
+other neighbour of the orbit is made exactly, by congruence.
 
 Heavy geometric steps are pure functions of their input cone, so they can be
 distributed over worker processes and their results checkpointed on disk; a
@@ -28,16 +35,23 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import __version__
-from .delaunay import DelaunayStar, delaunay_star, is_triangulation, neighbor_triangulation
+from .delaunay import (
+    DelaunayStar,
+    _normalized,
+    delaunay_star,
+    is_triangulation,
+    neighbor_triangulation,
+)
 from .equiv import (
     ColoredGraph,
     _form_canonical,
+    automorphism_group,
     canonical_labeling,
     check_digest,
     cone_equivalent,
     digest_of,
 )
-from .exact import Rat, SymMat
+from .exact import Mat, NotPositiveDefinite, Rat, SymMat, inverse
 from .lattice import characteristic_set
 from .polyhedral import (
     LatPolytope,
@@ -52,6 +66,7 @@ from .scone import (
     ConeDesc,
     _ray_rank,
     _tight_masks,
+    central_form,
     cone_facets,
     cone_from_dict,
     cone_from_rays,
@@ -310,24 +325,84 @@ def merge_candidates(existing: list, candidates: Sequence[ConeDesc],
 
 
 def expand_primitive_cone(payload: dict) -> dict:
-    """Wall-cross every PD facet of a full-dimensional cone, given with the
-    class keys of its triangulation; returns the neighbouring
-    full-dimensional secondary cones, each with its class keys.
+    """The neighbouring full-dimensional secondary cones of a
+    full-dimensional cone, given with the class keys of its triangulation,
+    one per PD facet in `cone_facets` order, each with its class keys.
 
     The keys may come back from a checkpoint, so they are certified first:
     every regulator of the triangulation must be positive on the central
     form (`star_wall_forms`), and a locally Delaunay triangulation is the
-    Delaunay triangulation."""
+    Delaunay triangulation.
+
+    Only the first PD facet of each orbit of the stabilizer of the central
+    form is crossed (`neighbor_triangulation`).  The other neighbours are
+    images, exactly: if U^T Q U fixes the central form and maps the crossed
+    facet onto the facet F, then the Delaunay subdivision of U^T Q U is
+    U^{-1} times that of Q, so the neighbour across F is the crossed
+    neighbour mapped by U (`_congruent_neighbour`).  Its rays, inequalities
+    and keys are unique once normalized and sorted, so they equal those of
+    a crossing of F."""
     cone = cone_from_dict(payload["cone"])
     star = DelaunayStar(cone.central, payload["keys"])
     star_wall_forms(star)
-    out = []
-    for facet in cone_facets(cone):
-        if not contains_pd(facet):
-            continue
-        nb_star = neighbor_triangulation(star, facet.central, cone.central)
-        out.append({"cone": cone_to_dict(secondary_cone(nb_star)), "keys": nb_star.keys})
+    facets = cone_facets(cone)
+    crossed, out = {}, []
+    for j, (i, u) in sorted(_pd_facet_orbits(cone, facets).items()):
+        if i == j:
+            nb_star = neighbor_triangulation(star, facets[i].central, cone.central)
+            crossed[i] = secondary_cone(nb_star), nb_star.keys
+        nb, keys = crossed[i] if i == j else _congruent_neighbour(*crossed[i], u)
+        out.append({"cone": cone_to_dict(nb), "keys": keys})
     return {"cones": out}
+
+
+def _pd_facet_orbits(cone: ConeDesc, facets: Sequence[ConeDesc]) -> dict:
+    """Index j of every PD facet -> (i, U): i is the first facet of its
+    orbit under the stabilizer of the central form, in `cone_facets` order,
+    and U a stabilizer element with facets[j] = {U^T Q U : Q in facets[i]}.
+
+    The generators are `automorphism_group`'s verified maps.  A map U sends
+    the facet normal N to U^{-1} N U^{-T}, so each generator permutes the
+    cone's normalized inequalities; U is the product of generators along a
+    breadth-first search, and each product is checked to fix the form."""
+    index = {n.lower(): k for k, n in enumerate(cone.inequalities)}
+    gens = []
+    for g in automorphism_group(cone.central)[0]:
+        v = inverse(g.matrix).transpose()
+        perm = [index.get(n.congruence(v).lower()) for n in cone.inequalities]
+        if None in perm:
+            raise AssertionError("a stabilizer map does not permute the facets")
+        gens.append((g.matrix, perm))
+    orbits = {}
+    for i, facet in enumerate(facets):
+        if i in orbits or not contains_pd(facet):
+            continue
+        orbits[i] = (i, Mat.identity(cone.d))
+        todo = [i]
+        for j in todo:
+            for g, perm in gens:
+                if perm[j] not in orbits:
+                    u = orbits[j][1] @ g
+                    if cone.central.congruence(u) != cone.central:
+                        raise AssertionError("a product of stabilizer maps moves the form")
+                    orbits[perm[j]] = (i, u)
+                    todo.append(perm[j])
+    return orbits
+
+
+def _congruent_neighbour(nb: ConeDesc, keys: tuple, u: Mat) -> tuple:
+    """The image of a full-dimensional cone with the class keys of its
+    triangulation under Q -> U^T Q U: rays and central form map so, facet
+    normals N -> U^{-1} N U^{-T}, and each key's vertices x -> U^{-1} x,
+    normalized; all sorted as `secondary_cone` and the flip sort them."""
+    u_inv = inverse(u)
+    v = u_inv.transpose()
+    rays = sorted((r.congruence(u) for r in nb.rays), key=SymMat.lower)
+    ineqs = sorted((n.congruence(v) for n in nb.inequalities), key=SymMat.lower)
+    image = ConeDesc(nb.d, (), tuple(ineqs), tuple(rays), nb.dim, central_form(rays))
+    image.validate()
+    keys = tuple(sorted(_normalized([u_inv.mul_vec(x) for x in key]) for key in keys))
+    return image, keys
 
 
 def _keys_of(data) -> tuple:
@@ -577,6 +652,22 @@ def mass_check(db: ClassDB) -> MassReport:
     return MassReport(total, by_dim)
 
 
+def flag_check(db: ClassDB) -> tuple:
+    """Both sides of the flag identity of the primitive layer,
+    (sum over primitive classes C of p(C) / |Aut C|,
+     2 sum over codimension-1 classes F of 1 / |Aut F|),
+    where p(C) counts the PD facets of C and |Aut| is `stab_order`.  Both
+    count the flags (primitive cone, PD wall) up to GL_d(Z), the right side
+    because every PD wall lies in exactly two primitive cones, so they are
+    equal on a complete database."""
+    db.require_complete()
+    m = sym_dim(db.d)
+    cones = sum((Rat(sum(contains_pd(f) for f in cone_facets(rec.cone)), rec.stab_order)
+                 for rec in db.by_dim.get(m, [])), Rat(0))
+    walls = sum((Rat(2, rec.stab_order) for rec in db.by_dim.get(m - 1, [])), Rat(0))
+    return cones, walls
+
+
 def distinctness_check(db: ClassDB):
     """Pairwise distinctness of the DV incidence-graph hashes.
 
@@ -818,12 +909,15 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     and, while the run is unfinished, the digest; completed heavy
     computations are replayed from the cache, so an interrupted run
     continues where it stopped and yields a byte-identical database.  An
-    unsupported digest or a seed form of another dimension raises ValueError
-    before `out_dir` is touched.
+    unsupported digest or a seed form of another dimension raises ValueError,
+    and a seed form that is not positive definite NotPositiveDefinite, before
+    `out_dir` is touched.
     """
     check_digest(digest)
     if seed is not None and seed.d != d:
         raise ValueError(f"seed form has dimension {seed.d}, not {d}")
+    if seed is not None and not seed.is_positive_definite():
+        raise NotPositiveDefinite("seed form is not positive definite")
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     frontier_path = os.path.join(out_dir, "frontier.jsonl")

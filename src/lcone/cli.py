@@ -4,7 +4,8 @@ Subcommands:
   delaunay   print the Delaunay star of a form
   dvcell     print the Dirichlet-Voronoi polytope summary of a form
   classify   enumerate all secondary cones up to GL_d(Z), with checkpointing
-  masscheck  print the Euler-Poincare mass of a finished database
+  masscheck  print the Euler-Poincare mass and the flag identity of a
+             finished database
 
 Exit codes: 0 success, 1 usage or parse error, 2 mathematical precondition
 failure, 3 incomplete or incompatible database.
@@ -22,6 +23,7 @@ from .classify import (
     IncompleteDatabase,
     _dv_summary,
     dimension_table,
+    flag_check,
     load_db,
     mass_check,
     read_manifest,
@@ -120,12 +122,14 @@ def cmd_masscheck(args) -> int:
         db = load_db(args.db)
         db.require_complete()
         mass = mass_check(db)
+        cones, walls = flag_check(db)
     except IncompleteDatabase as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for k, frac in sorted(mass.by_dim.items()):
         print(f"dim {k}: {frac}")
     print(f"total: {mass.total}")
+    print(f"flags: {cones} {'=' if cones == walls else '!='} {walls}")
     return 0
 
 
@@ -160,7 +164,8 @@ def build_parser() -> _Parser:
                    help="progress reporting on stderr")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("masscheck", help="Euler-Poincare mass of a database")
+    p = sub.add_parser("masscheck",
+                       help="Euler-Poincare mass and flag identity of a database")
     p.add_argument("db", help="database directory")
     p.set_defaults(func=cmd_masscheck)
     return parser

@@ -13,8 +13,9 @@ triangulation as a list, the regulator over rational matrices, facet cones
 and fundamental faces by one double description each, the merge through
 invariant buckets, colour refinement by full signatures, the group order by
 Schreier-Sims with sifting and by Schreier generators kept without sifting,
-the automorphism count of a small graph over all permutations, and the
-subordination scheme by a scan of every pair of faces.
+the automorphism count of a small graph over all permutations, the
+subordination scheme by a scan of every pair of faces, and the primitive
+expansion by a crossing of every positive definite wall.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from lcone.delaunay import (
     _star_cells,
     cell_facets,
     delaunay_star,
+    neighbor_triangulation,
 )
 from lcone.equiv import _form_canonical, cone_equivalent
 from lcone.exact import (
@@ -54,7 +56,16 @@ from lcone.polyhedral import (
     _dv_halfspace,
     rays_to_hrep,
 )
-from lcone.scone import cone_from_rays, sym_to_functional
+from lcone.scone import (
+    cone_facets,
+    cone_from_dict,
+    cone_from_rays,
+    cone_to_dict,
+    contains_pd,
+    secondary_cone,
+    star_wall_forms,
+    sym_to_functional,
+)
 
 
 def short_vectors(q, n) -> VectorSet:
@@ -473,6 +484,21 @@ def fundamental_face_by_rays(cone):
     if not active:
         return cone
     return _cone_with_equalities(cone.d, face_rays, cone.equalities + active)
+
+
+def expand_primitive_cone_by_crossing(payload: dict) -> dict:
+    """`classify.expand_primitive_cone` with every PD facet crossed by
+    `neighbor_triangulation`, none made by congruence."""
+    cone = cone_from_dict(payload["cone"])
+    star = DelaunayStar(cone.central, payload["keys"])
+    star_wall_forms(star)
+    out = []
+    for facet in cone_facets(cone):
+        if not contains_pd(facet):
+            continue
+        nb_star = neighbor_triangulation(star, facet.central, cone.central)
+        out.append({"cone": cone_to_dict(secondary_cone(nb_star)), "keys": nb_star.keys})
+    return {"cones": out}
 
 
 def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:

@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 from lcone.classify import (
+    ClassDB,
     Classifier,
     classify_all,
     dimension_table,
+    flag_check,
     mass_check,
     principal_form,
     run_classification,
@@ -219,6 +221,19 @@ def test_criterion_4_mass(db3, db4):
     print(f"\nPASS criterion 4: mass formula is exactly 0 for d=3 "
           f"({len(m3.by_dim)} dimension groups) and d=4 "
           f"({len(m4.by_dim)} dimension groups)")
+
+
+def test_flag_identity_on_databases(db3, db4):
+    # Flags (primitive cone, PD wall) counted from both ends.  Without one
+    # wall class the sides differ.
+    for db, want in ((db3, Rat(1, 8)), (db4, Rat(43, 72))):
+        assert flag_check(db) == (want, want)
+        m = max(db.by_dim)
+        by_dim = dict(db.by_dim)
+        by_dim[m - 1] = by_dim[m - 1][1:]
+        cones, walls = flag_check(ClassDB(db.d, by_dim, complete=True))
+        assert cones == want and walls < want
+    print("\nPASS flag identity: 1/8 at d=3 and 43/72 at d=4 on both sides")
 
 
 # ---------------------------------------------------------------------------

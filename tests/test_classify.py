@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,14 @@ from lcone.classify import (
     DiskCache,
     IncompatibleCheckpoint,
     IncompleteDatabase,
+    _pd_facet_orbits,
     classify_all,
     contraction_refine,
     dimension_table,
     distinctness_check,
     enumerate_primitive,
     expand_descent_cone,
+    expand_primitive_cone,
     load_db,
     mass_check,
     principal_form,
@@ -36,7 +39,7 @@ from lcone.classify import (
 )
 from lcone.delaunay import is_triangulation
 from lcone.equiv import form_equivalence
-from lcone.exact import Rat, SymMat
+from lcone.exact import NotPositiveDefinite, Rat, SymMat
 from lcone.scone import (
     _ray_rank,
     _tight_masks,
@@ -46,7 +49,7 @@ from lcone.scone import (
     fundamental_face,
     secondary_cone,
 )
-from oracles import merge_by_buckets
+from oracles import expand_primitive_cone_by_crossing, merge_by_buckets
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -72,6 +75,15 @@ class TestSeeds:
         with pytest.raises(ValueError, match="seed form has dimension 2, not 3"):
             run_classification(3, str(out), seed=A2)
         assert not out.exists()
+
+    def test_indefinite_seed_leaves_database_untouched(self, tmp_path):
+        out = tmp_path / "db"
+        run_classification(2, str(out))
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        for resume in (False, True):
+            with pytest.raises(NotPositiveDefinite, match="seed form is not positive definite"):
+                run_classification(2, str(out), seed=SymMat([[1, 2], [2, 1]]), resume=resume)
+            assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_principal_form_values(self):
         assert principal_form(2) == SymMat([[2, -1], [-1, 2]])
@@ -721,3 +733,77 @@ def test_faces_within_matches_loop(d):
         for allowed in [high, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]:
             assert _faces_within(cone, allowed, facet_masks) == \
                 faces_within_by_loop(cone, allowed, facet_masks)
+
+
+# ---------------------------------------------------------------------------
+# One wall crossed per stabilizer orbit
+
+
+def _json(out) -> str:
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+class _CountingCrossings:
+    """`neighbor_triangulation` as `expand_primitive_cone` calls it, counted."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        cross = lcone.classify.neighbor_triangulation
+
+        def counting(*args):
+            self.calls += 1
+            return cross(*args)
+
+        monkeypatch.setattr(lcone.classify, "neighbor_triangulation", counting)
+
+
+@pytest.mark.parametrize("d, crossings", [(3, 1), (4, 6)])
+def test_prim_outputs_match_crossing_oracle(d, crossings, monkeypatch):
+    # Every `prim` task of the primitive run, and the wall crossings it
+    # made: one per stabilizer orbit of PD walls (6 walls in 1 orbit at
+    # d = 3, 30 in 6 at d = 4).
+    tasks = []
+    expand = lcone.classify.expand_primitive_cone
+
+    def recording(payload):
+        out = expand(payload)
+        tasks.append((payload, out))
+        return out
+
+    monkeypatch.setitem(lcone.classify._TASKS, "prim", recording)
+    counter = _CountingCrossings(monkeypatch)
+    Classifier(d).primitive_cones()
+    assert counter.calls == crossings
+    assert len(tasks) == {3: 1, 4: 3}[d]
+    for payload, out in tasks:
+        assert _json(out) == _json(expand_primitive_cone_by_crossing(payload))
+
+
+def test_d5_prim_outputs_match_crossing_oracle(monkeypatch):
+    # The d = 5 seed cone (15 PD walls, stabilizer 1440) and the cone across
+    # its first PD wall (stabilizer 96).
+    star = seed_triangulation(5)
+    seed = {"cone": cone_to_dict(secondary_cone(star)), "keys": star.keys}
+    counter = _CountingCrossings(monkeypatch)
+    out = expand_primitive_cone(seed)
+    assert counter.calls == 1
+    assert _json(out) == _json(expand_primitive_cone_by_crossing(seed))
+    first = out["cones"][0]
+    assert _json(expand_primitive_cone(first)) == _json(expand_primitive_cone_by_crossing(first))
+
+
+@pytest.mark.parametrize("d, walls", [(3, 6), (4, 10), (5, 15)])
+def test_pd_facet_orbits_map_representatives(d, walls):
+    # The seed cone's PD walls form one orbit; each map fixes the central
+    # form and sends its representative's facet cone onto the facet it names.
+    cone = secondary_cone(seed_triangulation(d))
+    facets = cone_facets(cone)
+    orbits = _pd_facet_orbits(cone, facets)
+    pd = [j for j, f in enumerate(facets) if contains_pd(f)]
+    assert sorted(orbits) == pd and len(pd) == walls
+    assert list(Counter(i for i, _ in orbits.values()).values()) == [walls]
+    for j, (i, u) in orbits.items():
+        assert i <= j and orbits[i][0] == i
+        assert cone.central.congruence(u) == cone.central
+        assert {r.congruence(u).lower() for r in facets[i].rays} == \
+            {r.lower() for r in facets[j].rays}

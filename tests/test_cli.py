@@ -142,6 +142,7 @@ class TestClassifyCmd:
         assert main(["masscheck", out_dir]) == 0
         out = capsys.readouterr().out
         assert "total: 0" in out
+        assert "flags: 1/8 = 1/8" in out
 
     def test_masscheck_incomplete_exit_3(self, tmp_path):
         assert main(["masscheck", str(tmp_path)]) == 3
@@ -168,6 +169,16 @@ class TestClassifyCmd:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed form has dimension 2, not 3" in err
         assert not out_dir.exists()
+
+    def test_indefinite_seed_exit_2_keeps_database(self, tmp_path, indef_file, capsys):
+        out_dir = tmp_path / "db"
+        assert main(["classify", "-d", "2", "-o", str(out_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["classify", "-d", "2", "-o", str(out_dir), "--seed-form", indef_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed form is not positive definite" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_resume_incompatible_exit_3(self, tmp_path, capsys):
         out_dir = str(tmp_path / "db")

@@ -380,7 +380,8 @@ class TestCarriedKeys:
         # The parent of this design searched 4 stars and solved 720
         # circumcenters (24 per crossing, 30 crossings).  Now only the seed
         # is searched, and a crossing solves the circumcenter of each class
-        # it adds and builds no cell.
+        # it adds and builds no cell.  One wall is crossed per stabilizer
+        # orbit, 6 of the 30 (282 circumcenters when all 30 were crossed).
         searches, solved, built, crossings = [], [], [], []
         star_of = lcone.classify.delaunay_star
         monkeypatch.setattr(lcone.classify, "delaunay_star",
@@ -403,10 +404,10 @@ class TestCarriedKeys:
 
         monkeypatch.setattr(lcone.classify, "neighbor_triangulation", counted)
         Classifier(4).primitive_cones()
-        assert len(searches) == 1 and len(crossings) == 30
+        assert len(searches) == 1 and len(crossings) == 6
         for added, calls, cells in crossings:
             assert added and calls == added and cells == 0
-        assert len(solved) == sum(len(added) for added, _, _ in crossings) == 282
+        assert len(solved) == sum(len(added) for added, _, _ in crossings) == 54
 
     def test_neighbour_keys_raise_under_optimize(self):
         # `assert False` passes only if -O stripped asserts.  A `prim`
