@@ -394,14 +394,17 @@ def _congruent_neighbour(nb: ConeDesc, keys: tuple, u: Mat) -> tuple:
     """The image of a full-dimensional cone with the class keys of its
     triangulation under Q -> U^T Q U: rays and central form map so, facet
     normals N -> U^{-1} N U^{-T}, and each key's vertices x -> U^{-1} x,
-    normalized; all sorted as `secondary_cone` and the flip sort them."""
+    normalized; all sorted as `secondary_cone` and the flip sort them.  The
+    keys share few vertices (720 entries, 32 distinct, on a d = 5 cone), so
+    each distinct vertex is mapped once."""
     u_inv = inverse(u)
     v = u_inv.transpose()
     rays = sorted((r.congruence(u) for r in nb.rays), key=SymMat.lower)
     ineqs = sorted((n.congruence(v) for n in nb.inequalities), key=SymMat.lower)
     image = ConeDesc(nb.d, (), tuple(ineqs), tuple(rays), nb.dim, central_form(rays))
     image.validate()
-    keys = tuple(sorted(_normalized([u_inv.mul_vec(x) for x in key]) for key in keys))
+    vertex = {x: u_inv.mul_vec(x) for x in {x for key in keys for x in key}}
+    keys = tuple(sorted(_normalized([vertex[x] for x in key]) for key in keys))
     return image, keys
 
 
@@ -516,7 +519,9 @@ class Classifier:
         if not 1 <= d <= 5:
             raise DimensionUnsupported(f"dimension {d} is not supported (need 1..5)")
         self.d = d
-        self.workers = max(1, workers)
+        if workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {workers}")
+        self.workers = workers
         self.digest = digest
         self.cache = cache or DiskCache(None)
         self.seed = seed
@@ -908,12 +913,14 @@ def run_classification(d: int, out_dir: str, workers: int = 1,
     `resume`, the checkpoint must match the dimension, the software version
     and, while the run is unfinished, the digest; completed heavy
     computations are replayed from the cache, so an interrupted run
-    continues where it stopped and yields a byte-identical database.  An
-    unsupported digest or a seed form of another dimension raises ValueError,
-    and a seed form that is not positive definite NotPositiveDefinite, before
-    `out_dir` is touched.
+    continues where it stopped and yields a byte-identical database.  A
+    worker count below 1, an unsupported digest or a seed form of another
+    dimension raises ValueError, and a seed form that is not positive
+    definite NotPositiveDefinite, before `out_dir` is touched.
     """
     check_digest(digest)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     if seed is not None and seed.d != d:
         raise ValueError(f"seed form has dimension {seed.d}, not {d}")
     if seed is not None and not seed.is_positive_definite():

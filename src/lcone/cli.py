@@ -51,6 +51,18 @@ def _digest_name(name: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _worker_count(text: str) -> int:
+    """The `--jobs` type: an integer of at least 1, checked while the
+    arguments are parsed, before anything runs."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {workers}")
+    return workers
+
+
 def _read_form(path: str):
     try:
         with open(path) as fh:
@@ -153,7 +165,8 @@ def build_parser() -> _Parser:
     p.add_argument("-d", "--dimension", type=int, required=True)
     p.add_argument("-o", "--out", default=None,
                    help="output directory (default: $LCONE_OUT or lcone_d<d>)")
-    p.add_argument("-j", "--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("-j", "--jobs", type=_worker_count, default=1,
+                   help="worker processes (at least 1)")
     p.add_argument("--resume", action="store_true",
                    help="resume from an existing checkpoint")
     p.add_argument("--digest", default="sha256", type=_digest_name,

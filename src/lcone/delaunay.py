@@ -23,6 +23,12 @@ certified by the same empty-sphere check, and every class it keeps by the
 positive regulators of its facets.  A triangulation's star keeps the
 regulators of its adjacent pairs (`DelaunayStar.pairs`), and the flipped
 star inherits those of the pairs the flip left alone.
+
+The crossing's exact work is over the integers and once per distinct
+object: a regulator is read off one integer `echelon`, each distinct wall
+is evaluated once on the wallpoint (many adjacent pairs share a wall), and
+the checks on the new form run on its primitive integer multiple, which
+has the same signs, circumcenters and closest vectors.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .exact import (
@@ -40,6 +47,7 @@ from .exact import (
     SingularMatrix,
     SymMat,
     clear_denominators,
+    echelon,
     gcd_normalize,
     solve,
 )
@@ -214,24 +222,29 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
     """Wall form of the affinely independent set V and the extra point w.
 
     With w = sum a_v v, 1 = sum a_v, this is w w^T - sum a_v v v^T, cleared
-    to integral entries with gcd 1.  It is summed over the integers: with
-    the a_v scaled to a primitive integer vector l (a positive multiple),
-    N = (sum l_v) w w^T - sum l_v v v^T, entry by entry of the lower
-    triangle.  The orientation (which side is positive) is preserved by the
-    normalization.
+    to integral entries with gcd 1.  One `echelon` of the integer rows
+    [V | w; 1 | 1] leaves D [I | a] when [V; 1] is nonsingular, so the
+    integer column D a, divided by its gcd, is the primitive positive
+    multiple l of the a_v, and the a_v are its entries over D.  The form is
+    summed over the integers: N = (sum l_v) w w^T - sum l_v v v^T, entry by
+    entry of the lower triangle.  The orientation (which side is positive)
+    is preserved by the normalization.
     """
     pts = [tuple(p) for p in points]
     w = tuple(w)
     d = len(w)
     if len(pts) != d + 1:
         raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
-    rows = [[p[i] for p in pts] for i in range(d)]
-    rows.append([1] * (d + 1))
-    try:
-        alphas = tuple(solve(Mat(rows), list(w) + [1]))
-    except SingularMatrix as exc:
-        raise AffinelyDependent("affinely dependent point set") from exc
-    terms = [(a, p) for a, p in zip(clear_denominators(alphas), pts) if a]
+    rows = [[p[i] for p in pts] + [w[i]] for i in range(d)]
+    rows.append([1] * (d + 2))
+    ech = echelon(rows)
+    if ech.pivots[:d + 1] != tuple(range(d + 1)):
+        raise AffinelyDependent("affinely dependent point set")
+    scale = ech.scale
+    scaled = [row[d + 1] for row in ech.rows]            # D a, over the integers
+    alphas = tuple(Rat(x, scale) if x % scale else x // scale for x in scaled)
+    g = gcd(*scaled)
+    terms = [(a // g, p) for a, p in zip(scaled, pts) if a]
     total = sum(a for a, _ in terms)
     lower = tuple(total * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
                   for i in range(d) for j in range(i + 1))
@@ -304,7 +317,11 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     exact empty-sphere check there, and the kept classes by the positive
     regulators of their facets (a locally Delaunay triangulation is
     Delaunay).  The flip works on the class keys: it solves a circumcenter
-    only for the classes it adds and builds no cell.
+    only for the classes it adds and builds no cell.  Each distinct wall
+    is evaluated once on the wallpoint, and the definiteness, wall and
+    empty-sphere checks run on the primitive integer multiple of the new
+    form: a positive multiple has the same signs and circumcenters, and it
+    scales both sides of the sphere comparison by the same factor.
 
     The tight circuits are read off `star.pairs`, which the star computes
     once however many walls are crossed from it.  The returned star carries
@@ -314,14 +331,16 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     """
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
-    pairs = list(star.pairs.values())
-    values = [reg.matrix.pair(wallpoint) for _, _, reg in pairs]
-    tight = [pair for pair, val in zip(pairs, values) if val == 0]
-    walls = {reg.matrix.lower() for _, _, reg in tight}
+    values = {}                  # wall matrix -> its value on the wallpoint
+    for _, _, reg in star.pairs.values():
+        if reg.matrix not in values:
+            values[reg.matrix] = reg.matrix.pair(wallpoint)
+    walls = [n for n, val in values.items() if val == 0]
     if len(walls) != 1:
         raise NotOnSingleFacet(f"wallpoint is tight on {len(walls)} walls, need exactly 1")
-    if any(val < 0 for val in values):
+    if any(val < 0 for val in values.values()):
         raise NotOnSingleFacet("wallpoint is outside the closed cone")
+    tight = [pair for pair in star.pairs.values() if pair[2].matrix == walls[0]]
 
     removed, added = set(), set()
     for key, w, reg in tight:
@@ -336,8 +355,7 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     keys = tuple(sorted(old_keys - removed | added))
 
     new_pairs = _facet_pairs(keys, star.pairs)
-    new_walls = {reg.matrix.lower(): reg.matrix
-                 for _, _, reg in new_pairs.values()}.values()
+    new_walls = {reg.matrix for _, _, reg in new_pairs.values()}
     if any(n.pair(wallpoint) < 0 for n in new_walls):
         raise AssertionError("the flipped cone does not contain the wallpoint")
     eps = Rat(1)
@@ -345,14 +363,15 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     for _ in range(64):
         cand = wallpoint + diff.scale(eps)
         eps = eps / 2
-        if cand.is_positive_definite() and all(n.pair(cand) > 0 for n in new_walls):
+        scaled = SymMat.from_lower(cand.d, clear_denominators(cand.lower()))
+        if scaled.is_positive_definite() and all(n.pair(scaled) > 0 for n in new_walls):
             break
     else:
         raise AssertionError("wall crossing did not converge")
 
     for key in sorted(added):
-        sphere_center, sqradius = circumcenter(cand, key)
-        best, mins = closest_vectors(cand, sphere_center)
+        sphere_center, sqradius = circumcenter(scaled, key)
+        best, mins = closest_vectors(scaled, sphere_center)
         if best != sqradius or tuple(sorted(mins)) != key:
             raise AssertionError("flipped cell failed the empty-sphere check")
     flipped = DelaunayStar(cand, keys)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .delaunay import DelaunayStar
@@ -64,13 +65,14 @@ def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
     """Deduplicated regulator matrices over all adjacent simplex pairs of a
     triangulation, one per wall class, each positive on the generating form.
     The pairs are the star's own (`DelaunayStar.pairs`), so the regulators a
-    flip copied are checked on the new form like the computed ones."""
-    seen = {}
-    for _, _, reg in star.pairs.values():
-        if reg.matrix.pair(star.form) <= 0:
+    flip copied are checked on the new form like the computed ones.  Many
+    pairs share a wall (360 pairs and 15 walls on the d = 5 seed star), so
+    the pairs are deduplicated first and each distinct wall is checked once."""
+    walls = {reg.matrix.lower(): reg.matrix for _, _, reg in star.pairs.values()}
+    for n in walls.values():
+        if n.pair(star.form) <= 0:
             raise AssertionError("regulator is not positive on its own form")
-        seen[reg.matrix.lower()] = reg.matrix
-    return [seen[k] for k in sorted(seen)]
+    return [walls[k] for k in sorted(walls)]
 
 
 def central_form(rays: Sequence[SymMat]) -> SymMat:
@@ -107,17 +109,28 @@ class ConeDesc:
 
     def validate(self):
         """Check the invariants; explicit raises, so they survive python -O."""
-        for r in self.rays:
-            if not r.is_positive_semidefinite():
-                raise NonPSDRay(f"ray {r} is not positive semidefinite")
-            if any(e.pair(r) != 0 for e in self.equalities):
-                raise AssertionError(f"ray {r} violates an equality")
-            if any(n.pair(r) < 0 for n in self.inequalities):
-                raise AssertionError(f"ray {r} violates an inequality")
-        if rank_of_rows([r.lower() for r in self.rays]) != self.dim:
+        vecs = [r.lower() for r in self.rays]
+        self.check_incidences(vecs)
+        if rank_of_rows(vecs) != self.dim:
             raise AssertionError("rank of the rays does not match the dimension")
         if central_form(self.rays) != self.central:
             raise AssertionError("central form is not the sum of the rays")
+
+    def check_incidences(self, vecs: Sequence[tuple]):
+        """The checks of `validate` on each ray, given their `lower()`: it is
+        positive semidefinite, zero on the equalities and nonnegative on the
+        inequalities, paired as integer functionals, <N, R> =
+        sym_to_functional(N) . R.lower().  `_face` runs only these: its
+        construction proves the other two."""
+        eqs = [sym_to_functional(e) for e in self.equalities]
+        ineqs = [sym_to_functional(n) for n in self.inequalities]
+        for r, x in zip(self.rays, vecs):
+            if not r.is_positive_semidefinite():
+                raise NonPSDRay(f"ray {r} is not positive semidefinite")
+            if any(sum(map(mul, e, x)) != 0 for e in eqs):
+                raise AssertionError(f"ray {r} violates an equality")
+            if any(sum(map(mul, n, x)) < 0 for n in ineqs):
+                raise AssertionError(f"ray {r} violates an inequality")
 
 
 def cone_from_rays(d: int, rays: Sequence[SymMat]) -> ConeDesc:
@@ -181,10 +194,15 @@ def _face(cone: ConeDesc, masks: Sequence[int], t: int, equalities: tuple) -> Co
     the hull (`polyhedral._project_into_hull`): a facet normal is unique up
     to positive scale modulo the hull.  The normals are then normalized and
     sorted as `rays_to_hrep` sorts them, so the face equals the
-    `cone_from_rays` of its rays with the same equalities."""
+    `cone_from_rays` of its rays with the same equalities.  The face runs
+    every check of `ConeDesc.validate` but two that its construction
+    proves (`ConeDesc.check_incidences`): the rank of its rays is the pivot
+    count of the `echelon` above, and its central form is `central_form`
+    of the same rays."""
     d, m = cone.d, cone.dim_ambient
     rays = [r for i, r in enumerate(cone.rays) if t >> i & 1]
-    ech = echelon([r.lower() for r in rays])
+    vecs = [r.lower() for r in rays]
+    ech = echelon(vecs)
     dim = len(ech.pivots)
     if rank_of_rows([sym_to_functional(e) for e in equalities]) != m - dim:
         raise AssertionError("accumulated equalities do not cut out the hull")
@@ -200,7 +218,7 @@ def _face(cone: ConeDesc, masks: Sequence[int], t: int, equalities: tuple) -> Co
         raise AssertionError("a face has fewer facets than its dimension")
     face = ConeDesc(d, tuple(equalities), tuple(functional_to_sym(d, a) for a in ineqs),
                     tuple(rays), dim, central_form(rays))
-    face.validate()
+    face.check_incidences(vecs)
     return face
 
 

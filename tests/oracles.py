@@ -9,13 +9,14 @@ points that are not vertices dropped, the facets of a Delaunay cell read off
 that polytope, canonical extreme rays, the normalized translate of a cell,
 the Delaunay star by moving spheres, the Dirichlet-Voronoi polytope read off
 the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
-triangulation as a list, the regulator over rational matrices, facet cones
-and fundamental faces by one double description each, the merge through
-invariant buckets, colour refinement by full signatures, the group order by
-Schreier-Sims with sifting and by Schreier generators kept without sifting,
-the automorphism count of a small graph over all permutations, the
-subordination scheme by a scan of every pair of faces, and the primitive
-expansion by a crossing of every positive definite wall.
+triangulation as a list, the regulator over rational matrices, the wall
+crossing with every adjacent pair evaluated and its checks on the rational
+form, facet cones and fundamental faces by one double description each,
+the merge through invariant buckets, colour refinement by full signatures,
+the group order by Schreier-Sims with sifting and by Schreier generators
+kept without sifting, the automorphism count of a small graph over all
+permutations, the subordination scheme by a scan of every pair of faces,
+and the primitive expansion by a crossing of every positive definite wall.
 """
 
 import dataclasses
@@ -27,11 +28,13 @@ from lcone.classify import _candidate_key
 from lcone.delaunay import (
     Cell,
     DelaunayStar,
+    NotOnSingleFacet,
     Regulator,
     _facet_pairs,
     _normalized,
     _star_cells,
     cell_facets,
+    circumcenter,
     delaunay_star,
     neighbor_triangulation,
 )
@@ -443,6 +446,58 @@ def regulator_by_fractions(points, w) -> Regulator:
     if all(x == 0 for x in n.lower()):
         return Regulator(SymMat.zero(d), alphas)
     return Regulator(SymMat.from_lower(d, clear_denominators(n.lower())), alphas)
+
+
+def neighbor_triangulation_by_fractions(star, wallpoint, center):
+    """`delaunay.neighbor_triangulation` with every adjacent pair evaluated
+    on the wallpoint and every check run on the rational form
+    wallpoint + eps (wallpoint - center) itself."""
+    if not wallpoint.is_positive_definite():
+        raise NotPositiveDefinite("wallpoint is not positive definite")
+    pairs = list(star.pairs.values())
+    values = [reg.matrix.pair(wallpoint) for _, _, reg in pairs]
+    tight = [pair for pair, val in zip(pairs, values) if val == 0]
+    walls = {reg.matrix.lower() for _, _, reg in tight}
+    if len(walls) != 1:
+        raise NotOnSingleFacet(f"wallpoint is tight on {len(walls)} walls, need exactly 1")
+    if any(val < 0 for val in values):
+        raise NotOnSingleFacet("wallpoint is outside the closed cone")
+
+    removed, added = set(), set()
+    for key, w, reg in tight:
+        circuit = key + (w,)
+        for z, lam in zip(circuit, [-a for a in reg.alphas] + [1]):
+            if lam != 0:
+                simplex = _normalized([p for p in circuit if p != z])
+                (removed if lam > 0 else added).add(simplex)
+    old_keys = set(star.keys)
+    if not removed <= old_keys:
+        raise AssertionError("the flip removes a simplex that is not in the star")
+    keys = tuple(sorted(old_keys - removed | added))
+
+    new_pairs = _facet_pairs(keys, star.pairs)
+    new_walls = {reg.matrix.lower(): reg.matrix
+                 for _, _, reg in new_pairs.values()}.values()
+    if any(n.pair(wallpoint) < 0 for n in new_walls):
+        raise AssertionError("the flipped cone does not contain the wallpoint")
+    eps = Rat(1)
+    diff = wallpoint - center
+    for _ in range(64):
+        cand = wallpoint + diff.scale(eps)
+        eps = eps / 2
+        if cand.is_positive_definite() and all(n.pair(cand) > 0 for n in new_walls):
+            break
+    else:
+        raise AssertionError("wall crossing did not converge")
+
+    for key in sorted(added):
+        sphere_center, sqradius = circumcenter(cand, key)
+        best, mins = closest_vectors(cand, sphere_center)
+        if best != sqradius or tuple(sorted(mins)) != key:
+            raise AssertionError("flipped cell failed the empty-sphere check")
+    flipped = DelaunayStar(cand, keys)
+    flipped.__dict__["pairs"] = new_pairs   # the slot `cached_property` fills
+    return flipped
 
 
 def _cone_with_equalities(d: int, rays, equalities: tuple):

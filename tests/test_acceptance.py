@@ -29,7 +29,7 @@ from lcone.delaunay import delaunay_star, is_triangulation
 from lcone.equiv import form_certificate, form_equivalence
 from lcone.exact import Mat, Rat, SingularMatrix, SymMat, det, solve
 from lcone.polyhedral import dv_polytope, polytope_volume
-from lcone.scone import fundamental_face
+from lcone.scone import cone_facets, fundamental_face
 
 from oracles import delaunay_star_by_search, dv_polytope_by_star
 from test_delaunay import assert_same_star
@@ -184,6 +184,20 @@ def test_faces_match_rays_oracle_on_databases(db3, db4):
         for rec in db.records():
             facets += len(assert_faces_match_rays_oracle(rec.cone))
     assert facets == 349
+
+
+def test_faces_pass_full_validate_on_databases(db3, db4):
+    # `_face` skips the two checks of `ConeDesc.validate` its construction
+    # proves (the rank of the rays and the central form); the full one
+    # still holds on every facet and fundamental face of every cone.
+    faces = 0
+    for db in (db3, db4):
+        for rec in db.records():
+            ff = fundamental_face(rec.cone)
+            for face in cone_facets(rec.cone) + ([] if ff is None else [ff]):
+                face.validate()
+                faces += 1
+    assert faces == 384         # 349 facets and 35 fundamental faces
 
 
 def test_dv_matches_star_oracle_on_databases(db3, db4):

@@ -76,6 +76,16 @@ class TestSeeds:
             run_classification(3, str(out), seed=A2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_1_raises_before_writing(self, tmp_path, workers):
+        out = tmp_path / "db"
+        match = f"worker count must be at least 1, got {workers}"
+        with pytest.raises(ValueError, match=match):
+            run_classification(3, str(out), workers=workers)
+        assert not out.exists()
+        with pytest.raises(ValueError, match=match):
+            Classifier(3, workers=workers)
+
     def test_indefinite_seed_leaves_database_untouched(self, tmp_path):
         out = tmp_path / "db"
         run_classification(2, str(out))

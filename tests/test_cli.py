@@ -251,6 +251,16 @@ class TestClassifyCmd:
             assert f"unsupported hash algorithm '{digest}'" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_worker_count_below_1_exit_1_before_writing(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "db"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "-d", "3", "-o", str(out_dir), "-j", jobs])
+        assert exc.value.code == 1
+        assert f"error: argument -j/--jobs: worker count must be at least 1, got {jobs}" \
+            in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 @pytest.mark.parametrize("text", ["0\n", "-1\n", "2 2 1/0 2\n"],
                          ids=["dimension-0", "dimension-minus-1", "zero-denominator"])

@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 
+import lcone.classify
 import lcone.delaunay
 import lcone.lattice
 import lcone.polyhedral
@@ -19,14 +20,23 @@ from lcone.delaunay import (
     delaunay_star,
     is_triangulation,
     neighbor_triangulation,
+    regulator,
 )
-from lcone.classify import principal_form, seed_triangulation
+from lcone.classify import Classifier, principal_form, seed_triangulation
 from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, det, inverse
 from lcone.lattice import closest_vectors
 from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
 
 import oracles
-from oracles import NotAFacet, adjacent_cell, delaunay_star_by_search, initial_cell, normalized
+from oracles import (
+    NotAFacet,
+    adjacent_cell,
+    delaunay_star_by_search,
+    initial_cell,
+    neighbor_triangulation_by_fractions,
+    normalized,
+    regulator_by_fractions,
+)
 
 A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
@@ -516,3 +526,53 @@ class TestNeighborTriangulation:
         cone = secondary_cone(star)
         with pytest.raises(NotPositiveDefinite):
             neighbor_triangulation(star, cone.rays[0], cone.central)
+
+
+@pytest.fixture(scope="module", params=[3, 4, 5], ids=["d3-run", "d4-run", "d5-seed"])
+def run_crossings(request):
+    """(star, wallpoint, center, flipped star) for every crossing of the
+    d = 3 and d = 4 primitive runs, and for the d = 5 seed's first crossing."""
+    d = request.param
+    if d == 5:
+        star = seed_triangulation(5)
+        cone, walls = pd_walls(star)
+        return [(star, walls[0].central, cone.central,
+                 neighbor_triangulation(star, walls[0].central, cone.central))]
+    out = []
+    cross = lcone.classify.neighbor_triangulation
+
+    def recording(star, wallpoint, center):
+        nb = cross(star, wallpoint, center)
+        out.append((star, wallpoint, center, nb))
+        return nb
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lcone.classify, "neighbor_triangulation", recording)
+        Classifier(d).primitive_cones()
+    assert len(out) == {3: 1, 4: 6}[d]
+    return out
+
+
+class TestIntegerFlip:
+    def test_matches_fraction_oracle(self, run_crossings):
+        # The flip's checks run on an integer multiple of the form, and each
+        # distinct wall is evaluated once on the wallpoint; the oracle runs
+        # them on the rational form and evaluates every adjacent pair.
+        for star, wallpoint, center, nb in run_crossings:
+            ref = neighbor_triangulation_by_fractions(star, wallpoint, center)
+            assert not nb.form.is_integral()     # so the checks ran on a multiple
+            assert nb.keys == ref.keys
+            assert _typed(nb.form.lower()) == _typed(ref.form.lower())
+            assert nb.pairs == ref.pairs
+
+    def test_regulators_match_fraction_oracle(self, run_crossings):
+        # Every adjacent pair on both sides of every crossing: the integer
+        # regulator equals the rational one, matrix and alphas, value and type.
+        # A triangulation of Z^d has d! simplex classes of d + 1 facets each.
+        for star, _, _, nb in run_crossings:
+            for side in (star, nb):
+                assert len(side.pairs) == {3: 12, 4: 60, 5: 360}[side.dim]
+                for key, w, _ in side.pairs.values():
+                    got, want = regulator(key, w), regulator_by_fractions(key, w)
+                    assert _typed(got.matrix.lower() + got.alphas) == \
+                        _typed(want.matrix.lower() + want.alphas)

@@ -573,7 +573,7 @@ class TestKernelFailurePropagates:
 
         with pytest.raises(AffinelyDependent):
             lcone.delaunay.regulator([(0, 0), (1, 0), (2, 0)], (1, 1))
-        monkeypatch.setattr(lcone.delaunay, "solve", self._broken)
+        monkeypatch.setattr(lcone.delaunay, "echelon", self._broken)
         with pytest.raises(TypeError, match="broken kernel"):
             lcone.delaunay.regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
 

@@ -26,6 +26,7 @@ from lcone.exact import AffinelyDependent, SymMat, rank_of_rows
 from lcone.scone import (
     ConeDesc,
     EmptyRaySet,
+    NonPSDRay,
     central_form,
     cone_facets,
     cone_from_dict,
@@ -508,6 +509,22 @@ class TestFacetsByIncidence:
         assert len(facets) == 10 and len(second) == 90
         assert calls == []
 
+    def test_face_runs_one_echelon_of_its_rays(self, monkeypatch):
+        # Each facet's dimension is read off one `echelon` of its rays, and
+        # its checks do not rank them again: the only `rank_of_rows` per
+        # facet is that of its accumulated equalities.
+        cone = secondary_cone(seed_triangulation(4))
+        calls = {"echelon": [], "rank_of_rows": []}
+        for name, rows in calls.items():
+            fn = getattr(lcone.scone, name)
+            monkeypatch.setattr(lcone.scone, name,
+                                lambda r, fn=fn, rows=rows: rows.append(r) or fn(r))
+        facets = cone_facets(cone)
+        assert len(facets) == 10
+        assert calls["echelon"] == [[r.lower() for r in f.rays] for f in facets]
+        assert calls["rank_of_rows"] == [[sym_to_functional(e) for e in f.equalities]
+                                         for f in facets]
+
     def test_dropped_inequality_raises_under_optimize(self):
         # The d = 4 seed cone is simplicial: with one inequality dropped,
         # each facet next to it has one facet fewer than its dimension.
@@ -537,6 +554,16 @@ class TestFacetWalls:
         star = _walk(seed_triangulation(4), 1)[-1]
         assert len(secondary_cone(star).inequalities) == 10
         assert len(star_wall_forms(star)) == 19
+
+    def test_d5_seed_pairs_each_wall_once(self, monkeypatch):
+        # 360 adjacent pairs but 15 distinct walls: one `SymMat.pair` each.
+        star = seed_triangulation(5)
+        assert len(star.pairs) == 360
+        calls = []
+        pair = SymMat.pair
+        monkeypatch.setattr(SymMat, "pair", lambda a, b: calls.append(a) or pair(a, b))
+        walls = star_wall_forms(star)
+        assert len(walls) == 15 and sorted(calls, key=SymMat.lower) == walls
 
 
 class TestConeOps:
@@ -590,6 +617,22 @@ class TestConeOps:
             loose = [r for r in cone.rays
                      if r.rank() == 1 and r.lower() not in ff_rays]
             assert cone.dim == fdim + len(loose)
+
+    def test_validate_rejects_wrong_incidences(self):
+        # `check_incidences`, which `_face` runs alone: a ray off an equality
+        # or on the wrong side of an inequality, or a ray that is not PSD.
+        cone = self.cone
+        ray = cone.rays[0]
+        for bad, match in [
+            (dataclasses.replace(cone, equalities=(cone.inequalities[0],)), "violates an equality"),
+            (dataclasses.replace(cone, inequalities=(cone.inequalities[0].scale(-1),)),
+             "violates an inequality"),
+        ]:
+            with pytest.raises(AssertionError, match=match):
+                bad.validate()
+        not_psd = dataclasses.replace(cone, rays=(ray.scale(-1),) + cone.rays[1:])
+        with pytest.raises(NonPSDRay):
+            not_psd.check_incidences([r.lower() for r in not_psd.rays])
 
     def test_validate_survives_optimize(self):
         # `assert False` passes only if -O stripped asserts; validate must
