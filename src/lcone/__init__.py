@@ -1,7 +1,7 @@
 """Exact classification of lattice Delaunay subdivisions and
 Dirichlet-Voronoi polytopes via secondary cones."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .exact import Mat, Rat, SymMat, format_form, parse_form          # noqa: F401
 from .lattice import characteristic_set, closest_vectors             # noqa: F401

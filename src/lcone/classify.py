@@ -64,6 +64,7 @@ from .polyhedral import (
 )
 from .scone import (
     ConeDesc,
+    NonPSDRay,
     _ray_rank,
     _tight_masks,
     central_form,
@@ -416,12 +417,8 @@ def _keys_of(data) -> tuple:
 
 def expand_descent_cone(payload: dict) -> dict:
     """Facets of a cone that still meet the positive definite forms."""
-    cone = cone_from_dict(payload["cone"])
-    out = []
-    for facet in cone_facets(cone):
-        if contains_pd(facet):
-            out.append(cone_to_dict(facet))
-    return {"cones": out}
+    facets = cone_facets(cone_from_dict(payload["cone"]))
+    return {"cones": [cone_to_dict(f) for f in facets if contains_pd(f)]}
 
 
 def enrich_cone_task(payload: dict) -> dict:
@@ -869,7 +866,8 @@ def load_db(out_dir: str) -> ClassDB:
     """Read a database written by `write_db`.  Raises IncompleteDatabase when
     the manifest is missing, does not parse or has no integer dimension `d`,
     when a `dim_<k>.jsonl` has no integer k or holds a line that is not a
-    class record, or when the record counts differ from the manifest's."""
+    valid class record (`ConeDesc.validate`), or when the record counts
+    differ from the manifest's."""
     manifest = read_manifest(out_dir)
     if not isinstance(manifest.get("d"), int):
         raise IncompleteDatabase(
@@ -891,9 +889,10 @@ def load_db(out_dir: str) -> ClassDB:
                     continue
                 try:
                     recs.append(ClassRecord.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
+                    recs[-1].cone.validate()
+                except (ValueError, KeyError, TypeError, AssertionError, NonPSDRay) as exc:
                     raise IncompleteDatabase(
-                        f"{path}: line {lineno} is not a class record") from exc
+                        f"{path}: line {lineno} is not a class record: {exc}") from exc
         db.by_dim[k] = recs
     counts = {str(k): len(recs) for k, recs in db.by_dim.items()}
     if counts != manifest.get("counts", {}):

@@ -142,6 +142,11 @@ def _project_into_hull(equalities: Sequence[Sequence[int]],
     return out
 
 
+def _hull_equalities(ech) -> tuple:
+    """Canonical hull equalities of the rows `ech` reduced: its null space, oriented."""
+    return tuple(gcd_normalize(e) for e in ech.nullspace())
+
+
 def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> tuple[tuple, tuple]:
     """Irredundant halfspace description of the cone generated by integer
     rays, as the pair (equalities, inequalities): a x = 0 and a x >= 0.
@@ -161,7 +166,7 @@ def rays_to_hrep(rays: Sequence[Sequence[int]], dim: int) -> tuple[tuple, tuple]
         eqs = tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
         return eqs, ()
     ech = echelon(rays)
-    equalities = tuple(gcd_normalize(e) for e in ech.nullspace())
+    equalities = _hull_equalities(ech)
     pivots = ech.pivots
     s = len(pivots)
     normals = _dd_cone([tuple(r[i] for i in pivots) for r in rays], s)

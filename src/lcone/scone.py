@@ -5,8 +5,8 @@ matrices, by one linear inequality per pair of adjacent simplices; the
 inequality normals are the classical regulators, which the triangulation's
 star computes once per adjacent pair (`delaunay.regulator`,
 `DelaunayStar.pairs`).  Cones are stored with irredundant inequalities,
-gcd-normalized integral extreme rays, accumulated linear-hull equalities,
-and the central form (the sum of the rays).
+gcd-normalized integral extreme rays, the canonical hull equalities of the
+rays, and the central form (the sum of the rays): all functions of the rays.
 
 Faces are read off the incidences of rays and facets, not rebuilt from
 their rays: in a pointed cone every facet of a face lies in a facet of the
@@ -18,14 +18,15 @@ double description runs once per secondary cone and once per
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
 from .delaunay import DelaunayStar
-from .exact import SymMat, echelon, gcd_normalize, rank_of_rows
-from .polyhedral import _dd_cone, _project_into_hull, rays_to_hrep
+from .exact import SymMat, echelon, gcd_normalize
+from .polyhedral import _dd_cone, _hull_equalities, _project_into_hull, rays_to_hrep
 
 
 class EmptyRaySet(Exception):
@@ -87,7 +88,7 @@ def central_form(rays: Sequence[SymMat]) -> SymMat:
 class ConeDesc:
     """Polyhedral cone in symmetric-matrix space.
 
-    equalities: linear-hull constraints (accumulated along face descent)
+    equalities: canonical hull equalities of the rays (`polyhedral._hull_equalities`)
     inequalities: irredundant facet normals within the hull, <N, Q> >= 0
     rays: gcd-normalized integral extreme rays, sorted
     central: sum of the rays
@@ -108,11 +109,15 @@ class ConeDesc:
         return tuple(r.lower() for r in self.rays)
 
     def validate(self):
-        """Check the invariants; explicit raises, so they survive python -O."""
+        """Check the invariants; explicit raises, so they survive python -O.
+        One `echelon` of the rays gives their rank and hull equalities."""
         vecs = [r.lower() for r in self.rays]
         self.check_incidences(vecs)
-        if rank_of_rows(vecs) != self.dim:
+        ech = echelon(vecs)
+        if len(ech.pivots) != self.dim:
             raise AssertionError("rank of the rays does not match the dimension")
+        if self.equalities != tuple(functional_to_sym(self.d, e) for e in _hull_equalities(ech)):
+            raise AssertionError("equalities are not the canonical ones of the rays' hull")
         if central_form(self.rays) != self.central:
             raise AssertionError("central form is not the sum of the rays")
 
@@ -121,7 +126,7 @@ class ConeDesc:
         positive semidefinite, zero on the equalities and nonnegative on the
         inequalities, paired as integer functionals, <N, R> =
         sym_to_functional(N) . R.lower().  `_face` runs only these: its
-        construction proves the other two."""
+        construction proves the others."""
         eqs = [sym_to_functional(e) for e in self.equalities]
         ineqs = [sym_to_functional(n) for n in self.inequalities]
         for r, x in zip(self.rays, vecs):
@@ -135,17 +140,16 @@ class ConeDesc:
 
 def cone_from_rays(d: int, rays: Sequence[SymMat]) -> ConeDesc:
     """Assemble a ConeDesc from extreme rays: inequalities are recomputed
-    irredundantly within the linear hull, and the equalities are those that
-    cut out the hull."""
+    irredundantly within the linear hull, and the equalities are the
+    canonical hull equalities of the rays."""
     m = sym_dim(d)
     rays = sorted(rays, key=lambda r: r.lower())
     if not rays:
         raise EmptyRaySet("cone has no rays")
-    vecs = [r.lower() for r in rays]
-    eqs, normals = rays_to_hrep(vecs, m)
-    ineqs = tuple(functional_to_sym(d, a) for a in normals)
-    equalities = tuple(functional_to_sym(d, e) for e in eqs)
-    cone = ConeDesc(d, equalities, ineqs, tuple(rays), m - len(equalities), central_form(rays))
+    eqs, normals = rays_to_hrep([r.lower() for r in rays], m)
+    cone = ConeDesc(d, tuple(functional_to_sym(d, e) for e in eqs),
+                    tuple(functional_to_sym(d, a) for a in normals),
+                    tuple(rays), m - len(eqs), central_form(rays))
     cone.validate()
     return cone
 
@@ -182,41 +186,42 @@ def _tight_masks(normals: Sequence[SymMat], rays: Sequence[SymMat]) -> list[int]
     return [sum(1 << i for i, r in enumerate(rays) if n.pair(r) == 0) for n in normals]
 
 
-def _face(cone: ConeDesc, masks: Sequence[int], t: int, equalities: tuple) -> ConeDesc:
+def _face(cone: ConeDesc, masks: Sequence[int], t: int) -> ConeDesc:
     """The face of a cone whose rays are the bits of mask t, given the tight
-    masks of the cone's inequalities and the face's accumulated equalities.
+    masks of the cone's inequalities.
 
-    One `echelon` of the face's rays gives its dimension and the equalities
-    of its linear hull.  The facets of the face are the maximal sets among
-    t & u over the masks u that do not contain t; the empty set counts only
-    when the face is a ray, whose one facet is the apex.  The normal of any
+    One `echelon` of the face's rays gives its dimension and the canonical
+    equalities of their linear hull, which the face stores.  The facets of
+    the face are the maximal sets among t & u over the masks u that do not
+    contain t; the empty set counts only when the face is a ray, whose one
+    facet is the apex.  The normal of any
     inequality giving such a set is that facet's normal once projected into
     the hull (`polyhedral._project_into_hull`): a facet normal is unique up
     to positive scale modulo the hull.  The normals are then normalized and
     sorted as `rays_to_hrep` sorts them, so the face equals the
-    `cone_from_rays` of its rays with the same equalities.  The face runs
-    every check of `ConeDesc.validate` but two that its construction
-    proves (`ConeDesc.check_incidences`): the rank of its rays is the pivot
-    count of the `echelon` above, and its central form is `central_form`
-    of the same rays."""
-    d, m = cone.d, cone.dim_ambient
+    `cone_from_rays` of its rays field for field.  The face runs every check
+    of `ConeDesc.validate` but those its construction proves
+    (`ConeDesc.check_incidences`): the rank of its rays is the pivot count
+    of the `echelon` above, its equalities are read off the same `echelon`,
+    and its central form is `central_form` of the same rays."""
+    d = cone.d
     rays = [r for i, r in enumerate(cone.rays) if t >> i & 1]
     vecs = [r.lower() for r in rays]
     ech = echelon(vecs)
     dim = len(ech.pivots)
-    if rank_of_rows([sym_to_functional(e) for e in equalities]) != m - dim:
-        raise AssertionError("accumulated equalities do not cut out the hull")
     traces: dict[int, SymMat] = {}
     for n, u in zip(cone.inequalities, masks):
         if t & ~u:
             traces.setdefault(t & u, n)
     ridges = [s for s in traces if (s or dim == 1)
               and not any(s != o and s & ~o == 0 for o in traces)]
-    normals = _project_into_hull(ech.nullspace(), [sym_to_functional(traces[s]) for s in ridges])
+    eqs = _hull_equalities(ech)
+    normals = _project_into_hull(eqs, [sym_to_functional(traces[s]) for s in ridges])
     ineqs = sorted(set(gcd_normalize(a, orient=False) for a in normals))
     if dim > 1 and len(ineqs) < dim:
         raise AssertionError("a face has fewer facets than its dimension")
-    face = ConeDesc(d, tuple(equalities), tuple(functional_to_sym(d, a) for a in ineqs),
+    face = ConeDesc(d, tuple(functional_to_sym(d, e) for e in eqs),
+                    tuple(functional_to_sym(d, a) for a in ineqs),
                     tuple(rays), dim, central_form(rays))
     face.check_incidences(vecs)
     return face
@@ -226,7 +231,7 @@ def cone_facets(cone: ConeDesc) -> list[ConeDesc]:
     """Facet cones of a cone, one per irredundant inequality, in their order.
 
     Each facet keeps the subset of rays tight on the inequality and the
-    cone's equalities with the inequality added.  Its own inequalities are
+    canonical equalities of their hull.  Its own inequalities are
     read off the cone's ray-facet incidences (`_face`), with no double
     description.  Cones of dimension 1 have no facets other than the origin
     and return an empty list.
@@ -234,12 +239,9 @@ def cone_facets(cone: ConeDesc) -> list[ConeDesc]:
     if cone.dim <= 1:
         return []
     masks = _tight_masks(cone.inequalities, cone.rays)
-    out = []
-    for n, t in zip(cone.inequalities, masks):
-        facet = _face(cone, masks, t, cone.equalities + (n,))
-        if facet.dim != cone.dim - 1:
-            raise AssertionError("facet dimension mismatch")
-        out.append(facet)
+    out = [_face(cone, masks, t) for t in masks]
+    if any(facet.dim != cone.dim - 1 for facet in out):
+        raise AssertionError("facet dimension mismatch")
     return out
 
 
@@ -256,19 +258,17 @@ def contains_pd(cone: ConeDesc) -> bool:
 def fundamental_face(cone: ConeDesc) -> Optional[ConeDesc]:
     """Smallest face containing all rays of rank > 1, or None when every ray
     has rank 1 (the zonotopal case).  The face lies on every inequality
-    tight on those rays, and is read off the incidences like a facet
-    (`_face`)."""
+    tight on those rays, and is read off the incidences like a facet, with
+    the canonical equalities of its rays' hull (`_face`)."""
     high = sum(1 << i for i, r in enumerate(cone.rays) if _ray_rank(r) > 1)
     if not high:
         return None
     masks = _tight_masks(cone.inequalities, cone.rays)
-    active = [i for i, u in enumerate(masks) if high & ~u == 0]
-    if not active:
-        return cone
-    t = (1 << len(cone.rays)) - 1
-    for i in active:
-        t &= masks[i]
-    return _face(cone, masks, t, cone.equalities + tuple(cone.inequalities[i] for i in active))
+    full = t = (1 << len(cone.rays)) - 1
+    for u in masks:
+        if high & ~u == 0:
+            t &= u
+    return cone if t == full else _face(cone, masks, t)
 
 
 @lru_cache(maxsize=65536)
@@ -278,11 +278,7 @@ def _ray_rank(r: SymMat) -> int:
 
 def rank_profile(cone: ConeDesc) -> dict[int, int]:
     """Histogram of matrix ranks over the generating rays."""
-    out: dict[int, int] = {}
-    for r in cone.rays:
-        k = _ray_rank(r)
-        out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    return dict(sorted(Counter(map(_ray_rank, cone.rays)).items()))
 
 
 def cone_to_dict(cone: ConeDesc) -> dict:

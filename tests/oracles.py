@@ -12,14 +12,15 @@ the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
 triangulation as a list, the regulator over rational matrices, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
-the merge through invariant buckets, colour refinement by full signatures,
-the group order by Schreier-Sims with sifting and by Schreier generators
-kept without sifting, the automorphism count of a small graph over all
-permutations, the subordination scheme by a scan of every pair of faces,
-and the primitive expansion by a crossing of every positive definite wall.
+the equalities a face was stored with when they were threaded down the
+descent, the merge through invariant buckets, colour refinement by full
+signatures, the group order by Schreier-Sims with sifting and by Schreier
+generators kept without sifting, the automorphism count of a small graph
+over all permutations, the subordination scheme by a scan of every pair of
+faces, and the primitive expansion by a crossing of every positive definite
+wall.
 """
 
-import dataclasses
 import itertools
 from collections import Counter, deque
 from typing import Sequence
@@ -67,7 +68,6 @@ from lcone.scone import (
     contains_pd,
     secondary_cone,
     star_wall_forms,
-    sym_to_functional,
 )
 
 
@@ -500,27 +500,24 @@ def neighbor_triangulation_by_fractions(star, wallpoint, center):
     return flipped
 
 
-def _cone_with_equalities(d: int, rays, equalities: tuple):
-    """`cone_from_rays` of the rays, holding the given accumulated equalities
-    instead of those it derives, which must cut out the same linear hull."""
-    cone = cone_from_rays(d, rays)
-    rows = [sym_to_functional(e) for e in equalities]
-    if rows and rank_of_rows(rows) != cone.dim_ambient - cone.dim:
-        raise AssertionError("accumulated equalities do not cut out the hull")
-    cone = dataclasses.replace(cone, equalities=tuple(equalities))
-    cone.validate()
-    return cone
+def accumulated_equalities(cone, face) -> tuple:
+    """The equalities a face of a cone was once stored with, threaded down
+    the descent: the cone's own, then each of its inequalities tight on the
+    face (a facet's one normal, or every normal active on a fundamental
+    face).  They cut out the face's linear hull, but which rows they are
+    depends on the path to the face."""
+    return cone.equalities + tuple(n for n in cone.inequalities
+                                   if all(n.pair(r) == 0 for r in face.rays))
 
 
 def cone_facets_by_rays(cone) -> list:
-    """`scone.cone_facets` from the bare rays: each facet's inequalities by
-    one `rays_to_hrep` of its tight rays (`cone_from_rays`)."""
+    """`scone.cone_facets` from the bare rays: each facet by one
+    `rays_to_hrep` of its tight rays (`cone_from_rays`)."""
     if cone.dim <= 1:
         return []
     out = []
     for n in cone.inequalities:
-        on = [r for r in cone.rays if n.pair(r) == 0]
-        facet = _cone_with_equalities(cone.d, on, cone.equalities + (n,))
+        facet = cone_from_rays(cone.d, [r for r in cone.rays if n.pair(r) == 0])
         if facet.dim != cone.dim - 1:
             raise AssertionError("facet dimension mismatch")
         out.append(facet)
@@ -538,7 +535,7 @@ def fundamental_face_by_rays(cone):
                  if all(n.pair(r) == 0 for n in active)]
     if not active:
         return cone
-    return _cone_with_equalities(cone.d, face_rays, cone.equalities + active)
+    return cone_from_rays(cone.d, face_rays)
 
 
 def expand_primitive_cone_by_crossing(payload: dict) -> dict:

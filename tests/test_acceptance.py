@@ -7,6 +7,7 @@ lines and timings.
 
 import hashlib
 import itertools
+import json
 import os
 import random
 import time
@@ -29,11 +30,15 @@ from lcone.delaunay import delaunay_star, is_triangulation
 from lcone.equiv import form_certificate, form_equivalence
 from lcone.exact import Mat, Rat, SingularMatrix, SymMat, det, solve
 from lcone.polyhedral import dv_polytope, polytope_volume
-from lcone.scone import cone_facets, fundamental_face
+from lcone.scone import cone_facets, cone_from_rays, fundamental_face
 
 from oracles import delaunay_star_by_search, dv_polytope_by_star
 from test_delaunay import assert_same_star
-from test_scone import assert_faces_match_rays_oracle
+from test_scone import (
+    assert_equalities_span_accumulated,
+    assert_faces_match_rays_oracle,
+    assert_same_cone,
+)
 
 A2 = SymMat([[2, 1], [1, 2]])
 
@@ -176,14 +181,23 @@ def test_star_matches_search_oracle_on_d4_database(db4):
 
 
 def test_faces_match_rays_oracle_on_databases(db3, db4):
-    # Every cone of the d = 3 and d = 4 databases: its facets and its
+    # Every cone of the d = 3 and d = 4 databases, and its facets and its
     # fundamental face, read off the incidences, equal those rebuilt from
-    # their rays.
+    # their rays, equalities included.
     facets = 0
     for db in (db3, db4):
         for rec in db.records():
+            assert_same_cone(rec.cone, cone_from_rays(rec.cone.d, rec.cone.rays))
             facets += len(assert_faces_match_rays_oracle(rec.cone))
     assert facets == 349
+
+
+def test_equalities_span_accumulated_on_databases(db3, db4):
+    # The canonical hull equalities of every facet and fundamental face
+    # span the space of those the descent once threaded down to it.
+    faces = sum(assert_equalities_span_accumulated(rec.cone)
+                for db in (db3, db4) for rec in db.records())
+    assert faces == 384         # 349 facets and 35 fundamental faces
 
 
 def test_faces_pass_full_validate_on_databases(db3, db4):
@@ -257,27 +271,27 @@ DATABASE_SHA256 = {
     2: {
         "dim_2.jsonl": "331ad051c5c032d71eafde9c7a52ccd86b690acd4c4fde96b81a9eb7664f353a",
         "dim_3.jsonl": "1f436f0c44028e457621a4f38282e773a098ce3b73a16f77dbb0fcb13d7a4951",
-        "manifest.json": "fb1785f2f574e1bce6705259910f6f3f9f25e5bf1816bb00ac9e79f7a77b479d",
+        "manifest.json": "2b664cf526c2dd6323d3fb96ed2665edaeecd82039b2516e792bc552bd81803b",
     },
     3: {
-        "dim_3.jsonl": "ebb5a0349bd8f4bb1435dfeab20dc2a29e29882a4abbee971398d5125bf1c4b2",
-        "dim_4.jsonl": "98ce8098c7421d12f3e9777c978336c1761e3c7fe1b0d30d424d442e6fcb6f89",
+        "dim_3.jsonl": "37ba977d7ffcefe0aac2b9e26e3ae7c5be1a2d681159c34720228841f2647af4",
+        "dim_4.jsonl": "be09470b4f0f5c77f5b07ba58f00d5c3c2b3ecab46610cf224210747104814b5",
         "dim_5.jsonl": "050cd1e0a3c4c3318e32997866ebfe985826508ae28702e852be651eaca4ffa5",
         "dim_6.jsonl": "6f2829f2a9b43ac0889630219bda8e69bcbb30f7ecc0f3e5039f1eb7294df961",
-        "manifest.json": "a32eb73d9443e149a7455803f7cf17e2cd6a39bde6e5c4146bd30fe24aedf9a2",
+        "manifest.json": "50635d904179055e4b1efbc0b5f3abf20cee06dbaacdc7b2d035ac9edf977a9d",
     },
     4: {
-        "dim_1.jsonl": "069152f5a343e12aff301aacf1376123653b30b2390ae9d014ee48f3b16c9268",
-        "dim_2.jsonl": "6d52e4384e6252f41e446b08cab634fccabbef8551349477c117c536611e16da",
-        "dim_3.jsonl": "0021cb3c359f701e6817b2585a5c16cccdf6bd0c5c48018f68210a28637f7d49",
-        "dim_4.jsonl": "b81ff6c3777398db0f74e8739411b9d97f001a9889f4c6e60d45da4b81dbd1f0",
-        "dim_5.jsonl": "ecabc1ad06baeea145eb70a798e1dbb86783af7ea5f5b30e26eb241c2ba2355b",
-        "dim_6.jsonl": "23d6cd1c0d64900c6849ab23ebf3c9de53977cfd43d8626422f7e082ca0a890d",
-        "dim_7.jsonl": "5914ca690c80df1c8c329ba55d7d59539a4d8163c3365b182212009a7d32c3dc",
-        "dim_8.jsonl": "781460ccbab8901e1fc83a0d8846fed139e39002dee8e121eb1ea2002cd141ec",
-        "dim_9.jsonl": "d0b240a51993e5391fdf96f1a01f732f5a5c655da03197465981b565a8a83e6f",
+        "dim_1.jsonl": "d7e4235beb5bc613fbd72e8de3ed5dd1f76665e6150e5c2a935ddb5131b83494",
+        "dim_2.jsonl": "d67243e61e79e225337feb02d9f1eabfceb7c2c5bd225e335b65bfb2326b894d",
+        "dim_3.jsonl": "6e22d87d8ffc81428342327adf4976968489cb71b5ae3e8d2ee89951dbf11d4f",
+        "dim_4.jsonl": "58ef71127635b5fe96605ff33953a421d4ebfbcc5cb0f9a50e4ebe0f79119d50",
+        "dim_5.jsonl": "39ed1f2518d56b4d00d8758971ce9a4e1c41a1ff365ec3ba6f62640727950d36",
+        "dim_6.jsonl": "56f9a288126c9e9c230e736e8fb652ed9d3c2ef4a4db15fd8947bb0e673bf181",
+        "dim_7.jsonl": "710a44ea2f9188c382295ae9cd194137a555e48c908575f4af66b9a94fcdfc44",
+        "dim_8.jsonl": "81749d55fc5d910e1381ecf4093b5e315672ede4e5c4d22c0e018b8b1d74b7e6",
+        "dim_9.jsonl": "8d6b5568010e19dddf15bc92c470b34805d566ff594b254b0c6c38b39f801b1f",
         "dim_10.jsonl": "60d0f3f47534a3db26bbdcab0c83f8ecedfa9010aa090868f1dd25c1ea27854b",
-        "manifest.json": "92e2c3c2e716f60c63382738f335cc4f46c952b789da43acda51dffcb6b1c92c",
+        "manifest.json": "e8aa6928bb4e91d7a06af8aac3e3ae0e55dbe166efc5758b4449ebf92c1fd3ba",
     },
 }
 
@@ -285,6 +299,65 @@ DATABASE_SHA256 = {
 def _database_sha256(out):
     return {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
             for name in os.listdir(out) if name == "manifest.json" or name.startswith("dim_")}
+
+
+# The same files with the path-free fields only: every record without its
+# `eqs` and the manifest without its `version`.  They pin the counts, rays,
+# inequalities, hashes, stabilizer orders and mass apart from how the
+# equalities of a face are chosen.
+DATABASE_SHA256_WITHOUT_EQS = {
+    2: {
+        "dim_2.jsonl": "52d76646d7d0008b5eeec6ffee53f0c092274982205c46382e3cc9c82617415b",
+        "dim_3.jsonl": "651760e972f71a06cdd714e7758b00514b241b372e2a4c6a073d1bb5208406b7",
+        "manifest.json": "e8b24eadfe486a093dd727f0c9c74c65819dd2587c90568e88489d2cd16e9f69",
+    },
+    3: {
+        "dim_3.jsonl": "688871b39f5ed4e6c1a427d0899c587c94e9680d3c94dba20ef449f19a7e6c2a",
+        "dim_4.jsonl": "20588ba81d4b3175a8cf467acb901c5f0c6b653c02b94abf553b7534d075110b",
+        "dim_5.jsonl": "ca80151138d7badc736c7480e4209cf0dfd708df0944b943bb9050f44bce49be",
+        "dim_6.jsonl": "5bf3746fdd92dfc4f5d4e4d939b875e7b5fd7438cb8bc5490d80b2a610b9da35",
+        "manifest.json": "3f353af760587fa3bcdc3344e31e68cdef84b9f06031bcb429fb1bb583f0e065",
+    },
+    4: {
+        "dim_1.jsonl": "0f62fc9162c9ffd7e381ec1e1d6f0ca812394e199fd9eed8fd5c957d72f200a1",
+        "dim_2.jsonl": "38bd5ea996cae053f45b409b4197a7b97603e21ce53dbbe26a27ab017f23362a",
+        "dim_3.jsonl": "958b7fda7d81ebc5c64a41bbb92f895870ee7796147a13d0a171fb7897074173",
+        "dim_4.jsonl": "1b07a4973d1132c19b4845cf289850277866baa87f332da4122c1a6a02472c1e",
+        "dim_5.jsonl": "b43d5532c001d79f5405edd83e49532d9439a135514f625dc4e968d3515ed81a",
+        "dim_6.jsonl": "7b077d5293c05a23ef16320b6e71fb8b9da2aafe844f7ac1c07a1a7ab08994de",
+        "dim_7.jsonl": "5278e288205274511782134ccb591b76af0accdfdd752b12a68cbfd32ae14cdf",
+        "dim_8.jsonl": "782d208fb7b3b73f81215904cfce9cf2461c18a29c013f9799d87c2885d99b4b",
+        "dim_9.jsonl": "b17dbcca058f21aa8dfb1c5a6682dce787fd175236b3f6e7b22ea4104b045d5d",
+        "dim_10.jsonl": "1684798fe4876d1bb7cce7f375066f73492d6c1e7e190aba139fdb0ed304cae4",
+        "manifest.json": "983a5c737bcfe574cd62fdcd770adfebc6bbeb8bc05ac591554db996aa099ad7",
+    },
+}
+
+
+def _database_sha256_without_eqs(out):
+    digests = {}
+    for name in os.listdir(out):
+        if name == "manifest.json":
+            data = json.loads(Path(out, name).read_text())
+            data.pop("version")
+            text = json.dumps(data, sort_keys=True)
+        elif name.startswith("dim_"):
+            recs = [json.loads(line) for line in Path(out, name).read_text().splitlines()]
+            for rec in recs:
+                rec.pop("eqs")
+            text = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                           for rec in recs)
+        else:
+            continue
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_databases_identical_without_eqs(tmp_path, db3, db4):
+    run_classification(2, str(tmp_path / "db2"))
+    for d, out in ((2, str(tmp_path / "db2")), (3, db3._out), (4, db4._out)):
+        assert _database_sha256_without_eqs(out) == DATABASE_SHA256_WITHOUT_EQS[d], \
+            f"d={d} database changed outside its equalities"
 
 
 def test_databases_byte_identical(tmp_path, db3, db4):

@@ -425,6 +425,18 @@ class TestPersistence:
         with pytest.raises(IncompatibleCheckpoint, match="digest None"):
             run_classification(2, str(out), resume=True)
 
+    def test_resume_from_older_version_is_incompatible(self, tmp_path):
+        # Before 0.2.0 a face held the equalities threaded down the descent,
+        # under the same cache key: replaying such a checkpoint would mix
+        # the two formats in one database, so it is refused.
+        out = tmp_path / "db"
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(3, str(out), abort_after=4)
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps(dict(manifest, version="0.1.0")))
+        with pytest.raises(IncompatibleCheckpoint, match="version does not match"):
+            run_classification(3, str(out), resume=True)
+
     def test_resume_dimension_mismatch(self, tmp_path):
         out = str(tmp_path / "db")
         run_classification(2, out)
@@ -547,7 +559,7 @@ def test_old_prim_entry_is_not_replayed(tmp_path, clean_d3, monkeypatch):
 @pytest.mark.parametrize("d", [3, 4])
 def test_merge_matches_bucket_oracle(d, monkeypatch):
     # Every merge of the classification: the same cones, in the same order,
-    # with the same accumulated equalities.
+    # with the same canonical hull equalities of their rays.
     merges = []
     merge = lcone.classify.merge_candidates
 
@@ -562,6 +574,29 @@ def test_merge_matches_bucket_oracle(d, monkeypatch):
     for existing, candidates, digest, accepted in merges:
         want = merge_by_buckets(existing, candidates, digest)
         assert [cone_to_dict(c) for c in accepted] == [cone_to_dict(c) for c in want]
+
+
+@pytest.mark.parametrize("d, repeats", [(3, 1), (4, 56)])
+def test_merge_does_not_depend_on_candidate_order(d, repeats, monkeypatch):
+    # Every merge of the classification, over its candidates reversed: the
+    # same cones.  A ray set reached from several parents (`repeats` times
+    # beyond the first, over all merges) is one and the same cone, so
+    # whichever repeat comes first is the record.
+    merges = []
+    merge = lcone.classify.merge_candidates
+
+    def recording(existing, candidates, digest="sha256"):
+        accepted = merge(existing, candidates, digest)
+        merges.append((list(existing), list(candidates), digest, list(accepted)))
+        return accepted
+
+    monkeypatch.setattr(lcone.classify, "merge_candidates", recording)
+    classify_all(d)
+    seen = 0
+    for existing, candidates, digest, accepted in merges:
+        assert merge(existing, candidates[::-1], digest) == accepted
+        seen += len(candidates) - len({c.key() for c in candidates})
+    assert seen == repeats
 
 
 def test_equal_forms_without_witness_raise_under_optimize():

@@ -113,6 +113,12 @@ class TestDvcellCmd:
         assert "unsupported hash algorithm 'nosuch'" in err and "Traceback" not in err
 
 
+def _negate_first_inequality(text):
+    rec = json.loads(text)
+    rec["ineqs"][0] = [-x for x in rec["ineqs"][0]]
+    return json.dumps(rec) + "\n"
+
+
 class TestClassifyCmd:
     def test_d2(self, tmp_path, capsys):
         out_dir = str(tmp_path / "db")
@@ -206,8 +212,14 @@ class TestClassifyCmd:
         ("manifest.json", lambda text: "{}", "manifest.json is not a manifest: "),
         ("manifest.json", lambda text: "[1]", "manifest.json is not a manifest: "),
         ("dim_x.jsonl", lambda text: text, "dim_x.jsonl: "),
+        ("dim_3.jsonl", _negate_first_inequality,
+         "dim_3.jsonl: line 1 is not a class record: ray "),
+        ("dim_2.jsonl", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "eqs"}) + "\n",
+         "dim_2.jsonl: line 1 is not a class record: equalities "),
     ], ids=["torn-record", "record-without-stab-order", "torn-manifest",
-            "empty-manifest", "manifest-not-an-object", "stray-record-file"])
+            "empty-manifest", "manifest-not-an-object", "stray-record-file",
+            "negated-inequality", "record-without-eqs"])
     def test_masscheck_damaged_database_exit_3(self, tmp_path, capsys, name, damage, where):
         out_dir = tmp_path / "db"
         assert main(["classify", "-d", "2", "-o", str(out_dir)]) == 0

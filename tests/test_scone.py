@@ -41,6 +41,7 @@ from lcone.scone import (
     sym_to_functional,
 )
 from oracles import (
+    accumulated_equalities,
     cone_facets_by_rays,
     fundamental_face_by_rays,
     pair_regulators,
@@ -476,7 +477,30 @@ def assert_faces_match_rays_oracle(cone):
     return facets
 
 
+def assert_equalities_span_accumulated(cone):
+    """On every facet and the fundamental face of a cone, the canonical hull
+    equalities span the same space as those threaded down from the cone
+    (`accumulated_equalities`): each set has the rank of both stacked, the
+    codimension of the face.  Returns the number of faces checked."""
+    ff = fundamental_face(cone)
+    faces = cone_facets(cone) + ([] if ff is None else [ff])
+    for face in faces:
+        new = [sym_to_functional(e) for e in face.equalities]
+        old = [sym_to_functional(e) for e in accumulated_equalities(cone, face)]
+        ranks = {len(new), rank_of_rows(new), rank_of_rows(old), rank_of_rows(new + old)}
+        assert ranks == {face.dim_ambient - face.dim}
+    return len(faces)
+
+
 class TestFacetsByIncidence:
+    def test_equalities_span_accumulated_d5(self):
+        # The d = 5 seed cone's 15 facets and their 210 facets; every ray of
+        # the seed cone has rank 1, so it has no fundamental face.
+        cone = secondary_cone(seed_triangulation(5))
+        facets = cone_facets(cone)
+        assert assert_equalities_span_accumulated(cone) == len(facets) == 15
+        assert sum(assert_equalities_span_accumulated(f) for f in facets) == 210
+
     def test_match_rays_oracle_d5(self):
         # The d = 5 seed cone, the cones across its first 3 positive
         # definite walls, and all their facets, one level further down.
@@ -510,20 +534,21 @@ class TestFacetsByIncidence:
         assert calls == []
 
     def test_face_runs_one_echelon_of_its_rays(self, monkeypatch):
-        # Each facet's dimension is read off one `echelon` of its rays, and
-        # its checks do not rank them again: the only `rank_of_rows` per
-        # facet is that of its accumulated equalities.
+        # Each facet's dimension and hull equalities are read off one
+        # `echelon` of its rays, and nothing ranks rows again: no module of
+        # the library calls `rank_of_rows` while the facets are made.
         cone = secondary_cone(seed_triangulation(4))
-        calls = {"echelon": [], "rank_of_rows": []}
-        for name, rows in calls.items():
-            fn = getattr(lcone.scone, name)
-            monkeypatch.setattr(lcone.scone, name,
-                                lambda r, fn=fn, rows=rows: rows.append(r) or fn(r))
+        echelons, ranks = [], []
+        echelon = lcone.scone.echelon
+        monkeypatch.setattr(lcone.scone, "echelon", lambda r: echelons.append(r) or echelon(r))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lcone.") and hasattr(module, "rank_of_rows"):
+                monkeypatch.setattr(module, "rank_of_rows",
+                                    lambda r, fn=module.rank_of_rows: ranks.append(r) or fn(r))
         facets = cone_facets(cone)
         assert len(facets) == 10
-        assert calls["echelon"] == [[r.lower() for r in f.rays] for f in facets]
-        assert calls["rank_of_rows"] == [[sym_to_functional(e) for e in f.equalities]
-                                         for f in facets]
+        assert echelons == [[r.lower() for r in f.rays] for f in facets]
+        assert ranks == []
 
     def test_dropped_inequality_raises_under_optimize(self):
         # The d = 4 seed cone is simplicial: with one inequality dropped,
