@@ -3,8 +3,9 @@
 The pipeline follows the classical two-stage scheme: first all
 full-dimensional cones (primitive types) are found by crossing walls between
 neighboring triangulations; then faces are descended dimension by dimension.
-Each level is deduplicated by the canonical form of each cone's central form,
-and a candidate merges into a class only through a verified witness.
+Each level is deduplicated by the certificate hash of the canonical form of
+each cone's central form, labeled once per distinct form, and a candidate
+merges into a class only through a verified witness.
 Verification operations (mass formula, flag identity, pairwise combinatorial
 distinctness, censuses and the contraction refinement) run on the finished
 database.
@@ -52,7 +53,6 @@ from .equiv import (
     digest_of,
 )
 from .exact import Mat, NotPositiveDefinite, Rat, SymMat, inverse
-from .lattice import characteristic_set
 from .polyhedral import (
     LatPolytope,
     _intersection_closure,
@@ -287,36 +287,59 @@ def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
     )
 
 
+def _invariants(cone: ConeDesc, can_size: int) -> tuple:
+    """The invariants a merge orders its candidates by, ahead of the
+    certificate hash: determinant, dimension, ray count and rank profile of
+    the cone, and the size of the characteristic set of its central form."""
+    ranks = tuple(sorted(rank_profile(cone).items()))
+    return int(cone.central.det()), cone.dim, len(cone.rays), ranks, can_size
+
+
 @lru_cache(maxsize=16384)
 def _candidate_key(cone: ConeDesc, digest: str) -> tuple:
-    cert_hash = digest_of(_form_canonical(cone.central)[0], digest)
-    det = int(cone.central.det())
-    ranks = tuple(sorted(rank_profile(cone).items()))
-    can_size = len(characteristic_set(cone.central).vectors)
-    inv = (det, cone.dim, len(cone.rays), ranks, can_size)
-    return inv, cert_hash
+    form, witness, _, _ = _form_canonical(cone.central)
+    return _invariants(cone, len(witness)), digest_of(form, digest)
 
 
-def merge_candidates(existing: list, candidates: Sequence[ConeDesc],
+def merge_candidates(classes: dict, candidates: Sequence[ConeDesc],
                      digest: str = "sha256") -> list:
-    """Deduplicate candidate cones against existing classes and each other.
+    """Deduplicate candidate cones against the classes so far and each other.
 
-    Protocol: the canonical form of the central form names the class, and a
-    candidate whose form is taken merges only through a verified witness;
-    two cones are equivalent exactly when their central forms are, so equal
-    forms without a witness raise.  Candidates are taken in the order of
-    their invariants, certificate hash and ray set, the first of equal ones
-    first.  Returns the newly accepted cones in that order.
+    `classes` maps the certificate hash of each class's central form to the
+    class and the canonical witness of that form; the merge adds the
+    classes it accepts, so a caller that keeps it labels no class twice.
+    A cone is a function of its rays, so repeated ray sets are dropped
+    first.  Each distinct central form is then labeled once
+    (`_form_canonical`), and the merge holds its hash and witness; the
+    number of labelings does not depend on any cache.  Candidates are
+    taken in the order of their invariants, certificate hash and ray set.
+    A candidate whose hash is taken merges only through the witness map of
+    the two witnesses, verified on the forms and the ray sets
+    (`cone_equivalent`): two cones are equivalent exactly when their
+    central forms are, so equal hashes without a witness raise, and no two
+    classes merge unverified.  Returns the newly accepted cones in order.
     """
-    classes = {_form_canonical(c.central)[0]: c for c in existing}
+    distinct: dict = {}
+    for cone in candidates:
+        distinct.setdefault(cone.key(), cone)
+    labels: dict = {}            # central form -> (certificate hash, witness)
+    for cone in distinct.values():
+        if cone.central not in labels:
+            form, witness, _, _ = _form_canonical(cone.central)
+            labels[cone.central] = digest_of(form, digest), witness
+
+    def order(cone):
+        cert_hash, witness = labels[cone.central]
+        return _invariants(cone, len(witness)), cert_hash, cone.key()
+
     accepted: list[ConeDesc] = []
-    for cone in sorted(candidates, key=lambda c: (_candidate_key(c, digest), c.key())):
-        canon = _form_canonical(cone.central)[0]
-        other = classes.get(canon)
+    for cone in sorted(distinct.values(), key=order):
+        cert_hash, witness = labels[cone.central]
+        other = classes.get(cert_hash)
         if other is None:
-            classes[canon] = cone
+            classes[cert_hash] = cone, witness
             accepted.append(cone)
-        elif cone_equivalent(other, cone) is None:
+        elif cone_equivalent(other[0], cone, (other[1], witness)) is None:
             raise AssertionError("equal canonical forms without a witness")
     return accepted
 
@@ -570,7 +593,8 @@ class Classifier:
         star = seed_triangulation(self.d, self.seed)
         first = secondary_cone(star)
         self._keys = {first.key(): star.keys}
-        classes = merge_candidates([], [first], self.digest)
+        table: dict = {}         # the class table, kept across the waves
+        classes = merge_candidates(table, [first], self.digest)
         frontier = list(classes)
         wave = 0
         while frontier:
@@ -584,7 +608,7 @@ class Classifier:
                     cone = cone_from_dict(nb["cone"])
                     candidates.append(cone)
                     keys[cone.key()] = _keys_of(nb["keys"])
-            new = merge_candidates(classes, candidates, self.digest)
+            new = merge_candidates(table, candidates, self.digest)
             self._keys = {cone.key(): keys[cone.key()] for cone in new}
             classes.extend(new)
             frontier = new
@@ -597,11 +621,11 @@ class Classifier:
         cones_by_dim: dict[int, list[ConeDesc]] = {m: level}
         for k in range(m, 1, -1):
             self._log(f"descending from dimension {k}: {len(cones_by_dim[k])} classes")
-            outs = self._map("desc", cones_by_dim[k])
-            candidates = []
-            for out in outs:
-                candidates.extend(cone_from_dict(c) for c in out["cones"])
-            accepted = merge_candidates([], candidates, self.digest)
+            # The decoded task outputs are not kept through the merge: at
+            # d = 5 they are about a quarter of what a level holds.
+            candidates = [cone_from_dict(c) for out in self._map("desc", cones_by_dim[k])
+                          for c in out["cones"]]
+            accepted = merge_candidates({}, candidates, self.digest)
             if not accepted:
                 break
             cones_by_dim[k - 1] = accepted
@@ -794,7 +818,7 @@ def contraction_refine(db: ClassDB, digest: str = "sha256"):
                 continue
             gens = [cone.rays[i] for i in range(nr) if piece_mask >> i & 1]
             pieces.append(cone_from_rays(cone.d, gens))
-    kept = merge_candidates([], pieces, digest)
+    kept = merge_candidates({}, pieces, digest)
     table: dict[int, int] = {}
     for p in kept:
         table[p.dim] = table.get(p.dim, 0) + 1

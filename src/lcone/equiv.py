@@ -12,6 +12,16 @@ automorphism orbit pruning; discovered automorphisms generate the full
 group.  Its exact order is read off the search's first path, as the
 product of the orbit lengths of the stabilizer chain along that path
 (McKay, "Practical graph isomorphism", 1981).
+
+After an individualization the search refines from the cell that split,
+and each round ranks a cell by its vertices' neighbours in the cells that
+split in the round before, not by all of them.  This gives the colours of
+full signatures in the same order: between rounds the colours are
+renumbered in order, and the vertices of a cell had equal signatures in
+the colouring before, so the pairs from the cells that did not split are
+the same across the cell and do not change which of two sorted tuples is
+smaller (`ColoredGraph.refine`).  The labels, certificates and witnesses
+are therefore those of full signatures.
 """
 
 from __future__ import annotations
@@ -54,19 +64,30 @@ class ColoredGraph:
             self._adj[a].append((b, rank[c] * n))
             self._adj[b].append((a, rank[c] * n))
 
-    def refine(self, colors: list[int]) -> list[int]:
+    def refine(self, colors: list[int], split: Optional[Sequence[int]] = None) -> list[int]:
         """Stable (equitable) refinement of a coloring, order-invariant.
 
-        Each round gives every vertex the rank of its signature: its colour,
-        then the sorted (edge colour, colour) pairs of its neighbours.  The
-        rounds stop when the number of colours stops growing, and the
-        result is numbered 0, 1, ... in the order of the last signatures.
-        The colour leads the signature, so a signature's rank is the number
-        of signatures in earlier cells plus its rank within its own cell,
-        and each cell is ranked alone.  A cell of one vertex cannot split,
-        and after the first round neither can a cell with no neighbour in a
-        cell that split in the round before: its neighbours' colours were
-        renumbered in order, so its signatures stay equal.
+        Each round ranks the vertices of every cell by their signatures:
+        the sorted (edge colour, colour) pairs of their neighbours.  The
+        rounds stop when no cell splits, and the result is numbered 0, 1,
+        ... in the order of the cells, each cell's parts in the order of
+        their signatures.  With `split` None the first round takes every
+        neighbour; otherwise `colors` must come from an equitable colouring
+        by splitting the cells whose vertices `split` lists, as
+        individualizing a vertex of a cell does.
+
+        A round takes only the neighbours in the cells that split in the
+        round before (in the first one, those `split` names), read off one
+        pass over their adjacency, and a cell none of whose vertices has
+        such a neighbour is not ranked.  The colours of the other cells
+        were renumbered in order, and the vertices of a cell had equal
+        signatures before, so each vertex of a cell has the same pairs from
+        them, and as many pairs from the split cells.  Adding the same pairs
+        to two sorted tuples of equal length keeps their order: the first
+        value whose counts differ, and the direction, stay the same.  So the
+        restricted signatures rank each cell as the full ones would.  The
+        restriction is to the whole split cell, both parts: restricted to
+        one part the counts may differ and the order can turn round.
         """
         n = self.n
         adj = self._adj
@@ -75,25 +96,46 @@ class ColoredGraph:
             by_color.setdefault(c, []).append(v)
         cells = [by_color[c] for c in sorted(by_color)]
         colors = [0] * n
-        split = None                 # the vertices of the cells that split last round
+        if split is None:
+            split = range(n)
+        first = 0                # the cells before this one kept their colours
         while True:
-            for k, cell in enumerate(cells):
-                for v in cell:
+            for k in range(first, len(cells)):
+                for v in cells[k]:
                     colors[v] = k
-            active = None if split is None else {colors[u] for v in split for u, _ in adj[v]}
+            values: list = [None] * n    # per vertex, its pairs from the split cells
+            for u in split:
+                cu = colors[u]
+                for w, b in adj[u]:
+                    if values[w] is None:
+                        values[w] = [b + cu]
+                    else:
+                        values[w].append(b + cu)
+            active = {colors[w] for w in range(n) if values[w] is not None}
             new_cells = []
             split = []
+            first = None
             for k, cell in enumerate(cells):
-                if len(cell) == 1 or (active is not None and k not in active):
+                if len(cell) == 1 or k not in active:
                     new_cells.append(cell)
                     continue
                 parts: dict = {}
                 for v in cell:
-                    sig = tuple(sorted([b + colors[u] for u, b in adj[v]]))
-                    parts.setdefault(sig, []).append(v)
+                    pairs = values[v]
+                    if pairs is None:
+                        sig = ()
+                    else:
+                        pairs.sort()
+                        sig = tuple(pairs)
+                    if sig in parts:
+                        parts[sig].append(v)
+                    else:
+                        parts[sig] = [v]
                 if len(parts) == 1:
                     new_cells.append(cell)
                 else:
+                    if first is None:
+                        first = len(new_cells)
                     new_cells.extend(parts[sig] for sig in sorted(parts))
                     split.extend(cell)
             if not split:
@@ -145,17 +187,17 @@ def canonical_labeling(graph: ColoredGraph):
     automorphism group whose exact order is returned.
 
     The search individualizes each vertex of the first non-singleton cell
-    in turn and refines, depth first.  `form` is the least leaf form and
-    `labeling` the first leaf with it; a child is pruned when automorphisms
-    fixing its prefix map it onto an explored sibling, which never prunes
-    that leaf.  A leaf with the form of the first leaf, or of the least one
-    so far, gives an automorphism.  Let P_i be the first i vertices
-    individualized on the way to the first leaf and v_i the next one.  An
-    individualized vertex keeps its position in every leaf below its node,
-    so every child of the node P_i that is equivalent to v_i yields an
-    automorphism fixing P_i and mapping v_i onto it.  The order is thus the
-    product over i of the orbit lengths of v_i under the generators fixing
-    P_i (McKay 1981).
+    in turn and refines from that cell, depth first.  `form` is the least
+    leaf form and `labeling` the first leaf with it; a child is pruned when
+    automorphisms fixing its prefix map it onto an explored sibling, which
+    never prunes that leaf.  A leaf with the form of the first leaf, or of
+    the least one so far, gives an automorphism.  Let P_i be the first i
+    vertices individualized on the way to the first leaf and v_i the next
+    one.  An individualized vertex keeps its position in every leaf below
+    its node, so every child of the node P_i that is equivalent to v_i
+    yields an automorphism fixing P_i and mapping v_i onto it.  The order is
+    thus the product over i of the orbit lengths of v_i under the
+    generators fixing P_i (McKay 1981).
     """
     n = graph.n
     if n == 0:
@@ -187,8 +229,8 @@ def canonical_labeling(graph: ColoredGraph):
 
     prefix: list[int] = []
 
-    def dfs(colors):
-        colors = graph.refine(colors)
+    def dfs(colors, split):
+        colors = graph.refine(colors, split)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -218,11 +260,11 @@ def canonical_labeling(graph: ColoredGraph):
             fixers = [g for g in gens if all(g[u] == u for u in prefix)]
             if _orbit(v, fixers).isdisjoint(explored):
                 prefix.append(v)
-                dfs(graph.individualize(colors, v))
+                dfs(graph.individualize(colors, v), target)
                 prefix.pop()
             explored.append(v)
 
-    dfs(start)
+    dfs(start, None)
     order = 1
     for i, v in enumerate(path):
         order *= len(_orbit(v, [g for g in gens if all(g[u] == u for u in path[:i])]))
@@ -321,6 +363,16 @@ def _linear_map_from_vector_match(target: Sequence, source: Sequence, d: int) ->
     return u
 
 
+def _witness_map(q1: SymMat, wit1: Sequence, q2: SymMat,
+                 wit2: Sequence) -> Optional[UnimodularMap]:
+    """The U with U wit2[k] = wit1[k] for all k, given witnesses of one
+    canonical form, checked to satisfy U^T Q1 U = Q2; None if there is none."""
+    u = _linear_map_from_vector_match(wit1, wit2, q1.d)
+    if u is None or q1.congruence(u) != q2:
+        return None
+    return UnimodularMap(u)
+
+
 def form_equivalence(q1: SymMat, q2: SymMat) -> Optional[UnimodularMap]:
     """Explicit U with U^T Q1 U = Q2, or None when the forms are not
     GL_d(Z)-equivalent.  The witness is verified before being returned."""
@@ -328,12 +380,10 @@ def form_equivalence(q1: SymMat, q2: SymMat) -> Optional[UnimodularMap]:
     form2, wit2, _, _ = _form_canonical(q2)
     if form1 != form2:
         return None
-    u = _linear_map_from_vector_match(wit1, wit2, q1.d)
+    u = _witness_map(q1, wit1, q2, wit2)
     if u is None:
-        raise AssertionError("canonical match failed to produce a linear map")
-    if q1.congruence(u) != q2:
-        raise AssertionError("reconstructed witness does not map the forms")
-    return UnimodularMap(u)
+        raise AssertionError("equal canonical forms did not give a witness map")
+    return u
 
 
 def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
@@ -355,13 +405,20 @@ def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
     return maps, order
 
 
-def cone_equivalent(c1: ConeDesc, c2: ConeDesc) -> Optional[UnimodularMap]:
+def cone_equivalent(c1: ConeDesc, c2: ConeDesc,
+                    witnesses: Optional[tuple] = None) -> Optional[UnimodularMap]:
     """GL_d(Z) equivalence of secondary cones through their central forms.
 
-    On success the witness U (with U^T central1 U = central2) is checked to
-    map the ray set of c1 onto that of c2.
+    `witnesses`, if given, are the canonical witnesses of the two central
+    forms, which must have one canonical form; the map is then built from
+    them, and neither form is labeled.  On success the witness U (with
+    U^T central1 U = central2) is checked to map the ray set of c1 onto
+    that of c2.
     """
-    u = form_equivalence(c1.central, c2.central)
+    if witnesses is None:
+        u = form_equivalence(c1.central, c2.central)
+    else:
+        u = _witness_map(c1.central, witnesses[0], c2.central, witnesses[1])
     if u is None:
         return None
     mapped = set(r.congruence(u.matrix).lower() for r in c1.rays)

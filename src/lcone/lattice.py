@@ -9,6 +9,8 @@ denominators, each level's interval is read off one integer square root
 and holds exactly the coordinates that fit, so the sets are complete.
 The shortest vectors of the classes of Z^d / 2Z^d, from which the
 Dirichlet-Voronoi cell is cut (`_coset_minima`), are closest vectors too.
+The part of the frame that depends on the form alone (`_form_frame`) is
+built once by a caller that searches around many centres.
 """
 
 from __future__ import annotations
@@ -41,15 +43,13 @@ class VectorSet:
         return len(self.vectors)
 
 
-def _frame(q: SymMat, center: Sequence) -> tuple:
-    """Q = L D L^T and a centre over common denominators: (m, cen, levels, g).
+def _form_frame(q: SymMat) -> tuple:
+    """The part of a frame that depends on Q alone: Q = L D L^T with each
+    column of L over a common denominator, as (levels, g).
 
-    The centre is cen / m.  Level i is (ell cen_i, terms, den, w): column i
-    of L below the diagonal is the pairs (j, a) in terms over ell, and
-    den = m ell.  With y_j = m x_j - cen_j, level i's target
-    t_i = c_i - sum_j L_ji (x_j - c_j) is (ell cen_i - sum_j a y_j) / den.
-    Values of Q are integers over g, the least common multiple of every
-    d_i den^2 (D_i = n_i / d_i), and w = n_i g / (d_i den^2).
+    Level i is (terms, ell, w): column i of L below the diagonal is the
+    pairs (j, a) in terms over ell.  g is the least common multiple of
+    every d_i ell^2 (D_i = n_i / d_i), and w = n_i g / (d_i ell^2).
     Raises NotPositiveDefinite unless Q is positive definite.
     """
     try:
@@ -58,17 +58,31 @@ def _frame(q: SymMat, center: Sequence) -> tuple:
         raise NotPositiveDefinite(str(exc)) from exc
     if any(x <= 0 for x in diag):
         raise NotPositiveDefinite("form is not positive definite")
-    m = lcm(*(x.denominator for x in center))
-    cen = [x.numerator * (m // x.denominator) for x in center]
     levels = []
     for i, di in enumerate(diag):
         col = [(j, row[i]) for j, row in enumerate(lower.entries) if j > i and row[i]]
         ell = lcm(*(a.denominator for _, a in col))
         terms = tuple((j, a.numerator * (ell // a.denominator)) for j, a in col)
-        den = m * ell
-        levels.append((ell * cen[i], terms, den, di.numerator, di.denominator * den * den))
-    g = lcm(*(lv[4] for lv in levels))
-    return m, cen, [(base, terms, den, n * (g // s)) for base, terms, den, n, s in levels], g
+        levels.append((terms, ell, di.numerator, di.denominator * ell * ell))
+    g = lcm(*(lv[3] for lv in levels))
+    return [(terms, ell, n * (g // s)) for terms, ell, n, s in levels], g
+
+
+def _frame(form: tuple, center: Sequence) -> tuple:
+    """A form frame (`_form_frame`) and a centre over common denominators:
+    (m, cen, levels, g).
+
+    The centre is cen / m.  Level i is (ell cen_i, terms, den, w) with
+    den = m ell.  With y_j = m x_j - cen_j, level i's target
+    t_i = c_i - sum_j L_ji (x_j - c_j) is (ell cen_i - sum_j a y_j) / den.
+    Values of Q are integers over m^2 g, the least common multiple of every
+    d_i den^2, and w = n_i m^2 g / (d_i den^2) does not depend on m.
+    """
+    levels, g = form
+    m = lcm(*(x.denominator for x in center))
+    cen = [x.numerator * (m // x.denominator) for x in center]
+    return m, cen, [(ell * cen[i], terms, m * ell, w)
+                    for i, (terms, ell, w) in enumerate(levels)], m * m * g
 
 
 def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, object]]:
@@ -78,7 +92,7 @@ def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, obj
     factorization of Q, over the integers.  With the coordinates above
     level i fixed, Q[v - center] collects D_i (x_i - t_i)^2 at level i.
     The centre and each column of L are put over common denominators once
-    (`_frame`), so t_i is an integer T over den and the term is
+    (`_form_frame`, `_frame`), so t_i is an integer T over den and the term is
     w (den x_i - T)^2 over one g for all levels.  Every g Q[v - center] is
     then an integer, so Q[v - center] <= bound exactly when it is at most
     floor(g bound), the budget; the budget left, rem, stays an integer.
@@ -89,7 +103,7 @@ def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, obj
     (v, Q[v - center]) in lexicographic order of v; each value is a ``Rat``
     (a ``Fraction`` even when integral).
     """
-    return _walk(_frame(q, center), q.d, bound)
+    return _walk(_frame(_form_frame(q), center), q.d, bound)
 
 
 def _walk(frame: tuple, d: int, bound) -> list[tuple[tuple, object]]:
@@ -158,15 +172,22 @@ def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:
     walk's integer data, rounding half up, and the walk runs on the same
     frame.
     """
-    frame = _frame(q, c)
+    return _closest(_form_frame(q), c)
+
+
+def _closest(form: tuple, c: Sequence) -> tuple[object, tuple]:
+    """`closest_vectors` on the form frame of Q (`_form_frame`), which a
+    caller with many centres builds once."""
+    frame = _frame(form, c)
     rounded = [(2 * x.numerator + x.denominator) // (2 * x.denominator) for x in c]
-    hits = _walk(frame, q.d, Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
+    hits = _walk(frame, len(c), Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
     best = min(val for _, val in hits)
     return best, tuple(v for v, val in hits if val == best)
 
 
-def _coset_minima(q: SymMat) -> list[tuple]:
-    """The shortest vectors of every nonzero class of Z^d / 2Z^d.
+def _coset_minima(form: tuple) -> list[tuple]:
+    """The shortest vectors of every nonzero class of Z^d / 2Z^d, on the
+    form frame of Q (`_form_frame`).
 
     The vectors of the class of c in {0, 1}^d are c + 2w, and
     Q[c + 2w] = 4 Q[w + c/2], so one `closest_vectors` call at -c/2 gives
@@ -174,9 +195,9 @@ def _coset_minima(q: SymMat) -> list[tuple]:
     Dirichlet-Voronoi cell; the others give halfspaces that are redundant.
     """
     out = []
-    for c in product((0, 1), repeat=q.d):
+    for c in product((0, 1), repeat=len(form[0])):
         if any(c):
-            _, mins = closest_vectors(q, [Rat(-x, 2) for x in c])
+            _, mins = _closest(form, [Rat(-x, 2) for x in c])
             out.extend(tuple(x + 2 * y for x, y in zip(c, w)) for w in mins)
     return out
 

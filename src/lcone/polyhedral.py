@@ -12,9 +12,10 @@ cones.
 
 The Dirichlet-Voronoi (DV) cell at 0 is computed once, by `_dv_cell`: one
 double description (`_dd_cone`) of the halfspaces of the coset minima of
-Z^d / 2Z^d gives its vertices, and one `closest_vectors` call per
+Z^d / 2Z^d gives its vertices, and one closest-vector search per
 translation class gives the Delaunay cell of each vertex with its
-empty-sphere certificate.  Both the DV polytope (`dv_polytope`) and the
+empty-sphere certificate; all these searches share one frame of the form
+(`lattice._form_frame`).  Both the DV polytope (`dv_polytope`) and the
 Delaunay star (`delaunay.delaunay_star`) are read off those certified cells,
 by Voronoi's duality.  Face lattices are closed under intersection and
 graded combinatorially, without arithmetic.
@@ -37,7 +38,7 @@ from .exact import (
     inverse,
     rank_of_rows,
 )
-from .lattice import _coset_minima, closest_vectors
+from .lattice import _closest, _coset_minima, _form_frame
 
 
 class NotPointed(Exception):
@@ -218,10 +219,11 @@ def _dv_cell(q: SymMat) -> list[tuple]:
     `lattice._coset_minima` and their negatives.  Its vertices, from one
     double description with the halfspaces shortest first, are the
     circumcenters of the Delaunay cells at 0.  The cell of a vertex c is the
-    set of minimizers of Q[c - v], from one `closest_vectors` call, which is
-    also its empty-sphere certificate: 0 must be among them.  The other
-    cells of its translation class are its translates by -v over its
-    vertices v, centred at c - v, and need no call.  Checks: the DV cell is
+    set of minimizers of Q[c - v], from one closest-vector search, which is
+    also its empty-sphere certificate: 0 must be among them.  The coset
+    minima and these searches share one form frame (`lattice._form_frame`).
+    The other cells of its translation class are its translates by -v over
+    its vertices v, centred at c - v, and need no call.  Checks: the DV cell is
     bounded, each DV vertex is the centre of exactly one cell found, and
     every translate's centre is a DV vertex.  Returns one (vertices, center,
     sqradius) per DV vertex, the vertices sorted, in order of the centres.
@@ -230,8 +232,9 @@ def _dv_cell(q: SymMat) -> list[tuple]:
         raise NotPositiveDefinite("form is not positive definite")
     d = q.d
     zero = (0,) * d
+    form = _form_frame(q)
     halfspaces = {(q.quad(w), _dv_halfspace(q, w))
-                  for v in _coset_minima(q) for w in (v, tuple(-x for x in v))}
+                  for v in _coset_minima(form) for w in (v, tuple(-x for x in v))}
     rays = _dd_cone([h for _, h in sorted(halfspaces)], d + 1)
     if any(r[-1] <= 0 for r in rays):
         raise AssertionError("the DV cell is unbounded")
@@ -242,7 +245,7 @@ def _dv_cell(q: SymMat) -> list[tuple]:
         *y, t = r
         center = tuple(Rat(x, t) for x in y)
         sqradius = q.quad(center)
-        best, mins = closest_vectors(q, center)
+        best, mins = _closest(form, center)
         if best != sqradius or zero not in mins:
             raise AssertionError("a DV vertex is not the centre of a cell at 0")
         for v in mins:

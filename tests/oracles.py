@@ -13,7 +13,8 @@ triangulation as a list, the regulator over rational matrices, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
 the equalities a face was stored with when they were threaded down the
-descent, the merge through invariant buckets, colour refinement by full
+descent, the merge through invariant buckets, the merge by canonical forms
+with every form labeled through the shared cache, colour refinement by full
 signatures, the group order by Schreier-Sims with sifting and by Schreier
 generators kept without sifting, the automorphism count of a small graph
 over all permutations, the subordination scheme by a scan of every pair of
@@ -576,6 +577,24 @@ def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:
         if not dup:
             buckets.setdefault(inv, []).append(cone)
             accepted.append(cone)
+    return accepted
+
+
+def merge_by_forms(existing, candidates, digest: str = "sha256") -> list:
+    """`classify.merge_candidates` keyed by canonical form, over a list of
+    the classes so far: every form is labeled through `_form_canonical`,
+    so how often it is labeled depends on that cache, and a candidate whose
+    form is taken merges through `cone_equivalent` of the two cones."""
+    classes = {_form_canonical(c.central)[0]: c for c in existing}
+    accepted = []
+    for cone in sorted(candidates, key=lambda c: (_candidate_key(c, digest), c.key())):
+        canon = _form_canonical(cone.central)[0]
+        other = classes.get(canon)
+        if other is None:
+            classes[canon] = cone
+            accepted.append(cone)
+        elif cone_equivalent(other, cone) is None:
+            raise AssertionError("equal canonical forms without a witness")
     return accepted
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -49,7 +50,7 @@ from lcone.scone import (
     fundamental_face,
     secondary_cone,
 )
-from oracles import expand_primitive_cone_by_crossing, merge_by_buckets
+from oracles import expand_primitive_cone_by_crossing, merge_by_buckets, merge_by_forms
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -556,24 +557,36 @@ def test_old_prim_entry_is_not_replayed(tmp_path, clean_d3, monkeypatch):
     assert _db_bytes(str(out)) == clean_d3
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_merge_matches_bucket_oracle(d, monkeypatch):
-    # Every merge of the classification: the same cones, in the same order,
-    # with the same canonical hull equalities of their rays.
+def _record_merges(monkeypatch) -> list:
+    """Every merge `merge_candidates` makes from now on, as (the class
+    table before it, its candidates, digest, the cones it accepted)."""
     merges = []
     merge = lcone.classify.merge_candidates
 
-    def recording(existing, candidates, digest="sha256"):
-        accepted = merge(existing, candidates, digest)
-        merges.append((list(existing), list(candidates), digest, list(accepted)))
+    def recording(classes, candidates, digest="sha256"):
+        before = dict(classes)
+        accepted = merge(classes, candidates, digest)
+        merges.append((before, list(candidates), digest, list(accepted)))
         return accepted
 
     monkeypatch.setattr(lcone.classify, "merge_candidates", recording)
+    return merges
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_merge_matches_bucket_oracle(d, monkeypatch):
+    # Every merge of the classification: the same cones, in the same order,
+    # with the same canonical hull equalities of their rays, as the merge
+    # through invariant buckets and the merge by canonical forms that
+    # labels through the shared cache.
+    merges = _record_merges(monkeypatch)
     classify_all(d)
     assert len(merges) > 2
-    for existing, candidates, digest, accepted in merges:
-        want = merge_by_buckets(existing, candidates, digest)
-        assert [cone_to_dict(c) for c in accepted] == [cone_to_dict(c) for c in want]
+    for before, candidates, digest, accepted in merges:
+        existing = [cone for cone, _ in before.values()]
+        for oracle in (merge_by_buckets, merge_by_forms):
+            want = oracle(existing, candidates, digest)
+            assert [cone_to_dict(c) for c in accepted] == [cone_to_dict(c) for c in want]
 
 
 @pytest.mark.parametrize("d, repeats", [(3, 1), (4, 56)])
@@ -582,35 +595,87 @@ def test_merge_does_not_depend_on_candidate_order(d, repeats, monkeypatch):
     # same cones.  A ray set reached from several parents (`repeats` times
     # beyond the first, over all merges) is one and the same cone, so
     # whichever repeat comes first is the record.
-    merges = []
     merge = lcone.classify.merge_candidates
-
-    def recording(existing, candidates, digest="sha256"):
-        accepted = merge(existing, candidates, digest)
-        merges.append((list(existing), list(candidates), digest, list(accepted)))
-        return accepted
-
-    monkeypatch.setattr(lcone.classify, "merge_candidates", recording)
+    merges = _record_merges(monkeypatch)
     classify_all(d)
     seen = 0
-    for existing, candidates, digest, accepted in merges:
-        assert merge(existing, candidates[::-1], digest) == accepted
+    for before, candidates, digest, accepted in merges:
+        assert merge(dict(before), candidates[::-1], digest) == accepted
         seen += len(candidates) - len({c.key() for c in candidates})
     assert seen == repeats
 
 
+@pytest.mark.parametrize("d, repeats", [(3, 1), (4, 56)])
+def test_repeated_ray_sets_make_no_witness_check(d, repeats, monkeypatch):
+    # A merge drops repeated ray sets before it labels anything, so it
+    # checks a witness only for a distinct ray set whose class is taken.
+    checks = []
+    equivalent = lcone.classify.cone_equivalent
+    monkeypatch.setattr(lcone.classify, "cone_equivalent",
+                        lambda *args: checks.append(args) or equivalent(*args))
+    merge = lcone.classify.merge_candidates
+    counts = []
+
+    def counting(classes, candidates, digest="sha256"):
+        before = len(checks)
+        accepted = merge(classes, candidates, digest)
+        distinct = len({c.key() for c in candidates})
+        counts.append((len(checks) - before, distinct - len(accepted), len(candidates) - distinct))
+        return accepted
+
+    monkeypatch.setattr(lcone.classify, "merge_candidates", counting)
+    classify_all(d)
+    assert all(made == taken for made, taken, _ in counts)
+    assert sum(made for made, _, _ in counts) > 0
+    assert sum(seen for _, _, seen in counts) == repeats
+
+
+def test_merge_labels_each_distinct_form_once(monkeypatch):
+    # The d = 4 descent merge of 75 candidates, with `_form_canonical`
+    # cached in fewer entries than there are candidates: one labeling per
+    # distinct central form, however small the cache.  The merge through
+    # the shared cache labels more.
+    merge = lcone.classify.merge_candidates
+    merges = _record_merges(monkeypatch)
+    classify_all(4)
+    (before, candidates, digest, accepted), = [m for m in merges if len(m[1]) == 75]
+    assert before == {}
+    forms = {c.central for c in candidates}
+    assert len({c.key() for c in candidates}) < 75 and len(forms) < 75
+    labeling = lcone.equiv.canonical_labeling
+    calls = []
+    monkeypatch.setattr(lcone.equiv, "canonical_labeling",
+                        lambda graph: calls.append(graph) or labeling(graph))
+    small = functools.lru_cache(maxsize=8)(lcone.equiv._form_canonical.__wrapped__)
+    for module in (lcone.equiv, lcone.classify):
+        monkeypatch.setattr(module, "_form_canonical", small)
+    lcone.classify._candidate_key.cache_clear()
+    assert merge({}, candidates, digest) == accepted
+    assert len(calls) == len(forms)
+    calls.clear()
+    small.cache_clear()
+    assert merge_by_forms([], candidates, digest) == accepted
+    assert len(calls) > len(forms)
+
+
 def test_equal_forms_without_witness_raise_under_optimize():
-    # `assert False` passes only if -O stripped asserts.  The seed cone given
-    # twice has one canonical form; with no witness the merge must raise.
+    # `assert False` passes only if -O stripped asserts.  The seed cone
+    # given twice is one candidate, and a class is not accepted twice.  Its
+    # image under a shear has other rays and the same canonical form; with
+    # no witness the merge must raise, against a candidate or a class.
     script = (
         "import lcone.classify as clf\n"
+        "from lcone.exact import Mat\n"
         "from lcone.scone import secondary_cone\n"
         "assert False, 'asserts are on'\n"
         "cone = secondary_cone(clf.seed_triangulation(3))\n"
-        "print(len(clf.merge_candidates([], [cone, cone])),\n"
-        "      len(clf.merge_candidates([cone], [cone])))\n"
-        "clf.cone_equivalent = lambda a, b: None\n"
-        "for existing, candidates in (([], [cone, cone]), ([cone], [cone])):\n"
+        "table = {}\n"
+        "print(len(clf.merge_candidates({}, [cone, cone])),\n"
+        "      len(clf.merge_candidates(table, [cone])), len(clf.merge_candidates(table, [cone])))\n"
+        "clf.cone_equivalent = lambda *args: None\n"
+        "shear = Mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])\n"
+        "other = secondary_cone(clf.seed_triangulation(3, clf.principal_form(3).congruence(shear)))\n"
+        "for existing, candidates in (({}, [cone, other]), (table, [other])):\n"
         "    try:\n"
         "        clf.merge_candidates(existing, candidates)\n"
         "    except AssertionError as exc:\n"
@@ -622,7 +687,7 @@ def test_equal_forms_without_witness_raise_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     raised = "raised: equal canonical forms without a witness"
-    assert proc.stdout.splitlines() == ["1 0", raised, raised]
+    assert proc.stdout.splitlines() == ["1 1 0", raised, raised]
 
 
 def test_enrich_cone_builds_one_face_lattice(monkeypatch):

@@ -345,26 +345,26 @@ class TestStarByClasses:
         assert out.startswith("raised: a facet of the star does not lie in exactly two cells")
 
     def test_empty_sphere_check_survives_optimize(self):
-        # The empty-sphere check must reject a wrong minimum from
-        # closest_vectors.
+        # The empty-sphere check must reject a wrong minimum from the
+        # closest-vector search of the DV cell (`lattice._closest`).
         out = _raised_under_optimize(
-            "orig = P.closest_vectors\n"
-            "def wrong(q, c):\n"
-            "    best, mins = orig(q, c)\n"
+            "orig = P._closest\n"
+            "def wrong(form, c):\n"
+            "    best, mins = orig(form, c)\n"
             "    return best + 1, mins\n"
-            "P.closest_vectors = wrong\n",
+            "P._closest = wrong\n",
             "D.delaunay_star(SymMat([[2, 1], [1, 2]]))")
         assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
 
     def test_cell_without_origin_raises_under_optimize(self):
-        # closest_vectors leaves 0 out of every minimizer set of a cell; the
+        # `lattice._closest` leaves 0 out of every minimizer set of a cell; the
         # coset minima, from `lattice`'s binding, keep their halfspaces.
         out = _raised_under_optimize(
-            "orig = P.closest_vectors\n"
-            "def without_origin(q, c):\n"
-            "    best, mins = orig(q, c)\n"
+            "orig = P._closest\n"
+            "def without_origin(form, c):\n"
+            "    best, mins = orig(form, c)\n"
             "    return best, tuple(v for v in mins if any(v))\n"
-            "P.closest_vectors = without_origin\n",
+            "P._closest = without_origin\n",
             "D.delaunay_star(principal_form(3))")
         assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
 
@@ -374,8 +374,8 @@ class TestStarByClasses:
         # that is too large, and some of its vertices are not circumcenters.
         out = _raised_under_optimize(
             "orig = P._coset_minima\n"
-            "def dropped(q):\n"
-            "    vectors = orig(q)\n"
+            "def dropped(form):\n"
+            "    vectors = orig(form)\n"
             "    return [v for v in vectors if [x % 2 for x in v] != [0, 0, 1]]\n"
             "P._coset_minima = dropped\n",
             "D.delaunay_star(principal_form(3))")

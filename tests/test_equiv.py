@@ -5,7 +5,7 @@ import pytest
 
 import lcone.classify
 import lcone.equiv
-from lcone.classify import classify_all
+from lcone.classify import classify_all, principal_form
 from lcone.delaunay import delaunay_star
 from lcone.equiv import (
     ColoredGraph,
@@ -18,6 +18,7 @@ from lcone.equiv import (
     form_equivalence,
 )
 from lcone.exact import Mat, SymMat, det
+from lcone.polyhedral import dv_polytope, incidence_graph
 from lcone.scone import cone_facets, secondary_cone
 from oracles import (
     automorphism_count,
@@ -96,8 +97,6 @@ class TestGraphCanonicalization:
             assert form1 == form0
 
     def test_bipartite_square_incidence(self):
-        from lcone.polyhedral import dv_polytope, incidence_graph
-
         n, colors, edges = incidence_graph(dv_polytope(I2))
         form, lab, gens, order = canonical_labeling(ColoredGraph(n, colors, edges))
         assert order == 8   # dihedral group of the square
@@ -164,20 +163,92 @@ class TestAgainstOracles:
             colors = [rng.choice((3, 7, 40)) for _ in range(n)]
             assert graph.refine(colors) == refine_by_signatures(graph, colors)
 
+    @staticmethod
+    def _individualization_chain(rng, graph, colors):
+        """Refine, then individualize a random vertex of a random cell and
+        refine from that cell, down to a discrete colouring; every step must
+        equal the oracle.  Returns the number of steps."""
+        colors = graph.refine(colors)
+        assert colors == refine_by_signatures(graph, colors)
+        steps = 0
+        while True:
+            cells = {}
+            for v, c in enumerate(colors):
+                cells.setdefault(c, []).append(v)
+            big = [cell for _, cell in sorted(cells.items()) if len(cell) > 1]
+            if not big:
+                return steps
+            cell = rng.choice(big)
+            start = graph.individualize(colors, rng.choice(cell))
+            colors = graph.refine(start, cell)
+            assert colors == refine_by_signatures(graph, start)
+            steps += 1
+
+    def test_refine_after_individualization_random(self, monkeypatch):
+        # Random graphs with three edge colours and non-edges, and
+        # circulant ones (the colour of {i, j} a function of j - i mod n)
+        # under a random relabeling, whose symmetry leaves large cells to
+        # individualize: random individualization chains, and the labeling
+        # search with every refinement checked.  Restricting the first round
+        # to the individualized vertex alone fails on the circulant graphs.
+        rng = random.Random(31)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            edges = {(i, j): rng.choice((1, 2, 5))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+            graphs.append((ColoredGraph(n, [0] * n, edges),
+                           [rng.choice((3, 7, 40)) for _ in range(n)]))
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            colour = {k: rng.choice((1, 2, 5, None)) for k in range(1, n)}
+            perm = rng.sample(range(n), n)
+            edges = {(perm[i], perm[j]): colour[min(j - i, n - j + i)]
+                     for i in range(n) for j in range(i + 1, n)
+                     if colour[min(j - i, n - j + i)] is not None}
+            graphs.append((ColoredGraph(n, [0] * n, edges), [0] * n))
+        steps = sum(self._individualization_chain(rng, graph, colors)
+                    for graph, colors in graphs)
+        assert steps > 300
+        calls = self._checked_refine_calls(monkeypatch)
+        for graph, colors in graphs:
+            canonical_labeling(ColoredGraph(graph.n, colors, graph.edges))
+        assert sum(1 for split in calls if split is not None) > 300
+
+    def test_refine_on_principal_dv_graph(self, monkeypatch):
+        # The vertex-facet incidence graph of the DV polytope of
+        # principal_form(5), the permutohedron: 720 + 62 nodes.  Every
+        # refinement of its labeling search equals the oracle.
+        n, colors, edges = incidence_graph(dv_polytope(principal_form(5)))
+        assert n == 782
+        calls = self._checked_refine_calls(monkeypatch)
+        canonical_labeling(ColoredGraph(n, colors, edges))
+        assert len(calls) > 1 and all(split is not None for split in calls[1:])
+
+    @staticmethod
+    def _checked_refine_calls(monkeypatch) -> list:
+        """Check every `ColoredGraph.refine` call from now on against the
+        oracle; returns the list of their `split` arguments."""
+        refine = ColoredGraph.refine
+        calls = []
+
+        def checked_refine(graph, colors, split=None):
+            new = refine(graph, colors, split)
+            assert new == refine_by_signatures(graph, colors)
+            calls.append(split)
+            return new
+
+        monkeypatch.setattr(ColoredGraph, "refine", checked_refine)
+        return calls
+
     @pytest.mark.parametrize("d", [3, 4])
     def test_refine_and_group_order_on_databases(self, d, monkeypatch):
         """Every refinement met while classifying, which enriches every
-        database cone, equals the oracle colour for colour; so does the group
-        order of every generator set the search finds.  The graphs are those
-        of the central forms and the DV incidence graphs."""
-        refine = ColoredGraph.refine
-        refined = []
-
-        def checked_refine(graph, colors):
-            new = refine(graph, colors)
-            assert new == refine_by_signatures(graph, colors)
-            refined.append(graph)
-            return new
+        database cone, equals the oracle colour for colour, those after an
+        individualization (refined from the cell that split) included; so
+        does the group order of every generator set the search finds.  The
+        graphs are those of the central forms and the DV incidence graphs."""
+        refined = self._checked_refine_calls(monkeypatch)
 
         searched = {"form": [], "dv": []}
 
@@ -188,13 +259,14 @@ class TestAgainstOracles:
                 return out
             return search
 
-        monkeypatch.setattr(ColoredGraph, "refine", checked_refine)
         monkeypatch.setattr(lcone.equiv, "canonical_labeling", recorded("form"))
         monkeypatch.setattr(lcone.classify, "canonical_labeling", recorded("dv"))
         _form_canonical.cache_clear()
         db = classify_all(d)
         assert len(searched["dv"]) == db.total() <= len(searched["form"])
-        assert len(refined) >= len(searched["form"] + searched["dv"])
+        searches = len(searched["form"] + searched["dv"])
+        assert sum(1 for split in refined if split is None) == searches
+        assert len(refined) > 2 * searches
         for graph, gens, order in searched["form"] + searched["dv"]:
             assert order == group_order(graph.n, gens) == group_order_by_closure(graph.n, gens)
 

@@ -456,9 +456,9 @@ class TestDVFromStar:
 
     def test_one_star(self, monkeypatch):
         # The DV polytope builds no Delaunay star and no cell facets, runs no
-        # `rays_to_hrep` of a cell, and makes the closest-vector calls of one
-        # star: 15 for the coset minima of Z^4 / 2Z^4 and one per each of the
-        # 18 translation classes.
+        # `rays_to_hrep` of a cell, and makes the closest-vector searches of
+        # one star: 15 for the coset minima of Z^4 / 2Z^4 and one per each
+        # of the 18 translation classes, all on one form frame.
         calls = []
 
         def count(module, name):
@@ -468,11 +468,26 @@ class TestDVFromStar:
 
         for module, name in ((lcone.delaunay, "delaunay_star"), (lcone.delaunay, "cell_facets"),
                              (lcone.delaunay, "rays_to_hrep"),
-                             (lcone.polyhedral, "closest_vectors"),
-                             (lcone.lattice, "closest_vectors")):
+                             (lcone.lattice, "closest_vectors"),
+                             (lcone.polyhedral, "_closest"), (lcone.lattice, "_closest"),
+                             (lcone.polyhedral, "_form_frame"),
+                             (lcone.lattice, "_form_frame")):
             count(module, name)
         dv_polytope(SKEWED_D4[2])
-        assert calls == ["closest_vectors"] * 33
+        assert calls == ["_form_frame"] + ["_closest"] * 33
+
+    def test_one_form_frame_per_dv_cell(self, monkeypatch):
+        # The part of the enumeration frame that depends on the form alone
+        # is built once per DV cell: its 15 coset-minima searches and its
+        # one search per translation class share it.
+        q = principal_form(4)
+        frames = []
+        build = lcone.lattice._form_frame
+        for module in (lcone.lattice, lcone.polyhedral):
+            monkeypatch.setattr(module, "_form_frame",
+                                lambda q: frames.append(q) or build(q))
+        lcone.polyhedral._dv_cell(q)
+        assert frames == [q]
 
     def test_vertex_on_too_few_facets_raises_under_O(self):
         # `assert False` passes only if -O stripped asserts.  The unit square
@@ -495,16 +510,16 @@ class TestDVFromStar:
          "a DV vertex is the centre of two cells"),
         # A far lattice point is added to every cell, so the translate by it
         # is centred off the DV cell.
-        ("tuple(sorted(mins + ((5,) * q.d,)))",
+        ("tuple(sorted(mins + ((5,) * len(c),)))",
          "30 cells but 24 DV vertices: the centre of a translated cell is not a DV vertex"),
     ], ids=["dropped", "added"])
     def test_cell_coverage_raises_under_O(self, change, raised):
         out = _raised_under_optimize(
-            "real = P.closest_vectors\n"
-            "def changed(q, c):\n"
-            "    best, mins = real(q, c)\n"
+            "real = P._closest\n"
+            "def changed(form, c):\n"
+            "    best, mins = real(form, c)\n"
             f"    return best, {change}\n"
-            "P.closest_vectors = changed\n",
+            "P._closest = changed\n",
             "P.dv_polytope(principal_form(3))")
         assert out == f"raised: {raised}\n"
 
