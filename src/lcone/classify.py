@@ -55,10 +55,9 @@ from .equiv import (
 from .exact import Mat, NotPositiveDefinite, Rat, SymMat, inverse
 from .polyhedral import (
     LatPolytope,
+    _face_levels,
     _intersection_closure,
-    _scheme_of_lattice,
     dv_polytope,
-    face_lattice,
     incidence_graph,
     serialize_subordination,
 )
@@ -255,10 +254,10 @@ def _dv_form(poly: LatPolytope) -> tuple:
 
 def _dv_summary(poly: LatPolytope, digest: str) -> tuple[str, tuple, str]:
     """DV hash, f-vector and serialized subordination scheme of a polytope,
-    the last two from one face lattice."""
-    by_dim, f_vector = face_lattice(poly)
-    scheme = serialize_subordination(_scheme_of_lattice(by_dim, poly.dim))
-    return digest_of(_dv_form(poly), digest), f_vector, scheme
+    the last two from one pass over its face lattice, whose faces are
+    dropped before the labeling."""
+    f_vector, scheme = _face_levels(poly)[1:]
+    return digest_of(_dv_form(poly), digest), f_vector, serialize_subordination(scheme)
 
 
 def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
@@ -474,12 +473,13 @@ def _pool(workers: int, tasks: int):
 class DiskCache:
     """Append-only JSONL checkpoint of completed pure computations.
 
-    Every entry is written as one line ending in a newline.  A final line
-    without its newline is the torn tail of a killed write: it is cut off
-    before the file is reopened for append.  Any other line that does not
-    parse raises `IncompatibleCheckpoint`.  A run asks for each task once,
-    so the entries are held as their raw lines (`pending`), and `get`
-    decodes an entry and drops it; `put` only appends to the file.
+    Every entry is written as one line ending in a newline.  The file is
+    read line by line.  A final line without its newline is the torn tail
+    of a killed write: it is cut off before the file is reopened for
+    append.  Any other line that does not parse raises
+    `IncompatibleCheckpoint`.  A run asks for each task once, so the
+    entries are held as their raw lines (`pending`), and `get` decodes an
+    entry and drops it; `put` only appends to the file.
     """
 
     def __init__(self, path: Optional[str]):
@@ -487,20 +487,21 @@ class DiskCache:
         self.pending: dict[str, bytes] = {}
         if path and os.path.exists(path):
             with open(path, "rb+") as fh:
-                blob = fh.read()
-                complete = blob.rfind(b"\n") + 1
-                if complete < len(blob):
-                    fh.truncate(complete)
-            for lineno, line in enumerate(blob[:complete].splitlines(), 1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key, _ = entry["key"], entry["out"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise IncompatibleCheckpoint(
-                        f"{path}: line {lineno} is not a cache entry") from exc
-                self.pending[key] = line
+                complete = 0
+                for lineno, line in enumerate(fh, 1):
+                    if not line.endswith(b"\n"):
+                        fh.truncate(complete)
+                        break
+                    complete += len(line)
+                    if not line.strip():
+                        continue
+                    try:
+                        entry = json.loads(line)
+                        key, _ = entry["key"], entry["out"]
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise IncompatibleCheckpoint(
+                            f"{path}: line {lineno} is not a cache entry") from exc
+                    self.pending[key] = line
         self._fh = open(path, "a") if path else None
 
     def get(self, key: str):
@@ -528,6 +529,21 @@ def _cone_cache_key(kind: str, data: dict, digest: str) -> str:
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     tag = {"enrich": f"enrich/{digest}", "prim": "prim/keys"}.get(kind, kind)
     return f"{tag}:{hashlib.sha256(blob.encode()).hexdigest()}"
+
+
+def _decode_once(outs: list[dict]) -> list[ConeDesc]:
+    """The cones of `desc` task outputs, in order, with each distinct ray set
+    decoded once: a cone is a function of its rays, so a repeated ray set
+    is the cone decoded at its first occurrence, and the merge drops it."""
+    decoded: dict = {}
+    cones = []
+    for out in outs:
+        for c in out["cones"]:
+            rays = tuple(map(tuple, c["rays"]))
+            if rays not in decoded:
+                decoded[rays] = cone_from_dict(c)
+            cones.append(decoded[rays])
+    return cones
 
 
 class Classifier:
@@ -621,10 +637,9 @@ class Classifier:
         cones_by_dim: dict[int, list[ConeDesc]] = {m: level}
         for k in range(m, 1, -1):
             self._log(f"descending from dimension {k}: {len(cones_by_dim[k])} classes")
-            # The decoded task outputs are not kept through the merge: at
-            # d = 5 they are about a quarter of what a level holds.
-            candidates = [cone_from_dict(c) for out in self._map("desc", cones_by_dim[k])
-                          for c in out["cones"]]
+            # The task outputs are not kept through the merge: at d = 5 they
+            # are about a quarter of what a level holds.
+            candidates = _decode_once(self._map("desc", cones_by_dim[k]))
             accepted = merge_candidates({}, candidates, self.digest)
             if not accepted:
                 break

@@ -68,19 +68,24 @@ def _form_frame(q: SymMat) -> tuple:
     return [(terms, ell, n * (g // s)) for terms, ell, n, s in levels], g
 
 
-def _frame(form: tuple, center: Sequence) -> tuple:
-    """A form frame (`_form_frame`) and a centre over common denominators:
-    (m, cen, levels, g).
+def _over_common(center: Sequence) -> tuple[list, int]:
+    """A rational centre as integer numerators over their least common
+    denominator: (cen, m) with centre = cen / m."""
+    m = lcm(*(x.denominator for x in center))
+    return [x.numerator * (m // x.denominator) for x in center], m
 
-    The centre is cen / m.  Level i is (ell cen_i, terms, den, w) with
-    den = m ell.  With y_j = m x_j - cen_j, level i's target
-    t_i = c_i - sum_j L_ji (x_j - c_j) is (ell cen_i - sum_j a y_j) / den.
-    Values of Q are integers over m^2 g, the least common multiple of every
-    d_i den^2, and w = n_i m^2 g / (d_i den^2) does not depend on m.
+
+def _frame(form: tuple, cen: Sequence[int], m: int) -> tuple:
+    """A form frame (`_form_frame`) and a centre cen / m, with cen integers
+    and m the least common denominator of the centre: (m, cen, levels, g).
+
+    Level i is (ell cen_i, terms, den, w) with den = m ell.  With
+    y_j = m x_j - cen_j, level i's target t_i = c_i - sum_j L_ji (x_j - c_j)
+    is (ell cen_i - sum_j a y_j) / den.  Values of Q are integers over
+    m^2 g, the least common multiple of every d_i den^2, and
+    w = n_i m^2 g / (d_i den^2) does not depend on m.
     """
     levels, g = form
-    m = lcm(*(x.denominator for x in center))
-    cen = [x.numerator * (m // x.denominator) for x in center]
     return m, cen, [(ell * cen[i], terms, m * ell, w)
                     for i, (terms, ell, w) in enumerate(levels)], m * m * g
 
@@ -92,10 +97,11 @@ def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, obj
     factorization of Q, over the integers.  With the coordinates above
     level i fixed, Q[v - center] collects D_i (x_i - t_i)^2 at level i.
     The centre and each column of L are put over common denominators once
-    (`_form_frame`, `_frame`), so t_i is an integer T over den and the term is
-    w (den x_i - T)^2 over one g for all levels.  Every g Q[v - center] is
-    then an integer, so Q[v - center] <= bound exactly when it is at most
-    floor(g bound), the budget; the budget left, rem, stays an integer.
+    (`_form_frame`, `_over_common`, `_frame`), so t_i is an integer T over
+    den and the term is w (den x_i - T)^2 over one g for all levels.  Every
+    g Q[v - center] is then an integer, so Q[v - center] <= bound exactly
+    when it is at most floor(g bound), the budget; the budget left, rem,
+    stays an integer.
     The square is an integer too, so the term fits exactly when
     |den x_i - T| <= isqrt(rem // w) = r: the range
     ceil((T - r) / den) .. floor((T + r) / den) holds every x_i that fits
@@ -103,7 +109,7 @@ def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, obj
     (v, Q[v - center]) in lexicographic order of v; each value is a ``Rat``
     (a ``Fraction`` even when integral).
     """
-    return _walk(_frame(_form_frame(q), center), q.d, bound)
+    return _walk(_frame(_form_frame(q), *_over_common(center)), q.d, bound)
 
 
 def _walk(frame: tuple, d: int, bound) -> list[tuple[tuple, object]]:
@@ -172,15 +178,17 @@ def closest_vectors(q: SymMat, c: Sequence) -> tuple[object, tuple]:
     walk's integer data, rounding half up, and the walk runs on the same
     frame.
     """
-    return _closest(_form_frame(q), c)
+    return _closest(_form_frame(q), *_over_common(c))
 
 
-def _closest(form: tuple, c: Sequence) -> tuple[object, tuple]:
+def _closest(form: tuple, cen: Sequence[int], m: int) -> tuple[object, tuple]:
     """`closest_vectors` on the form frame of Q (`_form_frame`), which a
-    caller with many centres builds once."""
-    frame = _frame(form, c)
-    rounded = [(2 * x.numerator + x.denominator) // (2 * x.denominator) for x in c]
-    hits = _walk(frame, len(c), Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
+    caller with many centres builds once, around the centre cen / m given
+    over the integers.  With m the centre's least common denominator, as
+    `_over_common` gives it, the frame is the one of the rational centre."""
+    frame = _frame(form, cen, m)
+    rounded = [(2 * x + m) // (2 * m) for x in cen]
+    hits = _walk(frame, len(cen), Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
     best = min(val for _, val in hits)
     return best, tuple(v for v, val in hits if val == best)
 
@@ -197,7 +205,7 @@ def _coset_minima(form: tuple) -> list[tuple]:
     out = []
     for c in product((0, 1), repeat=len(form[0])):
         if any(c):
-            _, mins = _closest(form, [Rat(-x, 2) for x in c])
+            _, mins = _closest(form, [-x for x in c], 2)
             out.extend(tuple(x + 2 * y for x, y in zip(c, w)) for w in mins)
     return out
 

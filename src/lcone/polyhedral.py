@@ -15,15 +15,20 @@ double description (`_dd_cone`) of the halfspaces of the coset minima of
 Z^d / 2Z^d gives its vertices, and one closest-vector search per
 translation class gives the Delaunay cell of each vertex with its
 empty-sphere certificate; all these searches share one frame of the form
-(`lattice._form_frame`).  Both the DV polytope (`dv_polytope`) and the
-Delaunay star (`delaunay.delaunay_star`) are read off those certified cells,
-by Voronoi's duality.  Face lattices are closed under intersection and
-graded combinatorially, without arithmetic.
+(`lattice._form_frame`); each centre is held as its DD ray over the
+integers until the cells are returned.  Both the DV polytope (`dv_polytope`)
+and the Delaunay star (`delaunay.delaunay_star`) are read off those
+certified cells, by Voronoi's duality.  A face lattice is built from the
+facets down, without arithmetic: the faces of each level are the maximal
+intersections of the faces above with the facets, and the same pass counts
+the subordination scheme (`_face_levels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Sequence
 
 from .exact import (
@@ -31,6 +36,7 @@ from .exact import (
     NotPositiveDefinite,
     Rat,
     SymMat,
+    _norm,
     clear_denominators,
     det,
     echelon,
@@ -49,13 +55,31 @@ def _dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _at_most_two_contain(m: int, masks: Sequence[int]) -> bool:
+    """Whether at most two of the bitmasks `masks` contain m; the scan stops
+    at the third."""
+    found = 0
+    for mo in masks:
+        if mo & m == m:
+            found += 1
+            if found == 3:
+                return False
+    return True
+
+
 def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
     """Extreme rays of {y : a y >= 0 for a in ineqs} in R^dim.
 
     Requires the system to have rank ``dim`` (pointed cone).  The first
     ``dim`` independent inequalities, found by one `echelon` pass, seed the
     method with the columns of their inverse; all later arithmetic is over
-    the integers.  Rays come back gcd-normalized and sorted.
+    the integers.  Each bitmask records the processed inequalities tight at
+    a ray.  A ray of positive and one of negative value on the inequality
+    added are adjacent exactly when their common mask m has at least
+    dim - 2 bits and no third ray's mask contains it (the combinatorial
+    test of Fukuda & Prodon, 1996): the minus rays of each plus ray are
+    filtered on the bit count first, and the scan for masks containing m
+    stops at the third.  Rays come back gcd-normalized and sorted.
     """
     if dim == 0:
         return []
@@ -78,43 +102,31 @@ def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
                 m |= 1 << pos
         masks.append(m)
 
+    need = dim - 2
     for k in rest:
         a = ineqs[k]
-        vals = [_dot(a, r) for r in rays]
+        vals = [sum(map(mul, a, r)) for r in rays]
+        bit = 1 << len(processed)
+        processed.append(k)
         if all(v >= 0 for v in vals):
-            bit = 1 << len(processed)
             masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            processed.append(k)
             continue
         plus = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
+        minus = [(i, masks[i]) for i, v in enumerate(vals) if v < 0]
         new_rays = []
         new_masks = []
-        need = dim - 2
         for ip in plus:
-            mp = masks[ip]
-            for im in minus:
-                m = mp & masks[im]
-                if m.bit_count() < need:
-                    continue
-                adjacent = True
-                for io, mo in enumerate(masks):
-                    if m & ~mo == 0 and io != ip and io != im:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                vp, vm = vals[ip], vals[im]
-                comb = tuple(vp * y - vm * x for x, y in zip(rays[ip], rays[im]))
-                new_rays.append(gcd_normalize(comb, orient=False))
-                new_masks.append(m)
-        bit = 1 << len(processed)
-        keep_rays = [rays[i] for i in plus + zero]
-        keep_masks = [masks[i] | (bit if i in zero else 0) for i in plus + zero]
-        rays = keep_rays + new_rays
-        masks = keep_masks + [m | bit for m in new_masks]
-        processed.append(k)
+            mp, vp, rp = masks[ip], vals[ip], rays[ip]
+            for im, m in [(im, m) for im, mm in minus if (m := mp & mm).bit_count() >= need]:
+                if _at_most_two_contain(m, masks):
+                    vm = vals[im]
+                    comb = [vp * y - vm * x for x, y in zip(rp, rays[im])]
+                    g = gcd(*comb)
+                    new_rays.append(tuple(x // g for x in comb))
+                    new_masks.append(m | bit)
+        rays = [rays[i] for i in plus] + [rays[i] for i in zero] + new_rays
+        masks = [masks[i] for i in plus] + [masks[i] | bit for i in zero] + new_masks
 
     # Rays are already primitive integer vectors; sort for determinism.
     return sorted(set(rays))
@@ -218,15 +230,21 @@ def _dv_cell(q: SymMat) -> list[tuple]:
     The DV cell is {x : -2 Q v . x + Q[v] >= 0} over the vectors v of
     `lattice._coset_minima` and their negatives.  Its vertices, from one
     double description with the halfspaces shortest first, are the
-    circumcenters of the Delaunay cells at 0.  The cell of a vertex c is the
-    set of minimizers of Q[c - v], from one closest-vector search, which is
-    also its empty-sphere certificate: 0 must be among them.  The coset
-    minima and these searches share one form frame (`lattice._form_frame`).
-    The other cells of its translation class are its translates by -v over
-    its vertices v, centred at c - v, and need no call.  Checks: the DV cell is
-    bounded, each DV vertex is the centre of exactly one cell found, and
-    every translate's centre is a DV vertex.  Returns one (vertices, center,
-    sqradius) per DV vertex, the vertices sorted, in order of the centres.
+    circumcenters of the Delaunay cells at 0.  Each is held as its DD ray
+    (y, t), the centre y / t: the ray is primitive, so t is the centre's
+    least common denominator.  The cell of a vertex is the set of
+    minimizers of Q[y / t - v], from one closest-vector search around y
+    over t, which is also its empty-sphere certificate: 0 must be among
+    them, at the value Q[y] / t^2.  The coset minima and these searches
+    share one form frame (`lattice._form_frame`).  The other cells of its
+    translation class are its translates by -v over its vertices v, the
+    rays (y - t v, t), and need no call.  Checks: the DV cell is bounded,
+    each DV vertex is the centre of exactly one cell found, and every
+    translate's centre is a DV vertex.  The cells are sorted by
+    y (T / t), T the least common multiple of the t, which is the order of
+    their centres.  Returns one (vertices, center, sqradius) per DV vertex,
+    the vertices sorted, the centre's coordinates as ``Fraction``s, in
+    order of the centres.
     """
     if not q.is_positive_definite():
         raise NotPositiveDefinite("form is not positive definite")
@@ -238,14 +256,13 @@ def _dv_cell(q: SymMat) -> list[tuple]:
     rays = _dd_cone([h for _, h in sorted(halfspaces)], d + 1)
     if any(r[-1] <= 0 for r in rays):
         raise AssertionError("the DV cell is unbounded")
-    cells = {}                   # ray of a cell's centre -> the cell
+    cells = {}                   # ray of a cell's centre -> (vertices, sqradius)
     for r in rays:
         if r in cells:
             continue
         *y, t = r
-        center = tuple(Rat(x, t) for x in y)
-        sqradius = q.quad(center)
-        best, mins = _closest(form, center)
+        sqradius = _norm(Rat(q.quad(y), t * t))
+        best, mins = _closest(form, y, t)
         if best != sqradius or zero not in mins:
             raise AssertionError("a DV vertex is not the centre of a cell at 0")
         for v in mins:
@@ -253,14 +270,15 @@ def _dv_cell(q: SymMat) -> list[tuple]:
             ray = tuple(x - t * a for x, a in zip(y, v)) + (t,)
             if ray in cells:
                 raise AssertionError("a DV vertex is the centre of two cells")
-            cells[ray] = (tuple(sorted(tuple(a - b for a, b in zip(w, v)) for w in mins)),
-                          tuple(c - a for c, a in zip(center, v)), sqradius)
+            cells[ray] = tuple(sorted(tuple(map(sub, w, v)) for w in mins)), sqradius
     # Every DV vertex is the centre of a cell found, so any further cell is
     # a translate whose centre is not a DV vertex.
     if len(cells) != len(rays):
         raise AssertionError(f"{len(cells)} cells but {len(rays)} DV vertices: "
                              "the centre of a translated cell is not a DV vertex")
-    return sorted(cells.values(), key=lambda cell: cell[1])
+    big = lcm(*(r[-1] for r in rays))
+    order = sorted(cells, key=lambda r: tuple(x * (big // r[-1]) for x in r[:-1]))
+    return [(cells[r][0], tuple(Rat(x, r[-1]) for x in r[:-1]), cells[r][1]) for r in order]
 
 
 def dv_polytope(q: SymMat) -> LatPolytope:
@@ -331,35 +349,59 @@ def _intersection_closure(masks) -> set:
     return closed
 
 
+def _face_levels(p: LatPolytope) -> tuple[dict, tuple, dict]:
+    """Faces by dimension, f-vector and subordination scheme of a polytope,
+    in one pass from the facets down (Kaibel & Pfetsch, 2002).
+
+    The (k-1)-faces of a k-face F are the inclusion-maximal sets among the
+    nonempty proper F & g over the facets g: each F & g is a proper face of
+    F, and each facet G of F is one of them, for a facet g that contains G
+    but not F.  The candidates are taken in order of decreasing size and
+    each is tested only against the maxima already kept.  The number of
+    maxima is F's number of subfaces, which the scheme counts; it is read
+    into the histogram of F's level at once.  The vertices are the
+    singletons, so the edges are the last level built.  No arithmetic is
+    needed.
+    """
+    d = p.dim
+    facets = sorted(set(p.facet_masks))
+    by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
+    if d > 1:
+        by_dim[0] = [1 << i for i in range(p.n_vertices)]
+    if d:
+        by_dim[d - 1] = facets
+    by_dim[d] = [(1 << p.n_vertices) - 1]
+    scheme: dict[int, dict[int, int]] = {}
+    for k in range(d - 1, 1, -1):
+        below = set()
+        hist: dict[int, int] = {}
+        for f in by_dim[k]:
+            cands = {f & g for g in facets}
+            cands.discard(0)
+            cands.discard(f)
+            kept = []
+            for h in sorted(cands, key=int.bit_count, reverse=True):
+                for m in kept:
+                    if h & m == h:
+                        break
+                else:
+                    kept.append(h)
+            below.update(kept)
+            hist[len(kept)] = hist.get(len(kept), 0) + 1
+        by_dim[k - 1] = sorted(below)
+        scheme[k] = dict(sorted(hist.items()))
+    return by_dim, tuple(len(by_dim[k]) for k in range(d)), dict(sorted(scheme.items()))
+
+
 def face_lattice(p: LatPolytope):
     """All faces as vertex index sets grouped by dimension, plus f-vector.
 
-    Faces are generated by closing the facet incidence sets under
-    intersection.  The face lattice of a polytope is graded, so the
-    dimension of a face is the length of the longest chain of faces below
-    it: 0 for a vertex, else one more than the largest dimension among its
-    proper nonempty intersections with the facets, which include its own
-    facets.  No arithmetic is needed.  The full polytope is included, the
-    empty face is not.
+    The levels are built from the facets down (`_face_levels`): the
+    (k-1)-faces of each k-face are the maximal sets among its proper
+    nonempty intersections with the facets.  The full polytope is included,
+    the empty face is not; each level is sorted.
     """
-    d = p.dim
-    full = (1 << p.n_vertices) - 1
-    facet_sets = set(p.facet_masks)
-    faces = _intersection_closure(facet_sets) - {0}
-    by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
-    dim_of = {}
-    for mask in sorted(faces, key=int.bit_count):
-        k = 0
-        for g in facet_sets:
-            h = mask & g
-            if h and h != mask and dim_of[h] >= k:
-                k = dim_of[h] + 1
-        dim_of[mask] = k
-        by_dim[k].append(mask)
-    by_dim[d] = [full]
-    for k in by_dim:
-        by_dim[k].sort()
-    f_vector = tuple(len(by_dim[k]) for k in range(d))
+    by_dim, f_vector, _ = _face_levels(p)
     return by_dim, f_vector
 
 
@@ -367,36 +409,15 @@ def subordination_scheme(p: LatPolytope) -> dict[int, dict[int, int]]:
     """Face-incidence histograms between consecutive levels of the face
     lattice: for each k in 2..d-1, the map sending n to the number of k-faces
     incident to exactly n of the (k-1)-faces (for k = 2, the polygon census
-    of the 2-faces).  Empty for d <= 2.
+    of the 2-faces).  Empty for d <= 2.  The counts are those of the pass
+    that builds the face lattice (`_face_levels`).
 
     Counting subordinate faces (downward) rather than containing faces is
     what gives the invariant its separating power: on simple polytopes every
     (k-1)-face lies in the same number of k-faces, so the upward histograms
     carry no information beyond the f-vector.
     """
-    if p.dim < 3:
-        return {}
-    return _scheme_of_lattice(face_lattice(p)[0], p.dim)
-
-
-def _scheme_of_lattice(by_dim: dict, d: int) -> dict[int, dict[int, int]]:
-    """`subordination_scheme` of a polytope of dimension d from its faces by
-    dimension, as `face_lattice` returns them.
-
-    The (k-1)-faces of a k-face F are counted among its intersections with
-    the facets.  Each of them, G, equals F & g for a facet g that contains G
-    but not F: F & g is a proper face of F containing G, so it is G.
-    """
-    facets = by_dim[d - 1]
-    scheme: dict[int, dict[int, int]] = {}
-    for k in range(2, d):
-        lower = set(by_dim[k - 1])
-        hist: dict[int, int] = {}
-        for high in by_dim[k]:
-            n = len({high & g for g in facets} & lower)
-            hist[n] = hist.get(n, 0) + 1
-        scheme[k] = dict(sorted(hist.items()))
-    return scheme
+    return _face_levels(p)[2]
 
 
 def serialize_subordination(scheme: dict[int, dict[int, int]]) -> str:

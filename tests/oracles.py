@@ -13,13 +13,16 @@ triangulation as a list, the regulator over rational matrices, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
 the equalities a face was stored with when they were threaded down the
-descent, the merge through invariant buckets, the merge by canonical forms
-with every form labeled through the shared cache, colour refinement by full
-signatures, the group order by Schreier-Sims with sifting and by Schreier
-generators kept without sifting, the automorphism count of a small graph
-over all permutations, the subordination scheme by a scan of every pair of
-faces, and the primitive expansion by a crossing of every positive definite
-wall.
+descent, the double description with every (plus, minus) pair tested by a
+scan of every other ray, the DV cell with its centres in ``Fraction``
+arithmetic, the face lattice closed under intersection and graded by its
+intersections with the facets, the merge through invariant buckets, the
+merge by canonical forms with every form labeled through the shared cache,
+colour refinement by full signatures, the group order by Schreier-Sims with
+sifting and by Schreier generators kept without sifting, the automorphism
+count of a small graph over all permutations, the subordination scheme by a
+scan of every pair of faces, and the primitive expansion by a crossing of
+every positive definite wall.
 """
 
 import itertools
@@ -50,15 +53,26 @@ from lcone.exact import (
     SymMat,
     clear_denominators,
     echelon,
+    gcd_normalize,
+    inverse,
     rank_of_rows,
     solve,
 )
-from lcone.lattice import VectorSet, characteristic_set, closest_vectors, enumerate_close
+from lcone.lattice import (
+    VectorSet,
+    _coset_minima,
+    _form_frame,
+    characteristic_set,
+    closest_vectors,
+    enumerate_close,
+)
 from lcone.polyhedral import (
     LatPolytope,
+    NotPointed,
     _dd_cone,
     _dot,
     _dv_halfspace,
+    _intersection_closure,
     rays_to_hrep,
 )
 from lcone.scone import (
@@ -70,6 +84,142 @@ from lcone.scone import (
     secondary_cone,
     star_wall_forms,
 )
+
+
+def dd_cone_by_scan(ineqs: list[tuple], dim: int) -> list[tuple]:
+    """`polyhedral._dd_cone` as it was before its pair loop was filtered:
+    every (plus, minus) pair in an explicit loop, and the adjacency test a
+    scan of every other ray for a mask that contains the pair's.
+
+    Extreme rays of {y : a y >= 0 for a in ineqs} in R^dim.
+
+    Requires the system to have rank ``dim`` (pointed cone).  The first
+    ``dim`` independent inequalities, found by one `echelon` pass, seed the
+    method with the columns of their inverse; all later arithmetic is over
+    the integers.  Rays come back gcd-normalized and sorted.
+    """
+    if dim == 0:
+        return []
+    init = list(echelon(ineqs).independent) if ineqs else []
+    if len(init) < dim:
+        raise NotPointed("lineality space detected")
+    a0 = Mat([ineqs[i] for i in init])
+    inv = inverse(a0)
+    rays = [clear_denominators(inv.col(j)) for j in range(dim)]
+    rest = [k for k in range(len(ineqs)) if k not in init]
+    # Insertion heuristic: inequalities satisfied by many initial rays first.
+    rest.sort(key=lambda k: (-sum(1 for r in rays if _dot(ineqs[k], r) >= 0), k))
+
+    processed = list(init)
+    masks = []
+    for r in rays:
+        m = 0
+        for pos, k in enumerate(processed):
+            if _dot(ineqs[k], r) == 0:
+                m |= 1 << pos
+        masks.append(m)
+
+    for k in rest:
+        a = ineqs[k]
+        vals = [_dot(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            bit = 1 << len(processed)
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+            processed.append(k)
+            continue
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = []
+        new_masks = []
+        need = dim - 2
+        for ip in plus:
+            mp = masks[ip]
+            for im in minus:
+                m = mp & masks[im]
+                if m.bit_count() < need:
+                    continue
+                adjacent = True
+                for io, mo in enumerate(masks):
+                    if m & ~mo == 0 and io != ip and io != im:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                vp, vm = vals[ip], vals[im]
+                comb = tuple(vp * y - vm * x for x, y in zip(rays[ip], rays[im]))
+                new_rays.append(gcd_normalize(comb, orient=False))
+                new_masks.append(m)
+        bit = 1 << len(processed)
+        keep_rays = [rays[i] for i in plus + zero]
+        keep_masks = [masks[i] | (bit if i in zero else 0) for i in plus + zero]
+        rays = keep_rays + new_rays
+        masks = keep_masks + [m | bit for m in new_masks]
+        processed.append(k)
+
+    # Rays are already primitive integer vectors; sort for determinism.
+    return sorted(set(rays))
+
+def dv_halfspaces(q: SymMat) -> list:
+    """The rows of the halfspaces the DV cell is cut from, shortest vector
+    first: the input of its double description."""
+    halfspaces = {(q.quad(w), _dv_halfspace(q, w))
+                  for v in _coset_minima(_form_frame(q)) for w in (v, tuple(-x for x in v))}
+    return [h for _, h in sorted(halfspaces)]
+
+
+def dv_cell_by_fractions(q: SymMat) -> list:
+    """`polyhedral._dv_cell` with its centres in ``Fraction`` arithmetic:
+    each centre, its squared radius, its translates and the sort of the
+    cells by centre are rational, and the double description is
+    `dd_cone_by_scan`."""
+    if not q.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
+    d = q.d
+    zero = (0,) * d
+    rays = dd_cone_by_scan(dv_halfspaces(q), d + 1)
+    assert all(r[-1] > 0 for r in rays)
+    cells = {}
+    for r in rays:
+        if r in cells:
+            continue
+        *y, t = r
+        center = tuple(Rat(x, t) for x in y)
+        sqradius = q.quad(center)
+        best, mins = closest_vectors(q, center)
+        assert best == sqradius and zero in mins
+        for v in mins:
+            ray = tuple(x - t * a for x, a in zip(y, v)) + (t,)
+            assert ray not in cells
+            cells[ray] = (tuple(sorted(tuple(a - b for a, b in zip(w, v)) for w in mins)),
+                          tuple(c - a for c, a in zip(center, v)), sqradius)
+    assert len(cells) == len(rays)
+    return sorted(cells.values(), key=lambda cell: cell[1])
+
+
+def face_lattice_by_closure(p: LatPolytope):
+    """`polyhedral.face_lattice` as it was before it was built from the
+    facets down: the facet masks closed under intersection, each face then
+    graded one more than the largest dimension among its proper nonempty
+    intersections with the facets."""
+    d = p.dim
+    full = (1 << p.n_vertices) - 1
+    facet_sets = set(p.facet_masks)
+    faces = _intersection_closure(facet_sets) - {0}
+    by_dim = {k: [] for k in range(d + 1)}
+    dim_of = {}
+    for mask in sorted(faces, key=int.bit_count):
+        k = 0
+        for g in facet_sets:
+            h = mask & g
+            if h and h != mask and dim_of[h] >= k:
+                k = dim_of[h] + 1
+        dim_of[mask] = k
+        by_dim[k].append(mask)
+    by_dim[d] = [full]
+    for k in by_dim:
+        by_dim[k].sort()
+    return by_dim, tuple(len(by_dim[k]) for k in range(d))
 
 
 def short_vectors(q, n) -> VectorSet:

@@ -34,6 +34,7 @@ from lcone.scone import cone_facets, cone_from_rays, fundamental_face
 
 from oracles import delaunay_star_by_search, dv_polytope_by_star
 from test_delaunay import assert_same_star
+from test_polyhedral import assert_dv_summary_matches_oracles
 from test_scone import (
     assert_equalities_span_accumulated,
     assert_faces_match_rays_oracle,
@@ -221,6 +222,17 @@ def test_dv_matches_star_oracle_on_databases(db3, db4):
     assert len(forms) == 57
     for q in forms:
         assert dv_polytope(q) == dv_polytope_by_star(q)
+
+
+def test_dv_summary_matches_oracles_on_databases(db3, db4):
+    # Every central form of the d = 3 and d = 4 databases: the DV cell and
+    # its double description equal the `Fraction` and scan oracles, and the
+    # face lattice and subordination scheme of its DV polytope the closure,
+    # rank and scan oracles.
+    forms = [rec.cone.central for db in (db3, db4) for rec in db.records()]
+    assert len(forms) == 57
+    for q in forms:
+        assert_dv_summary_matches_oracles(q)
 
 
 def test_criterion_3_d4(db4):

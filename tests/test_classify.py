@@ -630,6 +630,32 @@ def test_repeated_ray_sets_make_no_witness_check(d, repeats, monkeypatch):
     assert sum(seen for _, _, seen in counts) == repeats
 
 
+def test_descent_decodes_each_distinct_ray_set_once(monkeypatch):
+    # The descent decodes the first cone of each distinct ray set among a
+    # level's `desc` outputs and hands a repeat to the merge as that cone:
+    # 56 of the d = 4 outputs repeat a ray set.
+    levels = []
+    mapper = Classifier._map
+
+    def mapping(self, kind, cones):
+        outs = mapper(self, kind, cones)
+        if kind == "desc":
+            levels.append([c for out in outs for c in out["cones"]])
+        return outs
+
+    decode = lcone.classify.cone_from_dict
+    calls = []      # keeps every decoded dict alive, so no id is reused
+    monkeypatch.setattr(Classifier, "_map", mapping)
+    monkeypatch.setattr(lcone.classify, "cone_from_dict",
+                        lambda data: calls.append(data) or decode(data))
+    db = classify_all(4)
+    outputs = {id(c) for level in levels for c in level}
+    distinct = sum(len({json.dumps(c["rays"]) for c in level}) for level in levels)
+    assert sum(id(data) in outputs for data in calls) == distinct
+    assert sum(map(len, levels)) - distinct == 56
+    assert db.total() == 52
+
+
 def test_merge_labels_each_distinct_form_once(monkeypatch):
     # The d = 4 descent merge of 75 candidates, with `_form_canonical`
     # cached in fewer entries than there are candidates: one labeling per
@@ -691,10 +717,11 @@ def test_equal_forms_without_witness_raise_under_optimize():
 
 
 def test_enrich_cone_builds_one_face_lattice(monkeypatch):
+    # One pass builds the face lattice and counts the subordination scheme.
     import lcone.polyhedral
     from lcone.classify import enrich_cone
-    from lcone.polyhedral import dv_polytope, face_lattice, serialize_subordination, \
-        subordination_scheme
+    from lcone.polyhedral import _face_levels, dv_polytope, face_lattice, \
+        serialize_subordination, subordination_scheme
     from lcone.scone import secondary_cone
 
     cone = secondary_cone(seed_triangulation(3))
@@ -703,12 +730,12 @@ def test_enrich_cone_builds_one_face_lattice(monkeypatch):
 
     def counting(p):
         calls.append(p)
-        return face_lattice(p)
+        return _face_levels(p)
 
     for module in (lcone.polyhedral, lcone.classify):
-        monkeypatch.setattr(module, "face_lattice", counting)
+        monkeypatch.setattr(module, "_face_levels", counting)
     rec = enrich_cone(cone)
-    assert len(calls) == 1
+    assert calls == [poly]
     assert rec.f_vector == face_lattice(poly)[1]
     assert rec.subordination == serialize_subordination(subordination_scheme(poly))
 

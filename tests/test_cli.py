@@ -86,15 +86,16 @@ class TestDvcellCmd:
     def test_truncated_octahedron_one_face_lattice(self, tmp_path, capsys, monkeypatch):
         import lcone.polyhedral
 
+        # One pass builds the face lattice and counts the subordination scheme.
         calls = []
-        lattice = lcone.polyhedral.face_lattice
+        lattice = lcone.polyhedral._face_levels
 
         def counting(p):
             calls.append(p)
             return lattice(p)
 
         for module in (lcone.polyhedral, lcone.classify):
-            monkeypatch.setattr(module, "face_lattice", counting)
+            monkeypatch.setattr(module, "_face_levels", counting)
         p = tmp_path / "p3.form"
         p.write_text("3 3 -1 3 -1 -1 3\n")
         assert main(["dvcell", str(p)]) == 0

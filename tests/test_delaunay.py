@@ -349,8 +349,8 @@ class TestStarByClasses:
         # closest-vector search of the DV cell (`lattice._closest`).
         out = _raised_under_optimize(
             "orig = P._closest\n"
-            "def wrong(form, c):\n"
-            "    best, mins = orig(form, c)\n"
+            "def wrong(form, c, m):\n"
+            "    best, mins = orig(form, c, m)\n"
             "    return best + 1, mins\n"
             "P._closest = wrong\n",
             "D.delaunay_star(SymMat([[2, 1], [1, 2]]))")
@@ -361,8 +361,8 @@ class TestStarByClasses:
         # coset minima, from `lattice`'s binding, keep their halfspaces.
         out = _raised_under_optimize(
             "orig = P._closest\n"
-            "def without_origin(form, c):\n"
-            "    best, mins = orig(form, c)\n"
+            "def without_origin(form, c, m):\n"
+            "    best, mins = orig(form, c, m)\n"
             "    return best, tuple(v for v in mins if any(v))\n"
             "P._closest = without_origin\n",
             "D.delaunay_star(principal_form(3))")

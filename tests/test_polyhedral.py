@@ -1,12 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import lcone.delaunay
 import lcone.lattice
 import lcone.polyhedral
-from lcone.classify import principal_form, seed_triangulation
+import lcone.scone
+from lcone.classify import classify_all, principal_form, seed_triangulation
 from lcone.delaunay import neighbor_triangulation
 from lcone.exact import Mat, Rat, SymMat, clear_denominators, echelon, gcd_normalize, \
     rank_of_rows, solve
@@ -20,13 +22,17 @@ from lcone.polyhedral import (
     serialize_subordination,
     subordination_scheme,
 )
-from lcone.polyhedral import _dd_cone, _scheme_of_lattice
-from lcone.scone import cone_facets, contains_pd, secondary_cone
+from lcone.polyhedral import _dd_cone, _dv_cell
+from lcone.scone import cone_facets, cone_from_rays, contains_pd, secondary_cone
 from oracles import (
     cell_facets_by_polytope,
+    dd_cone_by_scan,
     dual_description,
+    dv_cell_by_fractions,
+    dv_halfspaces,
     dv_polytope_by_star,
     extreme_rays,
+    face_lattice_by_closure,
     polytope_from_halfspaces,
     polytope_from_vertices,
     scheme_by_scan,
@@ -97,6 +103,87 @@ def face_lattice_by_rank(p):
     for k in by_dim:
         by_dim[k].sort()
     return by_dim, tuple(len(by_dim[k]) for k in range(d))
+
+
+def _typed(value):
+    """A value with the type of each of its parts, to compare type for type."""
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(_typed, value))
+    return type(value), value
+
+
+def assert_dv_summary_matches_oracles(q, lattice=True):
+    """On the form q, the double description of the DV cell equals the scan
+    oracle's, and its cells equal the `Fraction` oracle's value for value
+    and type for type.  With `lattice`, the face lattice of the DV polytope
+    equals the closure and rank oracles, and its subordination scheme the
+    scan of the lattice."""
+    halfspaces = dv_halfspaces(q)
+    assert _dd_cone(halfspaces, q.d + 1) == dd_cone_by_scan(halfspaces, q.d + 1)
+    assert _typed(_dv_cell(q)) == _typed(dv_cell_by_fractions(q))
+    if lattice:
+        p = dv_polytope(q)
+        by_closure = face_lattice_by_closure(p)
+        assert face_lattice(p) == by_closure == face_lattice_by_rank(p)
+        assert subordination_scheme(p) == scheme_by_scan(by_closure[0], p.dim)
+
+
+class TestSummaryOracles:
+    def test_matches_oracles_on_principal_form_5(self):
+        # 720 DV vertices and 4,682 proper faces; the other DV forms of these
+        # tests are checked in `TestDVFromStar::test_matches_halfspace_oracle`.
+        assert_dv_summary_matches_oracles(principal_form(5))
+
+    def test_matches_oracles_on_d5_seed_walls(self):
+        # The central forms of the 15 PD walls of the d = 5 seed cone are
+        # not generic: their double descriptions meet many degenerate rays.
+        cone = secondary_cone(seed_triangulation(5))
+        walls = [f.central for f in cone_facets(cone) if contains_pd(f)]
+        assert len(walls) == 15
+        for q in walls:
+            assert_dv_summary_matches_oracles(q, lattice=False)
+
+    def test_dd_scans_only_pairs_past_rank_filter(self, monkeypatch):
+        # On a skewed d = 4 form with non-simplex Delaunay cells, the
+        # combinatorial test of the DV cell's double description runs on
+        # the 189 pairs whose common mask has at least dim - 2 = 3 bits, and
+        # 165 of them are adjacent.  Without the filter the rays would be
+        # the same, as the combinatorial test alone is exact, but more
+        # pairs would be scanned.
+        tested = []
+        real = lcone.polyhedral._at_most_two_contain
+        monkeypatch.setattr(lcone.polyhedral, "_at_most_two_contain",
+                            lambda m, masks: tested.append((m, real(m, masks))) or tested[-1][1])
+        q = SKEWED_D4[2]
+        halfspaces = dv_halfspaces(q)
+        assert _dd_cone(halfspaces, 5) == dd_cone_by_scan(halfspaces, 5)
+        assert min(m.bit_count() for m, _ in tested) >= 3
+        assert (len(tested), sum(kept for _, kept in tested)) == (189, 165)
+
+    def test_dd_matches_scan_oracle_on_runs(self, monkeypatch):
+        # Every distinct double description of the d = 3 and d = 4 runs (the
+        # 8 secondary cones of their primitive phases and the 57 DV cells of
+        # their classes) and of `cone_from_rays` on their 57 records, 53 of
+        # them not full-dimensional.
+        dd = lcone.polyhedral._dd_cone
+        calls = {}
+
+        def recording(module):
+            def run(ineqs, dim):
+                rays = dd(ineqs, dim)
+                calls[module, tuple(map(tuple, ineqs)), dim] = rays
+                return rays
+            return run
+
+        for module in (lcone.polyhedral, lcone.scone):
+            monkeypatch.setattr(module, "_dd_cone", recording(module.__name__))
+        for db in (classify_all(3), classify_all(4)):
+            for rec in db.records():
+                cone_from_rays(db.d, rec.cone.rays)
+        assert Counter(module for module, _, _ in calls) == {"lcone.polyhedral": 114,
+                                                             "lcone.scone": 8}
+        for (_, ineqs, dim), rays in calls.items():
+            assert rays == dd_cone_by_scan(list(ineqs), dim)
 
 
 class TestDualDescription:
@@ -333,9 +420,11 @@ class TestFaceLatticeAndSchemes:
     @pytest.mark.parametrize("q", [SymMat.identity(2), SymMat.identity(3), SymMat.identity(4),
                                    FCC, principal_form(4)] + SKEWED_D4 + [principal_form(5)])
     def test_scheme_matches_scan_oracle(self, q):
+        # The scheme is counted by the pass that builds the face lattice; the
+        # oracle scans the faces of the lattice closed under intersection.
         p = dv_polytope(q)
-        by_dim, _ = face_lattice(p)
-        assert _scheme_of_lattice(by_dim, p.dim) == scheme_by_scan(by_dim, p.dim)
+        by_dim, _ = face_lattice_by_closure(p)
+        assert subordination_scheme(p) == scheme_by_scan(by_dim, p.dim)
 
     def test_serialization(self):
         assert serialize_subordination({2: {4: 6}}) == "2=[4:6]"
@@ -436,7 +525,7 @@ class TestDVFromStar:
         p = dv_polytope(q)
         assert p == dv_polytope_by_halfspaces(q)   # masks included
         assert p == dv_polytope_by_star(q)
-        assert face_lattice(p) == face_lattice_by_rank(p)
+        assert_dv_summary_matches_oracles(q)
 
     def test_skewed_forms_have_non_simplex_cells(self):
         from lcone.delaunay import delaunay_star, is_triangulation
@@ -516,8 +605,8 @@ class TestDVFromStar:
     def test_cell_coverage_raises_under_O(self, change, raised):
         out = _raised_under_optimize(
             "real = P._closest\n"
-            "def changed(form, c):\n"
-            "    best, mins = real(form, c)\n"
+            "def changed(form, c, m):\n"
+            "    best, mins = real(form, c, m)\n"
             f"    return best, {change}\n"
             "P._closest = changed\n",
             "P.dv_polytope(principal_form(3))")
