@@ -4,10 +4,12 @@ A positive definite symmetric matrix Q turns Z^d into a metric lattice; its
 Delaunay cells are the convex hulls of lattice points on empty spheres.  The
 whole subdivision is encoded by the star of the origin: the cells having 0
 as a vertex.  A star is stored as its form and its class keys, the vertex
-tuples of one normalized cell per translation class; the cells are derived
-from them.  This script walks through the basic geometry in d = 2 and 3.
+tuples of one normalized cell per translation class; its cells are the
+certified cells of the form's Dirichlet-Voronoi cell.  This script walks
+through the basic geometry in d = 2 and 3.
 """
 
+from lcone.classify import seed_triangulation
 from lcone.exact import SymMat, format_form
 from lcone.delaunay import (
     circumcenter,
@@ -53,21 +55,27 @@ print("  closest lattice points to the centre:", mins, "at squared distance", be
 # mirror images of the same combinatorial type.  The flip works on the class
 # keys alone: it solves the circumcenters of the classes it adds, for their
 # empty-sphere check, and the kept classes are certified by their positive
-# regulators.  The flipped star's cells are derived when they are asked for.
+# regulators.  The flipped star's cells, when they are asked for, are read
+# off the DV cell of its form, whose Delaunay star must have these keys.
 cone = secondary_cone(star)
 facet = next(f for f in cone_facets(cone) if contains_pd(f))
 flipped = neighbor_triangulation(star, facet.central, cone.central)
 print("\nafter crossing one wall:")
 print("  new form:", format_form(flipped.form))
 print("  new classes:", list(flipped.keys))
-print("  cells derived from them:", len(flipped.cells))
+print("  cells read off its DV cell:", len(flipped.cells))
 
 # The face-centered cubic lattice in d = 3 has a coarse subdivision made of
 # tetrahedra and octahedra; it refines to a triangulation after a generic
-# perturbation.
+# perturbation.  `seed_triangulation` makes that refinement and checks it:
+# every wall of the new triangulation's secondary cone is >= 0 on FCC, so
+# the closed cone holds FCC.
 FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 star = delaunay_star(FCC)
 print("\nfcc lattice (d=3): cells", len(star.cells), "classes", len(star.keys),
       "triangulation", is_triangulation(star))
 sizes = sorted(set(len(c.vertices) for c in star.cells))
 print("  cell vertex counts:", sizes, "(4 = tetrahedron, 6 = octahedron)")
+fine = seed_triangulation(3, FCC)
+print("  refined by a generic perturbation: cells", len(fine.cells),
+      "classes", len(fine.keys), "triangulation", is_triangulation(fine))

@@ -2,7 +2,9 @@
 
 The pipeline follows the classical two-stage scheme: first all
 full-dimensional cones (primitive types) are found by crossing walls between
-neighboring triangulations; then faces are descended dimension by dimension.
+neighboring triangulations, starting from the seed's (a coarse seed is
+refined by one checked generic perturbation); then faces are descended
+dimension by dimension.
 Each level is deduplicated by the certificate hash of the canonical form of
 each cone's central form, labeled once per distinct form, and a candidate
 merges into a class only through a verified witness.
@@ -101,25 +103,18 @@ def principal_form(d: int) -> SymMat:
     return SymMat([[d if i == j else -1 for j in range(d)] for i in range(d)])
 
 
-def perturb_schedule(q: SymMat, times: int) -> SymMat:
-    """Documented fallback perturbation: add k/(100+k) to diagonal entry k,
-    applied `times` times."""
-    rows = [list(r) for r in q.entries]
-    for k in range(1, q.d + 1):
-        rows[k - 1][k - 1] += times * Rat(k, 100 + k)
-    return SymMat(rows)
-
-
 def seed_triangulation(d: int, seed: Optional[SymMat] = None):
     """Star of the traversal seed, refining a coarse user seed if needed.
 
-    A coarse seed is first nudged by the diagonal schedule; if that does not
-    reach a triangulation (diagonal moves can stay inside a low-dimensional
-    cone forever), the seed is blended with the principal form: k Q + P
-    approaches Q along a segment from a wall-free generic point, so for
-    large k it lies in a full-dimensional cone whose closure contains Q and
-    its subdivision is a triangulation refining Del(Q).  A seed of another
-    dimension raises ValueError.
+    A seed Q whose star is a triangulation is returned as it is.  Otherwise
+    Q is perturbed by one fixed generic form R, whose lower entries are
+    k/(100+k) for k = 1, ..., d(d+1)/2, as Q + eps R for eps = 1, 1/2, ...
+    A small enough generic perturbation lies in an open cone of the
+    secondary fan whose closure holds Q, so its triangulation refines
+    Del(Q).  That is checked, not assumed: the first candidate that is
+    positive definite, whose star is a triangulation and whose walls are
+    all >= 0 on Q is returned.  Raises ValueError if 64 steps find none, or
+    if the seed has another dimension.
     """
     if seed is not None and seed.d != d:
         raise ValueError(f"seed form has dimension {seed.d}, not {d}")
@@ -127,20 +122,16 @@ def seed_triangulation(d: int, seed: Optional[SymMat] = None):
     star = delaunay_star(q)
     if is_triangulation(star):
         return star
-    for t in range(1, 5):
-        cand = perturb_schedule(q, t)
+    generic = SymMat.from_lower(d, [Rat(k, 100 + k) for k in range(1, d * (d + 1) // 2 + 1)])
+    eps = Rat(1)
+    for _ in range(64):
+        cand = q + generic.scale(eps)
+        eps = eps / 2
         if not cand.is_positive_definite():
-            break
+            continue
         star = delaunay_star(cand)
-        if is_triangulation(star):
+        if is_triangulation(star) and all(n.pair(q) >= 0 for n in star_wall_forms(star)):
             return star
-    p = principal_form(d)
-    k = 1
-    for _ in range(40):
-        star = delaunay_star(q.scale(k) + p)
-        if is_triangulation(star):
-            return star
-        k *= 2
     raise ValueError("seed form could not be refined to a Delaunay triangulation")
 
 

@@ -3,11 +3,13 @@
 The subdivision is represented by its star at the origin: all full
 dimensional Delaunay cells having 0 as a vertex.  A star is stored as its
 form and its class keys, the vertex tuples of one normalized representative
-per translation class (smallest vertex 0); its cells are derived from them.
-The star is read off the Dirichlet-Voronoi cell at 0, whose vertices are the
-circumcenters of the cells at 0 (Voronoi's duality): `polyhedral._dv_cell`
-gives every cell at 0 with its empty-sphere certificate, and the star adds
-the check that the cells tile face to face.
+per translation class (smallest vertex 0).  The star is read off the
+Dirichlet-Voronoi cell at 0, whose vertices are the circumcenters of the
+cells at 0 (Voronoi's duality): `polyhedral._dv_cell` gives every cell at 0
+with its empty-sphere certificate, and the star adds the check that the
+cells tile face to face.  That is the one source of a star's cells: a star
+built from keys reads them off the DV cell of its form, and the keys must
+match.
 
 No adjacency is stored.  Every facet of a face-to-face tiling lies in
 exactly two cells, so the class facets that are translates of each other,
@@ -71,13 +73,6 @@ class Cell:
     center: tuple            # exact rational circumcenter
     sqradius: object         # exact squared circumradius
 
-    def translate(self, t: Sequence[int]) -> "Cell":
-        return Cell(
-            tuple(sorted(tuple(x + s for x, s in zip(v, t)) for v in self.vertices)),
-            tuple(c + s for c, s in zip(self.center, t)),
-            self.sqradius,
-        )
-
 
 @dataclass(frozen=True)
 class DelaunayStar:
@@ -90,9 +85,9 @@ class DelaunayStar:
 
     Two views are derived on first use and cached.  Neither is a field, so
     equality, hashing and `repr` see only the form and the keys.
-    - `cells`: every cell with 0 as a vertex, sorted.  `delaunay_star`
-      hands over the certified cells of `_dv_cell`; any other star takes
-      the simplex on each key with its circumcenter.
+    - `cells`: every cell with 0 as a vertex, sorted, as certified by
+      `_dv_cell`.  `delaunay_star` hands them over; a star built from keys
+      takes those of `delaunay_star(form)`, whose keys must be its own.
     - `pairs`: a triangulation's adjacent simplex pairs, normalized facet ->
       (class key, extra vertex, Regulator), as `_facet_pairs` computes
       them.  A star made by `neighbor_triangulation` is given them by
@@ -107,8 +102,12 @@ class DelaunayStar:
 
     @cached_property
     def cells(self) -> tuple:
-        """All cells with 0 as a vertex, sorted."""
-        return _star_cells([Cell(k, *circumcenter(self.form, k)) for k in self.keys])
+        """All cells with 0 as a vertex, sorted: those of the form's
+        Delaunay star.  Raises ValueError unless its keys are these."""
+        star = delaunay_star(self.form)
+        if star.keys != self.keys:
+            raise ValueError("the keys are not the Delaunay subdivision of the form")
+        return star.cells
 
     @cached_property
     def pairs(self) -> dict:
@@ -185,21 +184,6 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
     star = DelaunayStar(q, tuple(rep.vertices for rep in reps))
     star.__dict__["cells"] = cells      # `cached_property`'s slot
     return star
-
-
-def _star_cells(reps: Sequence[Cell]) -> tuple:
-    """The cells of the star with the given class representatives: the
-    translates `rep - v` over the vertices `v` of every representative, in
-    sorted order, with pairwise distinct circumcenters."""
-    by_key = {}
-    for rep in reps:
-        for v in rep.vertices:
-            cell = rep.translate(tuple(-x for x in v))
-            by_key[cell.vertices] = cell
-    cells = tuple(by_key[k] for k in sorted(by_key))
-    if len(set(c.center for c in cells)) != len(cells):
-        raise AssertionError("duplicate circumcenters in the star")
-    return cells
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ around 0, the double description of a cone with equalities, polytopes from
 halfspaces by one double description, polytopes from vertices with the
 points that are not vertices dropped, the facets of a Delaunay cell read off
 that polytope, canonical extreme rays, the normalized translate of a cell,
-the Delaunay star by moving spheres, the Dirichlet-Voronoi polytope read off
+the cells of a triangulation solved from its class keys, the Delaunay star
+by moving spheres, the Dirichlet-Voronoi polytope read off
 the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
 triangulation as a list, the regulator over rational matrices, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
@@ -37,7 +38,6 @@ from lcone.delaunay import (
     Regulator,
     _facet_pairs,
     _normalized,
-    _star_cells,
     cell_facets,
     circumcenter,
     delaunay_star,
@@ -178,7 +178,8 @@ def dv_cell_by_fractions(q: SymMat) -> list:
     d = q.d
     zero = (0,) * d
     rays = dd_cone_by_scan(dv_halfspaces(q), d + 1)
-    assert all(r[-1] > 0 for r in rays)
+    if not all(r[-1] > 0 for r in rays):
+        raise AssertionError("the DV cell is unbounded")
     cells = {}
     for r in rays:
         if r in cells:
@@ -187,13 +188,16 @@ def dv_cell_by_fractions(q: SymMat) -> list:
         center = tuple(Rat(x, t) for x in y)
         sqradius = q.quad(center)
         best, mins = closest_vectors(q, center)
-        assert best == sqradius and zero in mins
+        if best != sqradius or zero not in mins:
+            raise AssertionError("a DV vertex is not the centre of a cell at 0")
         for v in mins:
             ray = tuple(x - t * a for x, a in zip(y, v)) + (t,)
-            assert ray not in cells
+            if ray in cells:
+                raise AssertionError("a DV vertex is the centre of two cells")
             cells[ray] = (tuple(sorted(tuple(a - b for a, b in zip(w, v)) for w in mins)),
                           tuple(c - a for c, a in zip(center, v)), sqradius)
-    assert len(cells) == len(rays)
+    if len(cells) != len(rays):
+        raise AssertionError(f"{len(cells)} cells but {len(rays)} DV vertices")
     return sorted(cells.values(), key=lambda cell: cell[1])
 
 
@@ -342,12 +346,43 @@ def cell_facets_by_polytope(cell: Cell, d: int) -> list:
     return sorted(out)
 
 
+def translate(cell: Cell, t: Sequence[int]) -> Cell:
+    """`cell` moved by the integer vector t: sorted vertices, centre + t."""
+    return Cell(tuple(sorted(tuple(x + s for x, s in zip(v, t)) for v in cell.vertices)),
+                tuple(c + s for c, s in zip(cell.center, t)),
+                cell.sqradius)
+
+
 def normalized(cell: Cell) -> tuple:
     """Translate the lexicographically smallest vertex to the origin.
     Returns (cell, shift) with cell = `cell` translated by shift."""
     base = min(cell.vertices)
     shift = tuple(-x for x in base)
-    return cell.translate(shift), shift
+    return translate(cell, shift), shift
+
+
+def _star_cells(reps: Sequence[Cell]) -> tuple:
+    """The cells of the star with the given class representatives: the
+    translates `rep - v` over the vertices `v` of every representative, in
+    sorted order, with pairwise distinct circumcenters."""
+    by_key = {}
+    for rep in reps:
+        for v in rep.vertices:
+            cell = translate(rep, tuple(-x for x in v))
+            by_key[cell.vertices] = cell
+    cells = tuple(by_key[k] for k in sorted(by_key))
+    if len(set(c.center for c in cells)) != len(cells):
+        raise AssertionError("duplicate circumcenters in the star")
+    return cells
+
+
+def cells_from_keys(q: SymMat, keys: Sequence[tuple]) -> tuple:
+    """The cells of the triangulation with class keys `keys` at the form q,
+    solved from the keys alone, as `DelaunayStar.cells` once did for a star
+    built from keys: the simplex on each key with its `circumcenter`, and
+    its translates to the origin.  No empty-sphere check; raises
+    AffinelyDependent on a key that is not a simplex."""
+    return _star_cells([Cell(k, *circumcenter(q, k)) for k in keys])
 
 
 def dv_polytope_by_star(q: SymMat) -> LatPolytope:

@@ -33,6 +33,7 @@ from lcone.polyhedral import dv_polytope, polytope_volume
 from lcone.scone import cone_facets, cone_from_rays, fundamental_face
 
 from oracles import delaunay_star_by_search, dv_polytope_by_star
+from test_classify import assert_refined_seed
 from test_delaunay import assert_same_star
 from test_polyhedral import assert_dv_summary_matches_oracles
 from test_scone import (
@@ -233,6 +234,16 @@ def test_dv_summary_matches_oracles_on_databases(db3, db4):
     assert len(forms) == 57
     for q in forms:
         assert_dv_summary_matches_oracles(q)
+
+
+def test_seed_refines_database_forms(db3, db4):
+    # Every central form of the d = 3 and d = 4 databases seeds a
+    # triangulation that refines its Delaunay subdivision: a primitive one
+    # as it is, a coarse one by the checked generic perturbation.
+    forms = [rec.cone.central for db in (db3, db4) for rec in db.records()]
+    assert len(forms) == 57
+    for q in forms:
+        assert_refined_seed(q)
 
 
 def test_criterion_3_d4(db4):

@@ -38,7 +38,7 @@ from lcone.classify import (
     write_db,
     zonotopal_census,
 )
-from lcone.delaunay import is_triangulation
+from lcone.delaunay import delaunay_star, is_triangulation
 from lcone.equiv import form_equivalence
 from lcone.exact import NotPositiveDefinite, Rat, SymMat
 from lcone.scone import (
@@ -49,11 +49,23 @@ from lcone.scone import (
     contains_pd,
     fundamental_face,
     secondary_cone,
+    star_wall_forms,
 )
 from oracles import expand_primitive_cone_by_crossing, merge_by_buckets, merge_by_forms
 
 
 A2 = SymMat([[2, 1], [1, 2]])
+
+
+def assert_refined_seed(q):
+    """`seed_triangulation` of the form q is a triangulation whose walls are
+    all >= 0 on q, so that its closed secondary cone holds q, and each of
+    its cells lies in a cell of Del(q)."""
+    star = seed_triangulation(q.d, q)
+    assert is_triangulation(star)
+    assert all(n.pair(q) >= 0 for n in star_wall_forms(star))
+    coarse = [set(c.vertices) for c in delaunay_star(q).cells]
+    assert all(any(set(c.vertices) <= c2 for c2 in coarse) for c in star.cells)
 
 
 class TestSeeds:
@@ -64,10 +76,15 @@ class TestSeeds:
 
     def test_coarse_seed_is_refined(self):
         # the identity form has cubical cells; seeding still must produce a
-        # triangulation (via the blend fallback)
-        for d in (2, 3):
-            star = seed_triangulation(d, SymMat.identity(d))
-            assert is_triangulation(star)
+        # triangulation that refines them (by the checked generic perturbation)
+        for d in (2, 3, 4):
+            assert_refined_seed(SymMat.identity(d))
+
+    def test_d5_wall_seed_is_refined(self):
+        cone = secondary_cone(seed_triangulation(5))
+        wall = next(f for f in cone_facets(cone) if contains_pd(f))
+        assert not is_triangulation(delaunay_star(wall.central))
+        assert_refined_seed(wall.central)
 
     def test_seed_of_other_dimension_raises(self, tmp_path):
         with pytest.raises(ValueError, match="seed form has dimension 2, not 3"):

@@ -14,6 +14,7 @@ import lcone.polyhedral
 
 from lcone.delaunay import (
     Cell,
+    DelaunayStar,
     NotOnSingleFacet,
     cell_facets,
     circumcenter,
@@ -31,6 +32,7 @@ import oracles
 from oracles import (
     NotAFacet,
     adjacent_cell,
+    cells_from_keys,
     delaunay_star_by_search,
     initial_cell,
     neighbor_triangulation_by_fractions,
@@ -269,6 +271,49 @@ def assert_same_star(star, other):
         [_typed((c.vertices, c.center, c.sqradius)) for c in other.cells]
 
 
+# A triangulation whose DV cell has centres with a zero coordinate: the
+# cells solved from its keys hold some as int 0, the DV cell as Fraction(0).
+ZERO_CENTRE3 = SymMat([[6, -3, -6], [-3, 4, 5], [-6, 5, 10]])
+FCC = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+
+
+class TestKeyBuiltCells:
+    @pytest.mark.parametrize("q", [SymMat.identity(3), FCC, FACE4, ZERO_CENTRE3],
+                             ids=["identity3", "fcc", "face4", "zero-centre3"])
+    def test_cells_are_the_dv_stars(self, q):
+        star = delaunay_star(q)
+        built = DelaunayStar(q, star.keys)
+        assert "cells" not in built.__dict__
+        assert [_typed((c.vertices, c.center, c.sqradius)) for c in built.cells] == \
+            [_typed((c.vertices, c.center, c.sqradius)) for c in star.cells]
+
+    @pytest.mark.parametrize("d,limit", [(3, 40), (4, 12)], ids=["d3", "d4"])
+    def test_flipped_cells_match_key_oracle(self, d, limit):
+        walk = crossings(seed_triangulation(d), limit)
+        assert len(walk) == limit
+        for star, wallpoint, center in walk:
+            nb = neighbor_triangulation(star, wallpoint, center)
+            assert nb.cells == cells_from_keys(nb.form, nb.keys)
+
+    def test_keys_of_another_star_raise(self):
+        star = seed_triangulation(3)
+        cone, walls = pd_walls(star)
+        nb = neighbor_triangulation(star, walls[0].central, cone.central)
+        with pytest.raises(ValueError, match="not the Delaunay subdivision of the form"):
+            DelaunayStar(star.form, nb.keys).cells
+
+    def test_keys_of_another_star_raise_under_optimize(self):
+        out = _raised_under_optimize(
+            "from lcone.scone import cone_facets, contains_pd, secondary_cone\n"
+            "star = D.delaunay_star(principal_form(3))\n"
+            "cone = secondary_cone(star)\n"
+            "wall = next(f for f in cone_facets(cone) if contains_pd(f))\n"
+            "nb = D.neighbor_triangulation(star, wall.central, cone.central)\n",
+            "D.DelaunayStar(star.form, nb.keys).cells",
+            error="ValueError")
+        assert out.startswith("raised: the keys are not the Delaunay subdivision of the form")
+
+
 class TestStarByClasses:
     @pytest.mark.parametrize("q", [principal_form(2), principal_form(3), principal_form(4),
                                    SymMat.identity(3), FACE4] + _random_forms(7, 4))
@@ -382,12 +427,12 @@ class TestStarByClasses:
         assert out.startswith("raised: a DV vertex is not the centre of a cell at 0")
 
 
-def _raised_under_optimize(setup: str, call: str) -> str:
+def _raised_under_optimize(setup: str, call: str, error: str = "AssertionError") -> str:
     """Run `setup`, then `call`, under `python -O` in a new process, with
     `lcone.delaunay` as D, `lcone.polyhedral` as P, `principal_form` and
     `SymMat` imported.  Returns the output: "raised: <message>" if `call`
-    raised an AssertionError.  The script's `assert False` passes only if
-    -O stripped the asserts."""
+    raised the exception named `error`.  The script's `assert False` passes
+    only if -O stripped the asserts."""
     script = ("import lcone.delaunay as D\n"
               "import lcone.polyhedral as P\n"
               "from lcone.classify import principal_form\n"
@@ -395,7 +440,7 @@ def _raised_under_optimize(setup: str, call: str) -> str:
               "assert False, 'asserts are on'\n"
               f"{setup}"
               f"try:\n    {call}\n"
-              "except AssertionError as exc:\n    print('raised:', exc)\n")
+              f"except {error} as exc:\n    print('raised:', exc)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
