@@ -12,11 +12,17 @@ Verification operations (mass formula, flag identity, pairwise combinatorial
 distinctness, censuses and the contraction refinement) run on the finished
 database.
 
-A cone's walls are crossed one per orbit of its stabilizer (the adjacency
-decomposition method of Bremner, Dutour Sikirić and Schürmann, 2009): a
+The `prim` and `desc` tasks return one cone per orbit of the parent's
+facets under the stabilizer of its central form (the adjacency
+decomposition method of Bremner, Dutour Sikirić and Schürmann, 2009).  A
 stabilizer element U maps the cone onto itself, the wall F onto the wall
-U.F and the neighbour across F onto the neighbour across U.F, so every
-other neighbour of the orbit is made exactly, by congruence.
+U.F and the neighbour across F onto the neighbour across U.F.  So one wall
+per orbit is crossed, and the orbit's member with the least ray set,
+neighbour or facet, is the one returned: a merge orders its candidates by
+(invariants, certificate hash, ray set), orbit members share the first
+two, and so each class keeps the least ray set of all its candidates.
+Each member left out is the image of the one returned under some U, a
+witness checked to fix the form.
 
 Heavy geometric steps are pure functions of their input cone, so they can be
 distributed over worker processes and their results checkpointed on disk; a
@@ -66,6 +72,7 @@ from .polyhedral import (
 from .scone import (
     ConeDesc,
     NonPSDRay,
+    _face,
     _ray_rank,
     _tight_masks,
     central_form,
@@ -303,6 +310,10 @@ def merge_candidates(classes: dict, candidates: Sequence[ConeDesc],
     (`_form_canonical`), and the merge holds its hash and witness; the
     number of labelings does not depend on any cache.  Candidates are
     taken in the order of their invariants, certificate hash and ray set.
+    The `prim` and `desc` tasks hand over one candidate per orbit of their
+    parent's stabilizer, the least ray set of the orbit, so the least ray
+    set of a class is among the candidates, and the accepted cones are
+    those of a merge of every orbit member.
     A candidate whose hash is taken merges only through the witness map of
     the two witnesses, verified on the forms and the ray sets
     (`cone_equivalent`): two cones are equivalent exactly when their
@@ -340,68 +351,91 @@ def merge_candidates(classes: dict, candidates: Sequence[ConeDesc],
 
 def expand_primitive_cone(payload: dict) -> dict:
     """The neighbouring full-dimensional secondary cones of a
-    full-dimensional cone, given with the class keys of its triangulation,
-    one per PD facet in `cone_facets` order, each with its class keys.
+    full-dimensional cone, given with the class keys of its triangulation:
+    one per orbit of PD facets under the stabilizer of the central form,
+    each with its class keys.
 
     The keys may come back from a checkpoint, so they are certified first:
     every regulator of the triangulation must be positive on the central
     form (`star_wall_forms`), and a locally Delaunay triangulation is the
     Delaunay triangulation.
 
-    Only the first PD facet of each orbit of the stabilizer of the central
-    form is crossed (`neighbor_triangulation`).  The other neighbours are
-    images, exactly: if U^T Q U fixes the central form and maps the crossed
-    facet onto the facet F, then the Delaunay subdivision of U^T Q U is
-    U^{-1} times that of Q, so the neighbour across F is the crossed
-    neighbour mapped by U (`_congruent_neighbour`).  Its rays, inequalities
-    and keys are unique once normalized and sorted, so they equal those of
-    a crossing of F."""
+    An orbit is PD when the central form of its first facet, the sum of its
+    tight rays, is; that wall is crossed (`neighbor_triangulation`).  The
+    neighbours across the other facets of the orbit are images: if U^T Q U
+    fixes the central form and maps the crossed facet onto the facet F,
+    then the Delaunay subdivision of U^T Q U is U^{-1} times that of Q, so
+    the neighbour across F is the crossed neighbour mapped by U.  Of these,
+    the one with the least sorted ray set is returned, made by congruence
+    (`_congruent_neighbour`) unless it is the crossed one.  Its rays,
+    inequalities and keys are unique once normalized and sorted, so they
+    equal those of a crossing of F."""
     cone = cone_from_dict(payload["cone"])
     star = DelaunayStar(cone.central, payload["keys"])
     star_wall_forms(star)
-    facets = cone_facets(cone)
-    crossed, out = {}, []
-    for j, (i, u) in sorted(_pd_facet_orbits(cone, facets).items()):
-        if i == j:
-            nb_star = neighbor_triangulation(star, facets[i].central, cone.central)
-            crossed[i] = secondary_cone(nb_star), nb_star.keys
-        nb, keys = crossed[i] if i == j else _congruent_neighbour(*crossed[i], u)
+    masks, orbits = _facet_orbits(cone)
+    out = []
+    for orbit in orbits:
+        wall = central_form([cone.rays[k] for k in _bits(masks[orbit[0][0]])])
+        if not wall.is_positive_definite():
+            continue
+        nb_star = neighbor_triangulation(star, wall, cone.central)
+        nb, keys = secondary_cone(nb_star), nb_star.keys
+        images = [nb.key()] + [tuple(sorted(r.congruence(u).lower() for r in nb.rays))
+                               for _, u in orbit[1:]]
+        least = min(range(len(orbit)), key=images.__getitem__)
+        if least:
+            nb, keys = _congruent_neighbour(nb, keys, orbit[least][1])
         out.append({"cone": cone_to_dict(nb), "keys": keys})
     return {"cones": out}
 
 
-def _pd_facet_orbits(cone: ConeDesc, facets: Sequence[ConeDesc]) -> dict:
-    """Index j of every PD facet -> (i, U): i is the first facet of its
-    orbit under the stabilizer of the central form, in `cone_facets` order,
-    and U a stabilizer element with facets[j] = {U^T Q U : Q in facets[i]}.
+def _facet_orbits(cone: ConeDesc) -> tuple[list[int], list[list[tuple[int, Mat]]]]:
+    """The tight masks of the cone's facets, in `cone_facets` order, and
+    the orbits of the facets under the stabilizer of the central form.
 
-    The generators are `automorphism_group`'s verified maps.  A map U sends
-    the facet normal N to U^{-1} N U^{-T}, so each generator permutes the
-    cone's normalized inequalities; U is the product of generators along a
-    breadth-first search, and each product is checked to fix the form."""
-    index = {n.lower(): k for k, n in enumerate(cone.inequalities)}
+    Each orbit is a list of (index j, U), its first member the orbit's
+    first facet in that order, with U = 1, and U a stabilizer element that
+    maps the first member's rays onto facet j's, R -> U^T R U.  The
+    generators are `automorphism_group`'s verified maps; each must permute
+    the sorted rays, so it maps the facets' masks among themselves.  U is
+    the product of generators along a breadth-first search, and each
+    product is checked to fix the form.  Every check is an explicit raise."""
+    masks = _tight_masks(cone.inequalities, cone.rays)
+    index = {r.lower(): k for k, r in enumerate(cone.rays)}
     gens = []
     for g in automorphism_group(cone.central)[0]:
-        v = inverse(g.matrix).transpose()
-        perm = [index.get(n.congruence(v).lower()) for n in cone.inequalities]
+        perm = [index.get(r.congruence(g.matrix).lower()) for r in cone.rays]
         if None in perm:
-            raise AssertionError("a stabilizer map does not permute the facets")
+            raise AssertionError("a stabilizer map does not permute the rays")
         gens.append((g.matrix, perm))
-    orbits = {}
-    for i, facet in enumerate(facets):
-        if i in orbits or not contains_pd(facet):
+    facet = {t: j for j, t in enumerate(masks)}
+    seen: set = set()
+    orbits = []
+    for i in range(len(masks)):
+        if i in seen:
             continue
-        orbits[i] = (i, Mat.identity(cone.d))
-        todo = [i]
-        for j in todo:
+        seen.add(i)
+        orbit = [(i, Mat.identity(cone.d))]
+        for j, u in orbit:
+            bits = _bits(masks[j])
             for g, perm in gens:
-                if perm[j] not in orbits:
-                    u = orbits[j][1] @ g
-                    if cone.central.congruence(u) != cone.central:
+                k = facet.get(sum(1 << perm[b] for b in bits))
+                if k is None:
+                    raise AssertionError("a stabilizer map does not map a facet onto a facet")
+                if k not in seen:
+                    v = u @ g
+                    if cone.central.congruence(v) != cone.central:
                         raise AssertionError("a product of stabilizer maps moves the form")
-                    orbits[perm[j]] = (i, u)
-                    todo.append(perm[j])
-    return orbits
+                    seen.add(k)
+                    orbit.append((k, v))
+        orbits.append(orbit)
+    return masks, orbits
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the bits set in the mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _congruent_neighbour(nb: ConeDesc, keys: tuple, u: Mat) -> tuple:
@@ -429,9 +463,22 @@ def _keys_of(data) -> tuple:
 
 
 def expand_descent_cone(payload: dict) -> dict:
-    """Facets of a cone that still meet the positive definite forms."""
-    facets = cone_facets(cone_from_dict(payload["cone"]))
-    return {"cones": [cone_to_dict(f) for f in facets if contains_pd(f)]}
+    """The facets of a cone that still meet the positive definite forms, one
+    per orbit of facets under the stabilizer of the central form
+    (`_facet_orbits`): the member with the least ray set, whose index list
+    is least because the rays are sorted.  Only that member is built."""
+    cone = cone_from_dict(payload["cone"])
+    if cone.dim <= 1:
+        return {"cones": []}
+    masks, orbits = _facet_orbits(cone)
+    out = []
+    for orbit in orbits:
+        facet = _face(cone, masks, min((masks[j] for j, _ in orbit), key=_bits))
+        if facet.dim != cone.dim - 1:
+            raise AssertionError("facet dimension mismatch")
+        if contains_pd(facet):
+            out.append(cone_to_dict(facet))
+    return {"cones": out}
 
 
 def enrich_cone_task(payload: dict) -> dict:

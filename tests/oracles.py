@@ -22,8 +22,10 @@ merge by canonical forms with every form labeled through the shared cache,
 colour refinement by full signatures, the group order by Schreier-Sims with
 sifting and by Schreier generators kept without sifting, the automorphism
 count of a small graph over all permutations, the subordination scheme by a
-scan of every pair of faces, and the primitive expansion by a crossing of
-every positive definite wall.
+scan of every pair of faces, the primitive expansion by a crossing of
+every positive definite wall, the descent that builds and returns every
+positive definite facet, and the facet orbits of a cone's stabilizer read
+off the images of its facet cones' rays.
 """
 
 import itertools
@@ -43,7 +45,7 @@ from lcone.delaunay import (
     delaunay_star,
     neighbor_triangulation,
 )
-from lcone.equiv import _form_canonical, cone_equivalent
+from lcone.equiv import _form_canonical, automorphism_group, cone_equivalent
 from lcone.exact import (
     AffinelyDependent,
     Mat,
@@ -737,6 +739,45 @@ def expand_primitive_cone_by_crossing(payload: dict) -> dict:
         nb_star = neighbor_triangulation(star, facet.central, cone.central)
         out.append({"cone": cone_to_dict(secondary_cone(nb_star)), "keys": nb_star.keys})
     return {"cones": out}
+
+
+def expand_descent_cone_all_facets(payload: dict) -> dict:
+    """`classify.expand_descent_cone` with every facet built and every
+    positive definite one returned, in `cone_facets` order."""
+    facets = cone_facets(cone_from_dict(payload["cone"]))
+    return {"cones": [cone_to_dict(f) for f in facets if contains_pd(f)]}
+
+
+def facet_orbits_by_rays(cone) -> list:
+    """The orbits of a cone's facets under the stabilizer of its central
+    form, as sorted lists of indices in `cone_facets` order, ordered by
+    their first index.  Each generator U of `automorphism_group` maps a
+    facet cone's rays R to U^T R U, which must be the ray set of a facet
+    cone; the orbits are closed under those maps."""
+    facets = cone_facets(cone)
+    index = {frozenset(r.lower() for r in f.rays): k for k, f in enumerate(facets)}
+    perms = []
+    for g in automorphism_group(cone.central)[0]:
+        perm = [index.get(frozenset(r.congruence(g.matrix).lower() for r in f.rays))
+                for f in facets]
+        if None in perm:
+            raise AssertionError("a stabilizer map does not permute the facets")
+        perms.append(perm)
+    orbit_of = {}
+    for i in range(len(facets)):
+        if i in orbit_of:
+            continue
+        orbit_of[i] = i
+        todo = [i]
+        for j in todo:
+            for perm in perms:
+                if perm[j] not in orbit_of:
+                    orbit_of[perm[j]] = i
+                    todo.append(perm[j])
+    orbits = {}
+    for j in sorted(orbit_of):
+        orbits.setdefault(orbit_of[j], []).append(j)
+    return [orbits[i] for i in sorted(orbits)]
 
 
 def merge_by_buckets(existing, candidates, digest: str = "sha256") -> list:

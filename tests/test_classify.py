@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from lcone.classify import (
     DiskCache,
     IncompatibleCheckpoint,
     IncompleteDatabase,
-    _pd_facet_orbits,
+    _facet_orbits,
     classify_all,
     contraction_refine,
     dimension_table,
@@ -40,18 +39,25 @@ from lcone.classify import (
 )
 from lcone.delaunay import delaunay_star, is_triangulation
 from lcone.equiv import form_equivalence
-from lcone.exact import NotPositiveDefinite, Rat, SymMat
+from lcone.exact import Mat, NotPositiveDefinite, Rat, SymMat
 from lcone.scone import (
     _ray_rank,
     _tight_masks,
     cone_facets,
+    cone_from_dict,
     cone_to_dict,
     contains_pd,
     fundamental_face,
     secondary_cone,
     star_wall_forms,
 )
-from oracles import expand_primitive_cone_by_crossing, merge_by_buckets, merge_by_forms
+from oracles import (
+    expand_descent_cone_all_facets,
+    expand_primitive_cone_by_crossing,
+    facet_orbits_by_rays,
+    merge_by_buckets,
+    merge_by_forms,
+)
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -606,7 +612,7 @@ def test_merge_matches_bucket_oracle(d, monkeypatch):
             assert [cone_to_dict(c) for c in accepted] == [cone_to_dict(c) for c in want]
 
 
-@pytest.mark.parametrize("d, repeats", [(3, 1), (4, 56)])
+@pytest.mark.parametrize("d, repeats", [(3, 0), (4, 35)])
 def test_merge_does_not_depend_on_candidate_order(d, repeats, monkeypatch):
     # Every merge of the classification, over its candidates reversed: the
     # same cones.  A ray set reached from several parents (`repeats` times
@@ -622,7 +628,7 @@ def test_merge_does_not_depend_on_candidate_order(d, repeats, monkeypatch):
     assert seen == repeats
 
 
-@pytest.mark.parametrize("d, repeats", [(3, 1), (4, 56)])
+@pytest.mark.parametrize("d, repeats", [(3, 0), (4, 35)])
 def test_repeated_ray_sets_make_no_witness_check(d, repeats, monkeypatch):
     # A merge drops repeated ray sets before it labels anything, so it
     # checks a witness only for a distinct ray set whose class is taken.
@@ -650,7 +656,7 @@ def test_repeated_ray_sets_make_no_witness_check(d, repeats, monkeypatch):
 def test_descent_decodes_each_distinct_ray_set_once(monkeypatch):
     # The descent decodes the first cone of each distinct ray set among a
     # level's `desc` outputs and hands a repeat to the merge as that cone:
-    # 56 of the d = 4 outputs repeat a ray set.
+    # 35 of the d = 4 outputs repeat a ray set.
     levels = []
     mapper = Classifier._map
 
@@ -669,22 +675,22 @@ def test_descent_decodes_each_distinct_ray_set_once(monkeypatch):
     outputs = {id(c) for level in levels for c in level}
     distinct = sum(len({json.dumps(c["rays"]) for c in level}) for level in levels)
     assert sum(id(data) in outputs for data in calls) == distinct
-    assert sum(map(len, levels)) - distinct == 56
+    assert sum(map(len, levels)) - distinct == 35
     assert db.total() == 52
 
 
 def test_merge_labels_each_distinct_form_once(monkeypatch):
-    # The d = 4 descent merge of 75 candidates, with `_form_canonical`
-    # cached in fewer entries than there are candidates: one labeling per
-    # distinct central form, however small the cache.  The merge through
-    # the shared cache labels more.
+    # The largest d = 4 descent merge, with `_form_canonical` cached in
+    # fewer entries than there are candidates: one labeling per distinct
+    # central form, however small the cache.  The merge through the shared
+    # cache labels more.
     merge = lcone.classify.merge_candidates
     merges = _record_merges(monkeypatch)
     classify_all(4)
-    (before, candidates, digest, accepted), = [m for m in merges if len(m[1]) == 75]
-    assert before == {}
+    before, candidates, digest, accepted = max(merges[1:], key=lambda m: (m[0] == {}, len(m[1])))
+    assert before == {} and len(candidates) > 8
     forms = {c.central for c in candidates}
-    assert len({c.key() for c in candidates}) < 75 and len(forms) < 75
+    assert len({c.key() for c in candidates}) < len(candidates) and len(forms) < len(candidates)
     labeling = lcone.equiv.canonical_labeling
     calls = []
     monkeypatch.setattr(lcone.equiv, "canonical_labeling",
@@ -890,11 +896,28 @@ def test_faces_within_matches_loop(d):
 
 
 # ---------------------------------------------------------------------------
-# One wall crossed per stabilizer orbit
+# One candidate per stabilizer orbit
 
 
 def _json(out) -> str:
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+def _least_per_orbit(payload: dict, oracle_out: dict) -> dict:
+    """The outputs of an all-facet oracle on a cone, one per PD facet in
+    `cone_facets` order, cut to one per orbit of facets (by the images of
+    the facets' rays): the least ray set of each, in the orbits' order."""
+    cone = cone_from_dict(payload["cone"])
+    pd = [j for j, f in enumerate(cone_facets(cone)) if contains_pd(f)]
+    by_facet = dict(zip(pd, oracle_out["cones"]))
+    assert len(by_facet) == len(oracle_out["cones"])
+    want = []
+    for orbit in facet_orbits_by_rays(cone):
+        members = [by_facet[j] for j in orbit if j in by_facet]
+        assert len(members) in (0, len(orbit))
+        if members:
+            want.append(min(members, key=lambda c: c.get("cone", c)["rays"]))
+    return {"cones": want}
 
 
 class _CountingCrossings:
@@ -915,7 +938,8 @@ class _CountingCrossings:
 def test_prim_outputs_match_crossing_oracle(d, crossings, monkeypatch):
     # Every `prim` task of the primitive run, and the wall crossings it
     # made: one per stabilizer orbit of PD walls (6 walls in 1 orbit at
-    # d = 3, 30 in 6 at d = 4).
+    # d = 3, 30 in 6 at d = 4).  Each task returns, per orbit, the
+    # crossing oracle's neighbour with the least ray set.
     tasks = []
     expand = lcone.classify.expand_primitive_cone
 
@@ -930,34 +954,160 @@ def test_prim_outputs_match_crossing_oracle(d, crossings, monkeypatch):
     assert counter.calls == crossings
     assert len(tasks) == {3: 1, 4: 3}[d]
     for payload, out in tasks:
-        assert _json(out) == _json(expand_primitive_cone_by_crossing(payload))
+        assert _json(out) == _json(_least_per_orbit(payload, expand_primitive_cone_by_crossing(payload)))
+    assert sum(len(out["cones"]) for _, out in tasks) == crossings
 
 
 def test_d5_prim_outputs_match_crossing_oracle(monkeypatch):
-    # The d = 5 seed cone (15 PD walls, stabilizer 1440) and the cone across
-    # its first PD wall (stabilizer 96).
+    # The d = 5 seed cone (15 PD walls in one orbit, stabilizer 1440) and
+    # the one neighbour it returns.
     star = seed_triangulation(5)
     seed = {"cone": cone_to_dict(secondary_cone(star)), "keys": star.keys}
     counter = _CountingCrossings(monkeypatch)
     out = expand_primitive_cone(seed)
-    assert counter.calls == 1
-    assert _json(out) == _json(expand_primitive_cone_by_crossing(seed))
+    assert counter.calls == 1 and len(out["cones"]) == 1
+    assert _json(out) == _json(_least_per_orbit(seed, expand_primitive_cone_by_crossing(seed)))
     first = out["cones"][0]
-    assert _json(expand_primitive_cone(first)) == _json(expand_primitive_cone_by_crossing(first))
+    assert _json(expand_primitive_cone(first)) == \
+        _json(_least_per_orbit(first, expand_primitive_cone_by_crossing(first)))
 
 
 @pytest.mark.parametrize("d, walls", [(3, 6), (4, 10), (5, 15)])
 def test_pd_facet_orbits_map_representatives(d, walls):
-    # The seed cone's PD walls form one orbit; each map fixes the central
-    # form and sends its representative's facet cone onto the facet it names.
+    # `_facet_orbits` partitions the facets as the images of their rays do.  The
+    # seed cone's PD walls form one orbit; each member's map fixes the
+    # central form and sends the first member's rays onto its own.
     cone = secondary_cone(seed_triangulation(d))
     facets = cone_facets(cone)
-    orbits = _pd_facet_orbits(cone, facets)
+    masks, orbits = _facet_orbits(cone)
+    assert masks == _tight_masks(cone.inequalities, cone.rays)
+    assert [sorted(j for j, _ in orbit) for orbit in orbits] == facet_orbits_by_rays(cone)
     pd = [j for j, f in enumerate(facets) if contains_pd(f)]
-    assert sorted(orbits) == pd and len(pd) == walls
-    assert list(Counter(i for i, _ in orbits.values()).values()) == [walls]
-    for j, (i, u) in orbits.items():
-        assert i <= j and orbits[i][0] == i
-        assert cone.central.congruence(u) == cone.central
-        assert {r.congruence(u).lower() for r in facets[i].rays} == \
-            {r.lower() for r in facets[j].rays}
+    assert len(pd) == walls
+    assert [sorted(j for j, _ in orbit) for orbit in orbits if orbit[0][0] in pd] == [pd]
+    for orbit in orbits:
+        i, one = orbit[0]
+        assert one == Mat.identity(d) and i == min(j for j, _ in orbit)
+        for j, u in orbit:
+            assert cone.central.congruence(u) == cone.central
+            assert {r.congruence(u).lower() for r in facets[i].rays} == \
+                {r.lower() for r in facets[j].rays}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_tasks_match_all_facet_oracles(d, monkeypatch):
+    # Every `prim` and `desc` task of the classification returns one cone
+    # per PD orbit of its cone's facets, the oracle's least ray set of that
+    # orbit; a `desc` task builds one face per orbit and a `prim` task none;
+    # and every merge accepts the same cones from the oracles' outputs.
+    merge = lcone.classify.merge_candidates
+    merges = _record_merges(monkeypatch)
+    faces = []
+    face = lcone.classify._face
+    monkeypatch.setattr(lcone.classify, "_face", lambda *args: faces.append(args) or face(*args))
+    tasks = []
+
+    def recording(kind, run):
+        def task(payload):
+            built = len(faces)
+            out = run(payload)
+            tasks.append((kind, payload, out, len(faces) - built))
+            return out
+        return task
+
+    for kind in ("prim", "desc"):
+        monkeypatch.setitem(lcone.classify._TASKS, kind, recording(kind, lcone.classify._TASKS[kind]))
+    maps = []
+    mapper = Classifier._map
+
+    def mapping(self, kind, cones):
+        first = len(tasks)
+        outs = mapper(self, kind, cones)
+        if kind != "enrich":
+            maps.append(tasks[first:])
+        return outs
+
+    monkeypatch.setattr(Classifier, "_map", mapping)
+    classify_all(d)
+    oracles = {"prim": expand_primitive_cone_by_crossing, "desc": expand_descent_cone_all_facets}
+    for kind, payload, out, built in tasks:
+        want = oracles[kind](payload)
+        assert _json(out) == _json(_least_per_orbit(payload, want))
+        orbits = facet_orbits_by_rays(cone_from_dict(payload["cone"]))
+        assert built == (len(orbits) if kind == "desc" else 0)
+    assert len(merges) == len(maps) + 1
+    for (before, candidates, digest, accepted), group in zip(merges[1:], maps):
+        assert len(candidates) == sum(len(out["cones"]) for _, _, out, _ in group)
+        full = [cone_from_dict(c.get("cone", c)) for kind, payload, _, _ in group
+                for c in oracles[kind](payload)["cones"]]
+        assert len(full) >= len(candidates)
+        assert [cone_to_dict(c) for c in merge(dict(before), full, digest)] == \
+            [cone_to_dict(c) for c in accepted]
+
+
+@pytest.mark.parametrize("d, labelings", [(3, 12), (4, 148)])
+def test_run_labelings(d, labelings, monkeypatch):
+    # One labeling per distinct central form a merge sees and one DV
+    # labeling per class (5 at d = 3, 52 at d = 4), from cold caches.
+    calls = []
+    for module in (lcone.equiv, lcone.classify):
+        labeling = module.canonical_labeling
+        monkeypatch.setattr(module, "canonical_labeling",
+                            lambda graph, labeling=labeling: calls.append(graph) or labeling(graph))
+    lcone.equiv._form_canonical.cache_clear()
+    lcone.classify._candidate_key.cache_clear()
+    classify_all(d)
+    assert len(calls) == labelings
+
+
+def test_all_facet_checkpoint_resumes_identically(tmp_path, clean_d3, monkeypatch):
+    # A checkpoint whose `prim` and `desc` entries hold every PD neighbour
+    # and every PD facet, as the all-facet oracles write them: the resume
+    # replays all 6 and merges more candidates into the same records.
+    out = tmp_path / "db"
+    with monkeypatch.context() as patch:
+        patch.setitem(lcone.classify._TASKS, "prim", expand_primitive_cone_by_crossing)
+        patch.setitem(lcone.classify._TASKS, "desc", expand_descent_cone_all_facets)
+        with pytest.raises(KeyboardInterrupt):
+            run_classification(3, str(out), abort_after=D3_TASKS - 5)
+    entries = [json.loads(line) for line in (out / "frontier.jsonl").read_text().splitlines()]
+    assert [len(e["out"]["cones"]) for e in entries if e["key"].startswith("prim")] == [6]
+    hits = []
+    get = DiskCache.get
+
+    def recording(cache, key):
+        entry = get(cache, key)
+        if entry is not None:
+            hits.append(key)
+        return entry
+
+    monkeypatch.setattr(DiskCache, "get", recording)
+    run_classification(3, str(out), resume=True)
+    assert len(hits) == D3_TASKS - 5
+    assert _db_bytes(str(out)) == clean_d3
+
+
+def test_facet_orbits_raise_under_optimize():
+    # `assert False` passes only if -O stripped asserts.  A shear does not
+    # fix the seed's central form, so it cannot permute the cone's rays.
+    script = (
+        "import lcone.classify as clf\n"
+        "from lcone.equiv import UnimodularMap\n"
+        "from lcone.exact import Mat\n"
+        "from lcone.scone import secondary_cone\n"
+        "assert False, 'asserts are on'\n"
+        "cone = secondary_cone(clf.seed_triangulation(3))\n"
+        "print(len(clf._facet_orbits(cone)[1]))\n"
+        "shear = Mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])\n"
+        "clf.automorphism_group = lambda q: ([UnimodularMap(shear)], 1)\n"
+        "try:\n"
+        "    clf._facet_orbits(cone)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "raised: a stabilizer map does not permute the rays"]

@@ -437,7 +437,7 @@ class TestCarriedKeys:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "6", "raised: regulator is not positive on its own form"]
+            "1", "raised: regulator is not positive on its own form"]
 
 
 # The sha256 of `cone_to_dict` of the d = 5 seed cone and of the cone across
