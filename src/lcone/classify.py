@@ -466,18 +466,29 @@ def expand_descent_cone(payload: dict) -> dict:
     """The facets of a cone that still meet the positive definite forms, one
     per orbit of facets under the stabilizer of the central form
     (`_facet_orbits`): the member with the least ray set, whose index list
-    is least because the rays are sorted.  Only that member is built."""
+    is least because the rays are sorted.
+
+    A facet meets them iff its central form, the sum of its rays, is
+    positive definite, given that its rays are positive semidefinite
+    (`contains_pd`); the rays are those of the cone, checked once.  So an
+    orbit is tested on its least member's rays, and only the members that
+    pass are built (`_face`)."""
     cone = cone_from_dict(payload["cone"])
     if cone.dim <= 1:
         return {"cones": []}
+    for r in cone.rays:
+        if not r.is_positive_semidefinite():
+            raise NonPSDRay("cone has a non-PSD ray")
     masks, orbits = _facet_orbits(cone)
     out = []
     for orbit in orbits:
-        facet = _face(cone, masks, min((masks[j] for j, _ in orbit), key=_bits))
+        t = min((masks[j] for j, _ in orbit), key=_bits)
+        if not central_form([cone.rays[k] for k in _bits(t)]).is_positive_definite():
+            continue
+        facet = _face(cone, masks, t)
         if facet.dim != cone.dim - 1:
             raise AssertionError("facet dimension mismatch")
-        if contains_pd(facet):
-            out.append(cone_to_dict(facet))
+        out.append(cone_to_dict(facet))
     return {"cones": out}
 
 

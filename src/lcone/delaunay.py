@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import sub
 from typing import Optional, Sequence
 
 from .exact import (
@@ -141,6 +142,17 @@ def _normalized(vertices) -> tuple:
     """Sorted vertex tuple translated so that its smallest vertex is 0."""
     base = min(vertices)
     return tuple(sorted(tuple(x - b for x, b in zip(v, base)) for v in vertices))
+
+
+def _translated(vertices: tuple) -> tuple:
+    """`_normalized` of a sorted tuple of vertex tuples, with no sort: a
+    translation keeps the order, so the smallest vertex is the first.  A
+    tuple whose first vertex is 0, as every facet through 0 of a class key,
+    is returned as it is."""
+    base = vertices[0]
+    if not any(base):
+        return vertices
+    return tuple([tuple(map(sub, v, base)) for v in vertices])
 
 
 def cell_facets(cell: Cell, d: int) -> list[tuple]:
@@ -255,14 +267,19 @@ def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
     as a bistellar flip leaves them.  A pair with the class key and extra
     vertex of the carried pair of its facet spans the same circuit, so its
     regulator is copied, not computed.  With sorted keys on both sides that
-    holds exactly for the facets whose two sides are classes the flip kept."""
+    holds exactly for the facets whose two sides are classes the flip kept.
+
+    A key is sorted, so each of its facets is, and is normalized by
+    translating it by its first vertex (`_translated`)."""
     sides = {}                   # normalized facet -> [(key, facet, vertex off it)]
     for key in keys:
         if len(key) != len(key[0]) + 1:
             raise NotATriangulation("star contains a non-simplex cell")
+        if list(key) != sorted(key):
+            raise ValueError("a class key is not sorted")
         for i, v in enumerate(key):
             facet = key[:i] + key[i + 1:]
-            sides.setdefault(_normalized(facet), []).append((key, facet, v))
+            sides.setdefault(_translated(facet), []).append((key, facet, v))
     out = {}
     for norm, pair in sides.items():
         if len(pair) != 2:

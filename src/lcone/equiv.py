@@ -29,9 +29,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .exact import Mat, NotPositiveDefinite, SymMat, det, echelon, solve
+from .exact import Mat, NotPositiveDefinite, SymMat, det, echelon, inverse, solve
 from .lattice import characteristic_set
 from .scone import ConeDesc
 
@@ -390,17 +392,41 @@ def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
     """Generators and exact order of {U in GL_d(Z) : U^T Q U = Q}.
 
     The graph automorphisms of the characteristic-set Gram graph extend
-    uniquely to linear maps because the characteristic set spans; each
-    extension is verified before being returned.
+    uniquely to linear maps because the characteristic set spans.  One
+    `echelon` of the sorted set picks a basis, its first d linearly
+    independent vectors, and one `inverse` of the matrix S with these rows
+    is taken per form: a generator g with U s = g(s) then has
+    U^T = S^{-1} T, T the rows g(s) over the basis, which is read in
+    integers from S^{-1} over its common denominator.  Each extension is
+    checked, by explicit raises: U is integral, maps every characteristic
+    vector s onto g(s) and fixes Q, and `UnimodularMap` checks det U = +-1.
     """
     _, witness, gens, order = _form_canonical(q)
     can = tuple(sorted(witness))     # generators permute the lex-ordered set
+    d = q.d
+    basis = echelon(can).independent
+    if len(basis) < d:
+        raise AssertionError("the characteristic set does not span")
+    inv = inverse(Mat([can[k] for k in basis])).entries
+    den = lcm(*(x.denominator for row in inv for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
     maps = []
     for g in gens:
-        target = [can[g[k]] for k in range(len(can))]
-        u = _linear_map_from_vector_match(target, can, q.d)
-        if u is None or q.congruence(u) != q:
-            raise AssertionError("graph automorphism did not extend to the form")
+        tcols = list(zip(*(can[g[k]] for k in basis)))
+        rows = []
+        for col in tcols:           # row i of U is column i of S^{-1} T
+            row = []
+            for n in num:
+                x, rem = divmod(sum(map(mul, n, col)), den)
+                if rem:
+                    raise AssertionError("graph automorphism does not extend to an integral map")
+                row.append(x)
+            rows.append(row)
+        u = Mat(rows)
+        if any(u.mul_vec(s) != can[g[k]] for k, s in enumerate(can)):
+            raise AssertionError("graph automorphism does not extend to a linear map")
+        if q.congruence(u) != q:
+            raise AssertionError("graph automorphism does not fix the form")
         maps.append(UnimodularMap(u))
     return maps, order
 

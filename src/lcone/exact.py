@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction as Rat
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -92,7 +93,7 @@ class Mat:
         )
 
     def mul_vec(self, v: Sequence):
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.entries == other.entries
@@ -126,6 +127,16 @@ class SymMat:
         self.d = d
         self.entries = rows
 
+    @classmethod
+    def _symmetric(cls, rows: tuple) -> "SymMat":
+        """A SymMat of rows that are symmetric by construction, as tuples of
+        normalized entries (`_norm`): the results of exact operations.  No
+        check runs."""
+        m = object.__new__(cls)
+        m.d = len(rows)
+        m.entries = rows
+        return m
+
     @staticmethod
     def identity(d: int) -> "SymMat":
         return SymMat([[1 if i == j else 0 for j in range(d)] for i in range(d)])
@@ -136,17 +147,20 @@ class SymMat:
 
     @staticmethod
     def from_lower(d: int, lower: Sequence) -> "SymMat":
-        """Build from the d(d+1)/2 lower-triangular entries, row-major."""
+        """Build from the d(d+1)/2 lower-triangular entries, row-major.
+        Each entry is normalized once (`_norm`) and mirrored, so the
+        result is symmetric by construction and is not checked again."""
         if len(lower) != d * (d + 1) // 2:
             raise ValueError("wrong number of entries")
         rows = [[0] * d for _ in range(d)]
         k = 0
         for i in range(d):
+            row = rows[i]
             for j in range(i + 1):
-                rows[i][j] = lower[k]
-                rows[j][i] = lower[k]
+                x = lower[k]
+                row[j] = rows[j][i] = x if type(x) is int else _norm(x)
                 k += 1
-        return SymMat(rows)
+        return SymMat._symmetric(tuple(map(tuple, rows)))
 
     @staticmethod
     def outer(v: Sequence[int]) -> "SymMat":
@@ -213,10 +227,25 @@ class SymMat:
         return Mat(self.entries)
 
     def congruence(self, u: Mat) -> "SymMat":
-        """U^T A U for a square matrix U."""
-        ut_a = u.transpose() @ self.to_mat()
-        prod = ut_a @ u
-        return SymMat(prod.entries)
+        """U^T A U for a square matrix U, in one pass.
+
+        The columns of A U come first; entry (i, j) of the result, for
+        j <= i, is column i of U dotted with column j of A U, and it is
+        mirrored to (j, i).  Only these final entries are normalized
+        (`_norm`): integral ones are ints, the others stay `Fraction`s.
+        The result is symmetric by construction, so it is not checked."""
+        d = self.d
+        if u.rows != d or u.cols != d:
+            raise ValueError("shape mismatch")
+        ucols = tuple(zip(*u.entries))
+        aucols = [[sum(map(mul, row, col)) for row in self.entries] for col in ucols]
+        rows = [[0] * d for _ in range(d)]
+        for i, ui in enumerate(ucols):
+            row = rows[i]
+            for j in range(i + 1):
+                x = sum(map(mul, ui, aucols[j]))
+                row[j] = rows[j][i] = x if type(x) is int else _norm(x)
+        return SymMat._symmetric(tuple(map(tuple, rows)))
 
     def rank(self) -> int:
         return rank(self.to_mat())

@@ -14,8 +14,10 @@ triangulation as a list, the regulator over rational matrices, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
 the equalities a face was stored with when they were threaded down the
-descent, the double description with every (plus, minus) pair tested by a
-scan of every other ray, the DV cell with its centres in ``Fraction``
+descent, the congruence U^T A U by matrix products, the automorphism
+group with each generator's map solved on its own, the double
+description with every (plus, minus) pair tested by a scan of every
+other ray, the DV cell with its centres in ``Fraction``
 arithmetic, the face lattice closed under intersection and graded by its
 intersections with the facets, the merge through invariant buckets, the
 merge by canonical forms with every form labeled through the shared cache,
@@ -45,7 +47,13 @@ from lcone.delaunay import (
     delaunay_star,
     neighbor_triangulation,
 )
-from lcone.equiv import _form_canonical, automorphism_group, cone_equivalent
+from lcone.equiv import (
+    UnimodularMap,
+    _form_canonical,
+    _linear_map_from_vector_match,
+    automorphism_group,
+    cone_equivalent,
+)
 from lcone.exact import (
     AffinelyDependent,
     Mat,
@@ -686,6 +694,29 @@ def neighbor_triangulation_by_fractions(star, wallpoint, center):
     flipped = DelaunayStar(cand, keys)
     flipped.__dict__["pairs"] = new_pairs   # the slot `cached_property` fills
     return flipped
+
+
+def congruence_by_products(q: SymMat, u: Mat) -> SymMat:
+    """`SymMat.congruence` by two `Mat` products, (U^T A) U, each entry
+    normalized after each product and the result checked to be symmetric
+    by the `SymMat` constructor."""
+    return SymMat((u.transpose() @ q.to_mat() @ u).entries)
+
+
+def automorphism_group_by_solve(q: SymMat) -> tuple:
+    """`equiv.automorphism_group` with each generator's map solved on its
+    own: one `_linear_map_from_vector_match`, an `echelon` and a `solve`,
+    per generator, checked to fix the form by `congruence_by_products`."""
+    _, witness, gens, order = _form_canonical(q)
+    can = tuple(sorted(witness))
+    maps = []
+    for g in gens:
+        target = [can[g[k]] for k in range(len(can))]
+        u = _linear_map_from_vector_match(target, can, q.d)
+        if u is None or congruence_by_products(q, u) != q:
+            raise AssertionError("graph automorphism did not extend to the form")
+        maps.append(UnimodularMap(u))
+    return maps, order
 
 
 def accumulated_equalities(cone, face) -> tuple:

@@ -27,12 +27,12 @@ from lcone.classify import (
     seed_triangulation,
 )
 from lcone.delaunay import delaunay_star, is_triangulation
-from lcone.equiv import form_certificate, form_equivalence
+from lcone.equiv import automorphism_group, form_certificate, form_equivalence
 from lcone.exact import Mat, Rat, SingularMatrix, SymMat, det, solve
 from lcone.polyhedral import dv_polytope, polytope_volume
 from lcone.scone import cone_facets, cone_from_rays, fundamental_face
 
-from oracles import delaunay_star_by_search, dv_polytope_by_star
+from oracles import automorphism_group_by_solve, delaunay_star_by_search, dv_polytope_by_star
 from test_classify import assert_refined_seed
 from test_delaunay import assert_same_star
 from test_polyhedral import assert_dv_summary_matches_oracles
@@ -244,6 +244,19 @@ def test_seed_refines_database_forms(db3, db4):
     assert len(forms) == 57
     for q in forms:
         assert_refined_seed(q)
+
+
+def test_automorphism_group_matches_solve_oracle_on_databases(db3, db4):
+    # Every central form of the d = 3 and d = 4 databases, and
+    # principal_form(5): the maps read off one inverse per form are the
+    # oracle's, solved per generator, in its order, with its group order.
+    forms = [rec.cone.central for db in (db3, db4) for rec in db.records()]
+    assert len(forms) == 57
+    for q in forms + [principal_form(5)]:
+        maps, order = automorphism_group(q)
+        want, want_order = automorphism_group_by_solve(q)
+        assert [m.matrix for m in maps] == [m.matrix for m in want]
+        assert order == want_order
 
 
 def test_criterion_3_d4(db4):

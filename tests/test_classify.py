@@ -998,7 +998,7 @@ def test_pd_facet_orbits_map_representatives(d, walls):
 def test_tasks_match_all_facet_oracles(d, monkeypatch):
     # Every `prim` and `desc` task of the classification returns one cone
     # per PD orbit of its cone's facets, the oracle's least ray set of that
-    # orbit; a `desc` task builds one face per orbit and a `prim` task none;
+    # orbit; a `desc` task builds one face per PD orbit and a `prim` task none;
     # and every merge accepts the same cones from the oracles' outputs.
     merge = lcone.classify.merge_candidates
     merges = _record_merges(monkeypatch)
@@ -1034,7 +1034,7 @@ def test_tasks_match_all_facet_oracles(d, monkeypatch):
         want = oracles[kind](payload)
         assert _json(out) == _json(_least_per_orbit(payload, want))
         orbits = facet_orbits_by_rays(cone_from_dict(payload["cone"]))
-        assert built == (len(orbits) if kind == "desc" else 0)
+        assert built == (len(out["cones"]) if kind == "desc" else 0) <= len(orbits)
     assert len(merges) == len(maps) + 1
     for (before, candidates, digest, accepted), group in zip(merges[1:], maps):
         assert len(candidates) == sum(len(out["cones"]) for _, _, out, _ in group)
@@ -1043,6 +1043,17 @@ def test_tasks_match_all_facet_oracles(d, monkeypatch):
         assert len(full) >= len(candidates)
         assert [cone_to_dict(c) for c in merge(dict(before), full, digest)] == \
             [cone_to_dict(c) for c in accepted]
+
+
+@pytest.mark.parametrize("d, faces", [(3, 5), (4, 125)])
+def test_run_builds_faces_of_pd_orbits_only(d, faces, monkeypatch):
+    # The descent builds one face per PD orbit, the `desc` candidates, and
+    # none for the orbits whose central form is not PD (16 at d = 4).
+    calls = []
+    face = lcone.classify._face
+    monkeypatch.setattr(lcone.classify, "_face", lambda *args: calls.append(args) or face(*args))
+    classify_all(d)
+    assert len(calls) == faces
 
 
 @pytest.mark.parametrize("d, labelings", [(3, 12), (4, 148)])

@@ -16,6 +16,8 @@ from lcone.delaunay import (
     Cell,
     DelaunayStar,
     NotOnSingleFacet,
+    _normalized,
+    _translated,
     cell_facets,
     circumcenter,
     delaunay_star,
@@ -609,6 +611,20 @@ class TestIntegerFlip:
             assert nb.keys == ref.keys
             assert _typed(nb.form.lower()) == _typed(ref.form.lower())
             assert nb.pairs == ref.pairs
+
+    def test_translated_facets_match_normalized(self, run_crossings):
+        # `_facet_pairs` normalizes a facet of a sorted key by translating
+        # it by its first vertex; on every facet of every key of both sides
+        # of every crossing that is `_normalized`, which sorts.
+        facets = 0
+        for star, _, _, nb in run_crossings:
+            for side in (star, nb):
+                for key in side.keys:
+                    for i in range(len(key)):
+                        facet = key[:i] + key[i + 1:]
+                        assert _translated(facet) == _normalized(facet)
+                        facets += 1
+        assert facets == {3: 2 * 24, 4: 6 * 2 * 120, 5: 2 * 720}[star.dim]
 
     def test_regulators_match_fraction_oracle(self, run_crossings):
         # Every adjacent pair on both sides of every crossing: the integer

@@ -388,6 +388,31 @@ class TestAutomorphisms:
         _, order = automorphism_group(d4)
         assert order == 1152
 
+    def test_one_inverse_per_form(self, monkeypatch):
+        # One `inverse` of the characteristic basis per form, however many
+        # generators, and no `solve` per generator.
+        calls = []
+        inverse = lcone.equiv.inverse
+        monkeypatch.setattr(lcone.equiv, "inverse", lambda a: calls.append(a) or inverse(a))
+        monkeypatch.setattr(lcone.equiv, "solve", None)
+        for q, gens in ((A2, 3), (principal_form(4), 10), (principal_form(5), 15)):
+            del calls[:]
+            assert len(automorphism_group(q)[0]) == gens and len(calls) == 1
+
+    @pytest.mark.parametrize("q, witness, gen, message", [
+        (I2, ((1, 0), (2, 0)), (1, 0), "does not span"),
+        (I2, ((1, 0), (1, 2), (2, 1)), (0, 2, 1), "integral map"),
+        (I2, ((0, 1), (1, 0), (1, 1)), (0, 2, 1), "linear map"),
+        (SymMat([[1, 0], [0, 2]]), ((0, 1), (1, 0), (1, 1)), (1, 0, 2), "fix the form"),
+    ], ids=["no-span", "not-integral", "not-linear", "moves-form"])
+    def test_extension_checks_raise(self, q, witness, gen, message, monkeypatch):
+        # Each check on a generator's map is an explicit raise, so it runs
+        # under python -O too; the witness and generator are made up.
+        monkeypatch.setattr(lcone.equiv, "_form_canonical",
+                            lambda q: ((), witness, (gen,), 2))
+        with pytest.raises(AssertionError, match=message):
+            automorphism_group(q)
+
     def test_backtracking_oracle_d3(self):
         # the canonical-labeling route against the direct isometry search
         fcc = SymMat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])

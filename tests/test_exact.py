@@ -28,6 +28,7 @@ from lcone.exact import (
     rank_of_rows,
     solve,
 )
+from oracles import congruence_by_products
 
 
 def sym(rows):
@@ -130,6 +131,72 @@ class TestInverse:
             inverse(Mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
         with pytest.raises(SingularMatrix):
             inverse(Mat([[Rat(1, 2), 1], [1, 2]]))
+
+
+def _typed(x):
+    """Entries with their types, so that 1 and Rat(1) differ."""
+    if isinstance(x, tuple):
+        return tuple(_typed(y) for y in x)
+    return type(x).__name__, x
+
+
+_ENTRIES = {
+    "integer": st.integers(-6, 6),
+    "rational": st.fractions(min_value=-6, max_value=6, max_denominator=5),
+}
+
+
+@st.composite
+def _form_and_map(draw):
+    """A symmetric form with integer or rational entries and a square U:
+    unimodular (a signed permutation times shears), integer or rational."""
+    d = draw(st.integers(1, 5))
+    q = SymMat.from_lower(d, draw(st.lists(draw(st.sampled_from(list(_ENTRIES.values()))),
+                                           min_size=d * (d + 1) // 2,
+                                           max_size=d * (d + 1) // 2)))
+    kind = draw(st.sampled_from(["unimodular", "integer", "rational"]))
+    if kind == "unimodular":
+        perm = draw(st.permutations(range(d)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+        rows = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+        for _ in range(draw(st.integers(0, 4)) if d > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.integers(-3, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    else:
+        entry = _ENTRIES[kind]
+        rows = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(d)]
+    return q, Mat(rows)
+
+
+class TestCongruence:
+    @given(_form_and_map())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_products_oracle(self, qu):
+        # One pass, normalized once, against two `Mat` products: value for
+        # value and type for type.
+        q, u = qu
+        got, want = q.congruence(u), congruence_by_products(q, u)
+        assert got == want and hash(got) == hash(want)
+        assert _typed(got.entries) == _typed(want.entries)
+
+    def test_types(self):
+        half = Mat([[Rat(1, 2), 0], [0, 2]])
+        got = SymMat([[4, 1], [1, 2]]).congruence(half)
+        assert _typed(got.entries) == (((("int", 1), ("int", 1)), (("int", 1), ("int", 8))))
+        got = SymMat([[1, 0], [0, 1]]).congruence(half)
+        assert _typed(got.entries[0]) == (("Fraction", Rat(1, 4)), ("int", 0))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            SymMat.identity(2).congruence(Mat.identity(3))
+
+    def test_from_lower_normalizes_once(self):
+        q = SymMat.from_lower(2, [Rat(4, 2), Rat(1, 2), 3])
+        assert _typed(q.entries) == ((("int", 2), ("Fraction", Rat(1, 2))),
+                                     (("Fraction", Rat(1, 2)), ("int", 3)))
+        assert q == SymMat([[2, Rat(1, 2)], [Rat(1, 2), 3]])
+        assert hash(q) == hash(SymMat([[2, Rat(1, 2)], [Rat(1, 2), 3]]))
 
 
 def nullspace_by_columns(rows):

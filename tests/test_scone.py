@@ -246,6 +246,12 @@ class TestPairRegulators:
         with pytest.raises(NotATriangulation):
             pair_regulators(delaunay_star(SymMat.identity(2)).keys)
 
+    def test_unsorted_key_raises(self):
+        # A facet is normalized by its first vertex, which needs sorted keys.
+        keys = delaunay_star(principal_form(3)).keys
+        with pytest.raises(ValueError, match="not sorted"):
+            pair_regulators(keys[:1] + (tuple(reversed(keys[1])),) + keys[2:])
+
 
 def _counting_regulator(monkeypatch):
     """Record the (points, extra vertex) of every `regulator` call."""
