@@ -138,21 +138,20 @@ def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, obj
     return center, r2
 
 
-def _normalized(vertices) -> tuple:
-    """Sorted vertex tuple translated so that its smallest vertex is 0."""
-    base = min(vertices)
-    return tuple(sorted(tuple(x - b for x, b in zip(v, base)) for v in vertices))
-
-
 def _translated(vertices: tuple) -> tuple:
-    """`_normalized` of a sorted tuple of vertex tuples, with no sort: a
-    translation keeps the order, so the smallest vertex is the first.  A
-    tuple whose first vertex is 0, as every facet through 0 of a class key,
-    is returned as it is."""
+    """A sorted tuple of vertex tuples translated so that its first,
+    smallest vertex is 0; a translation keeps the order, so nothing is
+    sorted.  A tuple whose first vertex is 0, as every facet through 0 of a
+    class key, is returned as it is."""
     base = vertices[0]
     if not any(base):
         return vertices
     return tuple([tuple(map(sub, v, base)) for v in vertices])
+
+
+def _normalized(vertices) -> tuple:
+    """Sorted vertex tuple translated so that its smallest vertex is 0."""
+    return _translated(tuple(sorted(vertices)))
 
 
 def cell_facets(cell: Cell, d: int) -> list[tuple]:

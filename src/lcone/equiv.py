@@ -29,11 +29,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact import Mat, NotPositiveDefinite, SymMat, det, echelon, inverse, solve
+from .exact import Mat, NotPositiveDefinite, SymMat, _over_common, det, echelon, inverse, solve
 from .lattice import characteristic_set
 from .scone import ConeDesc
 
@@ -408,8 +407,8 @@ def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
     if len(basis) < d:
         raise AssertionError("the characteristic set does not span")
     inv = inverse(Mat([can[k] for k in basis])).entries
-    den = lcm(*(x.denominator for row in inv for x in row))
-    num = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
+    flat, den = _over_common([x for row in inv for x in row])
+    num = [flat[i:i + d] for i in range(0, d * d, d)]
     maps = []
     for g in gens:
         tcols = list(zip(*(can[g[k]] for k in basis)))

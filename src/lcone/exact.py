@@ -6,20 +6,21 @@ integers; there is no floating point anywhere.  Dimensions are tiny (at most
 
 ``Rat`` is the rational scalar type, ``fractions.Fraction``.
 
-There are three elimination loops.  `echelon` is the one Gauss-Jordan
-elimination, fraction-free over the integers: `solve`, `inverse`, `rank`,
-`rank_of_rows` and `det` read it, and its result gives the null space
-(`Echelon.nullspace`).  `ldlt` is the symmetric factorization behind both
-definiteness tests and lattice enumeration, which puts it over common
-denominators and walks the integers (`lcone.lattice`).
-`hermite_diagonal` works over the integers.
+There is one elimination over the rationals, `echelon`: a Gauss-Jordan
+pass, fraction-free over the integers.  `solve`, `inverse`, `rank`,
+`rank_of_rows` and `det` read it, its result gives the null space
+(`Echelon.nullspace`), and `ldlt`, the symmetric factorization behind
+both definiteness tests and lattice enumeration (`lcone.lattice`), is read
+off the rows it records.  `hermite_diagonal`, over the integers, computes
+the index of a lattice, which is another problem.  `_over_common` puts
+rationals over their least common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Rat
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -73,10 +74,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(r: int, c: int) -> "Mat":
-        return Mat([[0] * c for _ in range(r)])
 
     def col(self, j: int):
         return tuple(r[j] for r in self.entries)
@@ -290,24 +287,36 @@ def ldlt(q: SymMat) -> tuple[Mat, tuple]:
     nonzero there, which means the factorization (without pivoting) does not
     exist; such a form is never positive definite.  Results are cached
     (SymMat is immutable), since enumeration revisits the same form often.
+
+    The factors are read off one `echelon` of c Q, c the least common
+    denominator of Q's entries: one factor for the whole form keeps the
+    factorization, c Q = L (c D) L^T.  When row k arrives, the kept rows
+    are the earlier rows with a nonzero pivot, and `echelon` records
+    w = scale S_k, with the scale before it and S_k row k of the Schur
+    complement of their block (its entries are minors, Bareiss 1968).  So
+    D_k = w[k] / (scale c) and, S being symmetric, L_ik = w[i] / w[k] below
+    the diagonal.  A row in the span of the earlier ones has S_k = 0: D_k
+    is 0 and column k of L is zero.  Any other w is zero left of k, so
+    w[k] = 0 is a zero pivot over a nonzero column.
     """
     d = q.d
-    a = [[Rat(x) for x in row] for row in q.entries]
+    if not d:
+        return Mat([]), ()
+    flat, c = _over_common([x for row in q.entries for x in row])
     lower = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     diag = []
-    for k in range(d):
-        pivot = a[k][k]
-        diag.append(_norm(pivot))
-        if pivot == 0:
-            if any(a[i][k] != 0 for i in range(k + 1, d)):
-                raise ZeroPivotNotPD(f"zero pivot at index {k}")
+    for k, step in enumerate(echelon([flat[i:i + d] for i in range(0, d * d, d)]).reduced):
+        if step is None:
+            diag.append(0)
             continue
+        w, scale = step
+        p = w[k]
+        if not p:
+            raise ZeroPivotNotPD(f"zero pivot at index {k}")
+        diag.append(_norm(Rat(p, scale * c)))
         for i in range(k + 1, d):
-            f = a[i][k] / pivot
-            lower[i][k] = _norm(f)
-            if f:
-                for j in range(k, d):
-                    a[i][j] -= f * a[k][j]
+            if w[i]:
+                lower[i][k] = Rat(w[i], p)
     return Mat(lower), tuple(diag)
 
 
@@ -375,6 +384,7 @@ class Echelon(NamedTuple):
     cols: int
     scale: int          # the common denominator D > 0: each row has D at its pivot
     det: object         # int or Rat: determinant of the independent input rows at the pivots
+    reduced: tuple      # per input row: (w, D) as w arrived, D the scale before it; or None
 
     def nullspace(self) -> list[tuple]:
         """Basis of the right null space: one integer vector per free
@@ -402,8 +412,11 @@ def echelon(rows: Sequence[Sequence]) -> Echelon:
     nonzero, its sign is fixed so that its pivot p is positive, each kept
     row becomes (p R_c - R_c[j] w) / D, exactly (its entries are minors,
     Bareiss 1968), and p is the new D.  The result holds the rows with
-    their pivot columns, D, the determinant of the pivot block, and the
-    indices of the first linearly independent rows in input order.
+    their pivot columns, D, the determinant of the pivot block, the
+    indices of the first linearly independent rows in input order, and,
+    for each input row, w as it arrived (before its sign is fixed) with
+    the D it was reduced under, or None for a row in the span of the
+    earlier ones (`reduced`, which `ldlt` reads).
     """
     if not rows:
         raise ValueError("need the ambient dimension; pass at least one row")
@@ -413,6 +426,7 @@ def echelon(rows: Sequence[Sequence]) -> Echelon:
     scale = 1
     sign = 1         # the determinant of the integer pivot block is sign * scale
     row_scale = 1    # product of the factors that made independent rows integral
+    reduced = [None] * len(rows)
     for idx, row in enumerate(rows):
         v = row
         if not all(isinstance(x, int) for x in row):
@@ -428,6 +442,7 @@ def echelon(rows: Sequence[Sequence]) -> Echelon:
         if v is not row:
             k = next(k for k, x in enumerate(v) if x)
             row_scale *= Rat(v[k]) / row[k]
+        reduced[idx] = (tuple(w), scale)
         p = w[j]
         if p < 0:
             w = [-x for x in w]
@@ -446,20 +461,22 @@ def echelon(rows: Sequence[Sequence]) -> Echelon:
     pivots = tuple(sorted(kept))
     block_det = sign * scale if row_scale == 1 else _norm(sign * scale / row_scale)
     return Echelon(tuple(tuple(kept[c]) for c in pivots), pivots, tuple(independent),
-                   cols, scale, block_det)
+                   cols, scale, block_det, tuple(reduced))
+
+
+def _over_common(values: Sequence) -> tuple[list, int]:
+    """Rationals (ints or ``Fraction``s) as integer numerators over their
+    least common denominator: (ints, den) with values[i] = ints[i] / den,
+    and den = 1 for no values."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def clear_denominators(v: Sequence) -> tuple:
     """Scale a rational vector to a primitive integer vector (gcd 1),
     preserving orientation."""
-    denoms = [1 if isinstance(x, int) else x.denominator for x in v]
-    scale = 1
-    for dn in denoms:
-        scale = scale * dn // gcd(scale, dn)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints, _ = _over_common(v)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import isqrt, lcm
+from math import isqrt
 from typing import Sequence
 
 from .exact import (
@@ -26,6 +26,7 @@ from .exact import (
     Rat,
     SymMat,
     ZeroPivotNotPD,
+    _over_common,
     lattice_span_full,
     ldlt,
 )
@@ -48,8 +49,8 @@ def _form_frame(q: SymMat) -> tuple:
     column of L over a common denominator, as (levels, g).
 
     Level i is (terms, ell, w): column i of L below the diagonal is the
-    pairs (j, a) in terms over ell.  g is the least common multiple of
-    every d_i ell^2 (D_i = n_i / d_i), and w = n_i g / (d_i ell^2).
+    pairs (j, a) in terms over ell.  The D_i / ell^2 are the w over their
+    least common denominator g (`_over_common`).
     Raises NotPositiveDefinite unless Q is positive definite.
     """
     try:
@@ -60,19 +61,11 @@ def _form_frame(q: SymMat) -> tuple:
         raise NotPositiveDefinite("form is not positive definite")
     levels = []
     for i, di in enumerate(diag):
-        col = [(j, row[i]) for j, row in enumerate(lower.entries) if j > i and row[i]]
-        ell = lcm(*(a.denominator for _, a in col))
-        terms = tuple((j, a.numerator * (ell // a.denominator)) for j, a in col)
-        levels.append((terms, ell, di.numerator, di.denominator * ell * ell))
-    g = lcm(*(lv[3] for lv in levels))
-    return [(terms, ell, n * (g // s)) for terms, ell, n, s in levels], g
-
-
-def _over_common(center: Sequence) -> tuple[list, int]:
-    """A rational centre as integer numerators over their least common
-    denominator: (cen, m) with centre = cen / m."""
-    m = lcm(*(x.denominator for x in center))
-    return [x.numerator * (m // x.denominator) for x in center], m
+        below = [j for j in range(i + 1, q.d) if lower.entries[j][i]]
+        nums, ell = _over_common([lower.entries[j][i] for j in below])
+        levels.append((tuple(zip(below, nums)), ell, Rat(di, ell * ell)))
+    ws, g = _over_common([w for _, _, w in levels])
+    return [(terms, ell, w) for (terms, ell, _), w in zip(levels, ws)], g
 
 
 def _frame(form: tuple, cen: Sequence[int], m: int) -> tuple:
@@ -81,9 +74,9 @@ def _frame(form: tuple, cen: Sequence[int], m: int) -> tuple:
 
     Level i is (ell cen_i, terms, den, w) with den = m ell.  With
     y_j = m x_j - cen_j, level i's target t_i = c_i - sum_j L_ji (x_j - c_j)
-    is (ell cen_i - sum_j a y_j) / den.  Values of Q are integers over
-    m^2 g, the least common multiple of every d_i den^2, and
-    w = n_i m^2 g / (d_i den^2) does not depend on m.
+    is (ell cen_i - sum_j a y_j) / den.  As D_i / ell^2 = w / g, level i's
+    term D_i (x_i - t_i)^2 is w (den x_i - T)^2 over m^2 g, so values of Q
+    are integers over m^2 g, and w does not depend on m.
     """
     levels, g = form
     return m, cen, [(ell * cen[i], terms, m * ell, w)

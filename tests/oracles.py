@@ -14,7 +14,8 @@ triangulation as a list, the regulator over rational matrices, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
 the equalities a face was stored with when they were threaded down the
-descent, the congruence U^T A U by matrix products, the automorphism
+descent, the LDL^T factorization in ``Fraction`` arithmetic, the
+congruence U^T A U by matrix products, the automorphism
 group with each generator's map solved on its own, the double
 description with every (plus, minus) pair tested by a scan of every
 other ray, the DV cell with its centres in ``Fraction``
@@ -61,6 +62,8 @@ from lcone.exact import (
     Rat,
     SingularMatrix,
     SymMat,
+    ZeroPivotNotPD,
+    _norm,
     clear_denominators,
     echelon,
     gcd_normalize,
@@ -694,6 +697,31 @@ def neighbor_triangulation_by_fractions(star, wallpoint, center):
     flipped = DelaunayStar(cand, keys)
     flipped.__dict__["pairs"] = new_pairs   # the slot `cached_property` fills
     return flipped
+
+
+def ldlt_by_fractions(q: SymMat) -> tuple[Mat, tuple]:
+    """`exact.ldlt` by symmetric elimination in ``Fraction`` arithmetic, the
+    loop it was before it was read off `echelon`: the same unit
+    lower-triangular L and diagonal D with Q = L D L^T, and the same
+    ZeroPivotNotPD at a zero pivot over a nonzero column."""
+    d = q.d
+    a = [[Rat(x) for x in row] for row in q.entries]
+    lower = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    diag = []
+    for k in range(d):
+        pivot = a[k][k]
+        diag.append(_norm(pivot))
+        if pivot == 0:
+            if any(a[i][k] != 0 for i in range(k + 1, d)):
+                raise ZeroPivotNotPD(f"zero pivot at index {k}")
+            continue
+        for i in range(k + 1, d):
+            f = a[i][k] / pivot
+            lower[i][k] = _norm(f)
+            if f:
+                for j in range(k, d):
+                    a[i][j] -= f * a[k][j]
+    return Mat(lower), tuple(diag)
 
 
 def congruence_by_products(q: SymMat, u: Mat) -> SymMat:

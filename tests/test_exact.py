@@ -15,6 +15,7 @@ from lcone.exact import (
     ZeroInput,
     ZeroPivotNotPD,
     _norm,
+    _over_common,
     clear_denominators,
     det,
     echelon,
@@ -28,7 +29,7 @@ from lcone.exact import (
     rank_of_rows,
     solve,
 )
-from oracles import congruence_by_products
+from oracles import congruence_by_products, ldlt_by_fractions
 
 
 def sym(rows):
@@ -519,6 +520,46 @@ def _seeded_symmetric(seed, count=160):
     return out
 
 
+def _seeded_ldlt_forms(seed, count=600):
+    """Seeded symmetric forms of order 0 to 6, integral or scaled by a
+    rational: positive definite Gram matrices, singular PSD ones (a repeated
+    column), rank one, indefinite, and indefinite with a zero first pivot.
+    Every other rational one has an extra rational off-diagonal pair."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(0, 6)
+        kind = k % 5
+        if kind < 3:
+            rows = n if kind == 0 else 1 if kind == 2 else rng.randint(1, n or 1)
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rows)]
+            if kind == 0:
+                for i, r in enumerate(b):
+                    r[i] += 7          # diagonally dominant, so B is nonsingular
+            elif kind == 1 and n > 1:
+                i, j = rng.sample(range(n), 2)
+                for r in b:
+                    r[j] = r[i]
+            g = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        else:
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    g[i][j] = g[j][i] = rng.choice((0, 0, 1, -1, 2, 3))
+            if kind == 4 and n:
+                g[0][0] = 0
+        if k % 2:
+            s = Rat(rng.randint(1, 5), rng.randint(2, 7))
+            g = [[s * x for x in r] for r in g]
+            if n > 1 and k % 4 == 1:
+                i, j = rng.sample(range(n), 2)
+                x = Rat(rng.randint(-5, 5), rng.randint(2, 9))
+                g[i][j] += x
+                g[j][i] += x
+        out.append(SymMat(g))
+    return out
+
+
 def _same(x, y):
     """Equal values of equal types, so serialized results cannot differ."""
     return x == y and repr(x) == repr(y)
@@ -595,6 +636,26 @@ class TestFoldedKernels:
         assert min(verdicts.values()) > 40
         assert zero_pivots > 20 and raised > 5
 
+    def test_ldlt_matches_fractions(self):
+        seen = {"pd": 0, "zero": 0, "negative": 0, "raised": 0, "rational": 0}
+        for q in _seeded_ldlt_forms(26):
+            seen["rational"] += not q.is_integral()
+            try:
+                want = ldlt_by_fractions(q)
+            except ZeroPivotNotPD as exc:
+                with pytest.raises(ZeroPivotNotPD, match=str(exc)):
+                    ldlt(q)
+                seen["raised"] += 1
+                continue
+            lower, diag = ldlt(q)
+            assert _same(lower, want[0])
+            assert len(diag) == len(want[1]) and all(map(_same, diag, want[1]))
+            seen["pd"] += all(x > 0 for x in diag)
+            seen["zero"] += 0 in diag
+            seen["negative"] += any(x < 0 for x in diag)
+        assert min(seen.values()) > 40, seen
+        assert ldlt(SymMat([])) == (Mat([]), ())
+
     def test_singular_raises_under_O(self):
         # `assert False` passes only if -O stripped asserts.
         script = (
@@ -644,6 +705,17 @@ class TestKernelFailurePropagates:
         with pytest.raises(TypeError, match="broken kernel"):
             lcone.delaunay.regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
 
+    def test_ldlt(self, monkeypatch):
+        import lcone.exact
+
+        with pytest.raises(ZeroPivotNotPD):
+            ldlt(sym([[0, 1], [1, 0]]))
+        ldlt.cache_clear()
+        monkeypatch.setattr(lcone.exact, "echelon", self._broken)
+        for q in (sym([[0, 1], [1, 0]]), sym([[2, 1], [1, 2]])):
+            with pytest.raises(TypeError, match="broken kernel"):
+                ldlt(q)
+
     def test_linear_map_from_vector_match(self, monkeypatch):
         import lcone.equiv
 
@@ -666,6 +738,27 @@ class TestRankDet:
         assert det(Mat([[2, 1], [1, 2]])) == 3
         assert det(Mat([[1, 2], [2, 1]])) == -3
         assert det(Mat([[Rat(1, 2), 0], [0, Rat(1, 3)]])) == Rat(1, 6)
+
+
+class TestOverCommon:
+    @staticmethod
+    def _least_common_denominator(values):
+        return next(m for m in range(1, 10 ** 6) if all((x * m) % 1 == 0 for x in values))
+
+    def test_matches_lcm_definition(self):
+        rng = random.Random(27)
+        cases = [[], [0], [0, 0], [3, -4], [Rat(-1, 2)], [Rat(1, 6), Rat(-3, 4), 0, 5]]
+        for _ in range(200):
+            cases.append([rng.choice((0, rng.randint(-9, 9),
+                                      Rat(rng.randint(-9, 9), rng.randint(1, 12))))
+                          for _ in range(rng.randint(0, 6))])
+        for values in cases:
+            ints, den = _over_common(values)
+            assert den == self._least_common_denominator(values)
+            assert all(type(x) is int for x in ints)
+            assert [Rat(x, den) for x in ints] == list(values)
+        assert _over_common([]) == ([], 1)
+        assert _over_common([Rat(1, 6), Rat(-3, 4), 0, 5]) == ([2, -9, 0, 60], 12)
 
 
 class TestGcdNormalize:

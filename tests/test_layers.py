@@ -53,16 +53,30 @@ TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in CALLE
 
 
 def _uses(node) -> Counter:
-    """How often each name (`ast.Name`) and attribute (`ast.Attribute`) is
-    used under `node`."""
-    return Counter((type(n), n.id if isinstance(n, ast.Name) else n.attr)
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+    """How often each name (`ast.Name`), attribute (`ast.Attribute`) and
+    qualified attribute (`Class.attr`, kind "qualified") is used under
+    `node`."""
+    uses = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            uses[ast.Name, n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            uses[ast.Attribute, n.attr] += 1
+            if isinstance(n.value, ast.Name):
+                uses["qualified", f"{n.value.id}.{n.attr}"] += 1
+    return uses
+
+
+def _is_static(item) -> bool:
+    return any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+               for dec in item.decorator_list)
 
 
 def _public_names():
     """(label, kind, name, definition) for every public function and class
-    of `src/lcone`, used as an `ast.Name`, and every public method of a
-    public class, used as an `ast.Attribute`."""
+    of `src/lcone`, used as an `ast.Name`, every public static method of a
+    public class, used as `Class.method`, and every other public method of
+    a public class, used as an `ast.Attribute`."""
     for path, tree in TREES.items():
         if path.parent != SRC or path.stem == "__init__":
             continue
@@ -72,8 +86,11 @@ def _public_names():
                 if isinstance(node, ast.ClassDef):
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                            yield f"{path.stem}.{node.name}.{item.name}", ast.Attribute, \
-                                item.name, item
+                            label = f"{path.stem}.{node.name}.{item.name}"
+                            if _is_static(item):
+                                yield label, "qualified", f"{node.name}.{item.name}", item
+                            else:
+                                yield label, ast.Attribute, item.name, item
 
 
 def test_every_public_name_has_a_caller():
