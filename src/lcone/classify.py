@@ -24,6 +24,15 @@ two, and so each class keeps the least ray set of all its candidates.
 Each member left out is the image of the one returned under some U, a
 witness checked to fix the form.
 
+Every class has a primitive ancestor: a primitive class is its own, and a
+face inherits its parent's, since a face of a face is a face of the same
+primitive cone in the same coordinates.  The `enrich` task is given the
+ancestor's class keys and central form, and reads the class's DV polytope
+off that certified triangulation (`delaunay.dv_polytope_by_coarsening`):
+only the seed's DV cell is computed by lattice search.  The ancestor map
+is rebuilt from the `prim` and `desc` outputs, so a resume needs nothing
+more in the checkpoint.
+
 Heavy geometric steps are pure functions of their input cone, so they can be
 distributed over worker processes and their results checkpointed on disk; a
 killed run replays each checkpointed result once and produces a
@@ -48,6 +57,7 @@ from .delaunay import (
     DelaunayStar,
     _normalized,
     delaunay_star,
+    dv_polytope_by_coarsening,
     is_triangulation,
     neighbor_triangulation,
 )
@@ -258,14 +268,20 @@ def _dv_summary(poly: LatPolytope, digest: str) -> tuple[str, tuple, str]:
     return digest_of(_dv_form(poly), digest), f_vector, serialize_subordination(scheme)
 
 
-def enrich_cone(cone: ConeDesc, digest: str = "sha256") -> ClassRecord:
+def enrich_cone(cone: ConeDesc, keys: tuple, anchor: SymMat,
+                digest: str = "sha256") -> ClassRecord:
     """All per-class invariants of a cone: certificate of the central form,
     stabilizer order, DV polytope data of the central form, censuses.  The
-    cone is zonotopal when its rank profile holds rank 1 only."""
+    cone is zonotopal when its rank profile holds rank 1 only.
+
+    The cone must be a face of the secondary cone of a triangulation, given
+    by its class keys and a form `anchor` it is the Delaunay triangulation
+    of: the DV polytope is read off that triangulation
+    (`dv_polytope_by_coarsening`), with no lattice search."""
     _check_ray_ranks(cone)
     (central_det, _, _, ranks, can_size), cert_hash = _candidate_key(cone, digest)
     _, witness, _, stab = _form_canonical(cone.central)
-    poly = dv_polytope(cone.central)
+    poly = dv_polytope_by_coarsening(cone.central, keys, anchor)
     dv_hash, fv, sub = _dv_summary(poly, digest)
     return ClassRecord(
         cone=cone,
@@ -493,8 +509,11 @@ def expand_descent_cone(payload: dict) -> dict:
 
 
 def enrich_cone_task(payload: dict) -> dict:
+    """The record of a cone, given with the class keys and the central form
+    of a primitive ancestor (`enrich_cone`)."""
     cone = cone_from_dict(payload["cone"])
-    rec = enrich_cone(cone, payload["digest"])
+    anchor = SymMat.from_lower(cone.d, payload["anchor"])
+    rec = enrich_cone(cone, payload["keys"], anchor, payload["digest"])
     return {"record": rec.to_dict()}
 
 
@@ -580,19 +599,25 @@ def _cone_cache_key(kind: str, data: dict, digest: str) -> str:
     return f"{tag}:{hashlib.sha256(blob.encode()).hexdigest()}"
 
 
-def _decode_once(outs: list[dict]) -> list[ConeDesc]:
+def _decode_once(outs: list[dict], ancestors: Sequence) -> tuple[list[ConeDesc], dict]:
     """The cones of `desc` task outputs, in order, with each distinct ray set
     decoded once: a cone is a function of its rays, so a repeated ray set
-    is the cone decoded at its first occurrence, and the merge drops it."""
+    is the cone decoded at its first occurrence, and the merge drops it.
+    `ancestors` holds the ancestor of each output's parent, and each ray
+    set, which is its cone's key, is mapped to that of its first parent: a
+    face of a face is a face of the same primitive cone, in the same
+    coordinates."""
     decoded: dict = {}
+    inherited: dict = {}
     cones = []
-    for out in outs:
+    for out, ancestor in zip(outs, ancestors):
         for c in out["cones"]:
             rays = tuple(map(tuple, c["rays"]))
             if rays not in decoded:
                 decoded[rays] = cone_from_dict(c)
+                inherited[rays] = ancestor
             cones.append(decoded[rays])
-    return cones
+    return cones, inherited
 
 
 class Classifier:
@@ -613,7 +638,9 @@ class Classifier:
         self.abort_after = abort_after
         self.verbose = verbose
         self._completed = 0
-        self._keys: dict = {}    # primitive cone key -> class keys of its triangulation
+        # cone key -> (class keys, central form) of a primitive ancestor, whose
+        # triangulation is the Delaunay triangulation of that form
+        self._ancestors: dict = {}
 
     def _log(self, msg: str):
         if self.verbose:
@@ -634,8 +661,11 @@ class Classifier:
             outs.append(self.cache.get(key))
             if outs[i] is None:
                 payload = {"cone": data, "digest": self.digest}
-                if kind == "prim":
-                    payload["keys"] = self._keys[cone.key()]
+                if kind != "desc":
+                    keys, anchor = self._ancestors[cone.key()]
+                    payload["keys"] = keys
+                    if kind == "enrich":
+                        payload["anchor"] = anchor.lower()
                 items.append((i, kind, key, payload))
         with _pool(self.workers, len(items)) as pool:
             for i, key, out in (pool.imap_unordered if pool else map)(_run_task, items):
@@ -654,10 +684,11 @@ class Classifier:
 
         Only the seed's triangulation is found by lattice search.  Every
         cone carries the class keys of its triangulation into its `prim`
-        task, which returns each neighbour with the keys of its flip."""
+        task, which returns each neighbour with the keys of its flip.  Each
+        class is its own primitive ancestor."""
         star = seed_triangulation(self.d, self.seed)
         first = secondary_cone(star)
-        self._keys = {first.key(): star.keys}
+        self._ancestors = {first.key(): (star.keys, first.central)}
         table: dict = {}         # the class table, kept across the waves
         classes = merge_candidates(table, [first], self.digest)
         frontier = list(classes)
@@ -674,7 +705,8 @@ class Classifier:
                     candidates.append(cone)
                     keys[cone.key()] = _keys_of(nb["keys"])
             new = merge_candidates(table, candidates, self.digest)
-            self._keys = {cone.key(): keys[cone.key()] for cone in new}
+            for cone in new:
+                self._ancestors[cone.key()] = keys[cone.key()], cone.central
             classes.extend(new)
             frontier = new
         self._log(f"primitive enumeration done: {len(classes)} classes")
@@ -688,10 +720,13 @@ class Classifier:
             self._log(f"descending from dimension {k}: {len(cones_by_dim[k])} classes")
             # The task outputs are not kept through the merge: at d = 5 they
             # are about a quarter of what a level holds.
-            candidates = _decode_once(self._map("desc", cones_by_dim[k]))
+            parents = [self._ancestors[cone.key()] for cone in cones_by_dim[k]]
+            candidates, inherited = _decode_once(self._map("desc", cones_by_dim[k]), parents)
             accepted = merge_candidates({}, candidates, self.digest)
             if not accepted:
                 break
+            for cone in accepted:
+                self._ancestors[cone.key()] = inherited[cone.key()]
             cones_by_dim[k - 1] = accepted
         db = ClassDB(self.d)
         for k, cones in cones_by_dim.items():

@@ -30,7 +30,16 @@ The crossing's exact work is over the integers and once per distinct
 object: a regulator is read off one integer `echelon`, each distinct wall
 is evaluated once on the wallpoint (many adjacent pairs share a wall), and
 the checks on the new form run on its primitive integer multiple, which
-has the same signs, circumcenters and closest vectors.
+has the same signs, circumcenters and closest vectors.  A circumcentre is
+one integer `echelon` too, read as a primitive integer ray (`_center_ray`).
+
+A form Q in the closed secondary cone of a triangulation T has as its
+Delaunay subdivision the coarsening of T across the walls that vanish on
+Q.  So the DV polytope of any face form of a certified triangulation's
+cone is read off T (`dv_polytope_by_coarsening`): the walls are evaluated
+as integer affine dependencies, one `echelon` per class key, with no wall
+matrix, and only the merged cells are solved, with no lattice search and
+no double description.
 """
 
 from __future__ import annotations
@@ -39,23 +48,22 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import sub
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .exact import (
     AffinelyDependent,
-    Mat,
     NotPositiveDefinite,
     Rat,
-    SingularMatrix,
     SymMat,
+    _norm,
+    _over_common,
     clear_denominators,
     echelon,
     gcd_normalize,
-    solve,
 )
 from .lattice import closest_vectors
-from .polyhedral import _dot, _dv_cell, rays_to_hrep
+from .polyhedral import LatPolytope, _dot, _dv_cell, _dv_from_cells, _in_centre_order, rays_to_hrep
 
 
 class NotATriangulation(Exception):
@@ -118,24 +126,46 @@ class DelaunayStar:
 
 def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, object]:
     """Exact center and squared radius of the sphere through d+1 affinely
-    independent lattice points, in the metric of Q."""
+    independent lattice points, in the metric of Q.
+
+    The centre is that of the primitive integer multiple c Q of Q, the ray
+    (y, t) of `_center_ray`: y / t, its coordinates ints where integral and
+    ``Fraction``s otherwise.  The squared radius is Q[y - t p_0] / t^2,
+    that is (c Q)[y - t p_0] / (c t^2), an int where integral.  Raises
+    AffinelyDependent."""
     pts = [tuple(p) for p in points]
+    ints, den = _over_common(q.lower())
+    g = gcd(*ints) or 1          # c = den / g
+    form = SymMat.from_lower(q.d, [x // g for x in ints])
+    y, t = _center_ray(form, pts)
+    center = tuple(x // t if x % t == 0 else Rat(x, t) for x in y)
+    sq = form.quad([b - t * a for a, b in zip(pts[0], y)])
+    return center, _norm(Rat(sq * g, t * t * den))
+
+
+def _center_ray(q: SymMat, points: Sequence[tuple]) -> tuple[tuple, int]:
+    """The circumcentre y / t of d+1 affinely independent lattice points in
+    the metric of an integral form Q, as a primitive integer ray (y, t),
+    t > 0.
+
+    The centre c is the solution of 2 (Q (p_i - p_0)) . c = Q[p_i] - Q[p_0]
+    for i = 1..d.  One `echelon` of the integer rows
+    [2 Q (p_i - p_0) | Q[p_i] - Q[p_0]] leaves D [I | c], and (D c, D)
+    divided by its gcd is the ray.  Raises AffinelyDependent."""
     d = q.d
-    if len(pts) != d + 1:
-        raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
-    p0 = pts[0]
+    if len(points) != d + 1:
+        raise AffinelyDependent(f"need {d + 1} points, got {len(points)}")
+    p0 = points[0]
+    n0 = q.quad(p0)
     rows = []
-    rhs = []
-    for p in pts[1:]:
-        diff = [a - b for a, b in zip(p, p0)]
-        rows.append([2 * x for x in q.mul_vec(diff)])
-        rhs.append(q.quad(p) - q.quad(p0))
-    try:
-        center = solve(Mat(rows), rhs)
-    except SingularMatrix as exc:
-        raise AffinelyDependent("points are affinely dependent") from exc
-    r2 = q.quad([c - x for c, x in zip(center, p0)])
-    return center, r2
+    for p in points[1:]:
+        rows.append([2 * x for x in q.mul_vec([a - b for a, b in zip(p, p0)])] + [q.quad(p) - n0])
+    ech = echelon(rows)
+    if ech.pivots[:d] != tuple(range(d)):
+        raise AffinelyDependent("points are affinely dependent")
+    ray = [row[d] for row in ech.rows] + [ech.scale]
+    g = gcd(*ray)
+    return tuple(x // g for x in ray[:-1]), ray[-1] // g
 
 
 def _translated(vertices: tuple) -> tuple:
@@ -248,28 +278,18 @@ def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
     return Regulator(SymMat.from_lower(d, gcd_normalize(lower, orient=False)), alphas)
 
 
-def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
-    """(class key, extra vertex, regulator) for every pair of adjacent
-    simplices of a triangulation given by its class keys (the normalized
-    class representatives' vertex tuples, as `DelaunayStar.keys`), keyed by
-    their normalized facet.  A star keeps them as `DelaunayStar.pairs`.
+def _class_facets(keys: Sequence[tuple]) -> dict:
+    """The two sides of every facet of a triangulation given by its class
+    keys, keyed by the normalized facet: [(class key, facet, vertex off
+    it)] for the first side in key order, then the second.
 
     Every facet lies in exactly two simplices, so the class facets with the
     same normalized form come in pairs.  If the facet F of `key` and the
     facet G of `nkey` pair up, the neighbour of `key` across F is
-    `nkey + (F[0] - G[0])`, and its vertex off F is the translate of the
-    vertex of `nkey` off G.  Each pair is taken from its first side only:
-    from the other side it spans a translate of the same circuit and has
-    the same regulator.  Degenerate regulators are left out.
-
-    `carried` holds the pairs of another triangulation keyed the same way,
-    as a bistellar flip leaves them.  A pair with the class key and extra
-    vertex of the carried pair of its facet spans the same circuit, so its
-    regulator is copied, not computed.  With sorted keys on both sides that
-    holds exactly for the facets whose two sides are classes the flip kept.
-
-    A key is sorted, so each of its facets is, and is normalized by
-    translating it by its first vertex (`_translated`)."""
+    `nkey + (F[0] - G[0])`.  A key is sorted, so each of its facets is,
+    and is normalized by translating it by its first vertex
+    (`_translated`).  Raises NotATriangulation unless every key has d + 1
+    points, and AssertionError unless every facet has exactly two sides."""
     sides = {}                   # normalized facet -> [(key, facet, vertex off it)]
     for key in keys:
         if len(key) != len(key[0]) + 1:
@@ -279,11 +299,31 @@ def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
         for i, v in enumerate(key):
             facet = key[:i] + key[i + 1:]
             sides.setdefault(_translated(facet), []).append((key, facet, v))
-    out = {}
-    for norm, pair in sides.items():
+    for pair in sides.values():
         if len(pair) != 2:
             raise AssertionError(f"a facet of the triangulation lies in {len(pair)} cells")
-        (key, facet, _), (_, nfacet, nv) = pair
+    return sides
+
+
+def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
+    """(class key, extra vertex, regulator) for every pair of adjacent
+    simplices of a triangulation given by its class keys (the normalized
+    class representatives' vertex tuples, as `DelaunayStar.keys`), keyed by
+    their normalized facet.  A star keeps them as `DelaunayStar.pairs`.
+
+    The pairs are the two sides of each facet (`_class_facets`): the vertex
+    off the facet of the second side, translated to the first, is the
+    extra vertex.  Each pair is taken from its first side only: from the
+    other side it spans a translate of the same circuit and has the same
+    regulator.  Degenerate regulators are left out.
+
+    `carried` holds the pairs of another triangulation keyed the same way,
+    as a bistellar flip leaves them.  A pair with the class key and extra
+    vertex of the carried pair of its facet spans the same circuit, so its
+    regulator is copied, not computed.  With sorted keys on both sides that
+    holds exactly for the facets whose two sides are classes the flip kept."""
+    out = {}
+    for norm, ((key, facet, _), (_, nfacet, nv)) in _class_facets(keys).items():
         extra = tuple(x + a - b for x, a, b in zip(nv, facet[0], nfacet[0]))
         old = carried.get(norm) if carried else None
         if old is not None and old[:2] == (key, extra):
@@ -293,6 +333,117 @@ def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
         if not reg.is_degenerate:
             out[norm] = (key, extra, reg)
     return out
+
+
+def _wall_values(keys: Sequence[tuple], forms: Sequence[SymMat]) -> dict:
+    """The wall of every pair of adjacent simplices of a triangulation,
+    given by its class keys, evaluated on integral forms, without a wall
+    matrix: normalized facet -> (class key, neighbour key, offset, values).
+
+    The pairs are those of `_facet_pairs`, each from its first side `key`,
+    whose neighbour across the facet is `nkey + offset`.  One integer
+    `echelon` of [V | w_1 ... w_m; 1 ... 1] per class key V, the w the extra
+    points of the pairs taken from V, leaves D [I | l_1 ... l_m], the l the
+    affine coordinates of the w over D.  The value of the pair (V, w) at F
+    is D F[w] - sum_v l_v F[v], a positive multiple of
+    `regulator(V, w).matrix.pair(F)`.  Raises NotATriangulation unless every
+    key is a simplex."""
+    d = len(keys[0][0])
+    taken = {key: [] for key in keys}    # key -> [(facet, extra point, nkey, offset)]
+    for norm, ((key, facet, _), (nkey, nfacet, nv)) in _class_facets(keys).items():
+        shift = tuple(map(sub, facet[0], nfacet[0]))
+        taken[key].append((norm, tuple(map(add, nv, shift)), nkey, shift))
+    points = {p for key in keys for p in key} | {w for pairs in taken.values() for _, w, _, _ in pairs}
+    norms = {p: [f.quad(p) for f in forms] for p in points}
+    out = {}
+    for key, pairs in taken.items():
+        ech = echelon([[p[i] for p in key] + [w[i] for _, w, _, _ in pairs] for i in range(d)]
+                      + [[1] * (d + 1 + len(pairs))])
+        if ech.pivots[:d + 1] != tuple(range(d + 1)):
+            raise NotATriangulation("a class key is not a simplex")
+        scale = ech.scale
+        on_key = list(zip(*(norms[v] for v in key)))     # per form, F[v] over the key
+        for j, (norm, w, nkey, shift) in enumerate(pairs):
+            coords = [row[d + 1 + j] for row in ech.rows]
+            out[norm] = key, nkey, shift, tuple(scale * fw - sum(map(mul, coords, fv))
+                                                for fw, fv in zip(norms[w], on_key))
+    return out
+
+
+def dv_polytope_by_coarsening(q: SymMat, keys: Sequence[tuple], anchor: SymMat) -> LatPolytope:
+    """The DV polytope of a positive definite form Q, read off a Delaunay
+    triangulation T whose closed secondary cone holds Q: equal to
+    `polyhedral.dv_polytope(q)` field for field, with no lattice search and
+    no double description.
+
+    T is given by its class keys, and `anchor` must be a form whose Delaunay
+    triangulation it is.  That is checked as `scone.star_wall_forms` checks
+    a star: every wall of T must be positive on the anchor, and a locally
+    Delaunay triangulation is Delaunay.  Every wall must be >= 0 on Q.  The
+    Delaunay subdivision of Q is then the coarsening of T that merges the
+    adjacent simplices whose wall vanishes on Q: its cells are the domains
+    of linearity of the convex lifting of T by Q (De Loera, Rambau & Santos,
+    Triangulations, 2010; Schürmann, Computational Geometry of Positive
+    Definite Quadratic Forms, 2009).
+
+    The walls of the pairs of T are evaluated on the anchor and on Q by one
+    integer `echelon` per class key, with no wall matrix (`_wall_values`),
+    each as a positive multiple of `regulator(...).matrix.pair`.  The
+    merged classes are found by a search over (class key, offset) across
+    the pairs whose wall is 0 on Q.  Each gets one integer circumcentre
+    (y, t), solved from its first simplex, which holds 0 (`_center_ray` on
+    the primitive integer multiple of Q), and every other point p of the
+    class must have Q[t p - y] = Q[y].  The cells at 0 are the translates of
+    each merged cell by -v over its points v, with the centre rays
+    (y - t v, t), and the DV polytope is read off them as `dv_polytope`
+    reads it (`polyhedral._dv_from_cells`).
+
+    Raises NotPositiveDefinite unless Q is positive definite,
+    NotATriangulation unless every key is a simplex, ValueError unless every
+    wall is > 0 on the anchor and >= 0 on Q, and AssertionError unless the
+    facets pair up (`_class_facets`) and every merged class lies on one
+    sphere.
+    """
+    if not q.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
+    d = q.d
+    form = SymMat.from_lower(d, clear_denominators(q.lower()))
+    anchor = SymMat.from_lower(d, clear_denominators(anchor.lower()))
+    merges = {key: [] for key in keys}   # key -> [(neighbour key, offset)] across walls 0 on Q
+    for key, nkey, shift, (on_anchor, on_form) in _wall_values(keys, (anchor, form)).values():
+        if on_anchor <= 0:
+            raise ValueError("the keys are not the Delaunay triangulation of the anchor")
+        if on_form < 0:
+            raise ValueError("the form is outside the closed secondary cone of the keys")
+        if not on_form:
+            merges[key].append((nkey, shift))
+            merges[nkey].append((key, tuple(-x for x in shift)))
+    zero = (0,) * d
+    cells = {}                   # centre ray (y, t) of a cell at 0 -> its vertices
+    done = set()
+    for key in keys:
+        if key in done:
+            continue
+        found = {(key, zero)}
+        stack = [(key, zero)]
+        while stack:
+            k, s = stack.pop()
+            for nkey, shift in merges[k]:
+                node = (nkey, tuple(map(add, s, shift)))
+                if node not in found:
+                    found.add(node)
+                    stack.append(node)
+        done.update(k for k, _ in found)
+        merged = {tuple(map(add, v, s)) for k, s in found for v in k}
+        y, t = _center_ray(form, key)
+        sq = form.quad(y)
+        for p in merged.difference(key):
+            if form.quad([t * a - b for a, b in zip(p, y)]) != sq:
+                raise AssertionError("a merged cell does not lie on one sphere")
+        for v in merged:
+            ray = tuple(b - t * a for a, b in zip(v, y)) + (t,)
+            cells[ray] = tuple(sorted(tuple(map(sub, p, v)) for p in merged))
+    return _dv_from_cells(q, [(vertices, centre) for centre, vertices in _in_centre_order(cells)])
 
 
 def is_triangulation(star: DelaunayStar) -> bool:

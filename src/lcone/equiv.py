@@ -313,6 +313,15 @@ class UnimodularMap:
         if not self.matrix.is_integral() or det(self.matrix) not in (1, -1):
             raise ValueError("not a unimodular matrix")
 
+    @classmethod
+    def _automorphism(cls, matrix: Mat) -> "UnimodularMap":
+        """The map of an integral U checked by the caller to satisfy
+        U^T Q U = Q for a positive definite Q.  Then det(U)^2 det Q = det Q
+        with det Q > 0, so det U = +-1, and no determinant is computed."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "matrix", matrix)
+        return u
+
 
 def _require_integral_pd(q: SymMat):
     if not q.is_integral():
@@ -398,7 +407,9 @@ def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
     U^T = S^{-1} T, T the rows g(s) over the basis, which is read in
     integers from S^{-1} over its common denominator.  Each extension is
     checked, by explicit raises: U is integral, maps every characteristic
-    vector s onto g(s) and fixes Q, and `UnimodularMap` checks det U = +-1.
+    vector s onto g(s) and fixes Q.  Q is positive definite, so a U that
+    fixes it has det U = +-1, and the maps are built without a determinant
+    (`UnimodularMap._automorphism`).
     """
     _, witness, gens, order = _form_canonical(q)
     can = tuple(sorted(witness))     # generators permute the lex-ordered set
@@ -426,7 +437,7 @@ def automorphism_group(q: SymMat) -> tuple[list[UnimodularMap], int]:
             raise AssertionError("graph automorphism does not extend to a linear map")
         if q.congruence(u) != q:
             raise AssertionError("graph automorphism does not fix the form")
-        maps.append(UnimodularMap(u))
+        maps.append(UnimodularMap._automorphism(u))
     return maps, order
 
 

@@ -166,7 +166,7 @@ class SymMat:
 
     def lower(self) -> tuple:
         """Lower-triangular entries, row-major: (a11, a21, a22, a31, ...)."""
-        return tuple(self.entries[i][j] for i in range(self.d) for j in range(i + 1))
+        return tuple([x for i, row in enumerate(self.entries) for x in row[:i + 1]])
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]

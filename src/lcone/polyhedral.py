@@ -18,7 +18,11 @@ empty-sphere certificate; all these searches share one frame of the form
 (`lattice._form_frame`); each centre is held as its DD ray over the
 integers until the cells are returned.  Both the DV polytope (`dv_polytope`)
 and the Delaunay star (`delaunay.delaunay_star`) are read off those
-certified cells, by Voronoi's duality.  A face lattice is built from the
+certified cells, by Voronoi's duality.  A DV polytope has one path from the
+cells at 0 (`_dv_from_cells`), which the enrichment of a classification
+also takes: there the cells are read off the triangulation of a primitive
+ancestor (`delaunay.dv_polytope_by_coarsening`), and no DV cell is built
+below the seed.  A face lattice is built from the
 facets down, without arithmetic: the faces of each level are the maximal
 intersections of the faces above with the facets, and the same pass counts
 the subordination scheme (`_face_levels`).
@@ -276,15 +280,30 @@ def _dv_cell(q: SymMat) -> list[tuple]:
     if len(cells) != len(rays):
         raise AssertionError(f"{len(cells)} cells but {len(rays)} DV vertices: "
                              "the centre of a translated cell is not a DV vertex")
-    big = lcm(*(r[-1] for r in rays))
+    return [(vertices, centre, sqradius)
+            for centre, (vertices, sqradius) in _in_centre_order(cells)]
+
+
+def _in_centre_order(cells: dict) -> list[tuple]:
+    """(centre, value) for each item of `cells`, which is keyed by the
+    primitive integer ray (y, t), t > 0, of a centre y / t, in the order of
+    the centres: by y (T / t), T the least common multiple of the t.  The
+    centre's coordinates are ``Fraction``s."""
+    big = lcm(*(r[-1] for r in cells))
     order = sorted(cells, key=lambda r: tuple(x * (big // r[-1]) for x in r[:-1]))
-    return [(cells[r][0], tuple(Rat(x, r[-1]) for x in r[:-1]), cells[r][1]) for r in order]
+    return [(tuple(Rat(x, r[-1]) for x in r[:-1]), cells[r]) for r in order]
 
 
 def dv_polytope(q: SymMat) -> LatPolytope:
     """Dirichlet-Voronoi polytope of a positive definite form, exactly, read
     off the certified Delaunay cells of its vertices (`_dv_cell`) by
-    Voronoi's duality.
+    Voronoi's duality (`_dv_from_cells`)."""
+    return _dv_from_cells(q, [(vertices, centre) for vertices, centre, _ in _dv_cell(q)])
+
+
+def _dv_from_cells(q: SymMat, cells: Sequence[tuple]) -> LatPolytope:
+    """The DV polytope of a positive definite form, given (vertices, centre)
+    for every Delaunay cell at 0, in the order of the centres.
 
     The vertices are the circumcenters of the Delaunay cells at 0.  Every
     nonzero vertex v of those cells gives the halfspace -2 Q v . x + Q[v] >= 0
@@ -302,10 +321,9 @@ def dv_polytope(q: SymMat) -> LatPolytope:
     """
     d = q.d
     zero = (0,) * d
-    cells = _dv_cell(q)
     containing = {}              # v -> bitmask over cells having v as vertex
     common = {}                  # v -> vertices common to those cells
-    for i, (vertices, _, _) in enumerate(cells):
+    for i, (vertices, _) in enumerate(cells):
         vset = frozenset(vertices)
         for v in vertices:
             if v != zero:
@@ -313,10 +331,10 @@ def dv_polytope(q: SymMat) -> LatPolytope:
                 common[v] = common[v] & vset if v in common else vset
     facets = sorted((_dv_halfspace(q, v), v) for v in containing if len(common[v]) == 2)
     index = {v: j for j, (_, v) in enumerate(facets)}
-    for vertices, center, _ in cells:
+    for vertices, center in cells:
         if sum(1 for v in vertices if v in index) < d:
             raise AssertionError(f"DV vertex {center} lies on fewer than {d} facets")
-    return LatPolytope(d, tuple(center for _, center, _ in cells),
+    return LatPolytope(d, tuple(center for _, center in cells),
                        tuple((h[:-1], h[-1]) for h, _ in facets),
                        tuple(containing[v] for _, v in facets))
 

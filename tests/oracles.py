@@ -10,7 +10,8 @@ that polytope, canonical extreme rays, the normalized translate of a cell,
 the cells of a triangulation solved from its class keys, the Delaunay star
 by moving spheres, the Dirichlet-Voronoi polytope read off
 the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
-triangulation as a list, the regulator over rational matrices, the wall
+triangulation as a list, the regulator over rational matrices, the
+circumcentre by one rational `solve`, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
 the equalities a face was stored with when they were threaded down the
@@ -647,6 +648,29 @@ def regulator_by_fractions(points, w) -> Regulator:
     return Regulator(SymMat.from_lower(d, clear_denominators(n.lower())), alphas)
 
 
+def circumcenter_by_fractions(q: SymMat, points) -> tuple:
+    """`delaunay.circumcenter` by one `solve` of the rational system
+    2 (Q (p_i - p_0)) . c = Q[p_i] - Q[p_0], and the squared radius
+    Q[c - p_0] in ``Fraction`` arithmetic."""
+    pts = [tuple(p) for p in points]
+    d = q.d
+    if len(pts) != d + 1:
+        raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
+    p0 = pts[0]
+    rows = []
+    rhs = []
+    for p in pts[1:]:
+        diff = [a - b for a, b in zip(p, p0)]
+        rows.append([2 * x for x in q.mul_vec(diff)])
+        rhs.append(q.quad(p) - q.quad(p0))
+    try:
+        center = solve(Mat(rows), rhs)
+    except SingularMatrix as exc:
+        raise AffinelyDependent("points are affinely dependent") from exc
+    r2 = q.quad([c - x for c, x in zip(center, p0)])
+    return center, r2
+
+
 def neighbor_triangulation_by_fractions(star, wallpoint, center):
     """`delaunay.neighbor_triangulation` with every adjacent pair evaluated
     on the wallpoint and every check run on the rational form
@@ -690,7 +714,7 @@ def neighbor_triangulation_by_fractions(star, wallpoint, center):
         raise AssertionError("wall crossing did not converge")
 
     for key in sorted(added):
-        sphere_center, sqradius = circumcenter(cand, key)
+        sphere_center, sqradius = circumcenter_by_fractions(cand, key)
         best, mins = closest_vectors(cand, sphere_center)
         if best != sqradius or tuple(sorted(mins)) != key:
             raise AssertionError("flipped cell failed the empty-sphere check")

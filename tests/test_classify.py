@@ -747,7 +747,8 @@ def test_enrich_cone_builds_one_face_lattice(monkeypatch):
         serialize_subordination, subordination_scheme
     from lcone.scone import secondary_cone
 
-    cone = secondary_cone(seed_triangulation(3))
+    star = seed_triangulation(3)
+    cone = secondary_cone(star)
     poly = dv_polytope(cone.central)
     calls = []
 
@@ -757,7 +758,7 @@ def test_enrich_cone_builds_one_face_lattice(monkeypatch):
 
     for module in (lcone.polyhedral, lcone.classify):
         monkeypatch.setattr(module, "_face_levels", counting)
-    rec = enrich_cone(cone)
+    rec = enrich_cone(cone, star.keys, cone.central)
     assert calls == [poly]
     assert rec.f_vector == face_lattice(poly)[1]
     assert rec.subordination == serialize_subordination(subordination_scheme(poly))
@@ -779,18 +780,81 @@ def test_d4_run_builds_one_star(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_d4_enrichment_runs_no_lattice_search(monkeypatch):
+    # Every DV polytope of the enrichment of a d = 4 run is read off the
+    # triangulation of the class's primitive ancestor: no DV cell, closest
+    # vector search, coset minima, double description or regulator.
+    import lcone.delaunay
+    import lcone.lattice
+    import lcone.polyhedral
+    import lcone.scone
+
+    calls, enriching = [], []
+    for module, name in [(lcone.polyhedral, "_dv_cell"), (lcone.delaunay, "_dv_cell"),
+                         (lcone.lattice, "_closest"), (lcone.polyhedral, "_closest"),
+                         (lcone.lattice, "_coset_minima"), (lcone.polyhedral, "_coset_minima"),
+                         (lcone.polyhedral, "_dd_cone"), (lcone.scone, "_dd_cone"),
+                         (lcone.delaunay, "regulator"),
+                         (lcone.classify, "dv_polytope_by_coarsening")]:
+        def counted(*args, _real=getattr(module, name), _name=name):
+            if enriching:
+                calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    enrich = Classifier.enrich
+
+    def flagged(self, cones):
+        enriching.append(True)
+        try:
+            return enrich(self, cones)
+        finally:
+            enriching.pop()
+
+    monkeypatch.setattr(Classifier, "enrich", flagged)
+    db = Classifier(4).classify()
+    assert db.total() == 52
+    assert calls == ["dv_polytope_by_coarsening"] * 52
+
+
+D4_TASKS = 106   # 3 prim, 51 desc and 52 enrich tasks of a d = 4 classification
+
+
+def test_resume_inside_the_enrichment_carries_the_ancestor(tmp_path, monkeypatch):
+    # A d = 4 run killed after 20 of its 52 enrich tasks resumes to the
+    # pinned bytes.  The resume rebuilds the ancestor map from the replayed
+    # prim and desc outputs, and each enrich task it runs is handed the
+    # class keys and central form of a primitive class.
+    from test_acceptance import DATABASE_SHA256, _database_sha256
+
+    out = str(tmp_path / "db4")
+    with pytest.raises(KeyboardInterrupt):
+        run_classification(4, out, abort_after=D4_TASKS - 52 + 20)
+    payloads = []
+    task = lcone.classify._TASKS["enrich"]
+    monkeypatch.setitem(lcone.classify._TASKS, "enrich",
+                        lambda payload: payloads.append(payload) or task(payload))
+    db = run_classification(4, out, resume=True)
+    assert _database_sha256(out) == DATABASE_SHA256[4]
+    primitive = {rec.cone.central.lower(): rec for rec in db.by_dim[10]}
+    assert len(payloads) == 32
+    for payload in payloads:
+        assert tuple(payload["anchor"]) in primitive
+        assert payload["keys"] and all(len(key) == 5 for key in payload["keys"])
+
+
 def test_enrich_cone_ranks_each_ray_once(monkeypatch):
     from lcone.classify import _candidate_key, enrich_cone
     from lcone.scone import _ray_rank, secondary_cone
 
-    cone = secondary_cone(seed_triangulation(3))
-    want = enrich_cone(cone).to_dict()
+    star = seed_triangulation(3)
+    cone = secondary_cone(star)
+    want = enrich_cone(cone, star.keys, cone.central).to_dict()
     _ray_rank.cache_clear()
     _candidate_key.cache_clear()
     calls = []
     rank = SymMat.rank
     monkeypatch.setattr(SymMat, "rank", lambda self: calls.append(self) or rank(self))
-    assert enrich_cone(cone).to_dict() == want
+    assert enrich_cone(cone, star.keys, cone.central).to_dict() == want
     assert sorted(calls, key=SymMat.lower) == sorted(cone.rays, key=SymMat.lower)
 
 

@@ -15,12 +15,16 @@ import lcone.polyhedral
 from lcone.delaunay import (
     Cell,
     DelaunayStar,
+    NotATriangulation,
     NotOnSingleFacet,
+    _facet_pairs,
     _normalized,
     _translated,
+    _wall_values,
     cell_facets,
     circumcenter,
     delaunay_star,
+    dv_polytope_by_coarsening,
     is_triangulation,
     neighbor_triangulation,
     regulator,
@@ -28,6 +32,7 @@ from lcone.delaunay import (
 from lcone.classify import Classifier, principal_form, seed_triangulation
 from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, det, inverse
 from lcone.lattice import closest_vectors
+from lcone.polyhedral import dv_polytope
 from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
 
 import oracles
@@ -35,6 +40,7 @@ from oracles import (
     NotAFacet,
     adjacent_cell,
     cells_from_keys,
+    circumcenter_by_fractions,
     delaunay_star_by_search,
     initial_cell,
     neighbor_triangulation_by_fractions,
@@ -58,6 +64,36 @@ class TestCircumcenter:
     def test_dependent(self):
         with pytest.raises(AffinelyDependent):
             circumcenter(I2, [(0, 0), (1, 0), (2, 0)])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_fraction_oracle(self, d):
+        # Seeded integral and rational forms and seeded point sets, a fifth
+        # of them affinely dependent by construction: the integer centre equals the `solve`
+        # one, value for value and type for type, or both raise.
+        rng = random.Random(3000 + d)
+        checked = dependent = 0
+        while checked < 40:
+            rows = [[0] * d for _ in range(d)]
+            for i in range(d):
+                rows[i][i] = Rat(rng.randint(2 * d, 3 * d), rng.choice((1, 1, 2, 3)))
+                for j in range(i):
+                    rows[i][j] = rows[j][i] = Rat(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+            q = SymMat(rows)
+            if not q.is_positive_definite():
+                continue
+            pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 1)]
+            if rng.random() < 0.2:
+                pts[-1] = tuple(2 * b - a for a, b in zip(pts[0], pts[1]))
+            try:
+                want = circumcenter_by_fractions(q, pts)
+            except AffinelyDependent:
+                with pytest.raises(AffinelyDependent):
+                    circumcenter(q, pts)
+                dependent += 1
+                continue
+            assert _typed(circumcenter(q, pts)) == _typed(want)
+            checked += 1
+        assert dependent > 0
 
 
 class TestInitialCell:
@@ -637,3 +673,117 @@ class TestIntegerFlip:
                     got, want = regulator(key, w), regulator_by_fractions(key, w)
                     assert _typed(got.matrix.lower() + got.alphas) == \
                         _typed(want.matrix.lower() + want.alphas)
+
+
+@pytest.fixture(scope="module")
+def ancestor_runs():
+    """(database, ancestor map) of the d = 3 and d = 4 classifications."""
+    runs = []
+    for d in (3, 4):
+        clf = Classifier(d)
+        runs.append((clf.classify(), clf._ancestors))
+    return runs
+
+
+def d5_seed_faces():
+    """The d = 5 seed star and cone, and 10 faces of the cone below it: 4
+    PD facets, 3 PD facets of the first and 3 PD facets of the first of
+    these (dimensions 14, 13 and 12)."""
+    star = seed_triangulation(5)
+    cone = secondary_cone(star)
+    faces, parent = [], cone
+    for _ in range(3):
+        level = [f for f in cone_facets(parent) if contains_pd(f)]
+        faces += level[:4 if parent is cone else 3]
+        parent = level[0]
+    return star, cone, faces
+
+
+class TestCoarsening:
+    def test_matches_dv_polytope_on_databases(self, ancestor_runs):
+        # Every record of the d = 3 and d = 4 runs, with the primitive
+        # ancestor the run assigned it: the DV polytope read off the
+        # ancestor's triangulation is `dv_polytope`'s, field for field and
+        # type for type.
+        merged = 0
+        for db, ancestors in ancestor_runs:
+            for rec in db.records():
+                keys, anchor = ancestors[rec.cone.key()]
+                poly = dv_polytope_by_coarsening(rec.cone.central, keys, anchor)
+                want = dv_polytope(rec.cone.central)
+                assert poly == want
+                assert _typed(poly.vertices) == _typed(want.vertices)
+                merged += rec.cone.central != anchor
+        assert merged == 57 - 1 - 3
+
+    def test_matches_dv_polytope_on_d5_seed_faces(self):
+        star, cone, faces = d5_seed_faces()
+        assert [f.dim for f in faces] == [14] * 4 + [13] * 3 + [12] * 3
+        for q in [cone.central] + [f.central for f in faces]:
+            assert dv_polytope_by_coarsening(q, star.keys, cone.central) == dv_polytope(q)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_pair_values_match_regulators(self, d):
+        # Every adjacent pair of the seed triangulation, at the seed's own
+        # form, its cone's central form and the central forms of its PD
+        # facets: the value has the sign of the regulator's pairing, and is
+        # 0 where it is.
+        star = seed_triangulation(d)
+        cone = secondary_cone(star)
+        forms = [star.form, cone.central] + [f.central for f in cone_facets(cone) if contains_pd(f)]
+        values = _wall_values(star.keys, forms)
+        pairs = _facet_pairs(star.keys)
+        assert sorted(values) == sorted(pairs)
+        zeros = 0
+        for norm, (key, w, reg) in pairs.items():
+            got_key, nkey, shift, got = values[norm]
+            assert got_key == key and nkey in star.keys
+            want = [reg.matrix.pair(f) for f in forms]
+            assert [(v > 0) - (v < 0) for v in got] == [(v > 0) - (v < 0) for v in want]
+            zeros += got.count(0)
+        assert zeros > 0
+
+    def test_keys_of_another_class_raise(self):
+        # The keys of the d = 3 seed, with the central form of the cone
+        # across one of its walls as the anchor: the crossed wall is
+        # negative there.
+        star, cone, nb = self._crossing()
+        with pytest.raises(ValueError, match="not the Delaunay triangulation of the anchor"):
+            dv_polytope_by_coarsening(nb.central, star.keys, nb.central)
+
+    def test_form_outside_the_closed_cone_raises(self):
+        star, cone, nb = self._crossing()
+        with pytest.raises(ValueError, match="outside the closed secondary cone"):
+            dv_polytope_by_coarsening(nb.central, star.keys, cone.central)
+
+    def test_non_simplex_key_raises(self):
+        keys = delaunay_star(FACE4).keys
+        assert not is_triangulation(DelaunayStar(FACE4, keys))
+        with pytest.raises(NotATriangulation):
+            dv_polytope_by_coarsening(FACE4, keys, FACE4)
+
+    def test_merged_cell_off_its_sphere_raises(self, monkeypatch):
+        # A positive wall read as 0 on the form merges two simplices whose
+        # points are not on one sphere.
+        star = seed_triangulation(3)
+        cone = secondary_cone(star)
+        values = lcone.delaunay._wall_values
+
+        def one_zero(keys, forms):
+            out = values(keys, forms)
+            norm = min(out)
+            key, nkey, shift, (on_anchor, _) = out[norm]
+            out[norm] = key, nkey, shift, (on_anchor, 0)
+            return out
+
+        monkeypatch.setattr(lcone.delaunay, "_wall_values", one_zero)
+        with pytest.raises(AssertionError, match="does not lie on one sphere"):
+            dv_polytope_by_coarsening(cone.central, star.keys, cone.central)
+
+    @staticmethod
+    def _crossing():
+        star = seed_triangulation(3)
+        cone = secondary_cone(star)
+        wall = next(f for f in cone_facets(cone) if contains_pd(f))
+        nb = secondary_cone(neighbor_triangulation(star, wall.central, cone.central))
+        return star, cone, nb

@@ -399,6 +399,17 @@ class TestAutomorphisms:
             del calls[:]
             assert len(automorphism_group(q)[0]) == gens and len(calls) == 1
 
+    def test_no_determinant_per_generator(self, monkeypatch):
+        # Each generator's map fixes a positive definite form, which forces
+        # det U = +-1, so no determinant is computed for it.
+        import lcone.exact
+        calls = []
+        for module in (lcone.equiv, lcone.exact):
+            monkeypatch.setattr(module, "det", lambda a: calls.append(a) or det(a))
+        maps, _ = automorphism_group(principal_form(5))
+        assert len(maps) == 15 and calls == []
+        assert all(det(m.matrix) in (1, -1) for m in maps)
+
     @pytest.mark.parametrize("q, witness, gen, message", [
         (I2, ((1, 0), (2, 0)), (1, 0), "does not span"),
         (I2, ((1, 0), (1, 2), (2, 1)), (0, 2, 1), "integral map"),

@@ -691,7 +691,7 @@ class TestKernelFailurePropagates:
         pts = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(AffinelyDependent):
             lcone.delaunay.circumcenter(SymMat.identity(2), [(0, 0), (1, 0), (2, 0)])
-        monkeypatch.setattr(lcone.delaunay, "solve", self._broken)
+        monkeypatch.setattr(lcone.delaunay, "echelon", self._broken)
         with pytest.raises(TypeError, match="broken kernel"):
             lcone.delaunay.circumcenter(SymMat.identity(2), pts)
 

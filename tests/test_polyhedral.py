@@ -162,9 +162,11 @@ class TestSummaryOracles:
 
     def test_dd_matches_scan_oracle_on_runs(self, monkeypatch):
         # Every distinct double description of the d = 3 and d = 4 runs (the
-        # 8 secondary cones of their primitive phases and the 57 DV cells of
-        # their classes) and of `cone_from_rays` on their 57 records, 53 of
-        # them not full-dimensional.
+        # 8 secondary cones of their primitive phases and the DV cell of each
+        # seed), of `dv_polytope` on the central forms of their 57 records,
+        # the enrichment reading these off the triangulations instead, and of
+        # `cone_from_rays` on the same records, 53 of them not
+        # full-dimensional.
         dd = lcone.polyhedral._dd_cone
         calls = {}
 
@@ -179,6 +181,7 @@ class TestSummaryOracles:
             monkeypatch.setattr(module, "_dd_cone", recording(module.__name__))
         for db in (classify_all(3), classify_all(4)):
             for rec in db.records():
+                dv_polytope(rec.cone.central)
                 cone_from_rays(db.d, rec.cone.rays)
         assert Counter(module for module, _, _ in calls) == {"lcone.polyhedral": 114,
                                                              "lcone.scone": 8}
