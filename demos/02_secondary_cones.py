@@ -2,23 +2,27 @@
 
 All forms sharing one Delaunay triangulation make up an open polyhedral cone
 in the space of symmetric matrices, cut out by one linear inequality per
-pair of adjacent simplices.  The inequality normals (regulators) come from
-the affine dependency between a simplex and the extra vertex of its
-neighbor.  Faces of the closed cone are the coarser subdivisions.
+pair of adjacent simplices.  The inequality normals (regulators, or walls)
+come from the affine dependency between a simplex and the extra vertex of
+its neighbor.  Faces of the closed cone are the coarser subdivisions.
 """
 
 from lcone.exact import SymMat
-from lcone.delaunay import delaunay_star, regulator
+from lcone.delaunay import delaunay_star
 from lcone.scone import cone_facets, contains_pd, fundamental_face, rank_profile, secondary_cone
 
-# One wall condition by hand: the triangle {0, e1, e2} and the opposite
-# vertex (1,1) of its neighbor give the regulator [[0,1],[1,0]], i.e. the
-# inequality 2 q12 >= 0.
-reg = regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
-print("regulator of {0,e1,e2} against (1,1):", reg.matrix.entries)
-
+# One wall condition, read off the hexagonal triangulation's adjacent pairs:
+# the triangle {0, e1, e2} and the opposite vertex (1,1) of its neighbor give
+# the wall [[0,1],[1,0]], i.e. the inequality 2 q12 >= 0.  The integer affine
+# coordinates of (1,1) over (0, e2, e1) are (-1, 1, 1), with sum 1.
 A2 = SymMat([[2, 1], [1, 2]])
-cone = secondary_cone(delaunay_star(A2))
+star = delaunay_star(A2)
+key, w, wall, coords = next(pair for pair in star.pairs.values()
+                            if pair[:2] == (((0, 0), (0, 1), (1, 0)), (1, 1)))
+print("regulator of {0,e1,e2} against (1,1):", wall.entries)
+print("affine coordinates of (1,1):", coords)
+
+cone = secondary_cone(star)
 print("\nsecondary cone of the hexagonal triangulation")
 print("  ambient dim:", cone.dim_ambient, " cone dim:", cone.dim)
 print("  irredundant inequalities:", [n.entries for n in cone.inequalities])

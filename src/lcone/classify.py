@@ -372,8 +372,9 @@ def expand_primitive_cone(payload: dict) -> dict:
     each with its class keys.
 
     The keys may come back from a checkpoint, so they are certified first:
-    every regulator of the triangulation must be positive on the central
-    form (`star_wall_forms`), and a locally Delaunay triangulation is the
+    the wall of every adjacent pair, one integer `echelon` per class key
+    (`DelaunayStar.pairs`), must be positive on the central form
+    (`star_wall_forms`), and a locally Delaunay triangulation is the
     Delaunay triangulation.
 
     An orbit is PD when the central form of its first facet, the sum of its

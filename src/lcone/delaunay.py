@@ -15,31 +15,32 @@ No adjacency is stored.  Every facet of a face-to-face tiling lies in
 exactly two cells, so the class facets that are translates of each other,
 that is, that have the same `_normalized` form, come in pairs: the two
 sides of a normalized facet are two adjacent cells up to translation.  For
-a triangulation, each pair spans a circuit whose regulator is one wall
-condition of the secondary cone (`regulator`, `_facet_pairs`).
+a triangulation, each pair (V, w), a simplex and the extra vertex of its
+neighbour, spans a circuit whose wall (its regulator) is one condition of
+the secondary cone.  One kernel serves every wall (`_pair_coordinates`):
+one integer `echelon` per class key V gives the integer affine coordinates
+l of the extra points of its pairs, with sum_v l_v = D > 0.  The wall is
+D w w^T - sum_v l_v v v^T (`_facet_pairs`); its value at a form F is
+D F[w] - sum_v l_v F[v] (`_wall_values`).
 
 Crossing a wall of a triangulation's secondary cone is a bistellar flip of
-the circuits that the wall's regulator cuts out (`neighbor_triangulation`).
-It works on the keys alone and builds no cell: every class the flip adds is
-certified by the same empty-sphere check, and every class it keeps by the
-positive regulators of its facets.  A triangulation's star keeps the
-regulators of its adjacent pairs (`DelaunayStar.pairs`), and the flipped
-star inherits those of the pairs the flip left alone.
-
-The crossing's exact work is over the integers and once per distinct
-object: a regulator is read off one integer `echelon`, each distinct wall
-is evaluated once on the wallpoint (many adjacent pairs share a wall), and
-the checks on the new form run on its primitive integer multiple, which
-has the same signs, circumcenters and closest vectors.  A circumcentre is
-one integer `echelon` too, read as a primitive integer ray (`_center_ray`).
+the circuits that the wall cuts out, read off the signs of their
+coordinates (`neighbor_triangulation`).  It works on the keys alone and
+builds no cell: every class the flip adds is certified by the same
+empty-sphere check, and every class it keeps by the positive walls of its
+facets.  A triangulation's star keeps its adjacent pairs
+(`DelaunayStar.pairs`), and the flipped star inherits those the flip left
+alone.  Each distinct wall is evaluated once on the wallpoint, and the
+checks on the new form run on its primitive integer multiple, which has
+the same signs, circumcenters and closest vectors.  A circumcentre is one
+integer `echelon` too, read as a primitive integer ray (`_center_ray`).
 
 A form Q in the closed secondary cone of a triangulation T has as its
 Delaunay subdivision the coarsening of T across the walls that vanish on
 Q.  So the DV polytope of any face form of a certified triangulation's
 cone is read off T (`dv_polytope_by_coarsening`): the walls are evaluated
-as integer affine dependencies, one `echelon` per class key, with no wall
-matrix, and only the merged cells are solved, with no lattice search and
-no double description.
+by the same kernel, with no wall matrix, and only the merged cells are
+solved, with no lattice search and no double description.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ class DelaunayStar:
       `_dv_cell`.  `delaunay_star` hands them over; a star built from keys
       takes those of `delaunay_star(form)`, whose keys must be its own.
     - `pairs`: a triangulation's adjacent simplex pairs, normalized facet ->
-      (class key, extra vertex, Regulator), as `_facet_pairs` computes
-      them.  A star made by `neighbor_triangulation` is given them by
-      the flip."""
+      (class key, extra vertex, wall, integer affine coordinates), as
+      `_facet_pairs` computes them.  A star made by
+      `neighbor_triangulation` is given them by the flip."""
 
     form: SymMat
     keys: tuple                  # sorted normalized class representatives
@@ -120,7 +121,7 @@ class DelaunayStar:
 
     @cached_property
     def pairs(self) -> dict:
-        """normalized facet -> (class key, extra vertex, Regulator)."""
+        """normalized facet -> (class key, extra vertex, wall, coordinates)."""
         return _facet_pairs(self.keys)
 
 
@@ -227,57 +228,6 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
     return star
 
 
-@dataclass(frozen=True)
-class Regulator:
-    """Integral normal of one local Delaunay wall condition.
-
-    `alphas` are the affine coordinates of the extra point w in the simplex
-    V: w = sum a_v v with sum a_v = 1, one per point of V.
-    """
-
-    matrix: SymMat
-    alphas: tuple
-
-    @property
-    def is_degenerate(self) -> bool:
-        return all(x == 0 for x in self.matrix.lower())
-
-
-def regulator(points: Sequence[Sequence[int]], w: Sequence[int]) -> Regulator:
-    """Wall form of the affinely independent set V and the extra point w.
-
-    With w = sum a_v v, 1 = sum a_v, this is w w^T - sum a_v v v^T, cleared
-    to integral entries with gcd 1.  One `echelon` of the integer rows
-    [V | w; 1 | 1] leaves D [I | a] when [V; 1] is nonsingular, so the
-    integer column D a, divided by its gcd, is the primitive positive
-    multiple l of the a_v, and the a_v are its entries over D.  The form is
-    summed over the integers: N = (sum l_v) w w^T - sum l_v v v^T, entry by
-    entry of the lower triangle.  The orientation (which side is positive)
-    is preserved by the normalization.
-    """
-    pts = [tuple(p) for p in points]
-    w = tuple(w)
-    d = len(w)
-    if len(pts) != d + 1:
-        raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
-    rows = [[p[i] for p in pts] + [w[i]] for i in range(d)]
-    rows.append([1] * (d + 2))
-    ech = echelon(rows)
-    if ech.pivots[:d + 1] != tuple(range(d + 1)):
-        raise AffinelyDependent("affinely dependent point set")
-    scale = ech.scale
-    scaled = [row[d + 1] for row in ech.rows]            # D a, over the integers
-    alphas = tuple(Rat(x, scale) if x % scale else x // scale for x in scaled)
-    g = gcd(*scaled)
-    terms = [(a // g, p) for a, p in zip(scaled, pts) if a]
-    total = sum(a for a, _ in terms)
-    lower = tuple(total * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
-                  for i in range(d) for j in range(i + 1))
-    if not any(lower):
-        return Regulator(SymMat.zero(d), alphas)
-    return Regulator(SymMat.from_lower(d, gcd_normalize(lower, orient=False)), alphas)
-
-
 def _class_facets(keys: Sequence[tuple]) -> dict:
     """The two sides of every facet of a triangulation given by its class
     keys, keyed by the normalized facet: [(class key, facet, vertex off
@@ -305,33 +255,72 @@ def _class_facets(keys: Sequence[tuple]) -> dict:
     return sides
 
 
+def _pair_coordinates(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
+    """The wall kernel: every pair of adjacent simplices of a triangulation
+    given by its class keys, normalized facet -> (class key V, extra vertex
+    w, neighbour key, offset, l).
+
+    Each pair is taken from the first side V of its facet (`_class_facets`);
+    the neighbour across it is `nkey + offset`, and w is its vertex off the
+    facet, translated by the offset.  One integer `echelon` of
+    [V | w_1 ... w_m; 1 ... 1] per key V, over the w of its pairs, leaves
+    D [I | l_1 ... l_m] with D = |det [V; 1]| > 0: l are the integer affine
+    coordinates of w, w = sum_v (l_v / D) v and sum_v l_v = D.
+
+    A pair with the class key and extra vertex of the pair of its facet in
+    `carried` (as `_facet_pairs` returns them) gets l = None, and a key
+    whose pairs are all carried gets no `echelon`.  Raises
+    NotATriangulation unless every key is a simplex."""
+    d = len(keys[0][0])
+    sides, taken = {}, {}        # taken: key -> facets of the pairs to solve
+    for norm, ((key, facet, _), (nkey, nfacet, nv)) in _class_facets(keys).items():
+        shift = tuple(map(sub, facet[0], nfacet[0]))
+        w = tuple(map(add, nv, shift))
+        sides[norm] = key, w, nkey, shift
+        old = carried.get(norm) if carried else None
+        if old is None or old[:2] != (key, w):
+            taken.setdefault(key, []).append(norm)
+    coords = {}
+    for key, norms in taken.items():
+        ws = [sides[norm][1] for norm in norms]
+        ech = echelon([[p[i] for p in key] + [w[i] for w in ws] for i in range(d)]
+                      + [[1] * (d + 1 + len(ws))])
+        if ech.pivots[:d + 1] != tuple(range(d + 1)):
+            raise NotATriangulation("a class key is not a simplex")
+        for j, norm in enumerate(norms, d + 1):
+            coords[norm] = tuple(row[j] for row in ech.rows)
+    return {norm: side + (coords.get(norm),) for norm, side in sides.items()}
+
+
 def _facet_pairs(keys: Sequence[tuple], carried: Optional[dict] = None) -> dict:
-    """(class key, extra vertex, regulator) for every pair of adjacent
+    """(class key V, extra vertex w, wall, l) for every pair of adjacent
     simplices of a triangulation given by its class keys (the normalized
     class representatives' vertex tuples, as `DelaunayStar.keys`), keyed by
     their normalized facet.  A star keeps them as `DelaunayStar.pairs`.
 
-    The pairs are the two sides of each facet (`_class_facets`): the vertex
-    off the facet of the second side, translated to the first, is the
-    extra vertex.  Each pair is taken from its first side only: from the
-    other side it spans a translate of the same circuit and has the same
-    regulator.  Degenerate regulators are left out.
+    l are the integer affine coordinates of w over V (`_pair_coordinates`),
+    sum_v l_v = D > 0, and the wall is the form D w w^T - sum_v l_v v v^T
+    with gcd 1, the regulator of the circuit: it is positive on the forms
+    whose Delaunay triangulation this is.  Pairs whose wall is zero are
+    left out.
 
     `carried` holds the pairs of another triangulation keyed the same way,
     as a bistellar flip leaves them.  A pair with the class key and extra
-    vertex of the carried pair of its facet spans the same circuit, so its
-    regulator is copied, not computed.  With sorted keys on both sides that
-    holds exactly for the facets whose two sides are classes the flip kept."""
+    vertex of the carried pair of its facet spans the same circuit, so it
+    is copied, not computed.  With sorted keys on both sides that holds
+    exactly for the facets whose two sides are classes the flip kept."""
+    d = len(keys[0][0])
     out = {}
-    for norm, ((key, facet, _), (_, nfacet, nv)) in _class_facets(keys).items():
-        extra = tuple(x + a - b for x, a, b in zip(nv, facet[0], nfacet[0]))
-        old = carried.get(norm) if carried else None
-        if old is not None and old[:2] == (key, extra):
-            out[norm] = old
+    for norm, (key, w, _, _, coords) in _pair_coordinates(keys, carried).items():
+        if coords is None:
+            out[norm] = carried[norm]
             continue
-        reg = regulator(key, extra)
-        if not reg.is_degenerate:
-            out[norm] = (key, extra, reg)
+        terms = [(a, p) for a, p in zip(coords, key) if a]
+        scale = sum(coords)
+        lower = [scale * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
+                 for i in range(d) for j in range(i + 1)]
+        if any(lower):
+            out[norm] = key, w, SymMat.from_lower(d, gcd_normalize(lower, orient=False)), coords
     return out
 
 
@@ -340,33 +329,21 @@ def _wall_values(keys: Sequence[tuple], forms: Sequence[SymMat]) -> dict:
     given by its class keys, evaluated on integral forms, without a wall
     matrix: normalized facet -> (class key, neighbour key, offset, values).
 
-    The pairs are those of `_facet_pairs`, each from its first side `key`,
-    whose neighbour across the facet is `nkey + offset`.  One integer
-    `echelon` of [V | w_1 ... w_m; 1 ... 1] per class key V, the w the extra
-    points of the pairs taken from V, leaves D [I | l_1 ... l_m], the l the
-    affine coordinates of the w over D.  The value of the pair (V, w) at F
-    is D F[w] - sum_v l_v F[v], a positive multiple of
-    `regulator(V, w).matrix.pair(F)`.  Raises NotATriangulation unless every
-    key is a simplex."""
-    d = len(keys[0][0])
-    taken = {key: [] for key in keys}    # key -> [(facet, extra point, nkey, offset)]
-    for norm, ((key, facet, _), (nkey, nfacet, nv)) in _class_facets(keys).items():
-        shift = tuple(map(sub, facet[0], nfacet[0]))
-        taken[key].append((norm, tuple(map(add, nv, shift)), nkey, shift))
-    points = {p for key in keys for p in key} | {w for pairs in taken.values() for _, w, _, _ in pairs}
+    The pairs and their integer affine coordinates l are those of
+    `_pair_coordinates`, each pair (V, w) taken from its first side V,
+    whose neighbour across the facet is `nkey + offset`.  Its value at F is
+    D F[w] - sum_v l_v F[v], D = sum_v l_v > 0, a positive multiple of the
+    pairing of F with its wall in `_facet_pairs`.  Raises NotATriangulation
+    unless every key is a simplex."""
+    pairs = _pair_coordinates(keys)
+    points = {p for key in keys for p in key} | {w for _, w, _, _, _ in pairs.values()}
     norms = {p: [f.quad(p) for f in forms] for p in points}
+    on_key = {key: list(zip(*(norms[v] for v in key))) for key in keys}   # per form, F[v] over the key
     out = {}
-    for key, pairs in taken.items():
-        ech = echelon([[p[i] for p in key] + [w[i] for _, w, _, _ in pairs] for i in range(d)]
-                      + [[1] * (d + 1 + len(pairs))])
-        if ech.pivots[:d + 1] != tuple(range(d + 1)):
-            raise NotATriangulation("a class key is not a simplex")
-        scale = ech.scale
-        on_key = list(zip(*(norms[v] for v in key)))     # per form, F[v] over the key
-        for j, (norm, w, nkey, shift) in enumerate(pairs):
-            coords = [row[d + 1 + j] for row in ech.rows]
-            out[norm] = key, nkey, shift, tuple(scale * fw - sum(map(mul, coords, fv))
-                                                for fw, fv in zip(norms[w], on_key))
+    for norm, (key, w, nkey, shift, coords) in pairs.items():
+        scale = sum(coords)
+        out[norm] = key, nkey, shift, tuple(scale * fw - sum(map(mul, coords, fv))
+                                            for fw, fv in zip(norms[w], on_key[key]))
     return out
 
 
@@ -388,7 +365,7 @@ def dv_polytope_by_coarsening(q: SymMat, keys: Sequence[tuple], anchor: SymMat) 
 
     The walls of the pairs of T are evaluated on the anchor and on Q by one
     integer `echelon` per class key, with no wall matrix (`_wall_values`),
-    each as a positive multiple of `regulator(...).matrix.pair`.  The
+    each as a positive multiple of the pairing with its wall.  The
     merged classes are found by a search over (class key, offset) across
     the pairs whose wall is 0 on Q.  Each gets one integer circumcentre
     (y, t), solved from its first simplex, which holds 0 (`_center_ray` on
@@ -458,15 +435,16 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     `wallpoint` must be positive definite and lie in the relative interior of
     exactly one facet of the closure of the secondary cone of `star`;
     `center` must be interior.  Every pair of adjacent simplices whose
-    regulator vanishes on the wallpoint gives a circuit Z = rep + {w} with
-    affine dependency lambda_w = 1, lambda_v = -alpha_v.  The flip replaces
+    wall vanishes on the wallpoint gives a circuit Z = rep + {w} with
+    affine dependency lambda_w = D, lambda_v = -l_v, its integer
+    coordinates; only their signs are read.  The flip replaces
     the simplices Z - {z} with lambda_z > 0, which must be classes of the
     star, by those with lambda_z < 0.  The returned star is evaluated at
     wallpoint + eps (wallpoint - center), eps halving until that form lies
     in the open secondary cone of the new triangulation, so it is the
     Delaunay star of that form: every class the flip adds is certified by an
     exact empty-sphere check there, and the kept classes by the positive
-    regulators of their facets (a locally Delaunay triangulation is
+    walls of their facets (a locally Delaunay triangulation is
     Delaunay).  The flip works on the class keys: it solves a circumcenter
     only for the classes it adds and builds no cell.  Each distinct wall
     is evaluated once on the wallpoint, and the definiteness, wall and
@@ -477,26 +455,26 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     The tight circuits are read off `star.pairs`, which the star computes
     once however many walls are crossed from it.  The returned star carries
     its own pairs: a facet whose two sides are classes the flip kept has
-    the same pair as before, and its regulator is copied; only the pairs
-    that touch an added class are computed.
+    the same pair as before, and it is copied; only the keys with a pair
+    that touches an added class are solved.
     """
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
-    values = {}                  # wall matrix -> its value on the wallpoint
-    for _, _, reg in star.pairs.values():
-        if reg.matrix not in values:
-            values[reg.matrix] = reg.matrix.pair(wallpoint)
+    values = {}                  # wall -> its value on the wallpoint
+    for _, _, wall, _ in star.pairs.values():
+        if wall not in values:
+            values[wall] = wall.pair(wallpoint)
     walls = [n for n, val in values.items() if val == 0]
     if len(walls) != 1:
         raise NotOnSingleFacet(f"wallpoint is tight on {len(walls)} walls, need exactly 1")
     if any(val < 0 for val in values.values()):
         raise NotOnSingleFacet("wallpoint is outside the closed cone")
-    tight = [pair for pair in star.pairs.values() if pair[2].matrix == walls[0]]
+    tight = [pair for pair in star.pairs.values() if pair[2] == walls[0]]
 
     removed, added = set(), set()
-    for key, w, reg in tight:
+    for key, w, _, coords in tight:
         circuit = key + (w,)
-        for z, lam in zip(circuit, [-a for a in reg.alphas] + [1]):
+        for z, lam in zip(circuit, [-a for a in coords] + [1]):
             if lam != 0:
                 simplex = _normalized([p for p in circuit if p != z])
                 (removed if lam > 0 else added).add(simplex)
@@ -506,7 +484,7 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     keys = tuple(sorted(old_keys - removed | added))
 
     new_pairs = _facet_pairs(keys, star.pairs)
-    new_walls = {reg.matrix for _, _, reg in new_pairs.values()}
+    new_walls = {wall for _, _, wall, _ in new_pairs.values()}
     if any(n.pair(wallpoint) < 0 for n in new_walls):
         raise AssertionError("the flipped cone does not contain the wallpoint")
     eps = Rat(1)

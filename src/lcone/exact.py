@@ -139,10 +139,6 @@ class SymMat:
         return SymMat([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
     @staticmethod
-    def zero(d: int) -> "SymMat":
-        return SymMat([[0] * d for _ in range(d)])
-
-    @staticmethod
     def from_lower(d: int, lower: Sequence) -> "SymMat":
         """Build from the d(d+1)/2 lower-triangular entries, row-major.
         Each entry is normalized once (`_norm`) and mirrored, so the

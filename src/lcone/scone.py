@@ -2,11 +2,12 @@
 
 A triangulation's secondary cone is cut out, inside the space of symmetric
 matrices, by one linear inequality per pair of adjacent simplices; the
-inequality normals are the classical regulators, which the triangulation's
-star computes once per adjacent pair (`delaunay.regulator`,
-`DelaunayStar.pairs`).  Cones are stored with irredundant inequalities,
-gcd-normalized integral extreme rays, the canonical hull equalities of the
-rays, and the central form (the sum of the rays): all functions of the rays.
+inequality normals are the classical regulators, the walls that the
+triangulation's star computes once per adjacent pair, one integer
+`echelon` per class key (`DelaunayStar.pairs`).  Cones are stored with
+irredundant inequalities, gcd-normalized integral extreme rays, the
+canonical hull equalities of the rays, and the central form (the sum of
+the rays): all functions of the rays.
 
 Faces are read off the incidences of rays and facets, not rebuilt from
 their rays: in a pointed cone every facet of a face lies in a facet of the
@@ -63,13 +64,13 @@ def functional_to_sym(d: int, a: Sequence) -> SymMat:
 
 
 def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
-    """Deduplicated regulator matrices over all adjacent simplex pairs of a
+    """Deduplicated wall matrices over all adjacent simplex pairs of a
     triangulation, one per wall class, each positive on the generating form.
-    The pairs are the star's own (`DelaunayStar.pairs`), so the regulators a
+    The pairs are the star's own (`DelaunayStar.pairs`), so the walls a
     flip copied are checked on the new form like the computed ones.  Many
     pairs share a wall (360 pairs and 15 walls on the d = 5 seed star), so
     the pairs are deduplicated first and each distinct wall is checked once."""
-    walls = {reg.matrix.lower(): reg.matrix for _, _, reg in star.pairs.values()}
+    walls = {wall.lower(): wall for _, _, wall, _ in star.pairs.values()}
     for n in walls.values():
         if n.pair(star.form) <= 0:
             raise AssertionError("regulator is not positive on its own form")

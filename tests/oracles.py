@@ -10,7 +10,8 @@ that polytope, canonical extreme rays, the normalized translate of a cell,
 the cells of a triangulation solved from its class keys, the Delaunay star
 by moving spheres, the Dirichlet-Voronoi polytope read off
 the Delaunay star, the stabilizer order of a cone, the adjacent pairs of a
-triangulation as a list, the regulator over rational matrices, the
+triangulation as a list, the regulator of one adjacent pair by an integer
+`echelon` of its own and over rational matrices, the
 circumcentre by one rational `solve`, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
 form, facet cones and fundamental faces by one double description each,
@@ -34,6 +35,8 @@ off the images of its facet cones' rays.
 
 import itertools
 from collections import Counter, deque
+from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from lcone.classify import _candidate_key
@@ -41,7 +44,6 @@ from lcone.delaunay import (
     Cell,
     DelaunayStar,
     NotOnSingleFacet,
-    Regulator,
     _facet_pairs,
     _normalized,
     cell_facets,
@@ -618,16 +620,72 @@ def stabilizer_order(cone) -> int:
 
 
 def pair_regulators(keys) -> list:
-    """(class key, extra vertex, regulator) for every pair of adjacent
-    simplices of a triangulation given by its class keys, every regulator
-    computed from scratch: the values of `delaunay._facet_pairs`."""
+    """(class key, extra vertex, wall, coordinates) for every pair of
+    adjacent simplices of a triangulation given by its class keys, every
+    pair computed from scratch: the values of `delaunay._facet_pairs`."""
     return list(_facet_pairs(keys).values())
 
 
+@dataclass(frozen=True)
+class Regulator:
+    """Integral normal of one local Delaunay wall condition, with gcd 1, or
+    the zero form of a degenerate pair.
+
+    `alphas` are the affine coordinates of the extra point w in the simplex
+    V: w = sum a_v v with sum a_v = 1, one per point of V.
+    """
+
+    matrix: SymMat
+    alphas: tuple
+
+    @property
+    def is_degenerate(self) -> bool:
+        return not any(self.matrix.lower())
+
+
+def _zero_form(d: int) -> SymMat:
+    return SymMat.from_lower(d, [0] * (d * (d + 1) // 2))
+
+
+def regulator_by_echelon(points, w) -> Regulator:
+    """The wall of the simplex V and the extra point w by one integer
+    `echelon` of its own, the per-pair kernel `delaunay` had before one
+    `echelon` per class key served all its pairs.
+
+    With w = sum a_v v, 1 = sum a_v, this is w w^T - sum a_v v v^T, cleared
+    to integral entries with gcd 1.  One `echelon` of the integer rows
+    [V | w; 1 | 1] leaves D [I | a] when [V; 1] is nonsingular, so the
+    integer column D a, divided by its gcd, is the primitive positive
+    multiple l of the a_v, and the a_v are its entries over D.  The form is
+    summed over the integers: N = (sum l_v) w w^T - sum l_v v v^T, entry by
+    entry of the lower triangle.  Raises AffinelyDependent."""
+    pts = [tuple(p) for p in points]
+    w = tuple(w)
+    d = len(w)
+    if len(pts) != d + 1:
+        raise AffinelyDependent(f"need {d + 1} points, got {len(pts)}")
+    rows = [[p[i] for p in pts] + [w[i]] for i in range(d)]
+    rows.append([1] * (d + 2))
+    ech = echelon(rows)
+    if ech.pivots[:d + 1] != tuple(range(d + 1)):
+        raise AffinelyDependent("affinely dependent point set")
+    scale = ech.scale
+    scaled = [row[d + 1] for row in ech.rows]            # D a, over the integers
+    alphas = tuple(Rat(x, scale) if x % scale else x // scale for x in scaled)
+    g = gcd(*scaled)
+    terms = [(a // g, p) for a, p in zip(scaled, pts) if a]
+    total = sum(a for a, _ in terms)
+    lower = tuple(total * w[i] * w[j] - sum(a * p[i] * p[j] for a, p in terms)
+                  for i in range(d) for j in range(i + 1))
+    if not any(lower):
+        return Regulator(_zero_form(d), alphas)
+    return Regulator(SymMat.from_lower(d, gcd_normalize(lower, orient=False)), alphas)
+
+
 def regulator_by_fractions(points, w) -> Regulator:
-    """`delaunay.regulator` over rational matrices: w w^T - sum a_v v v^T built
-    from `SymMat`s, then scaled by a positive rational to a primitive
-    integral matrix."""
+    """The wall of the simplex V and the extra point w over rational
+    matrices: w w^T - sum a_v v v^T built from `SymMat`s, then scaled by a
+    positive rational to a primitive integral matrix."""
     pts = [tuple(p) for p in points]
     w = tuple(w)
     d = len(w)
@@ -644,7 +702,7 @@ def regulator_by_fractions(points, w) -> Regulator:
         if a:
             n = n - SymMat.outer(p).scale(a)
     if all(x == 0 for x in n.lower()):
-        return Regulator(SymMat.zero(d), alphas)
+        return Regulator(_zero_form(d), alphas)
     return Regulator(SymMat.from_lower(d, clear_denominators(n.lower())), alphas)
 
 
@@ -678,18 +736,18 @@ def neighbor_triangulation_by_fractions(star, wallpoint, center):
     if not wallpoint.is_positive_definite():
         raise NotPositiveDefinite("wallpoint is not positive definite")
     pairs = list(star.pairs.values())
-    values = [reg.matrix.pair(wallpoint) for _, _, reg in pairs]
+    values = [wall.pair(wallpoint) for _, _, wall, _ in pairs]
     tight = [pair for pair, val in zip(pairs, values) if val == 0]
-    walls = {reg.matrix.lower() for _, _, reg in tight}
+    walls = {wall.lower() for _, _, wall, _ in tight}
     if len(walls) != 1:
         raise NotOnSingleFacet(f"wallpoint is tight on {len(walls)} walls, need exactly 1")
     if any(val < 0 for val in values):
         raise NotOnSingleFacet("wallpoint is outside the closed cone")
 
     removed, added = set(), set()
-    for key, w, reg in tight:
+    for key, w, _, coords in tight:
         circuit = key + (w,)
-        for z, lam in zip(circuit, [-a for a in reg.alphas] + [1]):
+        for z, lam in zip(circuit, [-Rat(a, sum(coords)) for a in coords] + [1]):
             if lam != 0:
                 simplex = _normalized([p for p in circuit if p != z])
                 (removed if lam > 0 else added).add(simplex)
@@ -699,8 +757,7 @@ def neighbor_triangulation_by_fractions(star, wallpoint, center):
     keys = tuple(sorted(old_keys - removed | added))
 
     new_pairs = _facet_pairs(keys, star.pairs)
-    new_walls = {reg.matrix.lower(): reg.matrix
-                 for _, _, reg in new_pairs.values()}.values()
+    new_walls = {wall.lower(): wall for _, _, wall, _ in new_pairs.values()}.values()
     if any(n.pair(wallpoint) < 0 for n in new_walls):
         raise AssertionError("the flipped cone does not contain the wallpoint")
     eps = Rat(1)

@@ -426,7 +426,7 @@ def test_criterion_5a_membership():
         for n in cone.inequalities:
             assert n.pair(star.form) > 0
         for _ in range(trials):
-            q = SymMat.zero(d)
+            q = SymMat.from_lower(d, [0] * (d * (d + 1) // 2))
             for r in cone.rays:
                 q = q + r.scale(rng.randint(1, 9))
             assert delaunay_star(q).keys == star.keys

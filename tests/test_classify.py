@@ -213,7 +213,7 @@ class TestClassifyAll:
             cone = rec.cone
             star0 = delaunay_star(cone.central)
             for _ in range(5):
-                q = SymMat.zero(2)
+                q = SymMat.from_lower(2, [0, 0, 0])
                 for r in cone.rays:
                     q = q + r.scale(rng.randint(1, 7))
                 star = delaunay_star(q)
@@ -783,7 +783,7 @@ def test_d4_run_builds_one_star(tmp_path, monkeypatch):
 def test_d4_enrichment_runs_no_lattice_search(monkeypatch):
     # Every DV polytope of the enrichment of a d = 4 run is read off the
     # triangulation of the class's primitive ancestor: no DV cell, closest
-    # vector search, coset minima, double description or regulator.
+    # vector search, coset minima or double description.
     import lcone.delaunay
     import lcone.lattice
     import lcone.polyhedral
@@ -794,7 +794,6 @@ def test_d4_enrichment_runs_no_lattice_search(monkeypatch):
                          (lcone.lattice, "_closest"), (lcone.polyhedral, "_closest"),
                          (lcone.lattice, "_coset_minima"), (lcone.polyhedral, "_coset_minima"),
                          (lcone.polyhedral, "_dd_cone"), (lcone.scone, "_dd_cone"),
-                         (lcone.delaunay, "regulator"),
                          (lcone.classify, "dv_polytope_by_coarsening")]:
         def counted(*args, _real=getattr(module, name), _name=name):
             if enriching:

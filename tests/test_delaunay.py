@@ -27,10 +27,9 @@ from lcone.delaunay import (
     dv_polytope_by_coarsening,
     is_triangulation,
     neighbor_triangulation,
-    regulator,
 )
 from lcone.classify import Classifier, principal_form, seed_triangulation
-from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, det, inverse
+from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, _norm, det, inverse
 from lcone.lattice import closest_vectors
 from lcone.polyhedral import dv_polytope
 from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
@@ -664,14 +663,16 @@ class TestIntegerFlip:
 
     def test_regulators_match_fraction_oracle(self, run_crossings):
         # Every adjacent pair on both sides of every crossing: the integer
-        # regulator equals the rational one, matrix and alphas, value and type.
+        # wall equals the rational regulator's matrix, and the integer
+        # coordinates over their sum are its alphas, value and type.
         # A triangulation of Z^d has d! simplex classes of d + 1 facets each.
         for star, _, _, nb in run_crossings:
             for side in (star, nb):
                 assert len(side.pairs) == {3: 12, 4: 60, 5: 360}[side.dim]
-                for key, w, _ in side.pairs.values():
-                    got, want = regulator(key, w), regulator_by_fractions(key, w)
-                    assert _typed(got.matrix.lower() + got.alphas) == \
+                for key, w, wall, coords in side.pairs.values():
+                    want = regulator_by_fractions(key, w)
+                    alphas = tuple(_norm(Rat(x, sum(coords))) for x in coords)
+                    assert _typed(wall.lower() + alphas) == \
                         _typed(want.matrix.lower() + want.alphas)
 
 
@@ -735,10 +736,10 @@ class TestCoarsening:
         pairs = _facet_pairs(star.keys)
         assert sorted(values) == sorted(pairs)
         zeros = 0
-        for norm, (key, w, reg) in pairs.items():
+        for norm, (key, w, wall, _) in pairs.items():
             got_key, nkey, shift, got = values[norm]
             assert got_key == key and nkey in star.keys
-            want = [reg.matrix.pair(f) for f in forms]
+            want = [wall.pair(f) for f in forms]
             assert [(v > 0) - (v < 0) for v in got] == [(v > 0) - (v < 0) for v in want]
             zeros += got.count(0)
         assert zeros > 0
@@ -761,6 +762,15 @@ class TestCoarsening:
         assert not is_triangulation(DelaunayStar(FACE4, keys))
         with pytest.raises(NotATriangulation):
             dv_polytope_by_coarsening(FACE4, keys, FACE4)
+
+    def test_flat_key_raises(self):
+        # Two flat triangles on a line whose edges pair up: the facets
+        # match, but neither key has affine coordinates.
+        keys = (((0, 0), (1, 0), (3, 0)), ((0, 0), (2, 0), (3, 0)))
+        with pytest.raises(NotATriangulation, match="not a simplex"):
+            _facet_pairs(keys)
+        with pytest.raises(NotATriangulation, match="not a simplex"):
+            _wall_values(keys, [I2])
 
     def test_merged_cell_off_its_sphere_raises(self, monkeypatch):
         # A positive wall read as 0 on the form merges two simplices whose

@@ -19,6 +19,8 @@ def test_demos_exist():
 def test_demo_runs(path):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, path], env=env, capture_output=True,
+    # Under `python -O` (or -OO) each demo runs with the same flag.
+    optimize = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *optimize, path], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -696,14 +696,17 @@ class TestKernelFailurePropagates:
             lcone.delaunay.circumcenter(SymMat.identity(2), pts)
 
     def test_regulator(self, monkeypatch):
+        # The walls of a triangulation's adjacent pairs, one `echelon` per
+        # class key: a flat key is the kernel's own failure.
         import lcone.delaunay
-        from lcone.exact import AffinelyDependent
+        from lcone.delaunay import NotATriangulation, delaunay_star
 
-        with pytest.raises(AffinelyDependent):
-            lcone.delaunay.regulator([(0, 0), (1, 0), (2, 0)], (1, 1))
+        with pytest.raises(NotATriangulation):
+            lcone.delaunay._facet_pairs((((0, 0), (1, 0), (3, 0)), ((0, 0), (2, 0), (3, 0))))
+        keys = delaunay_star(sym([[2, 1], [1, 2]])).keys
         monkeypatch.setattr(lcone.delaunay, "echelon", self._broken)
         with pytest.raises(TypeError, match="broken kernel"):
-            lcone.delaunay.regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
+            lcone.delaunay._facet_pairs(keys)
 
     def test_ldlt(self, monkeypatch):
         import lcone.exact

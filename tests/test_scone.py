@@ -20,9 +20,8 @@ from lcone.delaunay import (
     _normalized,
     delaunay_star,
     neighbor_triangulation,
-    regulator,
 )
-from lcone.exact import AffinelyDependent, SymMat, rank_of_rows
+from lcone.exact import AffinelyDependent, Rat, SymMat, _norm, rank_of_rows
 from lcone.scone import (
     ConeDesc,
     EmptyRaySet,
@@ -45,24 +44,35 @@ from oracles import (
     cone_facets_by_rays,
     fundamental_face_by_rays,
     pair_regulators,
+    regulator_by_echelon,
     regulator_by_fractions,
 )
-from test_delaunay import _raised_under_optimize, crossings, star_by_cells
+from test_delaunay import _raised_under_optimize, _typed, crossings, star_by_cells
 
 A2 = SymMat([[2, 1], [1, 2]])
 
 
+def _regulators(points, w):
+    """The per-pair oracle and the rational one, checked to agree."""
+    reg = regulator_by_echelon(points, w)
+    assert reg == regulator_by_fractions(points, w)
+    return reg
+
+
 class TestRegulator:
     def test_hexagonal_wall(self):
-        reg = regulator([(0, 0), (1, 0), (0, 1)], (1, 1))
+        reg = _regulators([(0, 0), (1, 0), (0, 1)], (1, 1))
         assert reg.matrix == SymMat([[0, 1], [1, 0]])
+        star = delaunay_star(A2)
+        assert star.pairs[((0, 0), (1, -1))] == (((0, 0), (0, 1), (1, 0)), (1, 1),
+                                                 reg.matrix, (-1, 1, 1))
 
     def test_other_side(self):
-        reg = regulator([(0, 0), (1, 0), (0, 1)], (1, -1))
+        reg = _regulators([(0, 0), (1, 0), (0, 1)], (1, -1))
         assert reg.matrix == SymMat([[0, -1], [-1, 2]])
 
     def test_degenerate(self):
-        reg = regulator([(0, 0), (1, 0), (0, 1)], (1, 0))
+        reg = _regulators([(0, 0), (1, 0), (0, 1)], (1, 0))
         assert reg.is_degenerate
 
     @pytest.mark.parametrize("walk", [
@@ -71,9 +81,12 @@ class TestRegulator:
         lambda: [seed_triangulation(5)],
     ], ids=["d3", "d4", "d5"])
     def test_matches_rational_oracle(self, walk):
-        # Every adjacent pair of the stars, and the same circuit with the
-        # first vertex of the simplex as the extra point (degenerate or
-        # affinely dependent when that vertex is off the circuit).
+        # Every adjacent pair of the stars: its wall is the rational
+        # regulator's matrix, and its integer coordinates over their sum are
+        # the alphas, value and type.  The same circuit with the first
+        # vertex of the simplex as the extra point (degenerate or affinely
+        # dependent when that vertex is off the circuit) runs the per-pair
+        # oracle against the rational one.
         def outcome(fn, points, w):
             try:
                 reg = fn(points, w)
@@ -83,15 +96,18 @@ class TestRegulator:
 
         seen = Counter()
         for star in walk():
-            for key, w, _ in star.pairs.values():
-                for points, extra in ((key, w), (key[1:] + (w,), key[0])):
-                    want = outcome(regulator_by_fractions, points, extra)
-                    assert outcome(regulator, points, extra) == want
-                    seen[type(want) is str or want[0].is_degenerate] += 1
-        assert seen[False] > 0
+            for key, w, wall, coords in star.pairs.values():
+                want = regulator_by_fractions(key, w)
+                alphas = tuple(_norm(Rat(x, sum(coords))) for x in coords)
+                assert _typed(wall.lower() + alphas) == _typed(want.matrix.lower() + want.alphas)
+                points, extra = key[1:] + (w,), key[0]
+                want = outcome(regulator_by_fractions, points, extra)
+                assert outcome(regulator_by_echelon, points, extra) == want
+                seen[type(want) is str or want[0].is_degenerate] += 1
+        assert seen[False] > 0 and seen[True] > 0
 
     def test_gcd_normalized(self):
-        reg = regulator([(0, 0), (2, 0), (0, 2)], (2, 2))
+        reg = _regulators([(0, 0), (2, 0), (0, 2)], (2, 2))
         g = 0
         from math import gcd
 
@@ -132,7 +148,7 @@ class TestSecondaryCone:
         for n in cone.inequalities:
             assert n.pair(A2) > 0
         for _ in range(20):
-            q = SymMat.zero(2)
+            q = SymMat.from_lower(2, [0, 0, 0])
             for r in cone.rays:
                 q = q + r.scale(rng.randint(1, 9))
             star2 = delaunay_star(q)
@@ -199,15 +215,15 @@ def pair_regulators_by_adjacency(keys, adjacency):
                      if w not in on_facet]
             if len(extra) != 1:
                 raise NotATriangulation("adjacent cell is not a simplex")
-            reg = regulator(key, extra[0])
+            reg = regulator_by_echelon(key, extra[0])
             if not reg.is_degenerate:
-                out.append((key, extra[0], reg))
+                out.append((key, extra[0], reg.matrix))
     return out
 
 
 def _circuits(pairs):
-    """The pairs as a multiset of (normalized circuit, regulator matrix)."""
-    return Counter((_normalized(key + (w,)), reg.matrix.lower()) for key, w, reg in pairs)
+    """The pairs as a multiset of (normalized circuit, wall matrix)."""
+    return Counter((_normalized(key + (w,)), wall.lower()) for key, w, wall, *_ in pairs)
 
 
 class TestPairRegulators:
@@ -253,15 +269,29 @@ class TestPairRegulators:
             pair_regulators(keys[:1] + (tuple(reversed(keys[1])),) + keys[2:])
 
 
-def _counting_regulator(monkeypatch):
-    """Record the (points, extra vertex) of every `regulator` call."""
-    calls = []
+def _counting_echelons(monkeypatch):
+    """Record, for every `echelon` that `lcone.delaunay._facet_pairs` runs,
+    the pairs (class key, extra vertex) it solves: its rows are
+    [V | w_1 ... w_m; 1 ... 1]."""
+    calls, inside = [], []
+    echelon, facet_pairs = lcone.delaunay.echelon, lcone.delaunay._facet_pairs
 
-    def counting(points, w):
-        calls.append((tuple(tuple(p) for p in points), tuple(w)))
-        return regulator(points, w)
+    def counting(rows):
+        if inside:
+            d = len(rows) - 1
+            points = list(zip(*rows[:d]))
+            calls.append([(tuple(points[:d + 1]), w) for w in points[d + 1:]])
+        return echelon(rows)
 
-    monkeypatch.setattr(lcone.delaunay, "regulator", counting)
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return facet_pairs(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lcone.delaunay, "echelon", counting)
+    monkeypatch.setattr(lcone.delaunay, "_facet_pairs", flagged)
     return calls
 
 
@@ -275,29 +305,31 @@ class TestCarriedPairs:
         # All but the first star of each walk carry the pairs their flip gave them.
         for star in walk():
             assert _circuits(star.pairs.values()) == _circuits(pair_regulators(star.keys))
-            for norm, (key, _, _) in star.pairs.items():
+            for norm, (key, *_) in star.pairs.items():
                 assert norm in {_normalized(key[:i] + key[i + 1:]) for i in range(len(key))}
 
     def test_crossing_computes_only_added_pairs(self, monkeypatch):
-        # From scratch, a crossing and its cone walk the 60 pairs three
-        # times: 180 regulator calls.
+        # From scratch, the star's 60 pairs take one `echelon` per class
+        # key, 24; a crossing solves only the keys of the pairs it adds.
         star = seed_triangulation(4)
         cone = secondary_cone(star)
-        own = {(key, w) for key, w, _ in star.pairs.values()}
+        own = {(key, w) for key, w, _, _ in star.pairs.values()}
         assert len(own) == 60
         walls = [f for f in cone_facets(cone) if contains_pd(f)]
         assert len(walls) == 10
-        calls = _counting_regulator(monkeypatch)
+        calls = _counting_echelons(monkeypatch)
         for facet in walls:
             del calls[:]
             nb = neighbor_triangulation(star, facet.central, cone.central)
             crossing = len(calls)
             secondary_cone(nb)
             assert len(calls) == crossing, "secondary_cone recomputed carried pairs"
-            assert 0 < crossing <= 42
-            assert own.isdisjoint(calls), "a crossing recomputed a pair of its star"
+            computed = [pair for solved in calls for pair in solved]
+            assert len({key for key, _ in computed}) == crossing, "a key was solved twice"
+            assert 0 < crossing <= len(computed) <= 42
+            assert own.isdisjoint(computed), "a crossing recomputed a pair of its star"
             copied = [p for p in nb.pairs.values() if (p[0], p[1]) in own]
-            assert len(copied) + crossing == len(nb.pairs)
+            assert len(copied) + len(computed) == len(nb.pairs)
             bare = DelaunayStar(nb.form, nb.keys)
             assert nb == bare and hash(nb) == hash(bare) and repr(nb) == repr(bare)
 
@@ -306,15 +338,14 @@ class TestCarriedPairs:
         # regulator that is negative on the new form must still be caught:
         # by the flip's containment check, and by `star_wall_forms`.
         script = (
-            "import dataclasses\n"
             "import lcone.delaunay as D\n"
             "import lcone.scone as sc\n"
             "from lcone.classify import seed_triangulation\n"
             "from lcone.delaunay import neighbor_triangulation\n"
             "assert False, 'asserts are on'\n"
             "def negated(entry):\n"
-            "    key, w, reg = entry\n"
-            "    return key, w, dataclasses.replace(reg, matrix=reg.matrix.scale(-1))\n"
+            "    key, w, wall, coords = entry\n"
+            "    return key, w, wall.scale(-1), coords\n"
             "star = seed_triangulation(4)\n"
             "cone = sc.secondary_cone(star)\n"
             "wall = next(f for f in sc.cone_facets(cone) if sc.contains_pd(f))\n"
