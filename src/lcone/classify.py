@@ -83,14 +83,12 @@ from .scone import (
     ConeDesc,
     NonPSDRay,
     _face,
+    _incidences,
     _ray_rank,
-    _tight_masks,
     central_form,
-    cone_facets,
     cone_from_dict,
     cone_from_rays,
     cone_to_dict,
-    contains_pd,
     rank_profile,
     secondary_cone,
     star_wall_forms,
@@ -390,7 +388,7 @@ def expand_primitive_cone(payload: dict) -> dict:
     cone = cone_from_dict(payload["cone"])
     star = DelaunayStar(cone.central, payload["keys"])
     star_wall_forms(star)
-    masks, orbits = _facet_orbits(cone)
+    (_, _, masks), orbits = _facet_orbits(cone)
     out = []
     for orbit in orbits:
         wall = central_form([cone.rays[k] for k in _bits(masks[orbit[0][0]])])
@@ -407,9 +405,10 @@ def expand_primitive_cone(payload: dict) -> dict:
     return {"cones": out}
 
 
-def _facet_orbits(cone: ConeDesc) -> tuple[list[int], list[list[tuple[int, Mat]]]]:
-    """The tight masks of the cone's facets, in `cone_facets` order, and
-    the orbits of the facets under the stabilizer of the central form.
+def _facet_orbits(cone: ConeDesc) -> tuple[tuple, list[list[tuple[int, Mat]]]]:
+    """The cone's `_incidences`, whose tight masks are those of its facets
+    in `cone_facets` order, and the orbits of the facets under the
+    stabilizer of the central form.
 
     Each orbit is a list of (index j, U), its first member the orbit's
     first facet in that order, with U = 1, and U a stabilizer element that
@@ -417,8 +416,10 @@ def _facet_orbits(cone: ConeDesc) -> tuple[list[int], list[list[tuple[int, Mat]]
     generators are `automorphism_group`'s verified maps; each must permute
     the sorted rays, so it maps the facets' masks among themselves.  U is
     the product of generators along a breadth-first search, and each
-    product is checked to fix the form.  Every check is an explicit raise."""
-    masks = _tight_masks(cone.inequalities, cone.rays)
+    product is checked to fix the form.  Every check is an explicit raise,
+    and a ray that is not positive semidefinite raises NonPSDRay."""
+    inc = _incidences(cone)
+    masks = inc[2]
     index = {r.lower(): k for k, r in enumerate(cone.rays)}
     gens = []
     for g in automorphism_group(cone.central)[0]:
@@ -447,7 +448,7 @@ def _facet_orbits(cone: ConeDesc) -> tuple[list[int], list[list[tuple[int, Mat]]
                     seen.add(k)
                     orbit.append((k, v))
         orbits.append(orbit)
-    return masks, orbits
+    return inc, orbits
 
 
 def _bits(mask: int) -> list[int]:
@@ -487,22 +488,20 @@ def expand_descent_cone(payload: dict) -> dict:
 
     A facet meets them iff its central form, the sum of its rays, is
     positive definite, given that its rays are positive semidefinite
-    (`contains_pd`); the rays are those of the cone, checked once.  So an
-    orbit is tested on its least member's rays, and only the members that
-    pass are built (`_face`)."""
+    (`contains_pd`); the rays are those of the cone, checked once by
+    `_incidences`.  So an orbit is tested on its least member's rays, and
+    only the members that pass are built (`_face`), from the cone's
+    inequalities converted to functionals once."""
     cone = cone_from_dict(payload["cone"])
     if cone.dim <= 1:
         return {"cones": []}
-    for r in cone.rays:
-        if not r.is_positive_semidefinite():
-            raise NonPSDRay("cone has a non-PSD ray")
-    masks, orbits = _facet_orbits(cone)
+    inc, orbits = _facet_orbits(cone)
     out = []
     for orbit in orbits:
-        t = min((masks[j] for j, _ in orbit), key=_bits)
+        t = min((inc[2][j] for j, _ in orbit), key=_bits)
         if not central_form([cone.rays[k] for k in _bits(t)]).is_positive_definite():
             continue
-        facet = _face(cone, masks, t)
+        facet = _face(cone, *inc, t)
         if facet.dim != cone.dim - 1:
             raise AssertionError("facet dimension mismatch")
         out.append(cone_to_dict(facet))
@@ -785,13 +784,21 @@ def flag_check(db: ClassDB) -> tuple:
     where p(C) counts the PD facets of C and |Aut| is `stab_order`.  Both
     count the flags (primitive cone, PD wall) up to GL_d(Z), the right side
     because every PD wall lies in exactly two primitive cones, so they are
-    equal on a complete database."""
+    equal on a complete database.  A facet is PD iff the sum of its tight
+    rays is, the rays being checked positive semidefinite once per cone
+    (`_incidences`), as `expand_primitive_cone` tests it; no face is built."""
     db.require_complete()
     m = sym_dim(db.d)
-    cones = sum((Rat(sum(contains_pd(f) for f in cone_facets(rec.cone)), rec.stab_order)
-                 for rec in db.by_dim.get(m, [])), Rat(0))
+    cones = sum((Rat(_pd_facets(rec.cone), rec.stab_order) for rec in db.by_dim.get(m, [])), Rat(0))
     walls = sum((Rat(2, rec.stab_order) for rec in db.by_dim.get(m - 1, [])), Rat(0))
     return cones, walls
+
+
+def _pd_facets(cone: ConeDesc) -> int:
+    """The number of facets of a cone whose tight rays sum to a positive
+    definite form."""
+    return sum(central_form([cone.rays[k] for k in _bits(t)]).is_positive_definite()
+               for t in _incidences(cone)[2])
 
 
 def distinctness_check(db: ClassDB):
@@ -909,7 +916,7 @@ def contraction_refine(db: ClassDB, digest: str = "sha256"):
                 rank1_mask |= 1 << i
             else:
                 high_mask |= 1 << i
-        facet_masks = _tight_masks(cone.inequalities, cone.rays)
+        facet_masks = _incidences(cone)[2]
         for smask in _faces_within(cone, high_mask, facet_masks):
             piece_mask = smask | rank1_mask
             if piece_mask == 0:

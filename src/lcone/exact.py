@@ -488,14 +488,14 @@ def gcd_normalize(obj, *, orient: bool = True):
         lo = gcd_normalize(obj.lower(), orient=orient)
         return SymMat.from_lower(obj.d, lo)
     vec = tuple(obj)
-    if not all(isinstance(x, int) for x in vec):
-        raise ValueError("gcd_normalize expects integer entries")
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    try:
+        g = gcd(*vec)
+    except TypeError:
+        raise ValueError("gcd_normalize expects integer entries") from None
     if g == 0:
         raise ZeroInput("zero vector")
-    vec = tuple(x // g for x in vec)
+    if g > 1:
+        vec = tuple(x // g for x in vec)
     if orient:
         lead = next(x for x in vec if x != 0)
         if lead < 0:

@@ -56,7 +56,7 @@ class NotPointed(Exception):
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _at_most_two_contain(m: int, masks: Sequence[int]) -> bool:
@@ -143,7 +143,9 @@ def _project_into_hull(equalities: Sequence[Sequence[int]],
     integers: D a - E^T X, where one `echelon` of [E E^T | E a ...] leaves
     D [I | (E E^T)^-1 E a ...].  Each result is a positive multiple of
     a - E^T (E E^T)^-1 E a, the unique functional in the hull that agrees
-    with a on it, so it does not depend on the basis E of the equalities."""
+    with a on it, so it does not depend on the basis E of the equalities.
+    Each result is formed column-wise: D a, less x_i e_i for each nonzero
+    x_i of X."""
     if not equalities or not normals:
         return [tuple(a) for a in normals]
     k = len(equalities)
@@ -153,9 +155,12 @@ def _project_into_hull(equalities: Sequence[Sequence[int]],
         raise AssertionError("hull equalities are linearly dependent")
     out = []
     for j, a in enumerate(normals):
-        x = [row[k + j] for row in ech.rows]
-        out.append(tuple(ech.scale * a[c] - sum(xi * e[c] for xi, e in zip(x, equalities) if xi)
-                         for c in range(len(a))))
+        v = [ech.scale * c for c in a]
+        for row, e in zip(ech.rows, equalities):
+            xi = row[k + j]
+            if xi:
+                v = [c - xi * f for c, f in zip(v, e)]
+        out.append(tuple(v))
     return out
 
 
@@ -291,7 +296,8 @@ def _in_centre_order(cells: dict) -> list[tuple]:
     centre's coordinates are ``Fraction``s."""
     big = lcm(*(r[-1] for r in cells))
     order = sorted(cells, key=lambda r: tuple(x * (big // r[-1]) for x in r[:-1]))
-    return [(tuple(Rat(x, r[-1]) for x in r[:-1]), cells[r]) for r in order]
+    frac = {key: Rat(*key) for key in {(x, r[-1]) for r in cells for x in r[:-1]}}
+    return [(tuple(frac[x, r[-1]] for x in r[:-1]), cells[r]) for r in order]
 
 
 def dv_polytope(q: SymMat) -> LatPolytope:

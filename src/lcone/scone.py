@@ -14,7 +14,11 @@ their rays: in a pointed cone every facet of a face lies in a facet of the
 cone that does not contain the face, so the facet normals of a face are
 those of the cone, projected into the face's linear hull (`_face`).  A
 double description runs once per secondary cone and once per
-`cone_from_rays`, never per facet.
+`cone_from_rays`, never per facet.  The faces of a cone work on integer
+functionals: its inequalities are converted by `sym_to_functional` and its
+rays checked positive semidefinite once per cone (`_incidences`), and each
+face is checked on the functionals it holds before its normals become
+symmetric matrices.
 """
 
 from __future__ import annotations
@@ -53,13 +57,12 @@ def sym_to_functional(n: SymMat) -> tuple:
 
 
 def functional_to_sym(d: int, a: Sequence) -> SymMat:
-    """Inverse of sym_to_functional up to positive scaling; result integral."""
-    entries = []
-    k = 0
+    """Inverse of sym_to_functional up to positive scaling; result integral:
+    the diagonal doubled, then divided by the gcd (`gcd_normalize`, which
+    raises on the zero vector)."""
+    entries = list(a)
     for i in range(d):
-        for j in range(i + 1):
-            entries.append(2 * a[k] if i == j else a[k])
-            k += 1
+        entries[i * (i + 3) // 2] *= 2
     return SymMat.from_lower(d, gcd_normalize(entries, orient=False))
 
 
@@ -126,17 +129,27 @@ class ConeDesc:
         """The checks of `validate` on each ray, given their `lower()`: it is
         positive semidefinite, zero on the equalities and nonnegative on the
         inequalities, paired as integer functionals, <N, R> =
-        sym_to_functional(N) . R.lower().  `_face` runs only these: its
-        construction proves the others."""
-        eqs = [sym_to_functional(e) for e in self.equalities]
-        ineqs = [sym_to_functional(n) for n in self.inequalities]
-        for r, x in zip(self.rays, vecs):
-            if not r.is_positive_semidefinite():
-                raise NonPSDRay(f"ray {r} is not positive semidefinite")
-            if any(sum(map(mul, e, x)) != 0 for e in eqs):
-                raise AssertionError(f"ray {r} violates an equality")
-            if any(sum(map(mul, n, x)) < 0 for n in ineqs):
-                raise AssertionError(f"ray {r} violates an inequality")
+        sym_to_functional(N) . R.lower() (`_check_signs`)."""
+        _check_psd(self.rays)
+        _check_signs(vecs, [sym_to_functional(e) for e in self.equalities],
+                     [sym_to_functional(n) for n in self.inequalities])
+
+
+def _check_psd(rays: Sequence[SymMat]):
+    """Raises NonPSDRay unless every ray is positive semidefinite."""
+    for r in rays:
+        if not r.is_positive_semidefinite():
+            raise NonPSDRay(f"ray {r} is not positive semidefinite")
+
+
+def _check_signs(vecs: Sequence[tuple], eqs: Sequence[tuple], ineqs: Sequence[tuple]):
+    """Each ray x, given by its `lower()`, is zero on the integer functionals
+    eqs and nonnegative on ineqs; explicit raises."""
+    for x in vecs:
+        if any(sum(map(mul, e, x)) for e in eqs):
+            raise AssertionError(f"ray {x} violates an equality")
+        if any(sum(map(mul, a, x)) < 0 for a in ineqs):
+            raise AssertionError(f"ray {x} violates an inequality")
 
 
 def cone_from_rays(d: int, rays: Sequence[SymMat]) -> ConeDesc:
@@ -167,11 +180,13 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     d = star.dim
     m = sym_dim(d)
     walls = star_wall_forms(star)
-    rays = [SymMat.from_lower(d, v) for v in _dd_cone([sym_to_functional(n) for n in walls], m)]
+    functionals = [sym_to_functional(n) for n in walls]
+    vecs = _dd_cone(functionals, m)
+    rays = [SymMat.from_lower(d, v) for v in vecs]
     # The cone is full-dimensional and pointed, and the walls are distinct
     # normalized forms: a wall supports a facet exactly when its tight rays
     # are nonempty and strictly contained in no other wall's tight rays.
-    tight = _tight_masks(walls, rays)
+    tight = _tight_masks(functionals, vecs)
     keep = [n for n, t in zip(walls, tight)
             if t and not any(t != u and t & ~u == 0 for u in tight)]
     rays_sorted = sorted(rays, key=lambda r: r.lower())
@@ -182,65 +197,87 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     return cone
 
 
-def _tight_masks(normals: Sequence[SymMat], rays: Sequence[SymMat]) -> list[int]:
-    """For each normal, the mask of the rays it vanishes on (bit i for rays[i])."""
-    return [sum(1 << i for i, r in enumerate(rays) if n.pair(r) == 0) for n in normals]
+def _tight_masks(functionals: Sequence[tuple], vecs: Sequence[tuple]) -> list[int]:
+    """For each integer functional a, the mask of the rays x it vanishes on,
+    a . x = 0 (bit i for vecs[i]), the rays given by their `lower()`."""
+    return [sum(1 << i for i, x in enumerate(vecs) if not sum(map(mul, a, x))) for a in functionals]
 
 
-def _face(cone: ConeDesc, masks: Sequence[int], t: int) -> ConeDesc:
-    """The face of a cone whose rays are the bits of mask t, given the tight
-    masks of the cone's inequalities.
+def _incidences(cone: ConeDesc) -> tuple[list[tuple], list[tuple], list[int]]:
+    """The cone's inequalities as integer functionals (`sym_to_functional`),
+    its rays' `lower()` and the tight mask of each inequality (`_tight_masks`),
+    what every face of the cone is read off (`_face`).  Every ray is then
+    checked positive semidefinite, once: a face's rays are rays of the cone."""
+    ineqs = [sym_to_functional(n) for n in cone.inequalities]
+    vecs = [r.lower() for r in cone.rays]
+    masks = _tight_masks(ineqs, vecs)
+    _check_psd(cone.rays)
+    return ineqs, vecs, masks
+
+
+def _face(cone: ConeDesc, ineqs: Sequence[tuple], vecs: Sequence[tuple],
+          masks: Sequence[int], t: int) -> ConeDesc:
+    """The face of a cone whose rays are the bits of mask t, given the
+    cone's `_incidences`: its inequalities as integer functionals, its rays'
+    `lower()` and the tight masks.
 
     One `echelon` of the face's rays gives its dimension and the canonical
     equalities of their linear hull, which the face stores.  The facets of
     the face are the maximal sets among t & u over the masks u that do not
     contain t; the empty set counts only when the face is a ray, whose one
-    facet is the apex.  The normal of any
-    inequality giving such a set is that facet's normal once projected into
-    the hull (`polyhedral._project_into_hull`): a facet normal is unique up
-    to positive scale modulo the hull.  The normals are then normalized and
+    facet is the apex.  The functional a of any inequality giving such a set
+    is that facet's normal once projected into the hull
+    (`polyhedral._project_into_hull`): a facet normal is unique up to
+    positive scale modulo the hull.  The normals are then normalized and
     sorted as `rays_to_hrep` sorts them, so the face equals the
-    `cone_from_rays` of its rays field for field.  The face runs every check
-    of `ConeDesc.validate` but those its construction proves
-    (`ConeDesc.check_incidences`): the rank of its rays is the pivot count
-    of the `echelon` above, its equalities are read off the same `echelon`,
-    and its central form is `central_form` of the same rays."""
+    `cone_from_rays` of its rays field for field.
+
+    The face checks each of its rays zero on its equalities and nonnegative
+    on its inequalities, on the functionals it holds: the stored normal
+    `functional_to_sym(d, a)` pairs with a ray as (2 / g) a does, g > 0.
+    Its rays are the cone's, checked positive semidefinite by
+    `_incidences`; the rank of its rays is the pivot count of the `echelon`
+    above, its equalities are read off the same `echelon`, and its central
+    form is `central_form` of the same rays.  So it runs every check of
+    `ConeDesc.validate`."""
     d = cone.d
-    rays = [r for i, r in enumerate(cone.rays) if t >> i & 1]
-    vecs = [r.lower() for r in rays]
-    ech = echelon(vecs)
+    on = [i for i in range(len(vecs)) if t >> i & 1]
+    rays = [cone.rays[i] for i in on]
+    face_vecs = [vecs[i] for i in on]
+    ech = echelon(face_vecs)
     dim = len(ech.pivots)
-    traces: dict[int, SymMat] = {}
-    for n, u in zip(cone.inequalities, masks):
+    traces: dict[int, tuple] = {}
+    for a, u in zip(ineqs, masks):
         if t & ~u:
-            traces.setdefault(t & u, n)
+            traces.setdefault(t & u, a)
     ridges = [s for s in traces if (s or dim == 1)
               and not any(s != o and s & ~o == 0 for o in traces)]
     eqs = _hull_equalities(ech)
-    normals = _project_into_hull(eqs, [sym_to_functional(traces[s]) for s in ridges])
-    ineqs = sorted(set(gcd_normalize(a, orient=False) for a in normals))
-    if dim > 1 and len(ineqs) < dim:
+    normals = _project_into_hull(eqs, [traces[s] for s in ridges])
+    face_ineqs = sorted(set(gcd_normalize(a, orient=False) for a in normals))
+    if dim > 1 and len(face_ineqs) < dim:
         raise AssertionError("a face has fewer facets than its dimension")
-    face = ConeDesc(d, tuple(functional_to_sym(d, e) for e in eqs),
-                    tuple(functional_to_sym(d, a) for a in ineqs),
+    _check_signs(face_vecs, eqs, face_ineqs)
+    return ConeDesc(d, tuple(functional_to_sym(d, e) for e in eqs),
+                    tuple(functional_to_sym(d, a) for a in face_ineqs),
                     tuple(rays), dim, central_form(rays))
-    face.check_incidences(vecs)
-    return face
 
 
 def cone_facets(cone: ConeDesc) -> list[ConeDesc]:
     """Facet cones of a cone, one per irredundant inequality, in their order.
 
     Each facet keeps the subset of rays tight on the inequality and the
-    canonical equalities of their hull.  Its own inequalities are
-    read off the cone's ray-facet incidences (`_face`), with no double
-    description.  Cones of dimension 1 have no facets other than the origin
-    and return an empty list.
+    canonical equalities of their hull.  Its own inequalities are read off
+    the cone's ray-facet incidences (`_incidences`, `_face`), with no double
+    description; the cone's inequalities are converted to functionals and
+    its rays checked positive semidefinite once for all facets.  Cones of
+    dimension 1 have no facets other than the origin and return an empty
+    list.  Raises NonPSDRay on a ray that is not positive semidefinite.
     """
+    inc = _incidences(cone)
     if cone.dim <= 1:
         return []
-    masks = _tight_masks(cone.inequalities, cone.rays)
-    out = [_face(cone, masks, t) for t in masks]
+    out = [_face(cone, *inc, t) for t in inc[2]]
     if any(facet.dim != cone.dim - 1 for facet in out):
         raise AssertionError("facet dimension mismatch")
     return out
@@ -250,9 +287,7 @@ def contains_pd(cone: ConeDesc) -> bool:
     """Whether the relative interior of the cone meets the positive definite
     forms: with positive semidefinite rays this holds iff the central form is
     positive definite."""
-    for r in cone.rays:
-        if not r.is_positive_semidefinite():
-            raise NonPSDRay("cone has a non-PSD ray")
+    _check_psd(cone.rays)
     return cone.central.is_positive_definite()
 
 
@@ -260,16 +295,17 @@ def fundamental_face(cone: ConeDesc) -> Optional[ConeDesc]:
     """Smallest face containing all rays of rank > 1, or None when every ray
     has rank 1 (the zonotopal case).  The face lies on every inequality
     tight on those rays, and is read off the incidences like a facet, with
-    the canonical equalities of its rays' hull (`_face`)."""
+    the canonical equalities of its rays' hull (`_incidences`, `_face`).
+    Raises NonPSDRay on a ray that is not positive semidefinite."""
+    ineqs, vecs, masks = _incidences(cone)
     high = sum(1 << i for i, r in enumerate(cone.rays) if _ray_rank(r) > 1)
     if not high:
         return None
-    masks = _tight_masks(cone.inequalities, cone.rays)
     full = t = (1 << len(cone.rays)) - 1
     for u in masks:
         if high & ~u == 0:
             t &= u
-    return cone if t == full else _face(cone, masks, t)
+    return cone if t == full else _face(cone, ineqs, vecs, masks, t)
 
 
 @lru_cache(maxsize=65536)

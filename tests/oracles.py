@@ -14,7 +14,9 @@ triangulation as a list, the regulator of one adjacent pair by an integer
 `echelon` of its own and over rational matrices, the
 circumcentre by one rational `solve`, the wall
 crossing with every adjacent pair evaluated and its checks on the rational
-form, facet cones and fundamental faces by one double description each,
+form, facet cones and fundamental faces by one double description each, a
+face with its normals held as symmetric matrices and its projection
+summed coordinate by coordinate,
 the equalities a face was stored with when they were threaded down the
 descent, the LDL^T factorization in ``Fraction`` arithmetic, the
 congruence U^T A U by matrix products, the automorphism
@@ -29,8 +31,9 @@ sifting and by Schreier generators kept without sifting, the automorphism
 count of a small graph over all permutations, the subordination scheme by a
 scan of every pair of faces, the primitive expansion by a crossing of
 every positive definite wall, the descent that builds and returns every
-positive definite facet, and the facet orbits of a cone's stabilizer read
-off the images of its facet cones' rays.
+positive definite facet, the flag identity with every facet cone built,
+and the facet orbits of a cone's stabilizer read off the images of its
+facet cones' rays.
 """
 
 import itertools
@@ -88,17 +91,23 @@ from lcone.polyhedral import (
     _dd_cone,
     _dot,
     _dv_halfspace,
+    _hull_equalities,
     _intersection_closure,
     rays_to_hrep,
 )
 from lcone.scone import (
+    ConeDesc,
+    central_form,
     cone_facets,
     cone_from_dict,
     cone_from_rays,
     cone_to_dict,
     contains_pd,
+    functional_to_sym,
     secondary_cone,
     star_wall_forms,
+    sym_dim,
+    sym_to_functional,
 )
 
 
@@ -864,6 +873,72 @@ def fundamental_face_by_rays(cone):
     if not active:
         return cone
     return cone_from_rays(cone.d, face_rays)
+
+
+def tight_masks_by_pairs(cone) -> list[int]:
+    """For each inequality of a cone, the mask of the rays it vanishes on
+    (bit i for cone.rays[i]), by the trace pairing of `SymMat`s."""
+    return [sum(1 << i for i, r in enumerate(cone.rays) if n.pair(r) == 0)
+            for n in cone.inequalities]
+
+
+def project_into_hull_by_coordinates(equalities, normals) -> list[tuple]:
+    """`polyhedral._project_into_hull` with each coordinate of D a - E^T X
+    summed on its own, over every x_i."""
+    if not equalities or not normals:
+        return [tuple(a) for a in normals]
+    k = len(equalities)
+    ech = echelon([[_dot(e, f) for f in equalities] + [_dot(e, a) for a in normals]
+                   for e in equalities])
+    if ech.pivots != tuple(range(k)):
+        raise AssertionError("hull equalities are linearly dependent")
+    out = []
+    for j, a in enumerate(normals):
+        x = [row[k + j] for row in ech.rows]
+        out.append(tuple(ech.scale * a[c] - sum(xi * e[c] for xi, e in zip(x, equalities) if xi)
+                         for c in range(len(a))))
+    return out
+
+
+def face_by_symmats(cone, masks, t):
+    """`scone._face` with the cone's inequalities held as `SymMat`s: each
+    trace is converted by `sym_to_functional` in every face, the face's
+    normals are built by `functional_to_sym`, and `ConeDesc.check_incidences`
+    converts them back and checks every ray positive semidefinite again.
+    `masks` are the tight masks of the cone's inequalities
+    (`tight_masks_by_pairs`)."""
+    d = cone.d
+    rays = [r for i, r in enumerate(cone.rays) if t >> i & 1]
+    vecs = [r.lower() for r in rays]
+    ech = echelon(vecs)
+    dim = len(ech.pivots)
+    traces = {}
+    for n, u in zip(cone.inequalities, masks):
+        if t & ~u:
+            traces.setdefault(t & u, n)
+    ridges = [s for s in traces if (s or dim == 1)
+              and not any(s != o and s & ~o == 0 for o in traces)]
+    eqs = _hull_equalities(ech)
+    normals = project_into_hull_by_coordinates(eqs, [sym_to_functional(traces[s]) for s in ridges])
+    ineqs = sorted(set(gcd_normalize(a, orient=False) for a in normals))
+    if dim > 1 and len(ineqs) < dim:
+        raise AssertionError("a face has fewer facets than its dimension")
+    face = ConeDesc(d, tuple(functional_to_sym(d, e) for e in eqs),
+                    tuple(functional_to_sym(d, a) for a in ineqs),
+                    tuple(rays), dim, central_form(rays))
+    face.check_incidences(vecs)
+    return face
+
+
+def flag_check_by_faces(db) -> tuple:
+    """`classify.flag_check` with every facet cone of each primitive class
+    built (`cone_facets`) and tested by `contains_pd`."""
+    db.require_complete()
+    m = sym_dim(db.d)
+    cones = sum((Rat(sum(contains_pd(f) for f in cone_facets(rec.cone)), rec.stab_order)
+                 for rec in db.by_dim.get(m, [])), Rat(0))
+    walls = sum((Rat(2, rec.stab_order) for rec in db.by_dim.get(m - 1, [])), Rat(0))
+    return cones, walls
 
 
 def expand_primitive_cone_by_crossing(payload: dict) -> dict:

@@ -32,13 +32,19 @@ from lcone.exact import Mat, Rat, SingularMatrix, SymMat, det, solve
 from lcone.polyhedral import dv_polytope, polytope_volume
 from lcone.scone import cone_facets, cone_from_rays, fundamental_face
 
-from oracles import automorphism_group_by_solve, delaunay_star_by_search, dv_polytope_by_star
+from oracles import (
+    automorphism_group_by_solve,
+    delaunay_star_by_search,
+    dv_polytope_by_star,
+    flag_check_by_faces,
+)
 from test_classify import assert_refined_seed
 from test_delaunay import assert_same_star
 from test_polyhedral import assert_dv_summary_matches_oracles
 from test_scone import (
     assert_equalities_span_accumulated,
     assert_faces_match_rays_oracle,
+    assert_faces_match_symmat_oracle,
     assert_same_cone,
 )
 
@@ -192,6 +198,22 @@ def test_faces_match_rays_oracle_on_databases(db3, db4):
             assert_same_cone(rec.cone, cone_from_rays(rec.cone.d, rec.cone.rays))
             facets += len(assert_faces_match_rays_oracle(rec.cone))
     assert facets == 349
+
+
+def test_faces_match_symmat_oracle_on_databases(db3, db4):
+    # Every facet and fundamental face of every cone of the d = 3 and d = 4
+    # databases, read off the cone's integer functionals, equals the face
+    # built with its inequalities held as symmetric matrices.
+    facets = sum(len(assert_faces_match_symmat_oracle(rec.cone))
+                 for db in (db3, db4) for rec in db.records())
+    assert facets == 349
+
+
+def test_flag_check_matches_faces_oracle(db3, db4):
+    # `flag_check` counts the PD facets of each primitive cone from its
+    # tight masks; the oracle builds every facet cone and asks `contains_pd`.
+    for db in (db3, db4):
+        assert flag_check(db) == flag_check_by_faces(db)
 
 
 def test_equalities_span_accumulated_on_databases(db3, db4):

@@ -42,7 +42,6 @@ from lcone.equiv import form_equivalence
 from lcone.exact import Mat, NotPositiveDefinite, Rat, SymMat
 from lcone.scone import (
     _ray_rank,
-    _tight_masks,
     cone_facets,
     cone_from_dict,
     cone_to_dict,
@@ -50,14 +49,18 @@ from lcone.scone import (
     fundamental_face,
     secondary_cone,
     star_wall_forms,
+    sym_to_functional,
 )
 from oracles import (
     expand_descent_cone_all_facets,
     expand_primitive_cone_by_crossing,
+    face_by_symmats,
     facet_orbits_by_rays,
     merge_by_buckets,
     merge_by_forms,
+    tight_masks_by_pairs,
 )
+from test_scone import assert_same_cone
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -950,7 +953,7 @@ def test_faces_within_matches_loop(d):
     rng = random.Random(d)
     for rec in classify_all(d).records():
         cone = rec.cone
-        facet_masks = _tight_masks(cone.inequalities, cone.rays)
+        facet_masks = tight_masks_by_pairs(cone)
         n = len(cone.rays)
         high = sum(1 << i for i, r in enumerate(cone.rays) if _ray_rank(r) > 1)
         for allowed in [high, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]:
@@ -1042,8 +1045,8 @@ def test_pd_facet_orbits_map_representatives(d, walls):
     # central form and sends the first member's rays onto its own.
     cone = secondary_cone(seed_triangulation(d))
     facets = cone_facets(cone)
-    masks, orbits = _facet_orbits(cone)
-    assert masks == _tight_masks(cone.inequalities, cone.rays)
+    (_, _, masks), orbits = _facet_orbits(cone)
+    assert masks == tight_masks_by_pairs(cone)
     assert [sorted(j for j, _ in orbit) for orbit in orbits] == facet_orbits_by_rays(cone)
     pd = [j for j, f in enumerate(facets) if contains_pd(f)]
     assert len(pd) == walls
@@ -1117,6 +1120,24 @@ def test_run_builds_faces_of_pd_orbits_only(d, faces, monkeypatch):
     monkeypatch.setattr(lcone.classify, "_face", lambda *args: calls.append(args) or face(*args))
     classify_all(d)
     assert len(calls) == faces
+
+
+def test_desc_faces_match_symmat_oracle(monkeypatch):
+    # Every face the `desc` tasks of a d = 4 run build is read off its
+    # parent's `_incidences`, which are the parent's inequalities as
+    # functionals, its rays' `lower()` and their tight masks; and it equals
+    # the face built with the inequalities held as symmetric matrices.
+    built = []
+    face = lcone.classify._face
+    monkeypatch.setattr(lcone.classify, "_face",
+                        lambda *args: built.append((args, face(*args))) or built[-1][1])
+    classify_all(4)
+    assert len(built) == 125
+    for (cone, ineqs, vecs, masks, t), got in built:
+        assert ineqs == [sym_to_functional(n) for n in cone.inequalities]
+        assert vecs == [r.lower() for r in cone.rays]
+        assert masks == tight_masks_by_pairs(cone)
+        assert_same_cone(got, face_by_symmats(cone, masks, t))
 
 
 @pytest.mark.parametrize("d, labelings", [(3, 12), (4, 148)])

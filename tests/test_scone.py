@@ -21,7 +21,7 @@ from lcone.delaunay import (
     delaunay_star,
     neighbor_triangulation,
 )
-from lcone.exact import AffinelyDependent, Rat, SymMat, _norm, rank_of_rows
+from lcone.exact import AffinelyDependent, Rat, SymMat, ZeroInput, _norm, rank_of_rows
 from lcone.scone import (
     ConeDesc,
     EmptyRaySet,
@@ -36,16 +36,19 @@ from lcone.scone import (
     rank_profile,
     secondary_cone,
     star_wall_forms,
+    functional_to_sym,
     sym_dim,
     sym_to_functional,
 )
 from oracles import (
     accumulated_equalities,
     cone_facets_by_rays,
+    face_by_symmats,
     fundamental_face_by_rays,
     pair_regulators,
     regulator_by_echelon,
     regulator_by_fractions,
+    tight_masks_by_pairs,
 )
 from test_delaunay import _raised_under_optimize, _typed, crossings, star_by_cells
 
@@ -600,6 +603,76 @@ class TestFacetsByIncidence:
         assert out.startswith("raised: a face has fewer facets than its dimension")
 
 
+def assert_faces_match_symmat_oracle(cone):
+    """`cone_facets` and `fundamental_face` of a cone equal the faces the
+    oracle builds with the cone's inequalities held as `SymMat`s
+    (`face_by_symmats`) from the same masks; returns the facets."""
+    masks = tight_masks_by_pairs(cone)
+    facets = cone_facets(cone)
+    assert len(facets) == (len(masks) if cone.dim > 1 else 0)
+    for got, t in zip(facets, masks):
+        assert_same_cone(got, face_by_symmats(cone, masks, t))
+    ff = fundamental_face(cone)
+    if ff is not None and ff is not cone:
+        t = sum(1 << i for i, r in enumerate(cone.rays) if r in ff.rays)
+        assert_same_cone(ff, face_by_symmats(cone, masks, t))
+    return facets
+
+
+class TestFacesInFunctionals:
+    def test_match_symmat_oracle_d5(self):
+        # The cones of `test_match_rays_oracle_d5`: the d = 5 seed cone, the
+        # cones across its first 3 positive definite walls, all their
+        # facets, and the facets of those.
+        star = seed_triangulation(5)
+        cone = secondary_cone(star)
+        walls = [f for f in cone_facets(cone) if contains_pd(f)]
+        cones = [cone] + [secondary_cone(neighbor_triangulation(star, f.central, cone.central))
+                          for f in walls[:3]]
+        facets = [f for c in cones for f in assert_faces_match_symmat_oracle(c)]
+        assert len(facets) == 60
+        for facet in facets:
+            assert_faces_match_symmat_oracle(facet)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_round_trip_is_a_positive_multiple(self, d):
+        # The face checks its rays on the functionals a it holds, and stores
+        # the normal functional_to_sym(d, a): the two must pair with every
+        # form with the same sign, which holds iff the round trip is c a
+        # with c > 0.
+        rng = random.Random(d)
+        for _ in range(200):
+            a = [rng.randint(-6, 6) * rng.choice((1, 1, 0)) for _ in range(sym_dim(d))]
+            if not any(a):
+                continue
+            b = sym_to_functional(functional_to_sym(d, a))
+            k = next(i for i, x in enumerate(a) if x)
+            assert b[k] * a[k] > 0
+            assert all(x * a[k] == b[k] * y for x, y in zip(b, a))
+        with pytest.raises(ZeroInput):
+            functional_to_sym(d, [0] * sym_dim(d))
+
+    @pytest.mark.parametrize("call", [
+        "cone_facets(bad)", "fundamental_face(bad)",
+        "expand_descent_cone({'cone': cone_to_dict(bad)})",
+    ])
+    def test_non_psd_ray_raises(self, call):
+        # A face's rays are checked positive semidefinite once, on the
+        # parent: a parent with one ray that is not PSD raises, also under
+        # python -O.
+        setup = ("import dataclasses\n"
+                 "from lcone.classify import expand_descent_cone, seed_triangulation\n"
+                 "from lcone.scone import NonPSDRay, cone_facets, cone_to_dict, "
+                 "fundamental_face, secondary_cone\n"
+                 "cone = secondary_cone(seed_triangulation(3))\n"
+                 "bad = dataclasses.replace(cone, rays=(cone.rays[0].scale(-1),) + cone.rays[1:])\n")
+        namespace = {}
+        exec(setup, namespace)
+        with pytest.raises(NonPSDRay):
+            eval(call, namespace)
+        assert _raised_under_optimize(setup, call, "NonPSDRay").startswith("raised: ray ")
+
+
 class TestFacetWalls:
     @pytest.mark.parametrize("stars", [
         lambda: [delaunay_star(A2)],
@@ -681,8 +754,9 @@ class TestConeOps:
             assert cone.dim == fdim + len(loose)
 
     def test_validate_rejects_wrong_incidences(self):
-        # `check_incidences`, which `_face` runs alone: a ray off an equality
-        # or on the wrong side of an inequality, or a ray that is not PSD.
+        # `check_incidences`, the checks of `validate` on each ray: a ray off
+        # an equality or on the wrong side of an inequality, or a ray that is
+        # not PSD.
         cone = self.cone
         ray = cone.rays[0]
         for bad, match in [
