@@ -491,7 +491,8 @@ def expand_descent_cone(payload: dict) -> dict:
     (`contains_pd`); the rays are those of the cone, checked once by
     `_incidences`.  So an orbit is tested on its least member's rays, and
     only the members that pass are built (`_face`), from the cone's
-    inequalities converted to functionals once."""
+    inequalities converted to functionals once and with the central form
+    they were tested on."""
     cone = cone_from_dict(payload["cone"])
     if cone.dim <= 1:
         return {"cones": []}
@@ -499,9 +500,10 @@ def expand_descent_cone(payload: dict) -> dict:
     out = []
     for orbit in orbits:
         t = min((inc[2][j] for j, _ in orbit), key=_bits)
-        if not central_form([cone.rays[k] for k in _bits(t)]).is_positive_definite():
+        central = central_form([cone.rays[k] for k in _bits(t)])
+        if not central.is_positive_definite():
             continue
-        facet = _face(cone, *inc, t)
+        facet = _face(cone, *inc, t, central)
         if facet.dim != cone.dim - 1:
             raise AssertionError("facet dimension mismatch")
         out.append(cone_to_dict(facet))

@@ -75,9 +75,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def col(self, j: int):
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.entries)))
 

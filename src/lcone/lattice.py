@@ -7,6 +7,10 @@ the coordinate tree of the LDL^T factorization (Fincke & Pohst 1985) over
 the integers: with the factorization and the centre over common
 denominators, each level's interval is read off one integer square root
 and holds exactly the coordinates that fit, so the sets are complete.
+The walk yields each value Q[v - c] as the integer g Q[v - c] over the
+frame's one denominator g, and builds no ``Fraction``: `enumerate_close`
+builds its ``Rat`` values at its boundary, and `_closest` takes the minimum
+over the integers and builds one.
 The shortest vectors of the classes of Z^d / 2Z^d, from which the
 Dirichlet-Voronoi cell is cut (`_coset_minima`), are closest vectors too.
 The part of the frame that depends on the form alone (`_form_frame`) is
@@ -100,19 +104,23 @@ def enumerate_close(q: SymMat, center: Sequence, bound) -> list[tuple[tuple, obj
     ceil((T - r) / den) .. floor((T + r) / den) holds every x_i that fits
     and nothing else, and the set is complete.  Returns pairs
     (v, Q[v - center]) in lexicographic order of v; each value is a ``Rat``
-    (a ``Fraction`` even when integral).
+    (a ``Fraction`` even when integral), built here from the walk's integer.
     """
-    return _walk(_frame(_form_frame(q), *_over_common(center)), q.d, bound)
+    frame = _frame(_form_frame(q), *_over_common(center))
+    return [(v, Rat(x, frame[3])) for v, x in _walk(frame, q.d, bound)]
 
 
-def _walk(frame: tuple, d: int, bound) -> list[tuple[tuple, object]]:
-    """The walk of `enumerate_close` on a frame made by `_frame`."""
+def _walk(frame: tuple, d: int, bound) -> list[tuple[tuple, int]]:
+    """The walk of `enumerate_close` on a frame made by `_frame`, over the
+    integers: the pairs (v, g Q[v - center]) with Q[v - center] <= bound,
+    each value an integer over the frame's one denominator g.  It builds
+    no ``Rat``."""
     m, cen, levels, g = frame
     if bound < 0:
         return []
     total = bound.numerator * g // bound.denominator
     if not d:
-        return [((), Rat(0))]
+        return [((), 0)]
     x = [0] * d
     y = [0] * d    # y_j = m * x_j - cen_j, for the levels above
     out = []
@@ -137,7 +145,7 @@ def _walk(frame: tuple, d: int, bound) -> list[tuple[tuple, object]]:
         else:
             for xi in range(lo, hi + 1):
                 x[0] = xi
-                out.append((tuple(x), Rat(total - rem + w * e * e, g)))
+                out.append((tuple(x), total - rem + w * e * e))
                 e += den
 
     descend(d - 1, total)
@@ -178,12 +186,15 @@ def _closest(form: tuple, cen: Sequence[int], m: int) -> tuple[object, tuple]:
     """`closest_vectors` on the form frame of Q (`_form_frame`), which a
     caller with many centres builds once, around the centre cen / m given
     over the integers.  With m the centre's least common denominator, as
-    `_over_common` gives it, the frame is the one of the rational centre."""
+    `_over_common` gives it, the frame is the one of the rational centre.
+    The walk's values are integers over the frame's denominator g, so the
+    minimum is taken over them and one ``Rat`` is built, for it."""
     frame = _frame(form, cen, m)
+    g = frame[3]
     rounded = [(2 * x + m) // (2 * m) for x in cen]
-    hits = _walk(frame, len(cen), Rat(min(_path(frame), _path(frame, rounded)), frame[3]))
+    hits = _walk(frame, len(cen), Rat(min(_path(frame), _path(frame, rounded)), g))
     best = min(val for _, val in hits)
-    return best, tuple(v for v, val in hits if val == best)
+    return Rat(best, g), tuple(v for v, val in hits if val == best)
 
 
 def _coset_minima(form: tuple) -> list[tuple]:

@@ -2,17 +2,18 @@
 descriptions of cones given by rays, Dirichlet-Voronoi polytopes, face
 lattices, subordination schemes and volumes.
 
-`_dd_cone` is the one double description (DD), over the integers: the
-extreme rays of a pointed cone given by its inequalities.  `rays_to_hrep`
-runs it on the polar side: a cone given by rays is described inside its
-linear hull in the hull's pivot coordinates, which one `exact.echelon` pass
-over the rays provides together with the hull's equalities; no Gram system
-is solved per ray.  Polytopes are treated through their homogenization
-cones.
+`_dd_cone` is the one double description (DD), over the integers from its
+set-up on, which one integer `echelon` seeds: the extreme rays of a pointed
+cone given by its inequalities.  `rays_to_hrep` runs it on the polar side:
+a cone given by rays is described inside its linear hull in the hull's
+pivot coordinates, which one `exact.echelon` pass over the rays provides
+together with the hull's equalities; no Gram system is solved per ray.
+Polytopes are treated through their homogenization cones.
 
 The Dirichlet-Voronoi (DV) cell at 0 is computed once, by `_dv_cell`: one
 double description (`_dd_cone`) of the halfspaces of the coset minima of
-Z^d / 2Z^d gives its vertices, and one closest-vector search per
+Z^d / 2Z^d, each an integer row read off one integer Gram matrix c Q
+(`_dv_row`), gives its vertices, and one closest-vector search per
 translation class gives the Delaunay cell of each vertex with its
 empty-sphere certificate; all these searches share one frame of the form
 (`lattice._form_frame`); each centre is held as its DD ray over the
@@ -24,8 +25,9 @@ also takes: there the cells are read off the triangulation of a primitive
 ancestor (`delaunay.dv_polytope_by_coarsening`), and no DV cell is built
 below the seed.  A face lattice is built from the
 facets down, without arithmetic: the faces of each level are the maximal
-intersections of the faces above with the facets, and the same pass counts
-the subordination scheme (`_face_levels`).
+intersections of the faces above with the facets, found among those with
+enough vertices (on a polygon, by bit count alone), and the same pass
+counts the subordination scheme (`_face_levels`).
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .exact import (
     Rat,
     SymMat,
     _norm,
-    clear_denominators,
+    _over_common,
     det,
     echelon,
     gcd_normalize,
-    inverse,
     rank_of_rows,
 )
 from .lattice import _closest, _coset_minima, _form_frame
@@ -75,36 +76,35 @@ def _dd_cone(ineqs: list[tuple], dim: int) -> list[tuple]:
     """Extreme rays of {y : a y >= 0 for a in ineqs} in R^dim.
 
     Requires the system to have rank ``dim`` (pointed cone).  The first
-    ``dim`` independent inequalities, found by one `echelon` pass, seed the
-    method with the columns of their inverse; all later arithmetic is over
-    the integers.  Each bitmask records the processed inequalities tight at
-    a ray.  A ray of positive and one of negative value on the inequality
-    added are adjacent exactly when their common mask m has at least
-    dim - 2 bits and no third ray's mask contains it (the combinatorial
-    test of Fukuda & Prodon, 1996): the minus rays of each plus ray are
-    filtered on the bit count first, and the scan for masks containing m
-    stops at the third.  Rays come back gcd-normalized and sorted.
+    ``dim`` independent inequalities A0, found by one `echelon` pass, seed
+    the method with the columns of their inverse: one more `echelon`, of
+    [A0 | I], leaves D [I | A0^-1] with D > 0, and ray j is column j of the
+    right block, made primitive.  As A0 times it is a positive multiple of
+    e_j, it is tight on every initial inequality but the j-th, which is its
+    mask.  All arithmetic is over the integers.  Each bitmask records the
+    processed inequalities tight at a ray.  A ray of positive and one of
+    negative value on the inequality added are adjacent exactly when their
+    common mask m has at least dim - 2 bits and no third ray's mask
+    contains it (the combinatorial test of Fukuda & Prodon, 1996): the
+    minus rays of each plus ray are filtered on the bit count first, and
+    the scan for masks containing m stops at the third.  Rays come back
+    gcd-normalized and sorted.
     """
     if dim == 0:
         return []
     init = list(echelon(ineqs).independent) if ineqs else []
     if len(init) < dim:
         raise NotPointed("lineality space detected")
-    a0 = Mat([ineqs[i] for i in init])
-    inv = inverse(a0)
-    rays = [clear_denominators(inv.col(j)) for j in range(dim)]
+    ech = echelon([list(ineqs[i]) + [int(i == k) for k in init] for i in init])
+    if ech.pivots != tuple(range(dim)):
+        raise AssertionError("the initial inequalities are linearly dependent")
+    rays = [gcd_normalize([row[dim + j] for row in ech.rows], orient=False) for j in range(dim)]
     rest = [k for k in range(len(ineqs)) if k not in init]
     # Insertion heuristic: inequalities satisfied by many initial rays first.
     rest.sort(key=lambda k: (-sum(1 for r in rays if _dot(ineqs[k], r) >= 0), k))
 
     processed = list(init)
-    masks = []
-    for r in rays:
-        m = 0
-        for pos, k in enumerate(processed):
-            if _dot(ineqs[k], r) == 0:
-                m |= 1 << pos
-        masks.append(m)
+    masks = [((1 << dim) - 1) ^ (1 << j) for j in range(dim)]
 
     need = dim - 2
     for k in rest:
@@ -226,10 +226,21 @@ class LatPolytope:
         return len(self.facets)
 
 
-def _dv_halfspace(q: SymMat, v) -> tuple:
-    """The primitive integral row (a, b) of -2 Q v . x + Q[v] >= 0: x is no
-    farther from 0 than from v."""
-    return clear_denominators(tuple(-2 * x for x in q.mul_vec(v)) + (q.quad(v),))
+def _integer_gram(q: SymMat) -> list[tuple]:
+    """c Q as integer rows, c the least common denominator of Q's entries."""
+    ints, _ = _over_common([x for row in q.entries for x in row])
+    return [tuple(ints[i * q.d:(i + 1) * q.d]) for i in range(q.d)]
+
+
+def _dv_row(gram: Sequence[tuple], v) -> tuple[int, tuple]:
+    """G[v] and the primitive integer row (a, b) of -2 Q v . x + Q[v] >= 0,
+    x no farther from 0 than from v, given G = c Q (`_integer_gram`): the
+    row (-2 G v, G[v]) over its gcd, a positive multiple of the rational
+    one.  The row of -v is the same with a negated."""
+    gv = [sum(map(mul, row, v)) for row in gram]
+    n = sum(map(mul, gv, v))
+    g = gcd(2 * gcd(*gv), n)
+    return n, tuple(-2 * x // g for x in gv) + (n // g,)
 
 
 def _dv_cell(q: SymMat) -> list[tuple]:
@@ -237,8 +248,10 @@ def _dv_cell(q: SymMat) -> list[tuple]:
     of each of its vertices, certified.
 
     The DV cell is {x : -2 Q v . x + Q[v] >= 0} over the vectors v of
-    `lattice._coset_minima` and their negatives.  Its vertices, from one
-    double description with the halfspaces shortest first, are the
+    `lattice._coset_minima` and their negatives, each row read off one
+    integer Gram matrix G = c Q (`_dv_row`), the row of -v off that of v.
+    Its vertices, from one double description with the halfspaces
+    shortest first (by G[v], the order of Q[v]), are the
     circumcenters of the Delaunay cells at 0.  Each is held as its DD ray
     (y, t), the centre y / t: the ray is primitive, so t is the centre's
     least common denominator.  The cell of a vertex is the set of
@@ -260,8 +273,11 @@ def _dv_cell(q: SymMat) -> list[tuple]:
     d = q.d
     zero = (0,) * d
     form = _form_frame(q)
-    halfspaces = {(q.quad(w), _dv_halfspace(q, w))
-                  for v in _coset_minima(form) for w in (v, tuple(-x for x in v))}
+    gram = _integer_gram(q)
+    halfspaces = set()
+    for v in _coset_minima(form):
+        n, row = _dv_row(gram, v)
+        halfspaces.update(((n, row), (n, tuple(-x for x in row[:-1]) + row[-1:])))
     rays = _dd_cone([h for _, h in sorted(halfspaces)], d + 1)
     if any(r[-1] <= 0 for r in rays):
         raise AssertionError("the DV cell is unbounded")
@@ -315,7 +331,8 @@ def _dv_from_cells(q: SymMat, cells: Sequence[tuple]) -> LatPolytope:
     nonzero vertex v of those cells gives the halfspace -2 Q v . x + Q[v] >= 0
     (x is no farther from 0 than from v), and a center lies on its boundary
     exactly when v is a vertex of the center's cell: the cell's sphere is
-    empty and passes through 0.  The halfspace supports a facet exactly when
+    empty and passes through 0; its integer row is read off one Gram matrix
+    G = c Q (`_dv_row`).  The halfspace supports a facet exactly when
     [0, v] is a Delaunay edge, that is, when the cells having 0 and v as
     vertices have no other common vertex.  Their intersection is the
     smallest face of the subdivision containing 0 and v, and the DV face it
@@ -335,7 +352,8 @@ def _dv_from_cells(q: SymMat, cells: Sequence[tuple]) -> LatPolytope:
             if v != zero:
                 containing[v] = containing.get(v, 0) | 1 << i
                 common[v] = common[v] & vset if v in common else vset
-    facets = sorted((_dv_halfspace(q, v), v) for v in containing if len(common[v]) == 2)
+    gram = _integer_gram(q)
+    facets = sorted((_dv_row(gram, v)[1], v) for v in containing if len(common[v]) == 2)
     index = {v: j for j, (_, v) in enumerate(facets)}
     for vertices, center in cells:
         if sum(1 for v in vertices if v in index) < d:
@@ -349,15 +367,17 @@ def incidence_graph(p: LatPolytope):
     """Vertex-facet incidence graph as (n_nodes, node_colors, edges dict).
 
     Vertices come first, then facets; the two sides carry distinct colors.
-    Suitable for canonical labeling in the equivalence module.
+    The edges of each facet are read off the set bits of its mask, lowest
+    first.  Suitable for canonical labeling in the equivalence module.
     """
     nv, nf = p.n_vertices, p.n_facets
     node_colors = [0] * nv + [1] * nf
     edges = {}
     for j, fm in enumerate(p.facet_masks):
-        for i in range(nv):
-            if fm >> i & 1:
-                edges[(i, nv + j)] = 1
+        while fm:
+            low = fm & -fm
+            edges[(low.bit_length() - 1, nv + j)] = 1
+            fm ^= low
     return nv + nf, node_colors, edges
 
 
@@ -380,12 +400,15 @@ def _face_levels(p: LatPolytope) -> tuple[dict, tuple, dict]:
     The (k-1)-faces of a k-face F are the inclusion-maximal sets among the
     nonempty proper F & g over the facets g: each F & g is a proper face of
     F, and each facet G of F is one of them, for a facet g that contains G
-    but not F.  The candidates are taken in order of decreasing size and
-    each is tested only against the maxima already kept.  The number of
-    maxima is F's number of subfaces, which the scheme counts; it is read
-    into the histogram of F's level at once.  The vertices are the
-    singletons, so the edges are the last level built.  No arithmetic is
-    needed.
+    but not F.  A (k-1)-face has at least k vertices, so the candidates
+    with fewer bits, never maximal, are dropped first.  On a polygon that
+    leaves exactly its edges, the F & g with two bits: every vertex of a
+    polygon lies on an edge, so no scan is needed.  Above, the candidates
+    are taken in order of decreasing size and each is tested only against
+    the maxima already kept.  The number of maxima is F's number of
+    subfaces, which the scheme counts; it is read into the histogram of F's
+    level at once.  The vertices are the singletons, so the edges are the
+    last level built.  No arithmetic is needed.
     """
     d = p.dim
     facets = sorted(set(p.facet_masks))
@@ -400,16 +423,18 @@ def _face_levels(p: LatPolytope) -> tuple[dict, tuple, dict]:
         below = set()
         hist: dict[int, int] = {}
         for f in by_dim[k]:
-            cands = {f & g for g in facets}
-            cands.discard(0)
+            cands = {h for g in facets if (h := f & g).bit_count() >= k}
             cands.discard(f)
-            kept = []
-            for h in sorted(cands, key=int.bit_count, reverse=True):
-                for m in kept:
-                    if h & m == h:
-                        break
-                else:
-                    kept.append(h)
+            if k == 2:
+                kept = cands
+            else:
+                kept = []
+                for h in sorted(cands, key=int.bit_count, reverse=True):
+                    for m in kept:
+                        if h & m == h:
+                            break
+                    else:
+                        kept.append(h)
             below.update(kept)
             hist[len(kept)] = hist.get(len(kept), 0) + 1
         by_dim[k - 1] = sorted(below)

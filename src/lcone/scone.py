@@ -30,7 +30,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .delaunay import DelaunayStar
-from .exact import SymMat, echelon, gcd_normalize
+from .exact import SymMat, clear_denominators, echelon, gcd_normalize
 from .polyhedral import _dd_cone, _hull_equalities, _project_into_hull, rays_to_hrep
 
 
@@ -68,16 +68,28 @@ def functional_to_sym(d: int, a: Sequence) -> SymMat:
 
 def star_wall_forms(star: DelaunayStar) -> list[SymMat]:
     """Deduplicated wall matrices over all adjacent simplex pairs of a
-    triangulation, one per wall class, each positive on the generating form.
-    The pairs are the star's own (`DelaunayStar.pairs`), so the walls a
-    flip copied are checked on the new form like the computed ones.  Many
-    pairs share a wall (360 pairs and 15 walls on the d = 5 seed star), so
-    the pairs are deduplicated first and each distinct wall is checked once."""
-    walls = {wall.lower(): wall for _, _, wall, _ in star.pairs.values()}
-    for n in walls.values():
-        if n.pair(star.form) <= 0:
-            raise AssertionError("regulator is not positive on its own form")
-    return [walls[k] for k in sorted(walls)]
+    triangulation, one per wall class, each positive on the generating form
+    (`_star_walls`)."""
+    return _star_walls(star)[0]
+
+
+def _star_walls(star: DelaunayStar) -> tuple[list[SymMat], list[tuple]]:
+    """The distinct walls of a star, sorted by `lower()`, and their integer
+    functionals (`sym_to_functional`), each checked positive on the
+    generating form: <N, Q> is the functional paired with Q's `lower()`,
+    here the primitive integer multiple of it.  The pairs are the star's
+    own (`DelaunayStar.pairs`), so the walls a flip copied are checked on
+    the new form like the computed ones.  Many pairs share a wall (360
+    pairs and 15 walls on the d = 5 seed star), so the pairs are
+    deduplicated first and each distinct wall is converted and checked
+    once."""
+    by_key = {wall.lower(): wall for _, _, wall, _ in star.pairs.values()}
+    walls = [by_key[k] for k in sorted(by_key)]
+    functionals = [sym_to_functional(n) for n in walls]
+    form = clear_denominators(star.form.lower())
+    if any(sum(map(mul, a, form)) <= 0 for a in functionals):
+        raise AssertionError("regulator is not positive on its own form")
+    return walls, functionals
 
 
 def central_form(rays: Sequence[SymMat]) -> SymMat:
@@ -176,25 +188,29 @@ def secondary_cone(star: DelaunayStar) -> ConeDesc:
     description, and keeps exactly the facet-supporting inequalities: those
     whose set of tight rays is maximal among the walls' and nonempty.  A
     star with a non-simplex cell raises `delaunay.NotATriangulation`.
+
+    The checks of `ConeDesc.validate` run on the functionals it holds
+    (`_star_walls`): every ray is positive semidefinite and nonnegative on
+    the kept walls (`_check_psd`, `_check_signs`), and one `echelon` of the
+    rays gives rank m, so the hull has no equalities.  The rays come
+    sorted from the double description, and the central form is their sum.
     """
     d = star.dim
     m = sym_dim(d)
-    walls = star_wall_forms(star)
-    functionals = [sym_to_functional(n) for n in walls]
+    walls, functionals = _star_walls(star)
     vecs = _dd_cone(functionals, m)
-    rays = [SymMat.from_lower(d, v) for v in vecs]
+    rays = tuple(SymMat.from_lower(d, v) for v in vecs)
     # The cone is full-dimensional and pointed, and the walls are distinct
     # normalized forms: a wall supports a facet exactly when its tight rays
     # are nonempty and strictly contained in no other wall's tight rays.
     tight = _tight_masks(functionals, vecs)
-    keep = [n for n, t in zip(walls, tight)
+    keep = [i for i, t in enumerate(tight)
             if t and not any(t != u and t & ~u == 0 for u in tight)]
-    rays_sorted = sorted(rays, key=lambda r: r.lower())
-    cone = ConeDesc(d, (), tuple(keep), tuple(rays_sorted), m, central_form(rays_sorted))
-    cone.validate()
-    if cone.dim != m:
+    _check_psd(rays)
+    _check_signs(vecs, (), [functionals[i] for i in keep])
+    if len(echelon(vecs).pivots) != m:
         raise AssertionError("secondary cone of a triangulation must be full-dimensional")
-    return cone
+    return ConeDesc(d, (), tuple(walls[i] for i in keep), rays, m, central_form(rays))
 
 
 def _tight_masks(functionals: Sequence[tuple], vecs: Sequence[tuple]) -> list[int]:
@@ -216,10 +232,11 @@ def _incidences(cone: ConeDesc) -> tuple[list[tuple], list[tuple], list[int]]:
 
 
 def _face(cone: ConeDesc, ineqs: Sequence[tuple], vecs: Sequence[tuple],
-          masks: Sequence[int], t: int) -> ConeDesc:
+          masks: Sequence[int], t: int, central: Optional[SymMat] = None) -> ConeDesc:
     """The face of a cone whose rays are the bits of mask t, given the
     cone's `_incidences`: its inequalities as integer functionals, its rays'
-    `lower()` and the tight masks.
+    `lower()` and the tight masks.  A caller that has summed the face's
+    rays passes that `central_form` on, and it is not summed again.
 
     One `echelon` of the face's rays gives its dimension and the canonical
     equalities of their linear hull, which the face stores.  The facets of
@@ -238,8 +255,8 @@ def _face(cone: ConeDesc, ineqs: Sequence[tuple], vecs: Sequence[tuple],
     Its rays are the cone's, checked positive semidefinite by
     `_incidences`; the rank of its rays is the pivot count of the `echelon`
     above, its equalities are read off the same `echelon`, and its central
-    form is `central_form` of the same rays.  So it runs every check of
-    `ConeDesc.validate`."""
+    form is `central_form` of the same rays, here or in the caller.  So it
+    runs every check of `ConeDesc.validate`."""
     d = cone.d
     on = [i for i in range(len(vecs)) if t >> i & 1]
     rays = [cone.rays[i] for i in on]
@@ -260,7 +277,7 @@ def _face(cone: ConeDesc, ineqs: Sequence[tuple], vecs: Sequence[tuple],
     _check_signs(face_vecs, eqs, face_ineqs)
     return ConeDesc(d, tuple(functional_to_sym(d, e) for e in eqs),
                     tuple(functional_to_sym(d, a) for a in face_ineqs),
-                    tuple(rays), dim, central_form(rays))
+                    tuple(rays), dim, central_form(rays) if central is None else central)
 
 
 def cone_facets(cone: ConeDesc) -> list[ConeDesc]:

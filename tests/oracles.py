@@ -2,8 +2,10 @@
 
 Each of these was once in `lcone` and has no caller in the pipeline, the
 CLI or the demos, or was replaced there by a faster or leaner path.  They
-stay here as independent routes for the tests: short vectors by enumeration
-around 0, the double description of a cone with equalities, polytopes from
+stay here as independent routes for the tests: the closest vectors with
+one ``Fraction`` per enumerated point, the DV halfspace of one vector over
+the rationals, the face levels with every intersection scanned for
+maximality, short vectors by enumeration around 0, the double description of a cone with equalities, polytopes from
 halfspaces by one double description, polytopes from vertices with the
 points that are not vertices dropped, the facets of a Delaunay cell read off
 that polytope, canonical extreme rays, the normalized translate of a cell,
@@ -21,9 +23,9 @@ the equalities a face was stored with when they were threaded down the
 descent, the LDL^T factorization in ``Fraction`` arithmetic, the
 congruence U^T A U by matrix products, the automorphism
 group with each generator's map solved on its own, the double
-description with every (plus, minus) pair tested by a scan of every
-other ray, the DV cell with its centres in ``Fraction``
-arithmetic, the face lattice closed under intersection and graded by its
+description seeded by the inverse over Q and with every (plus, minus)
+pair tested by a scan of every other ray, the DV cell with its centres in
+``Fraction`` arithmetic, the face lattice closed under intersection and graded by its
 intersections with the facets, the merge through invariant buckets, the
 merge by canonical forms with every form labeled through the shared cache,
 colour refinement by full signatures, the group order by Schreier-Sims with
@@ -81,6 +83,9 @@ from lcone.lattice import (
     VectorSet,
     _coset_minima,
     _form_frame,
+    _frame,
+    _path,
+    _walk,
     characteristic_set,
     closest_vectors,
     enumerate_close,
@@ -90,7 +95,6 @@ from lcone.polyhedral import (
     NotPointed,
     _dd_cone,
     _dot,
-    _dv_halfspace,
     _hull_equalities,
     _intersection_closure,
     rays_to_hrep,
@@ -109,6 +113,60 @@ from lcone.scone import (
     sym_dim,
     sym_to_functional,
 )
+
+
+def closest_by_fractions(form: tuple, cen: Sequence[int], m: int) -> tuple:
+    """`lattice._closest` with one ``Rat`` per enumerated point: each value
+    of the walk is put over the frame's denominator as a ``Fraction`` and
+    the minimum is taken over those."""
+    frame = _frame(form, cen, m)
+    g = frame[3]
+    rounded = [(2 * x + m) // (2 * m) for x in cen]
+    bound = Rat(min(_path(frame), _path(frame, rounded)), g)
+    hits = [(v, Rat(x, g)) for v, x in _walk(frame, len(cen), bound)]
+    best = min(val for _, val in hits)
+    return best, tuple(v for v, val in hits if val == best)
+
+
+def _dv_halfspace(q: SymMat, v) -> tuple:
+    """The primitive integral row (a, b) of -2 Q v . x + Q[v] >= 0, x no
+    farther from 0 than from v, by `SymMat.mul_vec`, `SymMat.quad` and
+    `clear_denominators` over the rationals."""
+    return clear_denominators(tuple(-2 * x for x in q.mul_vec(v)) + (q.quad(v),))
+
+
+def face_levels_by_scan(p: LatPolytope) -> tuple[dict, tuple, dict]:
+    """`polyhedral._face_levels` with every nonempty proper F & g a
+    candidate: the candidates in order of decreasing size, each tested
+    against the maxima already kept, on polygons too."""
+    d = p.dim
+    facets = sorted(set(p.facet_masks))
+    by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
+    if d > 1:
+        by_dim[0] = [1 << i for i in range(p.n_vertices)]
+    if d:
+        by_dim[d - 1] = facets
+    by_dim[d] = [(1 << p.n_vertices) - 1]
+    scheme: dict[int, dict[int, int]] = {}
+    for k in range(d - 1, 1, -1):
+        below = set()
+        hist: dict[int, int] = {}
+        for f in by_dim[k]:
+            cands = {f & g for g in facets}
+            cands.discard(0)
+            cands.discard(f)
+            kept = []
+            for h in sorted(cands, key=int.bit_count, reverse=True):
+                for m in kept:
+                    if h & m == h:
+                        break
+                else:
+                    kept.append(h)
+            below.update(kept)
+            hist[len(kept)] = hist.get(len(kept), 0) + 1
+        by_dim[k - 1] = sorted(below)
+        scheme[k] = dict(sorted(hist.items()))
+    return by_dim, tuple(len(by_dim[k]) for k in range(d)), dict(sorted(scheme.items()))
 
 
 def dd_cone_by_scan(ineqs: list[tuple], dim: int) -> list[tuple]:
@@ -130,7 +188,7 @@ def dd_cone_by_scan(ineqs: list[tuple], dim: int) -> list[tuple]:
         raise NotPointed("lineality space detected")
     a0 = Mat([ineqs[i] for i in init])
     inv = inverse(a0)
-    rays = [clear_denominators(inv.col(j)) for j in range(dim)]
+    rays = [clear_denominators(col) for col in zip(*inv.entries)]
     rest = [k for k in range(len(ineqs)) if k not in init]
     # Insertion heuristic: inequalities satisfied by many initial rays first.
     rest.sort(key=lambda k: (-sum(1 for r in rays if _dot(ineqs[k], r) >= 0), k))

@@ -40,7 +40,7 @@ from oracles import (
 )
 from test_classify import assert_refined_seed
 from test_delaunay import assert_same_star
-from test_polyhedral import assert_dv_summary_matches_oracles
+from test_polyhedral import assert_dv_integers_match_oracles, assert_dv_summary_matches_oracles
 from test_scone import (
     assert_equalities_span_accumulated,
     assert_faces_match_rays_oracle,
@@ -256,6 +256,16 @@ def test_dv_summary_matches_oracles_on_databases(db3, db4):
     assert len(forms) == 57
     for q in forms:
         assert_dv_summary_matches_oracles(q)
+
+
+def test_dv_integers_match_oracles_on_databases(db3, db4):
+    # Every central form of the d = 3 and d = 4 databases: the DV halfspace
+    # rows read off one integer Gram matrix equal the rational rows, the
+    # face levels the scan oracle's, and the incidence graph the loop's.
+    forms = [rec.cone.central for db in (db3, db4) for rec in db.records()]
+    assert len(forms) == 57
+    for q in forms:
+        assert_dv_integers_match_oracles(q)
 
 
 def test_seed_refines_database_forms(db3, db4):

@@ -1125,18 +1125,21 @@ def test_run_builds_faces_of_pd_orbits_only(d, faces, monkeypatch):
 def test_desc_faces_match_symmat_oracle(monkeypatch):
     # Every face the `desc` tasks of a d = 4 run build is read off its
     # parent's `_incidences`, which are the parent's inequalities as
-    # functionals, its rays' `lower()` and their tight masks; and it equals
-    # the face built with the inequalities held as symmetric matrices.
+    # functionals, its rays' `lower()` and their tight masks; it holds the
+    # central form its orbit was tested on, not a second sum of its rays;
+    # and it equals the face built with the inequalities held as symmetric
+    # matrices.
     built = []
     face = lcone.classify._face
     monkeypatch.setattr(lcone.classify, "_face",
                         lambda *args: built.append((args, face(*args))) or built[-1][1])
     classify_all(4)
     assert len(built) == 125
-    for (cone, ineqs, vecs, masks, t), got in built:
+    for (cone, ineqs, vecs, masks, t, central), got in built:
         assert ineqs == [sym_to_functional(n) for n in cone.inequalities]
         assert vecs == [r.lower() for r in cone.rays]
         assert masks == tight_masks_by_pairs(cone)
+        assert got.central is central
         assert_same_cone(got, face_by_symmats(cone, masks, t))
 
 

@@ -125,7 +125,7 @@ class TestInverse:
         a = _random_matrix(rng, 5, True)
         b = Mat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(5)])
         x = solve(a, b)
-        assert x == Mat([solve(a, b.col(j)) for j in range(3)]).transpose()
+        assert x == Mat([solve(a, col) for col in zip(*b.entries)]).transpose()
 
     def test_singular(self):
         with pytest.raises(SingularMatrix):

@@ -6,10 +6,12 @@ import pytest
 
 import lcone.lattice
 from lcone.classify import principal_form, seed_triangulation
-from lcone.exact import Mat, NotPositiveDefinite, Rat, SymMat, lattice_span_full, ldlt
-from lcone.lattice import characteristic_set, closest_vectors, enumerate_close
+from lcone.exact import Mat, NotPositiveDefinite, Rat, SymMat, _over_common, \
+    lattice_span_full, ldlt
+from lcone.lattice import _closest, _form_frame, characteristic_set, closest_vectors, \
+    enumerate_close
 from lcone.scone import cone_facets, contains_pd, secondary_cone
-from oracles import short_vectors
+from oracles import closest_by_fractions, short_vectors
 
 
 A2 = SymMat([[2, 1], [1, 2]])
@@ -190,6 +192,20 @@ class TestEnumerateCloseOracle:
                 hits = enumerate_close_by_fractions(q, c, wide)
                 least = min(val for _, val in hits)
                 assert closest_vectors(q, c) == (least, tuple(v for v, val in hits if val == least))
+
+    def test_closest_matches_fractions_oracle(self, eps_forms):
+        # The minimum over the walk's integers, made one ``Rat``, against
+        # one ``Rat`` per enumerated point, type for type, on seeded centres
+        # and the centres of the DV cell's searches (the coset classes, -c/2).
+        rng = random.Random(5)
+        for q in [q for _, q in FORMS] + eps_forms + [principal_form(5)]:
+            form = _form_frame(q)
+            centres = list(_centers(q, rng)) + [
+                tuple(Rat(-x, 2) for x in c) for c in itertools.product((0, 1), repeat=q.d)]
+            for c in centres:
+                got = _closest(form, *_over_common(c))
+                assert got == closest_by_fractions(form, *_over_common(c))
+                assert type(got[0]) is Rat
 
     def test_closest_vectors_bound_is_the_nearer_guess(self, monkeypatch, eps_forms):
         # The ball is bounded by the closer of c rounded coordinate-wise and

@@ -104,3 +104,18 @@ def test_every_public_name_has_a_caller():
     unused = [label for label, kind, name, definition in _public_names()
               if uses[kind, name] == _uses(definition)[kind, name]]
     assert unused == []
+
+
+def test_caches_are_the_five_the_benchmark_clears():
+    # Every item of the benchmark starts from cold caches: it clears these
+    # five `lru_cache`s before each call.  A sixth process-wide cache in
+    # `src/lcone` (`functools.lru_cache` or `functools.cache`; a
+    # `cached_property` lives and dies with its instance) would carry work
+    # from one item to the next.
+    cached = sorted(f"{path.stem}.{fn.name}"
+                    for path, tree in TREES.items() if path.parent == SRC
+                    for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for dec in fn.decorator_list
+                    if ast.unparse(dec).split("(")[0].split(".")[-1] in ("lru_cache", "cache"))
+    assert cached == ["classify._candidate_key", "equiv._form_canonical", "exact.ldlt",
+                      "lattice.characteristic_set", "scone._ray_rank"]

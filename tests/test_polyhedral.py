@@ -22,9 +22,11 @@ from lcone.polyhedral import (
     serialize_subordination,
     subordination_scheme,
 )
-from lcone.polyhedral import _dd_cone, _dv_cell
+from lcone.lattice import _coset_minima, _form_frame
+from lcone.polyhedral import _dd_cone, _dv_cell, _dv_row, _face_levels, _integer_gram
 from lcone.scone import cone_facets, cone_from_rays, contains_pd, secondary_cone
 from oracles import (
+    _dv_halfspace,
     cell_facets_by_polytope,
     dd_cone_by_scan,
     dual_description,
@@ -33,6 +35,7 @@ from oracles import (
     dv_polytope_by_star,
     extreme_rays,
     face_lattice_by_closure,
+    face_levels_by_scan,
     polytope_from_halfspaces,
     polytope_from_vertices,
     scheme_by_scan,
@@ -126,6 +129,74 @@ def assert_dv_summary_matches_oracles(q, lattice=True):
         by_closure = face_lattice_by_closure(p)
         assert face_lattice(p) == by_closure == face_lattice_by_rank(p)
         assert subordination_scheme(p) == scheme_by_scan(by_closure[0], p.dim)
+
+
+def assert_dv_integers_match_oracles(q):
+    """On the form q, every DV halfspace row read off the integer Gram
+    matrix, for each coset minimum and its negative, equals the rational
+    row, and its G[v] is c Q[v] for the one c of the form; the double
+    description of the DV cell gets them in the oracle's order; the DV
+    polytope's facet rows are the rational rows of its facet vectors; its
+    face levels equal the scan oracle's; and its incidence graph is the
+    one of the loop over every vertex of every facet, in the same order."""
+    gram = _integer_gram(q)
+    scales = set()
+    for v in _coset_minima(_form_frame(q)):
+        for w in (v, tuple(-x for x in v)):
+            n, row = _dv_row(gram, w)
+            assert row == _dv_halfspace(q, w)
+            scales.add(Rat(n) / q.quad(w))
+    assert len(scales) == 1
+    inputs = []
+    dd = lcone.polyhedral._dd_cone
+    lcone.polyhedral._dd_cone = lambda ineqs, dim: inputs.append(ineqs) or dd(ineqs, dim)
+    try:
+        p = dv_polytope(q)
+    finally:
+        lcone.polyhedral._dd_cone = dd
+    assert inputs == [dv_halfspaces(q)]
+    assert p.facets == dv_polytope_by_star(q).facets
+    assert _face_levels(p) == face_levels_by_scan(p)
+    nv = p.n_vertices
+    assert list(incidence_graph(p)[2].items()) == [
+        ((i, nv + j), 1) for j, fm in enumerate(p.facet_masks) for i in range(nv) if fm >> i & 1]
+
+
+class TestIntegerDV:
+    @pytest.mark.parametrize("q", SKEWED_D4 + [principal_form(5), D4.scale(Rat(2, 3)),
+                                               FCC + SymMat.identity(3).scale(Rat(1, 5))],
+                             ids=[f"skewed4-{k}" for k in range(5)] + ["principal5", "d4-third",
+                                                                         "fcc-fifth"])
+    def test_matches_oracles(self, q):
+        # The skewed d = 4 forms in their sign images too, as the dvcell
+        # workload gives them; two forms with denominators, so c > 1.
+        for signs in itertools.product((1, -1) if q.d == 4 else (1,), repeat=q.d - 1):
+            flip = Mat([[s if i == j else 0 for j in range(q.d)]
+                        for i, s in enumerate((1,) + signs)])
+            assert_dv_integers_match_oracles(q.congruence(flip))
+
+    def test_dd_matches_scan_oracle_on_cells_and_walks(self, monkeypatch):
+        # Every double description of the DV cells of principal_form(2..5)
+        # and seeded forms of dimension 1 to 3, and of the secondary cones
+        # of walks from the d = 3, 4 and 5 seeds, seeded by one integer
+        # `echelon`, equals the one seeded by the inverse over Q.
+        calls = []
+        dd = lcone.polyhedral._dd_cone
+        for module in (lcone.polyhedral, lcone.scone):
+            monkeypatch.setattr(module, "_dd_cone",
+                                lambda ineqs, dim: calls.append((ineqs, dim)) or dd(ineqs, dim))
+        for q in [principal_form(d) for d in (2, 3, 4, 5)] + _random_forms(6, 11):
+            _dv_cell(q)
+        for d, crossings in ((3, 3), (4, 3), (5, 1)):
+            star = seed_triangulation(d)
+            for _ in range(crossings):
+                cone = secondary_cone(star)
+                wall = next(f for f in cone_facets(cone) if contains_pd(f))
+                star = neighbor_triangulation(star, wall.central, cone.central)
+            secondary_cone(star)
+        assert len(calls) >= 10 + 10
+        for ineqs, dim in calls:
+            assert dd(ineqs, dim) == dd_cone_by_scan(list(ineqs), dim)
 
 
 class TestSummaryOracles:

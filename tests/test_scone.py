@@ -673,6 +673,44 @@ class TestFacesInFunctionals:
         assert _raised_under_optimize(setup, call, "NonPSDRay").startswith("raised: ray ")
 
 
+class TestSecondaryConeChecks:
+    @pytest.mark.parametrize("walk", [
+        lambda: [delaunay_star(A2)],
+        lambda: _walk(seed_triangulation(3), 3),
+        lambda: _walk(seed_triangulation(4), 3),
+        lambda: _walk(seed_triangulation(5), 1),
+    ], ids=["a2", "d3-walk", "d4-walk", "d5-walk"])
+    def test_cones_pass_validate_without_calling_it(self, walk, monkeypatch):
+        # `secondary_cone` runs the checks of `validate` on the functionals
+        # it holds, and calls no `validate`; each cone it returns passes
+        # `validate` and equals the `cone_from_rays` of its rays.
+        stars = walk()
+        calls = []
+        monkeypatch.setattr(ConeDesc, "validate", lambda self: calls.append(self))
+        cones = [secondary_cone(star) for star in stars]
+        assert calls == []
+        monkeypatch.undo()
+        for cone in cones:
+            cone.validate()
+            assert_same_cone(cone, cone_from_rays(cone.d, cone.rays))
+
+    @pytest.mark.parametrize("change, error, raised", [
+        ("dd(ineqs, dim) + [(-1, 0, 0, 0, 0, 0)]", "sc.NonPSDRay",
+         "raised: ray SymMat([[-1, 0, 0], [0, 0, 0], [0, 0, 0]]) is not positive semidefinite"),
+        ("dd(ineqs, dim)[:1]", "AssertionError",
+         "raised: secondary cone of a triangulation must be full-dimensional"),
+    ], ids=["non-psd-ray", "rank"])
+    def test_checks_survive_optimize(self, change, error, raised):
+        out = _raised_under_optimize(
+            "import lcone.scone as sc\n"
+            "from lcone.classify import seed_triangulation\n"
+            "star = seed_triangulation(3)\n"
+            "dd = sc._dd_cone\n"
+            f"sc._dd_cone = lambda ineqs, dim: {change}\n",
+            "sc.secondary_cone(star)", error)
+        assert out.strip() == raised
+
+
 class TestFacetWalls:
     @pytest.mark.parametrize("stars", [
         lambda: [delaunay_star(A2)],
@@ -691,12 +729,14 @@ class TestFacetWalls:
         assert len(star_wall_forms(star)) == 19
 
     def test_d5_seed_pairs_each_wall_once(self, monkeypatch):
-        # 360 adjacent pairs but 15 distinct walls: one `SymMat.pair` each.
+        # 360 adjacent pairs but 15 distinct walls: each converted to its
+        # functional, and checked on the form, once.
         star = seed_triangulation(5)
         assert len(star.pairs) == 360
         calls = []
-        pair = SymMat.pair
-        monkeypatch.setattr(SymMat, "pair", lambda a, b: calls.append(a) or pair(a, b))
+        convert = lcone.scone.sym_to_functional
+        monkeypatch.setattr(lcone.scone, "sym_to_functional",
+                            lambda n: calls.append(n) or convert(n))
         walls = star_wall_forms(star)
         assert len(walls) == 15 and sorted(calls, key=SymMat.lower) == walls
 
