@@ -8,10 +8,22 @@ carry the automorphism group, which transfers to the matrix group fixing the
 form because the characteristic set spans the lattice.
 
 The canonical labeling is an individualization-refinement search with
-automorphism orbit pruning; discovered automorphisms generate the full
-group.  Its exact order is read off the search's first path, as the
-product of the orbit lengths of the stabilizer chain along that path
-(McKay, "Practical graph isomorphism", 1981).
+automorphism orbit pruning and backjumping; discovered automorphisms
+generate the full group.  Its exact order is read off the search's first
+path, as the product of the orbit lengths of the stabilizer chain along
+that path (McKay, "Practical graph isomorphism", 1981).
+
+A leaf is checked as a map from the first leaf and from the least one so
+far before it is encoded, and one whose map is an automorphism is not
+encoded: the search records the map and jumps back to where the leaf's
+path left the other leaf's path, since the rest of that subtree is the
+image of one explored already (McKay & Piperno, "Practical graph
+isomorphism, II", 2014).  So the first leaf of the least form is still
+met, and a jump never leaves the subtree of a node on the first path, so
+each stabilizer's orbit along that path is still found whole: the form,
+the labeling and the order are those of the search without jumps
+(`tests/oracles.py::canonical_labeling_by_full_search`), with fewer
+generators (`canonical_labeling`).
 
 After an individualization the search refines from the cell that split,
 and each round ranks a cell by its vertices' neighbours in the cells that
@@ -191,46 +203,68 @@ def canonical_labeling(graph: ColoredGraph):
     in turn and refines from that cell, depth first.  `form` is the least
     leaf form and `labeling` the first leaf with it; a child is pruned when
     automorphisms fixing its prefix map it onto an explored sibling, which
-    never prunes that leaf.  A leaf with the form of the first leaf, or of
-    the least one so far, gives an automorphism.  Let P_i be the first i
-    vertices individualized on the way to the first leaf and v_i the next
-    one.  An individualized vertex keeps its position in every leaf below
-    its node, so every child of the node P_i that is equivalent to v_i
-    yields an automorphism fixing P_i and mapping v_i onto it.  The order is
-    thus the product over i of the orbit lengths of v_i under the
-    generators fixing P_i (McKay 1981).
+    never prunes that leaf.  An individualized vertex keeps its position in
+    every leaf below its node.
+
+    A leaf after the first is checked as a map from the first leaf, then
+    from the least one so far: the map is an automorphism exactly when the
+    two leaves have one form, so a leaf is encoded only when neither map is
+    one, and a leaf encoded to either form raises.  If the map g from a
+    leaf with sequence S (the first or the least) is an automorphism, and
+    the leaf's own sequence first differs from S at index k, then g fixes
+    S[:k] and maps S[k] onto the leaf's k-th vertex, so it maps the subtree
+    of S[:k + 1], explored before, onto that of the leaf's first k + 1
+    vertices.  Every form in the rest of that subtree was met already, so
+    the search records g and goes back to the node at depth k, the common
+    ancestor (McKay 1981; McKay & Piperno 2014): `dfs` returns the depth to
+    go back to, and a frame deeper than it returns at once.  Orbit pruning
+    and the jumps skip only subtrees that an automorphism maps from a
+    subtree earlier in depth-first order, so they never skip the first leaf
+    of the least form in that order, which gives `form` and `labeling` as
+    the search without jumps does.
+
+    Let P_i be the first i vertices individualized on the way to the first
+    leaf and v_i the next one.  The subtree of P_i is explored before the
+    siblings of P_i and of its ancestors, so every leaf met before the
+    search leaves it lies in it, and no jump from inside it lands above
+    P_i.  Every child w of P_i that an automorphism fixing P_i maps v_i
+    onto is pruned, or its subtree, the image of that of v_i, holds a leaf
+    with the first leaf's form.  The search leaves the subtree of w from
+    the first leaf it meets with the form of the first or the least leaf,
+    whose map sends v_i onto w, or an earlier child of P_i, in the orbit
+    already, onto w.  So w joins the orbit of v_i under the generators
+    fixing P_i, and the order is the product over i of those orbit lengths
+    (McKay 1981).
     """
     n = graph.n
     if n == 0:
         return (0, (), ()), (), [], 1
     ranking = {c: i for i, c in enumerate(sorted(set(graph.node_colors)))}
     start = [ranking[c] for c in graph.node_colors]
+    node_colors = graph.node_colors
+    edges = graph.edges
 
-    first: list = []            # form, labeling of the first leaf
-    best: list = []             # form, labeling of the least leaf so far
-    path: list[int] = []        # the prefix of the first leaf
+    first: list = []            # form, labeling, prefix of the first leaf
+    best: list = []             # form, labeling, prefix of the least leaf so far
     gens: list[tuple] = []
 
-    def record_automorphism(lab1, lab2):
+    def automorphism(lab1, lab2) -> Optional[tuple]:
+        """The map sending lab1[p] to lab2[p], if it is an automorphism."""
         g = [0] * n
         for p in range(n):
             g[lab1[p]] = lab2[p]
-        g = tuple(g)
-        if any(g[i] != i for i in range(n)) and g not in gens:
-            # direct verification, cheap insurance
-            ok = all(graph.node_colors[i] == graph.node_colors[g[i]] for i in range(n))
-            if ok:
-                for (i, j), c in graph.edges.items():
-                    a, b = g[i], g[j]
-                    if graph.edges.get((a, b) if a < b else (b, a)) != c:
-                        ok = False
-                        break
-            if ok:
-                gens.append(g)
+        if any(node_colors[i] != node_colors[g[i]] for i in range(n)):
+            return None
+        for (i, j), c in edges.items():
+            a, b = g[i], g[j]
+            if edges.get((a, b) if a < b else (b, a)) != c:
+                return None
+        return tuple(g)
 
     prefix: list[int] = []
 
-    def dfs(colors, split):
+    def dfs(colors, split) -> int:
+        depth = len(prefix)
         colors = graph.refine(colors, split)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -242,30 +276,39 @@ def canonical_labeling(graph: ColoredGraph):
                 break
         if target is None:
             lab = tuple(sorted(range(n), key=lambda v: colors[v]))
-            form = graph.encode(lab)
             if not first:
-                first[:] = best[:] = form, lab
-                path.extend(prefix)
-                return
-            # best[0] < first[0] unless best is the first leaf
-            if form == first[0]:
-                record_automorphism(first[1], lab)
-            elif form == best[0]:
-                record_automorphism(best[1], lab)
-            elif form < best[0]:
-                best[:] = form, lab
-            return
+                first[:] = best[:] = graph.encode(lab), lab, prefix[:]
+                return depth
+            seq = first[2]
+            g = automorphism(first[1], lab)
+            if g is None and best[1] is not first[1]:
+                seq = best[2]
+                g = automorphism(best[1], lab)
+            if g is not None:
+                if g not in gens:
+                    gens.append(g)
+                return next(k for k, (u, v) in enumerate(zip(seq, prefix)) if u != v)
+            form = graph.encode(lab)
+            if form == first[0] or form == best[0]:
+                raise AssertionError("equal leaf forms without an automorphism")
+            if form < best[0]:
+                best[:] = form, lab, prefix[:]
+            return depth
         explored: list[int] = []
         for v in target:
             # orbit pruning under automorphisms fixing the current prefix
             fixers = [g for g in gens if all(g[u] == u for u in prefix)]
             if _orbit(v, fixers).isdisjoint(explored):
                 prefix.append(v)
-                dfs(graph.individualize(colors, v), target)
+                back = dfs(graph.individualize(colors, v), target)
                 prefix.pop()
+                if back < depth:
+                    return back
             explored.append(v)
+        return depth
 
     dfs(start, None)
+    path = first[2]
     order = 1
     for i, v in enumerate(path):
         order *= len(_orbit(v, [g for g in gens if all(g[u] == u for u in path[:i])]))

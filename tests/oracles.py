@@ -28,7 +28,9 @@ pair tested by a scan of every other ray, the DV cell with its centres in
 ``Fraction`` arithmetic, the face lattice closed under intersection and graded by its
 intersections with the facets, the merge through invariant buckets, the
 merge by canonical forms with every form labeled through the shared cache,
-colour refinement by full signatures, the group order by Schreier-Sims with
+colour refinement by full signatures, the canonical labeling that
+encodes every leaf and searches below every leaf equivalent to the first
+or the least one, the group order by Schreier-Sims with
 sifting and by Schreier generators kept without sifting, the automorphism
 count of a small graph over all permutations, the subordination scheme by a
 scan of every pair of faces, the primitive expansion by a crossing of
@@ -60,6 +62,7 @@ from lcone.equiv import (
     UnimodularMap,
     _form_canonical,
     _linear_map_from_vector_match,
+    _orbit,
     automorphism_group,
     cone_equivalent,
 )
@@ -1115,6 +1118,82 @@ def refine_by_signatures(graph, colors) -> list:
         if len(set(new)) == len(set(colors)):
             return new
         colors = new
+
+
+def canonical_labeling_by_full_search(graph):
+    """`equiv.canonical_labeling` without backjumping: every leaf is
+    encoded, a leaf with the form of the first or of the least leaf records
+    its map from that leaf, and the search goes on below its siblings.  The
+    same refinement, child order and orbit pruning, so the same form,
+    labeling and order; a map from a leaf of equal form that fails the check
+    is dropped."""
+    n = graph.n
+    if n == 0:
+        return (0, (), ()), (), [], 1
+    ranking = {c: i for i, c in enumerate(sorted(set(graph.node_colors)))}
+    start = [ranking[c] for c in graph.node_colors]
+
+    first: list = []            # form, labeling of the first leaf
+    best: list = []             # form, labeling of the least leaf so far
+    path: list[int] = []        # the prefix of the first leaf
+    gens: list[tuple] = []
+
+    def record_automorphism(lab1, lab2):
+        g = [0] * n
+        for p in range(n):
+            g[lab1[p]] = lab2[p]
+        g = tuple(g)
+        if any(g[i] != i for i in range(n)) and g not in gens:
+            ok = all(graph.node_colors[i] == graph.node_colors[g[i]] for i in range(n))
+            if ok:
+                for (i, j), c in graph.edges.items():
+                    a, b = g[i], g[j]
+                    if graph.edges.get((a, b) if a < b else (b, a)) != c:
+                        ok = False
+                        break
+            if ok:
+                gens.append(g)
+
+    prefix: list[int] = []
+
+    def dfs(colors, split):
+        colors = graph.refine(colors, split)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            lab = tuple(sorted(range(n), key=lambda v: colors[v]))
+            form = graph.encode(lab)
+            if not first:
+                first[:] = best[:] = form, lab
+                path.extend(prefix)
+                return
+            if form == first[0]:
+                record_automorphism(first[1], lab)
+            elif form == best[0]:
+                record_automorphism(best[1], lab)
+            elif form < best[0]:
+                best[:] = form, lab
+            return
+        explored: list[int] = []
+        for v in target:
+            fixers = [g for g in gens if all(g[u] == u for u in prefix)]
+            if _orbit(v, fixers).isdisjoint(explored):
+                prefix.append(v)
+                dfs(graph.individualize(colors, v), target)
+                prefix.pop()
+            explored.append(v)
+
+    dfs(start, None)
+    order = 1
+    for i, v in enumerate(path):
+        order *= len(_orbit(v, [g for g in gens if all(g[u] == u for u in path[:i])]))
+    return best[0], best[1], gens, order
 
 
 def _compose(p: tuple, q: tuple) -> tuple:

@@ -20,8 +20,11 @@ from lcone.equiv import (
 from lcone.exact import Mat, SymMat, det
 from lcone.polyhedral import dv_polytope, incidence_graph
 from lcone.scone import cone_facets, secondary_cone
+from test_delaunay import _raised_under_optimize
+from test_polyhedral import SKEWED_D4
 from oracles import (
     automorphism_count,
+    canonical_labeling_by_full_search,
     group_order,
     group_order_by_closure,
     refine_by_signatures,
@@ -306,6 +309,152 @@ class TestAgainstOracles:
         assert got == order == group_order(n, gens)
 
 
+def _labeled_graphs(monkeypatch, run) -> list:
+    """The graphs `canonical_labeling` is called on, from `lcone.equiv` and
+    `lcone.classify`, while `run()` runs from cold caches; every
+    monkeypatch of the test is undone after."""
+    graphs = []
+    for module in (lcone.equiv, lcone.classify):
+        labeling = module.canonical_labeling
+        monkeypatch.setattr(module, "canonical_labeling",
+                            lambda graph, labeling=labeling: graphs.append(graph) or labeling(graph))
+    _form_canonical.cache_clear()
+    lcone.classify._candidate_key.cache_clear()
+    run()
+    monkeypatch.undo()
+    return graphs
+
+
+def _random_graphs(count, seed) -> list:
+    """Seeded coloured graphs of up to 16 vertices, each relabeled at
+    random, a quarter of each kind: random edges in three colours; random
+    3-regular graphs, which refinement leaves in one cell and whose leaves
+    mostly differ in form; circulant graphs (the colour of {i, j} a
+    function of j - i mod n); and copies of one small random graph.  The
+    last two leave large cells to individualize, and the copies have
+    product groups."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        kind = len(graphs) % 4
+        if kind == 3:
+            n = 2 * rng.randint(2, 8)
+            colors = [0] * n
+            while True:
+                ends = [v for v in range(n) for _ in range(3)]
+                rng.shuffle(ends)
+                edges = {(min(a, b), max(a, b)): 1 for a, b in zip(ends[::2], ends[1::2])}
+                if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+                    break
+        elif kind == 0:
+            n = rng.randint(1, 12)
+            colors = [rng.choice((0, 0, 1)) for _ in range(n)]
+            edges = {(i, j): rng.choice((1, 2, 5))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+        elif kind == 1:
+            n = rng.randint(2, 16)
+            colors = [0] * n
+            colour = {k: rng.choice((1, 2, 5, None)) for k in range(1, n)}
+            edges = {(i, j): colour[min(j - i, n - j + i)]
+                     for i in range(n) for j in range(i + 1, n)
+                     if colour[min(j - i, n - j + i)] is not None}
+        else:
+            m = rng.randint(1, 5)
+            copies = rng.randint(2, 12 // m)
+            n = m * copies
+            part = {(i, j): rng.choice((1, 2)) for i in range(m) for j in range(i + 1, m)
+                    if rng.random() < 0.6}
+            colors = [k % m % 2 for k in range(n)]
+            edges = {(c * m + i, c * m + j): e for c in range(copies) for (i, j), e in part.items()}
+        perm = rng.sample(range(n), n)
+        relabeled = [0] * n
+        for v in range(n):
+            relabeled[perm[v]] = colors[v]
+        graphs.append(ColoredGraph(n, relabeled, {(perm[i], perm[j]): c
+                                                  for (i, j), c in edges.items()}))
+    return graphs
+
+
+class TestBackjumping:
+    """`canonical_labeling` against the search that encodes every leaf and
+    searches below every automorphic one
+    (`oracles.canonical_labeling_by_full_search`)."""
+
+    @staticmethod
+    def assert_matches_full_search(graphs, monkeypatch) -> tuple:
+        """Form, labeling and order equal on every graph, and every
+        generator set gives the order; returns the refines of both
+        searches."""
+        refines = []
+        refine = ColoredGraph.refine
+        monkeypatch.setattr(ColoredGraph, "refine", lambda graph, colors, split=None:
+                            refines.append(split) or refine(graph, colors, split))
+        counts = [0, 0]
+        for graph in graphs:
+            before = len(refines)
+            form, lab, gens, order = canonical_labeling(graph)
+            middle = len(refines)
+            want = canonical_labeling_by_full_search(graph)
+            counts[0] += middle - before
+            counts[1] += len(refines) - middle
+            assert (form, lab, order) == (want[0], want[1], want[3])
+            assert group_order(graph.n, gens) == order
+        return tuple(counts)
+
+    @pytest.mark.parametrize("d, labelings", [(3, 12), (4, 148)])
+    def test_matches_full_search_on_runs(self, d, labelings, monkeypatch):
+        # Every central-form and DV graph a classification labels, with
+        # fewer refines than the full search.
+        graphs = _labeled_graphs(monkeypatch, lambda: classify_all(d))
+        assert len(graphs) == labelings
+        pruned, full = self.assert_matches_full_search(graphs, monkeypatch)
+        assert pruned < full
+
+    def test_matches_full_search_on_forms(self, monkeypatch):
+        # The form and DV graphs of the five skewed d = 4 forms of the dvcell
+        # workload and of principal_form(5), whose DV polytope is the
+        # permutohedron (782 nodes).
+        graphs = []
+        for q in SKEWED_D4 + [principal_form(5)]:
+            graphs += _labeled_graphs(monkeypatch, lambda: form_certificate(q))
+            n, colors, edges = incidence_graph(dv_polytope(q))
+            graphs.append(ColoredGraph(n, colors, edges))
+        assert len(graphs) == 12 and graphs[-1].n == 782
+        self.assert_matches_full_search(graphs, monkeypatch)
+
+    def test_matches_full_search_on_random_graphs(self, monkeypatch):
+        graphs = _random_graphs(2100, 41)
+        assert sum(canonical_labeling(g)[3] > 1 for g in graphs) > 1000
+        self.assert_matches_full_search(graphs, monkeypatch)
+
+    def test_fewer_generators_on_principal_form_5(self, monkeypatch):
+        # The jumps skip leaves whose maps the full search records, and the
+        # fewer generators give the same group.
+        graph, = _labeled_graphs(monkeypatch, lambda: _form_canonical(principal_form(5)))
+        gens, order = canonical_labeling(graph)[2:]
+        want = canonical_labeling_by_full_search(graph)[2]
+        assert len(gens) < len(want) and group_order(graph.n, gens) == order == 1440
+
+    def test_equal_forms_without_automorphism_raise(self, monkeypatch):
+        # A leaf whose map from the first or least leaf is not an
+        # automorphism must have another form; with every form made equal,
+        # the Frucht graph (3-regular, no symmetry) raises.
+        n = 12
+        lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+        edges = {tuple(sorted((i, (i + k) % n))): 1 for i in range(n) for k in (1, lcf[i])}
+        frucht = ColoredGraph(n, [0] * n, edges)
+        assert canonical_labeling(frucht)[3] == 1
+        monkeypatch.setattr(ColoredGraph, "encode", lambda graph, lab: ())
+        with pytest.raises(AssertionError, match="equal leaf forms without an automorphism"):
+            canonical_labeling(frucht)
+        out = _raised_under_optimize(
+            "import lcone.equiv as E\n"
+            f"frucht = E.ColoredGraph({n}, [0] * {n}, {edges!r})\n"
+            "E.ColoredGraph.encode = lambda graph, lab: ()\n",
+            "E.canonical_labeling(frucht)")
+        assert out.startswith("raised: equal leaf forms without an automorphism")
+
+
 class TestCertificates:
     def test_invariance_under_unimodular(self):
         rng = random.Random(31)
@@ -388,6 +537,15 @@ class TestAutomorphisms:
         _, order = automorphism_group(d4)
         assert order == 1152
 
+    @staticmethod
+    def assert_generators_give_stabilizer_order(q, maps):
+        # One map per permutation generator, and the permutations generate
+        # a group of the order of the stabilizer of the cone q is central in.
+        cone = secondary_cone(delaunay_star(q))
+        _, witness, gens, _ = _form_canonical(q)
+        assert cone.central == q and len(maps) == len(gens)
+        assert group_order(len(witness), gens) == stabilizer_order(cone)
+
     def test_one_inverse_per_form(self, monkeypatch):
         # One `inverse` of the characteristic basis per form, however many
         # generators, and no `solve` per generator.
@@ -395,9 +553,11 @@ class TestAutomorphisms:
         inverse = lcone.equiv.inverse
         monkeypatch.setattr(lcone.equiv, "inverse", lambda a: calls.append(a) or inverse(a))
         monkeypatch.setattr(lcone.equiv, "solve", None)
-        for q, gens in ((A2, 3), (principal_form(4), 10), (principal_form(5), 15)):
+        for q in (A2, principal_form(4), principal_form(5)):
             del calls[:]
-            assert len(automorphism_group(q)[0]) == gens and len(calls) == 1
+            maps = automorphism_group(q)[0]
+            assert len(calls) == 1
+            self.assert_generators_give_stabilizer_order(q, maps)
 
     def test_no_determinant_per_generator(self, monkeypatch):
         # Each generator's map fixes a positive definite form, which forces
@@ -406,8 +566,10 @@ class TestAutomorphisms:
         calls = []
         for module in (lcone.equiv, lcone.exact):
             monkeypatch.setattr(module, "det", lambda a: calls.append(a) or det(a))
-        maps, _ = automorphism_group(principal_form(5))
-        assert len(maps) == 15 and calls == []
+        q = principal_form(5)
+        maps, _ = automorphism_group(q)
+        assert calls == []
+        self.assert_generators_give_stabilizer_order(q, maps)
         assert all(det(m.matrix) in (1, -1) for m in maps)
 
     @pytest.mark.parametrize("q, witness, gen, message", [
