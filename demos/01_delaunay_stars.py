@@ -11,12 +11,7 @@ through the basic geometry in d = 2 and 3.
 
 from lcone.classify import seed_triangulation
 from lcone.exact import SymMat, format_form
-from lcone.delaunay import (
-    circumcenter,
-    delaunay_star,
-    is_triangulation,
-    neighbor_triangulation,
-)
+from lcone.delaunay import delaunay_star, is_triangulation, neighbor_triangulation
 from lcone.lattice import closest_vectors
 from lcone.scone import cone_facets, contains_pd, secondary_cone
 
@@ -37,8 +32,8 @@ star = delaunay_star(A2)
 print("\nhexagonal lattice (Gram [[2,1],[1,2]])")
 print("  cells:", len(star.cells), " classes:", len(star.keys),
       " triangulation:", is_triangulation(star))
-c, r2 = circumcenter(A2, [(0, 0), (1, 0), (0, 1)])
-print("  circumcenter of {0, e1, e2}:", c, " squared radius:", r2)
+tri = next(c for c in star.cells if c.vertices == ((0, 0), (0, 1), (1, 0)))
+print("  circumcenter of {0, e1, e2}:", tri.center, " squared radius:", tri.sqradius)
 
 # Every cell is certified: the squared circumradius is the minimum of
 # Q[c - v] over the whole lattice, attained exactly at the cell's vertices
@@ -53,10 +48,12 @@ print("  closest lattice points to the centre:", mins, "at squared distance", be
 # Crossing a wall: perturbing the form through a facet of its secondary cone
 # flips the triangulation.  For the hexagonal form all three walls lead to
 # mirror images of the same combinatorial type.  The flip works on the class
-# keys alone: it solves the circumcenters of the classes it adds, for their
-# empty-sphere check, and the kept classes are certified by their positive
-# regulators.  The flipped star's cells, when they are asked for, are read
-# off the DV cell of its form, whose Delaunay star must have these keys.
+# keys alone.  Each class it adds gets the empty-sphere check the star's
+# cells got: its integer circumcentre, and one closest-vector search there
+# whose minimizers must be exactly the class.  The kept classes are
+# certified by their positive regulators.  The flipped star's cells, when
+# they are asked for, are read off the DV cell of its form, whose Delaunay
+# star must have these keys.
 cone = secondary_cone(star)
 facet = next(f for f in cone_facets(cone) if contains_pd(f))
 flipped = neighbor_triangulation(star, facet.central, cone.central)

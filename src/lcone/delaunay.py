@@ -26,14 +26,17 @@ D F[w] - sum_v l_v F[v] (`_wall_values`).
 Crossing a wall of a triangulation's secondary cone is a bistellar flip of
 the circuits that the wall cuts out, read off the signs of their
 coordinates (`neighbor_triangulation`).  It works on the keys alone and
-builds no cell: every class the flip adds is certified by the same
-empty-sphere check, and every class it keeps by the positive walls of its
-facets.  A triangulation's star keeps its adjacent pairs
+builds no cell: every class the flip adds is certified by the empty-sphere
+check of the DV cell, and every class it keeps by the positive walls of
+its facets.  A triangulation's star keeps its adjacent pairs
 (`DelaunayStar.pairs`), and the flipped star inherits those the flip left
 alone.  Each distinct wall is evaluated once on the wallpoint, and the
 checks on the new form run on its primitive integer multiple, which has
 the same signs, circumcenters and closest vectors.  A circumcentre is one
-integer `echelon` too, read as a primitive integer ray (`_center_ray`).
+integer `echelon` too, read as a primitive integer ray (y, t)
+(`_center_ray`), and the check is one closest-vector search around y over
+t on the form frame (`lattice._closest`), as `polyhedral._dv_cell` runs
+it, with the centre kept as its integer ray.
 
 A form Q in the closed secondary cone of a triangulation T has as its
 Delaunay subdivision the coarsening of T across the walls that vanish on
@@ -57,13 +60,11 @@ from .exact import (
     NotPositiveDefinite,
     Rat,
     SymMat,
-    _norm,
-    _over_common,
     clear_denominators,
     echelon,
     gcd_normalize,
 )
-from .lattice import closest_vectors
+from .lattice import _closest, _form_frame
 from .polyhedral import LatPolytope, _dot, _dv_cell, _dv_from_cells, _in_centre_order, rays_to_hrep
 
 
@@ -123,25 +124,6 @@ class DelaunayStar:
     def pairs(self) -> dict:
         """normalized facet -> (class key, extra vertex, wall, coordinates)."""
         return _facet_pairs(self.keys)
-
-
-def circumcenter(q: SymMat, points: Sequence[Sequence[int]]) -> tuple[tuple, object]:
-    """Exact center and squared radius of the sphere through d+1 affinely
-    independent lattice points, in the metric of Q.
-
-    The centre is that of the primitive integer multiple c Q of Q, the ray
-    (y, t) of `_center_ray`: y / t, its coordinates ints where integral and
-    ``Fraction``s otherwise.  The squared radius is Q[y - t p_0] / t^2,
-    that is (c Q)[y - t p_0] / (c t^2), an int where integral.  Raises
-    AffinelyDependent."""
-    pts = [tuple(p) for p in points]
-    ints, den = _over_common(q.lower())
-    g = gcd(*ints) or 1          # c = den / g
-    form = SymMat.from_lower(q.d, [x // g for x in ints])
-    y, t = _center_ray(form, pts)
-    center = tuple(x // t if x % t == 0 else Rat(x, t) for x in y)
-    sq = form.quad([b - t * a for a, b in zip(pts[0], y)])
-    return center, _norm(Rat(sq * g, t * t * den))
 
 
 def _center_ray(q: SymMat, points: Sequence[tuple]) -> tuple[tuple, int]:
@@ -210,7 +192,8 @@ def delaunay_star(q: SymMat) -> DelaunayStar:
     """Star of the origin, read off the Dirichlet-Voronoi (DV) cell at 0.
 
     `polyhedral._dv_cell` gives the cell of every DV vertex, certified by an
-    empty-sphere check, one `closest_vectors` call per translation class.
+    empty-sphere check, one closest-vector search (`lattice._closest`) per
+    translation class.
     The normalized representative of a class (smallest vertex 0) is one of
     these cells, the one whose smallest vertex is 0.  The star checks
     that every normalized class facet has exactly two sides, so that the
@@ -445,12 +428,16 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     Delaunay star of that form: every class the flip adds is certified by an
     exact empty-sphere check there, and the kept classes by the positive
     walls of their facets (a locally Delaunay triangulation is
-    Delaunay).  The flip works on the class keys: it solves a circumcenter
-    only for the classes it adds and builds no cell.  Each distinct wall
-    is evaluated once on the wallpoint, and the definiteness, wall and
-    empty-sphere checks run on the primitive integer multiple of the new
-    form: a positive multiple has the same signs and circumcenters, and it
-    scales both sides of the sphere comparison by the same factor.
+    Delaunay).  The flip works on the class keys and builds no cell.  Each
+    distinct wall is evaluated once on the wallpoint, and the definiteness,
+    wall and empty-sphere checks run on the primitive integer multiple Q of
+    the new form: a positive multiple has the same signs, circumcenters and
+    closest vectors.  The empty-sphere check is that of
+    `polyhedral._dv_cell`, on one form frame of Q (`lattice._form_frame`)
+    for the crossing.  Each class the flip adds, and only those, gets its
+    integer centre ray (y, t) (`_center_ray`) and one closest-vector search
+    around y over t (`lattice._closest`): the minimum must be Q[y] / t^2,
+    the key's first vertex being 0, and the minimizers must be the key.
 
     The tight circuits are read off `star.pairs`, which the star computes
     once however many walls are crossed from it.  The returned star carries
@@ -498,10 +485,11 @@ def neighbor_triangulation(star: DelaunayStar, wallpoint: SymMat, center: SymMat
     else:
         raise AssertionError("wall crossing did not converge")
 
+    frame = _form_frame(scaled)
     for key in sorted(added):
-        sphere_center, sqradius = circumcenter(scaled, key)
-        best, mins = closest_vectors(scaled, sphere_center)
-        if best != sqradius or tuple(sorted(mins)) != key:
+        y, t = _center_ray(scaled, key)      # key[0] is 0, so Q[y] / t^2 is the squared radius
+        best, mins = _closest(frame, y, t)
+        if best != Rat(scaled.quad(y), t * t) or tuple(sorted(mins)) != key:
             raise AssertionError("flipped cell failed the empty-sphere check")
     flipped = DelaunayStar(cand, keys)
     flipped.__dict__["pairs"] = new_pairs   # the slot `cached_property` fills

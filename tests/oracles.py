@@ -54,7 +54,6 @@ from lcone.delaunay import (
     _facet_pairs,
     _normalized,
     cell_facets,
-    circumcenter,
     delaunay_star,
     neighbor_triangulation,
 )
@@ -465,10 +464,11 @@ def _star_cells(reps: Sequence[Cell]) -> tuple:
 def cells_from_keys(q: SymMat, keys: Sequence[tuple]) -> tuple:
     """The cells of the triangulation with class keys `keys` at the form q,
     solved from the keys alone, as `DelaunayStar.cells` once did for a star
-    built from keys: the simplex on each key with its `circumcenter`, and
-    its translates to the origin.  No empty-sphere check; raises
-    AffinelyDependent on a key that is not a simplex."""
-    return _star_cells([Cell(k, *circumcenter(q, k)) for k in keys])
+    built from keys: the simplex on each key with its circumcentre
+    (`circumcenter_by_fractions`), and its translates to the origin.  No
+    empty-sphere check; raises AffinelyDependent on a key that is not a
+    simplex."""
+    return _star_cells([Cell(k, *circumcenter_by_fractions(q, k)) for k in keys])
 
 
 def dv_polytope_by_star(q: SymMat) -> LatPolytope:
@@ -777,9 +777,11 @@ def regulator_by_fractions(points, w) -> Regulator:
 
 
 def circumcenter_by_fractions(q: SymMat, points) -> tuple:
-    """`delaunay.circumcenter` by one `solve` of the rational system
-    2 (Q (p_i - p_0)) . c = Q[p_i] - Q[p_0], and the squared radius
-    Q[c - p_0] in ``Fraction`` arithmetic."""
+    """The centre c and squared radius Q[c - p_0] of the sphere through d+1
+    affinely independent lattice points, by one `solve` of the rational
+    system 2 (Q (p_i - p_0)) . c = Q[p_i] - Q[p_0] in ``Fraction``
+    arithmetic: the oracle of `delaunay._center_ray`, whose ray (y, t) is
+    c = y / t.  Raises AffinelyDependent."""
     pts = [tuple(p) for p in points]
     d = q.d
     if len(pts) != d + 1:

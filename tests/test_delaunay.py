@@ -17,19 +17,20 @@ from lcone.delaunay import (
     DelaunayStar,
     NotATriangulation,
     NotOnSingleFacet,
+    _center_ray,
     _facet_pairs,
     _normalized,
     _translated,
     _wall_values,
     cell_facets,
-    circumcenter,
     delaunay_star,
     dv_polytope_by_coarsening,
     is_triangulation,
     neighbor_triangulation,
 )
 from lcone.classify import Classifier, principal_form, seed_triangulation
-from lcone.exact import AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, _norm, det, inverse
+from lcone.exact import (AffinelyDependent, Mat, NotPositiveDefinite, Rat, SymMat, _norm,
+                         clear_denominators, det, inverse)
 from lcone.lattice import closest_vectors
 from lcone.polyhedral import dv_polytope
 from lcone.scone import cone_facets, contains_pd, secondary_cone, star_wall_forms
@@ -51,24 +52,38 @@ A2 = SymMat([[2, 1], [1, 2]])
 I2 = SymMat.identity(2)
 
 
+def _sphere(q, pts):
+    """Centre and squared radius of the sphere through pts in the metric of
+    q, from `_center_ray` on the primitive integer multiple c q: y / t and
+    (c q)[y - t p_0] / (c t^2), each an int where integral."""
+    form = SymMat.from_lower(q.d, clear_denominators(q.lower()))
+    scale = Rat(form.entry(0, 0)) / q.entry(0, 0)
+    y, t = _center_ray(form, [tuple(p) for p in pts])
+    sq = form.quad([b - t * a for a, b in zip(pts[0], y)])
+    return tuple(_norm(Rat(x, t)) for x in y), _norm(Rat(sq, t * t) / scale)
+
+
 class TestCircumcenter:
+    """The circumcentre as the integer ray (y, t) of `_center_ray`."""
+
     def test_right_triangle(self):
-        c, r2 = circumcenter(I2, [(0, 0), (1, 0), (0, 1)])
+        c, r2 = _sphere(I2, [(0, 0), (1, 0), (0, 1)])
         assert c == (Rat(1, 2), Rat(1, 2)) and r2 == Rat(1, 2)
 
     def test_a2(self):
-        c, r2 = circumcenter(A2, [(0, 0), (1, 0), (0, 1)])
+        c, r2 = _sphere(A2, [(0, 0), (1, 0), (0, 1)])
         assert c == (Rat(1, 3), Rat(1, 3)) and r2 == Rat(2, 3)
 
     def test_dependent(self):
         with pytest.raises(AffinelyDependent):
-            circumcenter(I2, [(0, 0), (1, 0), (2, 0)])
+            _center_ray(I2, [(0, 0), (1, 0), (2, 0)])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_matches_fraction_oracle(self, d):
         # Seeded integral and rational forms and seeded point sets, a fifth
-        # of them affinely dependent by construction: the integer centre equals the `solve`
-        # one, value for value and type for type, or both raise.
+        # of them affinely dependent by construction: the integer ray on the
+        # form's primitive integer multiple gives the `solve` centre and
+        # squared radius, value for value and type for type, or both raise.
         rng = random.Random(3000 + d)
         checked = dependent = 0
         while checked < 40:
@@ -87,10 +102,10 @@ class TestCircumcenter:
                 want = circumcenter_by_fractions(q, pts)
             except AffinelyDependent:
                 with pytest.raises(AffinelyDependent):
-                    circumcenter(q, pts)
+                    _sphere(q, pts)
                 dependent += 1
                 continue
-            assert _typed(circumcenter(q, pts)) == _typed(want)
+            assert _typed(_sphere(q, pts)) == _typed(want)
             checked += 1
         assert dependent > 0
 
@@ -571,19 +586,36 @@ class TestNeighborTriangulation:
         assert is_triangulation(nb) and nb.keys != star.keys
         assert calls == []
 
+    # The A2 star and its cone, with `lattice._closest` as `orig`, and the
+    # flip across the cone's first wall, for the checks under -O below.
+    _A2_SETUP = ("from lcone.scone import cone_facets, secondary_cone\n"
+                 "star = D.delaunay_star(SymMat([[2, 1], [1, 2]]))\n"
+                 "cone = secondary_cone(star)\n"
+                 "orig = D._closest\n")
+    _A2_FLIP = "D.neighbor_triangulation(star, cone_facets(cone)[0].central, cone.central)"
+
     def test_empty_sphere_check_survives_optimize(self):
-        # As for the star: a wrong minimum from closest_vectors must be
-        # caught under -O when a class is added by the flip.
+        # As for the star: a wrong minimum from the closest-vector search
+        # must be caught under -O when a class is added by the flip.
         out = _raised_under_optimize(
-            "from lcone.scone import cone_facets, secondary_cone\n"
-            "star = D.delaunay_star(SymMat([[2, 1], [1, 2]]))\n"
-            "cone = secondary_cone(star)\n"
-            "orig = D.closest_vectors\n"
-            "def wrong(q, c):\n"
-            "    best, mins = orig(q, c)\n"
+            self._A2_SETUP +
+            "def wrong(form, c, m):\n"
+            "    best, mins = orig(form, c, m)\n"
             "    return best + 1, mins\n"
-            "D.closest_vectors = wrong\n",
-            "D.neighbor_triangulation(star, cone_facets(cone)[0].central, cone.central)")
+            "D._closest = wrong\n",
+            self._A2_FLIP)
+        assert out.startswith("raised: flipped cell failed the empty-sphere check")
+
+    def test_dropped_minimizer_raises_under_optimize(self):
+        # The right minimum with one minimizer left out: the minimizers must
+        # be the added class, so the flip raises under -O too.
+        out = _raised_under_optimize(
+            self._A2_SETUP +
+            "def dropped(form, c, m):\n"
+            "    best, mins = orig(form, c, m)\n"
+            "    return best, mins[1:]\n"
+            "D._closest = dropped\n",
+            self._A2_FLIP)
         assert out.startswith("raised: flipped cell failed the empty-sphere check")
 
     def test_wallpoint_must_be_on_wall(self):

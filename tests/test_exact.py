@@ -685,15 +685,16 @@ class TestKernelFailurePropagates:
         raise TypeError("broken kernel")
 
     def test_circumcenter(self, monkeypatch):
+        # The circumcentre is one integer `echelon` (`delaunay._center_ray`).
         import lcone.delaunay
         from lcone.exact import AffinelyDependent
 
         pts = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(AffinelyDependent):
-            lcone.delaunay.circumcenter(SymMat.identity(2), [(0, 0), (1, 0), (2, 0)])
+            lcone.delaunay._center_ray(SymMat.identity(2), [(0, 0), (1, 0), (2, 0)])
         monkeypatch.setattr(lcone.delaunay, "echelon", self._broken)
         with pytest.raises(TypeError, match="broken kernel"):
-            lcone.delaunay.circumcenter(SymMat.identity(2), pts)
+            lcone.delaunay._center_ray(SymMat.identity(2), pts)
 
     def test_regulator(self, monkeypatch):
         # The walls of a triangulation's adjacent pairs, one `echelon` per

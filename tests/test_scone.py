@@ -421,35 +421,40 @@ class TestCarriedKeys:
     def test_d4_primitive_phase_searches_once(self, monkeypatch):
         # The parent of this design searched 4 stars and solved 720
         # circumcenters (24 per crossing, 30 crossings).  Now only the seed
-        # is searched, and a crossing solves the circumcenter of each class
-        # it adds and builds no cell.  One wall is crossed per stabilizer
-        # orbit, 6 of the 30 (282 circumcenters when all 30 were crossed).
-        searches, solved, built, crossings = [], [], [], []
+        # is searched, and a crossing solves the circumcentre (`_center_ray`)
+        # of each class it adds on one form frame and builds no cell.  One
+        # wall is crossed per stabilizer orbit, 6 of the 30 (282
+        # circumcenters when all 30 were crossed).
+        searches, solved, frames, built, crossings = [], [], [], [], []
         star_of = lcone.classify.delaunay_star
         monkeypatch.setattr(lcone.classify, "delaunay_star",
                             lambda q: searches.append(q) or star_of(q))
-        circumcenter = lcone.delaunay.circumcenter
-        monkeypatch.setattr(lcone.delaunay, "circumcenter",
+        center_ray = lcone.delaunay._center_ray
+        monkeypatch.setattr(lcone.delaunay, "_center_ray",
                             lambda q, points: solved.append(tuple(points)) or
-                            circumcenter(q, points))
+                            center_ray(q, points))
+        form_frame = lcone.delaunay._form_frame
+        monkeypatch.setattr(lcone.delaunay, "_form_frame",
+                            lambda q: frames.append(q) or form_frame(q))
         cell = lcone.delaunay.Cell
         monkeypatch.setattr(lcone.delaunay, "Cell",
                             lambda *args: built.append(args) or cell(*args))
         cross = lcone.classify.neighbor_triangulation
 
         def counted(star, wallpoint, center):
-            first_solved, first_built = len(solved), len(built)
+            first_solved, first_frames, first_built = len(solved), len(frames), len(built)
             nb = cross(star, wallpoint, center)
-            crossings.append((sorted(set(nb.keys) - set(star.keys)),
-                              solved[first_solved:], len(built) - first_built))
+            crossings.append((sorted(set(nb.keys) - set(star.keys)), solved[first_solved:],
+                              len(frames) - first_frames, len(built) - first_built))
             return nb
 
         monkeypatch.setattr(lcone.classify, "neighbor_triangulation", counted)
         Classifier(4).primitive_cones()
         assert len(searches) == 1 and len(crossings) == 6
-        for added, calls, cells in crossings:
-            assert added and calls == added and cells == 0
-        assert len(solved) == sum(len(added) for added, _, _ in crossings) == 54
+        for added, calls, n_frames, cells in crossings:
+            assert added and calls == added and n_frames == 1 and cells == 0
+        assert len(solved) == sum(len(added) for added, _, _, _ in crossings) == 54
+        assert len(frames) == 6
 
     def test_neighbour_keys_raise_under_optimize(self):
         # `assert False` passes only if -O stripped asserts.  A `prim`
